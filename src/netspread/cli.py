@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from math import factorial, inf
+from math import factorial, inf, isfinite
 from typing import Any, Sequence
 
 from .errors import ConfigError, GuardExceededError, NetspreadError, ParseError
@@ -62,8 +62,8 @@ _STAT_FLAGS = ("W", "R", "T", "C", "orbit")
 
 
 def _fmt(x: float) -> str:
-    """Locale-independent 6-significant-digit formatting."""
-    if x == int(x) and abs(x) < 10**15:
+    """Locale-independent 6-significant-digit formatting; inf and nan print as such."""
+    if isfinite(x) and x == int(x) and abs(x) < 10**15:
         return str(int(x))
     return f"{x:.6g}"
 

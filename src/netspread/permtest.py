@@ -17,9 +17,10 @@ level at alpha; smaller B is degenerate but defined.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from math import factorial
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import comb, factorial, floor
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,13 +105,16 @@ def _threshold_rule(
 ) -> tuple[float, bool]:
     """Minimal distinct score v with #{scores >= v} <= alpha_mass * total.
 
-    Returns (threshold, saturated); saturated means no such v exists and
-    the threshold falls back to the maximum score, rejectable only by a
-    value strictly above every score.
+    The tail budget floor(alpha_mass * total) is taken exactly from the
+    decimal alpha_mass, so 0.29 * 100 allows 29 draws, not the float
+    product's 28.999999999999996. Returns (threshold, saturated);
+    saturated means no such v exists and the threshold falls back to the
+    maximum score, rejectable only by a value strictly above every score.
     """
+    budget = floor(Fraction(repr(float(alpha_mass))) * total)
     values, counts = np.unique(scores, return_counts=True)
     tail_counts = counts[::-1].cumsum()[::-1]
-    ok = np.flatnonzero(tail_counts <= alpha_mass * total)
+    ok = np.flatnonzero(tail_counts <= budget)
     if ok.size == 0:
         return float(values[-1]), True
     return float(values[ok[0]]), False
@@ -121,6 +125,39 @@ def _histogram(scores: np.ndarray) -> tuple[tuple[float, int], ...]:
     return tuple((float(v), int(c)) for v, c in zip(values, counts))
 
 
+def _calibrate(
+    observed: float,
+    scores: np.ndarray,
+    alpha: float,
+    total: int | None = None,
+    add_one: bool = True,
+    **labels,
+) -> TestResult:
+    """Threshold, p-value and histogram of one statistic's permutation scores.
+
+    total is the draw count the tail budget and the p-value refer to
+    (default scores.size; the stage-two scores of a composite test are
+    a subset of its B draws). add_one gives the Monte-Carlo p-value
+    (ge + 1) / (total + 1), otherwise the exact fraction ge / total.
+    labels fill statistic, tail, mode and validity_warning.
+    """
+    total = scores.size if total is None else total
+    threshold, saturated = _threshold_rule(scores, alpha, total)
+    ge = int(np.count_nonzero(scores >= observed))
+    extra = 1 if add_one else 0
+    return TestResult(
+        observed=observed,
+        threshold=threshold,
+        p_value=(ge + extra) / (total + extra),
+        reject=observed > threshold,
+        histogram=_histogram(scores),
+        raw_ge_count=ge,
+        n_draws=total,
+        saturated=saturated,
+        **labels,
+    )
+
+
 def _validity_warning(
     cfg: TestConfig, stat: StatisticSpec, null_graph: Graph | None
 ) -> str | None:
@@ -129,6 +166,10 @@ def _validity_warning(
     if null_graph is None:
         return "unverifiable: no null graph provided"
     if stat.graph is None:
+        # only a null with Aut = S_n (empty or complete) validates a
+        # statistic that carries no alternative graph
+        if null_graph.num_edges in (0, comb(null_graph.n, 2)):
+            return None
         return "unverifiable: statistic carries no alternative graph"
     verdict = check_validity(null_graph, stat.graph)
     if verdict == "valid":
@@ -164,6 +205,69 @@ def check_validity(null_graph: Graph, alt: Graph | PermGroup, n_max: int = 10) -
     return "valid" if product_group_is_full(g1, g0) else "invalid"
 
 
+# statuses per drawn block: bounds a block, and the per-row temporaries its
+# scoring allocates, at any B
+_BLOCK_STATUSES = 1 << 18
+
+
+def _relabel_blocks(
+    status: np.ndarray,
+    B: int,
+    rng: np.random.Generator,
+    positions: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """The B relabelings of a (..., n) status array, as (rows, ..., n) blocks.
+
+    Each draw permutes the last axis of every snapshot with its own
+    uniform permutation, restricted to `positions` when given, in draw
+    order. Generator.permuted shuffles slice after slice with exactly
+    the draws of one rng.permutation per slice, so the random stream is
+    that of a per-draw loop, bit for bit.
+    """
+    movable = status if positions is None else status[..., positions]
+    step = max(1, _BLOCK_STATUSES // status.size)
+    for lo in range(0, B, step):
+        rows = min(step, B - lo)
+        drawn = np.broadcast_to(movable, (rows, *movable.shape)).copy()
+        rng.permuted(drawn, axis=-1, out=drawn)
+        if positions is None:
+            yield drawn
+        else:
+            block = np.broadcast_to(status, (rows, *status.shape)).copy()
+            block[..., positions] = drawn
+            yield block
+
+
+def _enumerated_blocks(status: np.ndarray) -> Iterator[np.ndarray]:
+    """All n! relabelings of a status vector, in itertools.permutations order."""
+    perms = itertools.permutations(range(status.size))
+    step = max(1, _BLOCK_STATUSES // status.size)
+    while chunk := list(itertools.islice(perms, step)):
+        targets = np.array(chunk)
+        block = np.empty(targets.shape, dtype=status.dtype)
+        # row i sends vertex j's status to targets[i, j]
+        block[np.arange(len(chunk))[:, None], targets] = status
+        yield block
+
+
+def _score_blocks(
+    stats: Sequence[StatisticSpec],
+    blocks: Iterable[np.ndarray],
+    on_resample: Callable[[int, np.ndarray], None] | None = None,
+) -> list[np.ndarray]:
+    """Score every row of every (rows, n) block with each statistic, in row order."""
+    parts: list[list[np.ndarray]] = [[] for _ in stats]
+    b = 0
+    for block in blocks:
+        if on_resample is not None:
+            for row in block:
+                on_resample(b, row)
+                b += 1
+        for part, stat in zip(parts, stats):
+            part.append(stat.score_batch(block))
+    return [np.concatenate(part) for part in parts]
+
+
 def exact_test(
     stat: StatisticSpec,
     iv: InfectionVector,
@@ -177,32 +281,18 @@ def exact_test(
     Guarded at n_guard because the cost is n! score evaluations.
     p_value is the exact permutation fraction #{score >= observed} / n!.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    cfg = TestConfig(alpha=alpha, B=1, validity=validity)
     n = iv.n
     if n > n_guard:
         raise GuardExceededError(
             f"exact test costs {n}! = {factorial(n)} evaluations; guard is n <= {n_guard}"
         )
-    status = iv.status
-    scores = np.empty(factorial(n), dtype=np.float64)
-    buf = np.empty(n, dtype=status.dtype)
-    for i, perm in enumerate(itertools.permutations(range(n))):
-        buf[list(perm)] = status
-        scores[i] = stat.score(InfectionVector(buf))
-    observed = stat.score(iv)
-    threshold, saturated = _threshold_rule(scores, alpha, scores.size)
-    ge = int(np.count_nonzero(scores >= observed))
-    cfg = TestConfig(alpha=alpha, B=1, validity=validity)
-    return TestResult(
-        observed=observed,
-        threshold=threshold,
-        p_value=ge / scores.size,
-        reject=observed > threshold,
-        histogram=_histogram(scores),
-        raw_ge_count=ge,
-        n_draws=scores.size,
-        saturated=saturated,
+    [scores] = _score_blocks([stat], _enumerated_blocks(iv.status))
+    return _calibrate(
+        stat.score(iv),
+        scores,
+        alpha,
+        add_one=False,
         statistic=stat.name,
         tail=stat.tail,
         mode="exact",
@@ -210,49 +300,23 @@ def exact_test(
     )
 
 
-def _mc_scores(
-    stat: StatisticSpec,
-    iv: InfectionVector,
-    B: int,
-    rng: np.random.Generator,
-    positions: np.ndarray | None = None,
-    on_resample: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """Score B uniformly permuted copies (optionally only over `positions`)."""
-    status = iv.status
-    scores = np.empty(B, dtype=np.float64)
-    for b in range(B):
-        if positions is None:
-            permuted = status[rng.permutation(status.size)]
-        else:
-            permuted = status.copy()
-            permuted[positions] = status[positions[rng.permutation(positions.size)]]
-        if on_resample is not None:
-            on_resample(b, permuted)
-        scores[b] = stat.score(InfectionVector(permuted))
-    return scores
-
-
 def _mc_result(
     stat: StatisticSpec,
     iv: InfectionVector,
     cfg: TestConfig,
-    scores: np.ndarray,
+    rng: np.random.Generator | None,
     mode: str,
     null_graph: Graph | None,
+    positions: np.ndarray | None = None,
+    on_resample: Callable[[int, np.ndarray], None] | None = None,
 ) -> TestResult:
-    observed = stat.score(iv)
-    threshold, saturated = _threshold_rule(scores, cfg.alpha, scores.size)
-    ge = int(np.count_nonzero(scores >= observed))
-    return TestResult(
-        observed=observed,
-        threshold=threshold,
-        p_value=(ge + 1) / (scores.size + 1),
-        reject=observed > threshold,
-        histogram=_histogram(scores),
-        raw_ge_count=ge,
-        n_draws=scores.size,
-        saturated=saturated,
+    gen = substream(cfg.seed) if rng is None else rng
+    blocks = _relabel_blocks(iv.status, cfg.B, gen, positions)
+    [scores] = _score_blocks([stat], blocks, on_resample)
+    return _calibrate(
+        stat.score(iv),
+        scores,
+        cfg.alpha,
         statistic=stat.name,
         tail=stat.tail,
         mode=mode,
@@ -274,9 +338,7 @@ def mc_test(
     standard unbiased-level estimate; reject still goes through the
     threshold rule so level holds for every B.
     """
-    gen = substream(cfg.seed) if rng is None else rng
-    scores = _mc_scores(stat, iv, cfg.B, gen, on_resample=on_resample)
-    return _mc_result(stat, iv, cfg, scores, MODE_FULL, null_graph)
+    return _mc_result(stat, iv, cfg, rng, MODE_FULL, null_graph, on_resample=on_resample)
 
 
 def conditional_mc_test(
@@ -292,12 +354,12 @@ def conditional_mc_test(
     Only uncensored statuses are shuffled; censored vertices keep their
     mark, matching a null where censoring is arbitrary but fixed.
     """
-    gen = substream(cfg.seed) if rng is None else rng
     positions = np.flatnonzero(iv.status != CENSORED)
     if positions.size == 0:
         raise ValueError("every vertex is censored; nothing to permute")
-    scores = _mc_scores(stat, iv, cfg.B, gen, positions=positions, on_resample=on_resample)
-    return _mc_result(stat, iv, cfg, scores, MODE_CENSOR_FIXING, null_graph)
+    return _mc_result(
+        stat, iv, cfg, rng, MODE_CENSOR_FIXING, null_graph, positions, on_resample
+    )
 
 
 def composite_mc_test(
@@ -318,38 +380,28 @@ def composite_mc_test(
     min(1, 2 min(p1, p2)) of the stagewise add-one p-values.
     """
     gen = substream(cfg.seed) if rng is None else rng
-    status = iv.status
-    B = cfg.B
-    s1 = np.empty(B, dtype=np.float64)
-    s2 = np.empty(B, dtype=np.float64)
-    for b in range(B):
-        permuted = InfectionVector(status[gen.permutation(status.size)])
-        s1[b] = stat_first.score(permuted)
-        s2[b] = stat_second.score(permuted)
-    o1 = stat_first.score(iv)
-    o2 = stat_second.score(iv)
+    blocks = _relabel_blocks(iv.status, cfg.B, gen)
+    s1, s2 = _score_blocks([stat_first, stat_second], blocks)
     half = cfg.alpha / 2.0
-    t1, sat1 = _threshold_rule(s1, half, B)
-    # a saturated t1 equals max(s1), so the mask below is then all-true
-    stage2_mask = s1 <= t1
-    t2, sat2 = _threshold_rule(s2[stage2_mask], half, B)
-    fire1 = o1 > t1
-    fire2 = o1 <= t1 and o2 > t2
-    p1 = (int(np.count_nonzero(s1 >= o1)) + 1) / (B + 1)
-    p2 = (int(np.count_nonzero(s2[stage2_mask] >= o2)) + 1) / (B + 1)
-    return TestResult(
-        observed=(o1, o2),
-        threshold=(t1, t2),
-        p_value=min(1.0, 2.0 * min(p1, p2)),
-        reject=fire1 or fire2,
-        histogram=_histogram(s1),
-        raw_ge_count=int(np.count_nonzero(s1 >= o1)),
-        n_draws=B,
-        saturated=(sat1, sat2),
+    labels = dict(
         statistic=f"{stat_first.name}+{stat_second.name}",
         tail=f"{stat_first.tail}+{stat_second.tail}",
         mode="composite",
         validity_warning=_validity_warning(cfg, stat_first, null_graph),
+    )
+    first = _calibrate(stat_first.score(iv), s1, half, **labels)
+    # a saturated first threshold equals max(s1), so the mask is then all-true;
+    # stage two fires only where stage one did not, so reject is either stage
+    second = _calibrate(
+        stat_second.score(iv), s2[s1 <= first.threshold], half, total=cfg.B, **labels
+    )
+    return replace(
+        first,
+        observed=(first.observed, second.observed),
+        threshold=(first.threshold, second.threshold),
+        p_value=min(1.0, 2.0 * min(first.p_value, second.p_value)),
+        reject=first.reject or second.reject,
+        saturated=(first.saturated, second.saturated),
     )
 
 
@@ -372,26 +424,14 @@ def multi_spread_mc_test(
     if any(iv.n != n for iv in ivs):
         raise ValueError("snapshots must share one vertex set")
     gen = substream(cfg.seed) if rng is None else rng
-    B = cfg.B
-    scores = np.empty(B, dtype=np.float64)
-    for b in range(B):
-        total = 0.0
-        for iv in ivs:
-            permuted = InfectionVector(iv.status[gen.permutation(n)])
-            total += stat.score(permuted)
-        scores[b] = total / len(ivs)
-    observed = float(np.mean([stat.score(iv) for iv in ivs]))
-    threshold, saturated = _threshold_rule(scores, cfg.alpha, B)
-    ge = int(np.count_nonzero(scores >= observed))
-    return TestResult(
-        observed=observed,
-        threshold=threshold,
-        p_value=(ge + 1) / (B + 1),
-        reject=observed > threshold,
-        histogram=_histogram(scores),
-        raw_ge_count=ge,
-        n_draws=B,
-        saturated=saturated,
+    m = len(ivs)
+    blocks = _relabel_blocks(np.stack([iv.status for iv in ivs]), cfg.B, gen)
+    [flat] = _score_blocks([stat], (block.reshape(-1, n) for block in blocks))
+    # scores are integers or infinite, so the row sums are exact in any order
+    return _calibrate(
+        float(np.mean([stat.score(iv) for iv in ivs])),
+        flat.reshape(cfg.B, m).sum(axis=1) / m,
+        cfg.alpha,
         statistic=f"avg-{stat.name}",
         tail=stat.tail,
         mode="multi-spread",

@@ -54,7 +54,7 @@ class InfectionVector:
         arr = np.asarray(self.status, dtype=np.int8)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("status must be a non-empty 1-d array")
-        if not np.isin(arr, (UNINFECTED, INFECTED, CENSORED)).all():
+        if arr.min() < UNINFECTED or arr.max() > CENSORED:
             raise ValueError("statuses must be 0, 1, or 2")
         arr = arr.copy()
         arr.setflags(write=False)

@@ -33,6 +33,9 @@ __all__ = [
 # fall back to per-evaluation BFS from the infected set
 _DMAT_LIMIT = 4096
 
+# bytes of the (rows, n) running maximum one batched R step keeps at once
+_R_GATHER_BYTES = 1 << 18
+
 
 def edges_within(g: Graph, iv: InfectionVector) -> int:
     """Number of edges with both endpoints infected (censored never count)."""
@@ -66,6 +69,33 @@ def infection_radius(g: Graph, iv: InfectionVector) -> int | float:
             worst = np.maximum(worst, bfs_distances(g, int(u)))
     r = worst.min()
     return inf if isinf(r) else int(r)
+
+
+def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray | None:
+    """infection_radius of every row of a (rows, n) infected mask.
+
+    Folds the distance-matrix rows of each row's infected vertices into
+    a running maximum, one infected rank at a time, over chunks of rows
+    whose (rows, n) maximum takes about _R_GATHER_BYTES. Needs the
+    cached distance matrix and the same infected count k >= 1 in every
+    row (relabelings keep it); returns None otherwise, leaving those
+    cases to the per-row path.
+    """
+    rows = infected.shape[0]
+    k = np.count_nonzero(infected, axis=1)
+    if g.n > _DMAT_LIMIT or rows == 0 or k[0] == 0 or (k != k[0]).any():
+        return None
+    dmat = g.distance_matrix
+    idx = np.nonzero(infected)[1].reshape(rows, int(k[0]))
+    step = max(1, _R_GATHER_BYTES // (dmat.shape[1] * dmat.itemsize))
+    radii = np.empty(rows, dtype=np.float64)
+    for lo in range(0, rows, step):
+        cols = idx[lo : lo + step]
+        worst = dmat[cols[:, 0]]
+        for j in range(1, cols.shape[1]):
+            np.maximum(worst, dmat[cols[:, j]], out=worst)
+        radii[lo : lo + step] = worst.min(axis=1)
+    return radii
 
 
 def center_indicator(iv: InfectionVector, center: int) -> int:
@@ -320,3 +350,39 @@ class StatisticSpec:
         """Evaluate on the oriented evidence scale (larger = more clustered)."""
         value = self.evaluate(iv)
         return -float(value) if self.tail == "lower" else float(value)
+
+    def score_batch(self, block: np.ndarray) -> np.ndarray:
+        """score() of every row of a (rows, n) status block, as float64.
+
+        Rows must hold valid statuses, as relabelings of a validated
+        snapshot do. W is one gather over the edge arrays, C and orbit
+        are column counts, and R folds rows of the cached distance
+        matrix (see _radius_batch). T, and R on graphs above
+        _DMAT_LIMIT or on rows that differ in infected count, score row
+        by row through score().
+        """
+        n = block.shape[1]
+        if self.graph is not None and self.graph.n != n:
+            raise ValueError("graph and snapshot sizes differ")
+        infected = block == INFECTED
+        values = None
+        if self.kind == "edges_within":
+            eu, ev = self.graph.edge_arrays
+            both = infected[:, eu]
+            both &= infected[:, ev]
+            values = np.count_nonzero(both, axis=1)
+        elif self.kind == "center_indicator":
+            if not 0 <= self.center < n:
+                raise ValueError(f"center {self.center} out of range")
+            values = infected[:, self.center]
+        elif self.kind == "orbit_count":
+            idx = list(self.vertex_orbit)
+            if any(not 0 <= v < n for v in idx):
+                raise ValueError("orbit vertex out of range")
+            values = np.count_nonzero(infected[:, idx], axis=1)
+        elif self.kind == "infection_radius":
+            values = _radius_batch(self.graph, infected)
+        if values is None:
+            return np.array([self.score(InfectionVector(row)) for row in block], dtype=np.float64)
+        scores = values.astype(np.float64)
+        return -scores if self.tail == "lower" else scores

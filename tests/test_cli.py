@@ -163,6 +163,7 @@ def test_test_orbit_and_center_statistics(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["statistic"] == "C"
+    assert json.loads(stdout)["validity"] == "valid"
     code, stdout, _ = run(
         capsys,
         "test", "--null-graph", "empty:8", "--alt-graph", "star:8",
@@ -171,6 +172,22 @@ def test_test_orbit_and_center_statistics(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout)["statistic"] == "orbit"
+    assert json.loads(stdout)["validity"] == "valid"
+
+
+def test_test_text_radius_on_disconnected_graph_prints_inf(tmp_path, capsys):
+    # two triangles; an infected vertex in each puts no center within reach
+    graph = tmp_path / "two.txt"
+    graph.write_text("a b\nb c\nc a\nx y\ny z\nz x\n")
+    snap = tmp_path / "snap.txt"
+    snap.write_text("a 1\nb 0\nc 0\nx 1\ny 0\nz 0\n")
+    code, stdout, _ = run(
+        capsys,
+        "test", "--null-graph", "empty:6", "--alt-graph", f"file:{graph}",
+        "--statistic", "R", "--infection", str(snap), "--B", "20",
+    )
+    assert code == 0
+    assert "observed:   inf\n" in stdout
 
 
 def test_test_debug_dump_full_mode(tmp_path, capsys):

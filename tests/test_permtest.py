@@ -66,6 +66,15 @@ def test_threshold_rule_edge_cases():
     assert _threshold_rule(ties, 0.05, 50) == (0.0, True)
 
 
+def test_threshold_rule_exact_tail_budget():
+    # 0.29 * 100 is 28.999999999999996 in floats; the budget is 29 draws
+    top = np.array([0.0] * 50 + [1.0] * 21 + [2.0] * 29)
+    assert _threshold_rule(top, 0.29, 100) == (2.0, False)
+    two_top = np.array([0.0] * 71 + [1.0] * 19 + [2.0] * 10)
+    assert _threshold_rule(two_top, 0.29, 100) == (1.0, False)
+    assert _threshold_rule(two_top, np.float64(0.29), 100) == (1.0, False)
+
+
 def test_exact_test_uniform_statistic_never_rejects():
     # statistic constant across relabelings: always saturated, never rejects
     g = cycle_graph(5)
@@ -348,6 +357,18 @@ def test_validity_warning_threading():
         StatisticSpec.center_indicator(0), iv, cfg, null_graph=star_graph(6)
     )
     assert no_alt.validity_warning is not None
+
+
+def test_validity_without_alternative_graph_needs_symmetric_null():
+    # C and orbit carry no graph: an empty or complete null (Aut = S_n)
+    # settles validity, any other null leaves it unverifiable
+    iv = infection_from_infected(6, [0, 1])
+    cfg = TestConfig(alpha=0.1, B=20, seed=0)
+    for spec in (StatisticSpec.center_indicator(0), StatisticSpec.orbit_count([0, 1, 2])):
+        for null in (empty_graph(6), complete_graph(6)):
+            assert mc_test(spec, iv, cfg, null_graph=null).validity_warning is None
+        warning = mc_test(spec, iv, cfg, null_graph=cycle_graph(6)).validity_warning
+        assert warning == "unverifiable: statistic carries no alternative graph"
 
 
 def test_mc_level_on_exchangeable_null():

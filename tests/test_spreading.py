@@ -61,8 +61,9 @@ def test_infection_vector_is_immutable_and_hashable():
 
 
 def test_infection_vector_rejects_bad_status():
-    with pytest.raises(ValueError):
-        InfectionVector((0, 3))
+    for bad in ((0, 3), (-1, 0), (1, 2, 1, 7)):
+        with pytest.raises(ValueError, match="statuses must be 0, 1, or 2"):
+            InfectionVector(bad)
     with pytest.raises(ValueError):
         InfectionVector(())
 
