@@ -15,6 +15,7 @@ from .errors import (
     ParseError,
 )
 from .graphs import (
+    UNREACHABLE,
     Graph,
     bfs_distances,
     build_graph,

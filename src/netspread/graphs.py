@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, inf, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,11 +32,20 @@ __all__ = [
     "correlated_pair",
     "generate",
     "from_spec",
+    "UNREACHABLE",
     "bfs_distances",
+    "bfs_levels",
     "eccentricity",
     "is_connected",
     "load_edge_list",
 ]
+
+# hop count that marks "no path" in Graph.distance_matrix
+UNREACHABLE = int(np.iinfo(np.uint16).max)
+
+# bytes of the neighbour gather one packed BFS level step holds at once,
+# and of the unpacked rows one distance-matrix decode step holds
+_STEP_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,22 @@ class Graph:
         return arr[:, 0], arr[:, 1]
 
     @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency as read-only CSR arrays (indptr, indices).
+
+        The sorted neighbours of v are indices[indptr[v]:indptr[v + 1]].
+        """
+        eu, ev = self.edge_arrays
+        tails = np.concatenate([eu, ev])
+        heads = np.concatenate([ev, eu])
+        indices = heads[np.lexsort((heads, tails))]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.n), out=indptr[1:])
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
     def adjacency_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(vs) for vs in self.adjacency)
 
@@ -138,14 +163,34 @@ class Graph:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs hop distances, float64 with inf for unreachable.
+        """All-pairs hop distances as uint16, UNREACHABLE where no path exists.
 
-        Cached; intended for graphs up to a few thousand vertices. Larger
-        graphs should use bfs_distances per source.
+        Cached; built by one packed BFS from every vertex at once
+        (bfs_levels), whose level numbers are kept as bit planes and
+        decoded in row chunks. Meant for graphs up to a few thousand
+        vertices; raises ValueError for n >= UNREACHABLE, where a hop
+        count could collide with the sentinel.
         """
-        mat = np.full((self.n, self.n), inf, dtype=np.float64)
-        for s in range(self.n):
-            mat[s] = bfs_distances(self, s)
+        n = self.n
+        if n >= UNREACHABLE:
+            raise ValueError(f"distance matrix needs n < {UNREACHABLE}, got n={n}")
+        # planes[b] holds bit b of the level at which each source reaches each vertex
+        planes: list[np.ndarray] = []
+        for level, frontier, unreached in bfs_levels(self, range(n)):
+            for b in range(level.bit_length()):
+                if b == len(planes):
+                    planes.append(np.zeros_like(frontier))
+                if level >> b & 1:
+                    planes[b] |= frontier
+        mat = np.empty((n, n), dtype=np.uint16)
+        rows = max(1, _STEP_BYTES // (4 * n))
+        for lo in range(0, n, rows):
+            block = mat[lo : lo + rows]
+            block[:] = 0
+            for b, plane in enumerate(planes):
+                bits = _unpack_rows(plane[lo : lo + rows], n)
+                block |= bits.astype(np.uint16) << b
+            block[_unpack_rows(unreached[lo : lo + rows], n).view(bool)] = UNREACHABLE
         return mat
 
 
@@ -365,6 +410,80 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
+
+
+def bfs_levels(
+    g: Graph, sources: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Level-synchronous BFS from every source at once, on packed bits.
+
+    Each yielded array has one row per vertex and one bit per source,
+    packed little-endian into '<u8' words: bit j of row v stands for
+    sources[j]. Yields (level, frontier, unreached) for level = 0, 1,
+    ...: frontier marks the sources exactly level hops from v,
+    unreached those not within level hops. unreached is updated in
+    place by the next step. Stops after the last non-empty frontier.
+    Sources must be distinct vertices.
+    """
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    k = src.size
+    if k and (src.min() < 0 or src.max() >= g.n):
+        raise ValueError("source out of range")
+    if np.unique(src).size != k:
+        raise ValueError("sources must be distinct")
+    width = 8 * max(1, -(-k // 64))  # bytes per row, whole words
+    j = np.arange(k)
+    frontier = np.zeros((g.n, width), dtype=np.uint8)
+    frontier[src, j >> 3] = (1 << (j & 7)).astype(np.uint8)
+    valid = np.zeros(8 * width, dtype=bool)
+    valid[:k] = True
+    unreached = np.tile(np.packbits(valid, bitorder="little"), (g.n, 1))
+    unreached ^= frontier
+    frontier, unreached = frontier.view("<u8"), unreached.view("<u8")
+    plan = _step_plan(g, frontier.shape[1])
+    level = 0
+    while True:
+        yield level, frontier, unreached
+        frontier = _level_step(plan, frontier)
+        frontier &= unreached
+        if not frontier.any():
+            return
+        unreached ^= frontier
+        level += 1
+
+
+def _step_plan(g: Graph, words: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Chunks of (vertices, their neighbours, reduceat offsets) for _level_step.
+
+    Only vertices with neighbours are listed; each chunk's neighbour
+    gather of `words` words per row takes about _STEP_BYTES.
+    """
+    indptr, indices = g.csr
+    verts = np.flatnonzero(np.diff(indptr))
+    ends = indptr[verts + 1]
+    budget = max(1, _STEP_BYTES // (8 * words))
+    plan = []
+    a = 0
+    while a < verts.size:
+        lo = indptr[verts[a]]
+        b = max(a + 1, int(np.searchsorted(ends, lo + budget, side="right")))
+        chunk = verts[a:b]
+        plan.append((chunk, indices[lo : ends[b - 1]], indptr[chunk] - lo))
+        a = b
+    return plan
+
+
+def _level_step(plan, frontier: np.ndarray) -> np.ndarray:
+    """OR of the frontier rows of each vertex's neighbours."""
+    out = np.zeros_like(frontier)
+    for verts, neighbours, offsets in plan:
+        out[verts] = np.bitwise_or.reduceat(frontier[neighbours], offsets, axis=0)
+    return out
+
+
+def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each packed row, as a (rows, n) uint8 0/1 array."""
+    return np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def eccentricity(g: Graph, v: int) -> float:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import inf, isinf
+from math import inf
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DisconnectedTerminalsError
-from .graphs import Graph, bfs_distances
+from .graphs import UNREACHABLE, Graph, bfs_levels
 from .spreading import INFECTED, InfectionVector
 
 __all__ = [
@@ -29,8 +29,9 @@ __all__ = [
     "StatisticSpec",
 ]
 
-# distance matrices are cached per graph below this size; larger graphs
-# fall back to per-evaluation BFS from the infected set
+# distance matrices are cached per graph up to this size (33 MB of uint16
+# at the limit); larger graphs run one packed BFS from the infected set
+# per evaluation
 _DMAT_LIMIT = 4096
 
 # bytes of the (rows, n) running maximum one batched R step keeps at once
@@ -62,13 +63,13 @@ def infection_radius(g: Graph, iv: InfectionVector) -> int | float:
         raise ValueError("infection radius needs at least one infected vertex")
     inf_idx = np.flatnonzero(iv.status == INFECTED)
     if g.n <= _DMAT_LIMIT:
-        worst = g.distance_matrix[inf_idx].max(axis=0)
-    else:
-        worst = np.zeros(g.n, dtype=np.float64)
-        for u in inf_idx:
-            worst = np.maximum(worst, bfs_distances(g, int(u)))
-    r = worst.min()
-    return inf if isinf(r) else int(r)
+        r = int(g.distance_matrix[inf_idx].max(axis=0).min())
+        return inf if r == UNREACHABLE else r
+    # the first BFS level at which some vertex is reached from every infected one
+    for level, _, unreached in bfs_levels(g, inf_idx):
+        if not unreached.any(axis=1).all():
+            return level
+    return inf
 
 
 def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray | None:
@@ -88,13 +89,15 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray | None:
     dmat = g.distance_matrix
     idx = np.nonzero(infected)[1].reshape(rows, int(k[0]))
     step = max(1, _R_GATHER_BYTES // (dmat.shape[1] * dmat.itemsize))
-    radii = np.empty(rows, dtype=np.float64)
+    hops = np.empty(rows, dtype=dmat.dtype)
     for lo in range(0, rows, step):
         cols = idx[lo : lo + step]
         worst = dmat[cols[:, 0]]
         for j in range(1, cols.shape[1]):
             np.maximum(worst, dmat[cols[:, j]], out=worst)
-        radii[lo : lo + step] = worst.min(axis=1)
+        hops[lo : lo + step] = worst.min(axis=1)
+    radii = hops.astype(np.float64)
+    radii[hops == UNREACHABLE] = inf
     return radii
 
 

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netspread import (
+    UNREACHABLE,
     Graph,
     ParseError,
     bfs_distances,
@@ -23,6 +28,7 @@ from netspread import (
     torus_grid,
     two_block,
 )
+from netspread import graphs
 from netspread.graphs import expected_edge_count
 
 
@@ -117,9 +123,96 @@ def test_distance_matrix_matches_bfs():
     g = torus_grid([3, 3])
     mat = g.distance_matrix
     assert mat.shape == (9, 9)
+    assert mat.dtype == np.uint16
     assert np.array_equal(mat[4], bfs_distances(g, 4))
     assert np.array_equal(mat, mat.T)
     assert np.all(np.diag(mat) == 0)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on 1..140 vertices with up to ~1.5 edges per vertex, often
+    disconnected and with isolated vertices; n crosses 64-bit word edges."""
+    n = draw(st.one_of(st.integers(1, 140), st.sampled_from([63, 64, 65, 128, 129])))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n // 2))
+    return build_graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+def _networkx_distances(g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    want = np.full((g.n, g.n), UNREACHABLE, dtype=np.uint16)
+    for s, lengths in nx.all_pairs_shortest_path_length(ref):
+        for t, d in lengths.items():
+            want[s, t] = d
+    return want
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_graphs())
+@example(build_graph(1, []))
+@example(empty_graph(64))
+@example(path_graph(65))
+@example(build_graph(129, [(0, 128), (63, 64), (64, 65)]))
+@example(complete_graph(63))
+def test_distance_matrix_matches_networkx(g):
+    mat = g.distance_matrix
+    assert mat.dtype == np.uint16
+    assert np.array_equal(mat, _networkx_distances(g))
+    assert np.array_equal(mat, mat.T)
+    assert np.all(np.diag(mat) == 0)
+
+
+@pytest.mark.parametrize("step_bytes", [1, 64, 1000])
+def test_distance_matrix_in_small_chunks(monkeypatch, step_bytes):
+    # BFS gathers and decode rows split into many chunks give the same matrix
+    monkeypatch.setattr(graphs, "_STEP_BYTES", step_bytes)
+    for g in (
+        torus_grid([5, 7]),
+        build_graph(70, [(0, 1), (1, 2), (5, 69), (30, 31), (31, 40)]),
+        erdos_renyi(130, 0.02, 4),
+    ):
+        assert np.array_equal(g.distance_matrix, _networkx_distances(g))
+
+
+def test_distance_matrix_marks_unreachable():
+    g = build_graph(5, [(0, 1), (2, 3)])
+    mat = g.distance_matrix
+    assert mat[0, 1] == 1
+    assert mat[0, 2] == UNREACHABLE
+    assert mat[4, 4] == 0
+    assert np.count_nonzero(mat == UNREACHABLE) == 5 * 5 - 2 * 4 - 1
+
+
+def test_distance_matrix_rejects_sentinel_sized_graphs():
+    with pytest.raises(ValueError):
+        empty_graph(UNREACHABLE).distance_matrix
+
+
+def test_distance_matrix_build_memory():
+    # building the 50x50 torus matrix peaks at no more than twice the
+    # finished matrix
+    g = torus_grid([50, 50])
+    g.csr
+    tracemalloc.start()
+    try:
+        mat = g.distance_matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mat.nbytes == 2500 * 2500 * 2
+    assert peak <= 2 * mat.nbytes, peak
+
+
+def test_csr_lists_sorted_neighbours():
+    g = build_graph(5, [(3, 0), (0, 1), (1, 3), (2, 3)])
+    indptr, indices = g.csr
+    assert indptr.tolist() == [0, 2, 4, 5, 8, 8]
+    for v in range(g.n):
+        assert tuple(indices[indptr[v] : indptr[v + 1]]) == g.neighbors(v)
+    assert not indices.flags.writeable
 
 
 def test_load_edge_list_basic():

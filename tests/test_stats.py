@@ -1,12 +1,18 @@
 from itertools import combinations
 from math import inf
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netspread import (
     DisconnectedTerminalsError,
     InfectionVector,
+    SpreadParams,
     StatisticSpec,
+    TestConfig,
     avg_edges_within,
     build_graph,
     center_indicator,
@@ -17,13 +23,16 @@ from netspread import (
     erdos_renyi,
     infection_from_infected,
     infection_radius,
+    mc_test,
     orbit_count,
     path_graph,
+    simulate_spread,
     star_graph,
     steiner_weight,
     substream,
     torus_grid,
 )
+from netspread import stats as stats_mod
 from oracles import steiner_optimum
 
 
@@ -84,11 +93,9 @@ def test_infection_radius_needs_infected():
 
 
 def test_infection_radius_large_graph_bfs_fallback():
-    # same answer through the per-vertex BFS path as through the cached matrix
+    # same answer through the packed BFS path as through the cached matrix
     g = torus_grid((4, 5))
     iv = iv_of(g.n, [0, 7, 13])
-    from netspread import stats as stats_mod
-
     via_matrix = infection_radius(g, iv)
     old = stats_mod._DMAT_LIMIT
     stats_mod._DMAT_LIMIT = 1
@@ -97,6 +104,63 @@ def test_infection_radius_large_graph_bfs_fallback():
     finally:
         stats_mod._DMAT_LIMIT = old
     assert via_matrix == via_bfs
+
+
+@st.composite
+def graphs_and_snapshots(draw):
+    """A random graph on 1..80 vertices (often disconnected) and a snapshot
+    with at least one infected vertex, censored ones included."""
+    n = draw(st.integers(1, 80))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    status = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    status[draw(vertex)] = 1
+    return g, InfectionVector(status)
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_and_snapshots())
+@example((build_graph(1, []), InfectionVector([1])))
+@example((build_graph(4, [(0, 1), (2, 3)]), InfectionVector([1, 0, 1, 0])))
+@example((path_graph(70), iv_of(70, [0, 69], censored=[35])))
+def test_infection_radius_packed_bfs_equals_matrix(case):
+    g, iv = case
+    via_matrix = infection_radius(g, iv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats_mod, "_DMAT_LIMIT", 0)
+        via_bfs = infection_radius(g, iv)
+    assert via_bfs == via_matrix
+    assert type(via_bfs) is type(via_matrix)
+
+
+def test_infection_radius_packed_bfs_disconnected_is_inf(monkeypatch):
+    monkeypatch.setattr(stats_mod, "_DMAT_LIMIT", 0)
+    g = build_graph(6, [(0, 1), (1, 2), (3, 4)])
+    assert infection_radius(g, iv_of(6, [0, 2])) == 1
+    assert infection_radius(g, iv_of(6, [0, 4])) == inf
+    assert infection_radius(g, iv_of(6, [5])) == 0
+
+
+@pytest.mark.slow
+def test_mc_test_radius_on_100x100_torus():
+    # above the distance-matrix limit every draw runs one packed BFS
+    g = torus_grid((100, 100))
+    assert g.n > stats_mod._DMAT_LIMIT
+    iv = simulate_spread(g, SpreadParams(eta=10.0, k=50), 5).to_infection(g.n)
+    res = mc_test(
+        StatisticSpec.infection_radius(g), iv, TestConfig(alpha=0.05, B=20, seed=2),
+        null_graph=empty_graph(g.n),
+    )
+    # networkx BFS oracle; the torus is connected, so every vertex is reached
+    ref = nx.Graph(g.edges)
+    worst = np.zeros(g.n, dtype=np.int64)
+    for u in iv.infected:
+        for v, d in nx.single_source_shortest_path_length(ref, u).items():
+            worst[v] = max(worst[v], d)
+    assert res.observed == -worst.min()
+    assert res.n_draws == 20
+    assert "distance_matrix" not in g.__dict__
 
 
 def test_center_indicator():
