@@ -68,6 +68,21 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _dumps(payload) -> str:
+    """Strict JSON text; inf, -inf and nan become the strings _fmt prints."""
+
+    def strict(x):
+        if isinstance(x, float) and not isfinite(x):
+            return _fmt(x)
+        if isinstance(x, dict):
+            return {key: strict(v) for key, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [strict(v) for v in x]
+        return x
+
+    return json.dumps(strict(payload), sort_keys=True, indent=2, allow_nan=False)
+
+
 def _threads_from_env() -> int | None:
     raw = os.environ.get("NETSPREAD_THREADS")
     if raw is None:
@@ -253,7 +268,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
             "saturated": result.saturated,
             "validity": validity,
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dumps(payload))
     else:
         print(f"statistic:  {result.statistic}")
         print(f"mode:       {result.mode}")
@@ -324,7 +339,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     doc = _load_config(args.config)
     report = _baseline_report(doc, args.config)
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
         return 0
     print(
         f"ball-radius baseline: threshold {_fmt(report['tb_threshold'])} "
@@ -475,7 +490,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
         }
     else:
         raise ConfigError(f"{args.config}.kind: expected 'bounds' or 'mc', got {kind!r}")
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_dumps(payload) + "\n", args.out)
     return 0
 
 

@@ -17,6 +17,7 @@ level at alpha; smaller B is degenerate but defined.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial, floor
@@ -171,12 +172,27 @@ def _validity_warning(
         if null_graph.num_edges in (0, comb(null_graph.n, 2)):
             return None
         return "unverifiable: statistic carries no alternative graph"
-    verdict = check_validity(null_graph, stat.graph)
+    verdict = _pair_verdict(null_graph, stat.graph)
     if verdict == "valid":
         return None
     if verdict == "invalid":
         return "invalid: automorphism product does not cover all relabelings"
     return "unverifiable: automorphism groups too large to verify"
+
+
+def _pair_verdict(null_graph: Graph, alt: Graph) -> str:
+    """check_validity(null_graph, alt), computed once per pair of graph objects.
+
+    The verdict is kept on the null graph object, keyed by the identity
+    of alt: hashing a Graph would walk its whole edge list on every
+    test. The entry holds alt weakly, so it keeps no alternative alive
+    and an id reused by a later graph is not mistaken for alt.
+    """
+    memo = null_graph.__dict__.setdefault("_validity_verdicts", {})
+    hit = memo.get(id(alt))
+    if hit is None or hit[0]() is not alt:
+        hit = memo[id(alt)] = (weakref.ref(alt), check_validity(null_graph, alt))
+    return hit[1]
 
 
 def check_validity(null_graph: Graph, alt: Graph | PermGroup, n_max: int = 10) -> str:

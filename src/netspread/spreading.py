@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, fsum
+from math import comb, factorial, fsum, isfinite, isqrt
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -152,29 +152,105 @@ def simulate_spread(
 ) -> InfectionPath:
     """Draw one infection path of length k from the sequential model.
 
-    Each step draws the next vertex with a single uniform against the
-    cumulative weights in fixed vertex order, so results are
-    reproducible across platforms.
+    Each step draws the next vertex with a single uniform u against the
+    cumulative weights in fixed vertex order: it takes the first vertex
+    whose cumulative weight exceeds u, so results are reproducible
+    across platforms and an infected (zero-weight) vertex is never
+    drawn again. The k uniforms are one rng.random(k) call, the same
+    values and end state as k scalar draws.
     """
     n = g.n
     if params.k > n:
         raise ValueError(f"cannot infect k={params.k} of n={n} vertices")
-    rng = as_generator(seed_or_rng)
-    eta = params.eta
+    eta = float(params.eta)
+    draws = as_generator(seed_or_rng).random(params.k).tolist()
+    walk = _blocked_path if _sums_exact(g, eta) else _sequential_path
+    return InfectionPath(tuple(walk(g, eta, draws)))
+
+
+def _sums_exact(g: Graph, eta: float) -> bool:
+    """Whether every spread weight and every sum of them is exact in float64.
+
+    With eta = p/d in lowest terms (d a power of two), each weight
+    1 + eta*m is a multiple of 1/d, and all weights together never pass
+    n + 2|E| eta. Below 2^53 / d every partial sum, in any grouping, is
+    exact, so a blocked walk meets the same boundaries as one sequential
+    cumulative sum. Without edges every weight stays 1, whatever eta.
+    """
+    if not g.num_edges:
+        return True
+    if not isfinite(eta):
+        return False
+    p, d = eta.as_integer_ratio()
+    return g.n * d + 2 * g.num_edges * p < 2**53
+
+
+def _blocked_path(g: Graph, eta: float, draws: list[float]) -> list[int]:
+    """The spread path for the given uniforms, in O(sqrt(n)) per step.
+
+    Weights sit in blocks of isqrt(n) vertices whose sums, and their
+    total, are kept up to date as infections change weights. A step
+    runs the cumulative sum over the block sums up to the first one
+    past u, then on into that block's weights. Exact only under
+    _sums_exact.
+    """
+    n = g.n
+    size = isqrt(n)
+    adjacency = g.adjacency
+    weights = [1.0] * n
+    hits = [0] * n  # infected neighbours
+    blocks = [float(min(size, n - lo)) for lo in range(0, n, size)]
+    total = float(n)
+    order: list[int] = []
+    for r in draws:
+        u = r * total
+        acc = 0.0
+        j = 0
+        for s in blocks:
+            nxt = acc + s
+            if nxt > u:
+                break
+            acc = nxt
+            j += 1
+        v = j * size
+        for w in weights[v : v + size]:
+            nxt = acc + w
+            if nxt > u:
+                break
+            acc = nxt
+            v += 1
+        order.append(v)
+        old = weights[v]
+        weights[v] = 0.0
+        blocks[j] -= old
+        total -= old
+        for w in adjacency[v]:
+            hits[w] += 1
+            old = weights[w]
+            if old > 0.0:
+                new = 1.0 + eta * hits[w]
+                weights[w] = new
+                blocks[w // size] += new - old
+                total += new - old
+    return order
+
+
+def _sequential_path(g: Graph, eta: float, draws: list[float]) -> list[int]:
+    """The spread path for the given uniforms, one full cumulative sum per step."""
+    n = g.n
     inf_neighbors = np.zeros(n, dtype=np.float64)
     weights = np.ones(n, dtype=np.float64)
     order: list[int] = []
-    for _ in range(params.k):
+    for r in draws:
         cum = np.cumsum(weights)
-        u = rng.random() * cum[-1]
-        v = int(np.searchsorted(cum, u, side="left"))
+        v = int(np.searchsorted(cum, r * cum[-1], side="right"))
         order.append(v)
         weights[v] = 0.0
         for w in g.adjacency[v]:
             inf_neighbors[w] += 1.0
             if weights[w] > 0.0:
                 weights[w] = 1.0 + eta * inf_neighbors[w]
-    return InfectionPath(tuple(order))
+    return order
 
 
 def path_probability(g: Graph, eta: float, path: InfectionPath) -> float:

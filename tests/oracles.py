@@ -147,3 +147,30 @@ def path_law_probability(g, eta: float, order: tuple[int, ...]) -> float:
         prob *= weights[v] / fsum(weights.values())
         inside.add(v)
     return prob
+
+
+def spread_path_reference(g, eta: float, k: int, rng) -> tuple[int, ...]:
+    """One sequential spread path: one rng.random() per step, walked against
+    the running sum of the weights in vertex order, taking the first vertex
+    whose running sum exceeds the uniform times the total."""
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    weights = [1.0] * n
+    hits = [0] * n
+    order = []
+    for _ in range(k):
+        r = rng.random()
+        running = []
+        acc = 0.0
+        for w in weights:
+            acc += w
+            running.append(acc)
+        u = r * acc
+        v = next(i for i, s in enumerate(running) if s > u)
+        order.append(v)
+        weights[v] = 0.0
+        for x in adj[v]:
+            hits[x] += 1
+            if weights[x] > 0.0:
+                weights[x] = 1.0 + eta * hits[x]
+    return tuple(order)

@@ -190,6 +190,45 @@ def test_test_text_radius_on_disconnected_graph_prints_inf(tmp_path, capsys):
     assert "observed:   inf\n" in stdout
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_test_json_radius_on_disconnected_graph_is_strict(tmp_path, capsys):
+    graph = tmp_path / "two.txt"
+    graph.write_text("a b\nb c\nc a\nx y\ny z\nz x\n")
+    snap = tmp_path / "snap.txt"
+    snap.write_text("a 1\nb 0\nc 0\nx 1\ny 0\nz 0\n")
+    code, stdout, _ = run(
+        capsys,
+        "test", "--null-graph", "empty:6", "--alt-graph", f"file:{graph}",
+        "--statistic", "R", "--infection", str(snap), "--B", "20", "--json",
+    )
+    assert code == 0
+    doc = _strict_json(stdout)
+    assert doc["observed"] == "inf"
+    assert doc["reject_direction"] == "below"
+
+
+def test_baseline_json_on_disconnected_graph_is_strict(tmp_path, capsys):
+    graph = tmp_path / "two.txt"
+    graph.write_text("a b\nb c\nc a\nx y\ny z\nz x\n")
+    cfg = write_config(tmp_path, "b.json", {"schema": 1, "graph": f"file:{graph}", "k": 2})
+    code, stdout, _ = run(capsys, "baseline", "--config", cfg, "--json")
+    assert code == 0
+    assert _strict_json(stdout)["radius_ceiling"] == "inf"
+
+
+def test_dumps_encodes_non_finite_values_as_strings():
+    from netspread.cli import _dumps
+
+    doc = _strict_json(_dumps({"a": [float("inf"), -float("inf")], "b": (float("nan"), 1.5)}))
+    assert doc == {"a": ["inf", "-inf"], "b": ["nan", 1.5]}
+
+
 def test_test_debug_dump_full_mode(tmp_path, capsys):
     snap = simulate_snapshot(tmp_path, capsys, k="3")
     dump = tmp_path / "draws.txt"

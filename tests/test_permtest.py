@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import permutations
 from math import comb, factorial, isclose
 
@@ -337,6 +339,43 @@ def test_check_validity_symmetric_null_short_circuits():
     assert check_validity(complete_graph(400), big) == "valid"
     # and symmetric alternative with an unverifiable null is still valid
     assert check_validity(erdos_renyi(24, 0.4, 1), empty_graph(24)) == "valid"
+
+
+def test_validity_verdict_is_computed_once_per_graph_pair(monkeypatch):
+    import netspread.permtest as permtest
+
+    searched = []
+    real = permtest.automorphism_group
+
+    def counting(g, n_max=10):
+        searched.append(g.n)
+        return real(g, n_max=n_max)
+
+    monkeypatch.setattr(permtest, "automorphism_group", counting)
+    null, alt = cycle_graph(6), erdos_renyi(6, 0.5, 2)
+    iv = infection_from_infected(6, [0, 1])
+    cfg = TestConfig(alpha=0.1, B=20, seed=0)
+    spec = StatisticSpec.edges_within(alt)
+    first = mc_test(spec, iv, cfg, null_graph=null)
+    assert len(searched) == 2
+    assert first.validity_warning.startswith("invalid")
+    for _ in range(3):
+        again = conditional_mc_test(spec, iv, cfg, null_graph=null)
+        assert again.validity_warning == first.validity_warning
+    assert len(searched) == 2
+    # the memo is keyed by graph object: an equal but distinct alternative
+    # is a new pair, searched afresh to the same verdict
+    twin = StatisticSpec.edges_within(erdos_renyi(6, 0.5, 2))
+    assert mc_test(twin, iv, cfg, null_graph=null).validity_warning == first.validity_warning
+    assert len(searched) == 4
+    # and another pair gets its own verdict
+    star = StatisticSpec.edges_within(star_graph(6))
+    assert mc_test(star, iv, cfg, null_graph=null).validity_warning is None
+    # the memo on the null graph does not keep an alternative alive
+    gone = weakref.ref(star.graph)
+    del star
+    gc.collect()
+    assert gone() is None
 
 
 def test_validity_warning_threading():

@@ -4,7 +4,10 @@ from math import fsum, isclose
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import netspread.spreading as spreading
 from netspread import (
     CENSORED,
     INFECTED,
@@ -22,6 +25,7 @@ from netspread import (
     cycle_graph,
     edges_within,
     empty_graph,
+    erdos_renyi,
     infection_from_infected,
     infection_law_exact,
     ising_sample_exact,
@@ -31,9 +35,10 @@ from netspread import (
     simulate_spread,
     star_graph,
     substream,
+    torus_grid,
     write_status_file,
 )
-from oracles import path_law_probability, spread_law, total_variation
+from oracles import path_law_probability, spread_law, spread_path_reference, total_variation
 
 
 def test_status_constants():
@@ -181,6 +186,124 @@ def test_simulate_spread_k_bounds():
     g = cycle_graph(5)
     with pytest.raises(ValueError):
         simulate_spread(g, SpreadParams(eta=1.0, k=6), substream(0))
+
+
+class FixedUniforms:
+    """A generator stand-in that hands out chosen uniforms, one or many at a time."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def _path_for(monkeypatch, g, eta, uniforms):
+    monkeypatch.setattr(spreading, "as_generator", lambda _: FixedUniforms(uniforms))
+    return simulate_spread(g, SpreadParams(eta=eta, k=len(uniforms)), 0).order
+
+
+@pytest.mark.parametrize("g,eta", [(empty_graph(5), 0.0), (path_graph(5), 1.0), (path_graph(5), 0.3)])
+def test_spread_pick_at_zero_skips_infected_vertices(monkeypatch, g, eta):
+    # u = 0 equals the cumulative weight of every infected vertex before
+    # the first uninfected one; the pick is the first sum strictly above u
+    assert _path_for(monkeypatch, g, eta, [0.0, 0.0, 0.0]) == (0, 1, 2)
+    assert spread_path_reference(g, eta, 3, FixedUniforms([0.0] * 3)) == (0, 1, 2)
+
+
+def test_spread_pick_at_exact_block_boundaries(monkeypatch):
+    # 16 vertices sit in blocks of 4; each u below is an exact cumulative sum:
+    # 4 ends block 0, 4 again once vertex 4 is out, 7 inside block 2, 6 ends block 1
+    g = empty_graph(16)
+    uniforms = [0.25, 4 / 15, 0.5, 6 / 13]
+    assert [r * (16 - t) for t, r in enumerate(uniforms)] == [4.0, 4.0, 7.0, 6.0]
+    assert _path_for(monkeypatch, g, 0.0, uniforms) == (4, 5, 9, 8)
+    assert spread_path_reference(g, 0.0, 4, FixedUniforms(uniforms)) == (4, 5, 9, 8)
+
+
+def test_spread_sums_exact_condition():
+    torus = torus_grid((50, 50))
+    for eta in (0, 0.5, 1.0, 2.0, 8.0, 10.0, 100.0, 1000.0, 0.25, 1e6):
+        assert spreading._sums_exact(torus, eta)
+    for eta in (0.3, 1 / 3, 0.1, float("inf"), float("nan")):
+        assert not spreading._sums_exact(torus, eta)
+    # weights never sum past n + 2|E| eta; in units of 1/d that must stay below 2^53
+    assert spreading._sums_exact(path_graph(2), 2.0**-51)
+    assert not spreading._sums_exact(path_graph(2), 2.0**-52)
+    assert spreading._sums_exact(complete_graph(3), 2.0**50)
+    assert not spreading._sums_exact(complete_graph(3), 2.0**51)
+    # with no edges the weights stay 1 whatever eta is
+    for eta in (0.3, float("inf")):
+        assert spreading._sums_exact(empty_graph(2500), eta)
+
+
+def test_spread_inexact_eta_follows_the_sequential_sum(monkeypatch):
+    # eta = 0.1 makes the block sums round differently from the sequential
+    # cumulative sum; this last uniform falls between the two roundings
+    g = cycle_graph(9)
+    uniforms = [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+                0.016527635528529094, 0.2037037037037037]
+    want = spread_path_reference(g, 0.1, 5, FixedUniforms(uniforms))
+    assert want == (5, 2, 0, 1, 4)
+    assert _path_for(monkeypatch, g, 0.1, uniforms) == want
+    assert tuple(spreading._blocked_path(g, 0.1, uniforms)) != want
+
+
+_SPREAD_ETAS = [0.0, 0.25, 0.5, 1.0, 10.0, 1e6, 0.3, 1 / 3]
+
+
+@st.composite
+def spread_cases(draw):
+    """A graph on 1..80 vertices (often disconnected, with isolated vertices),
+    an eta, a path length k in 1..n and a seed."""
+    n = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    else:
+        g = draw(st.sampled_from([empty_graph, star_graph, cycle_graph, path_graph, complete_graph]))(
+            max(n, 3)
+        )
+    k = draw(st.one_of(st.just(1), st.just(g.n), st.integers(1, g.n)))
+    return g, draw(st.sampled_from(_SPREAD_ETAS)), k, draw(st.integers(0, 2**32))
+
+
+def _assert_matches_reference(g, eta, k, seed):
+    rng, ref_rng = substream(seed), substream(seed)
+    path = simulate_spread(g, SpreadParams(eta=eta, k=k), rng)
+    assert path.order == spread_path_reference(g, eta, k, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spread_cases())
+@example((build_graph(1, []), 0.0, 1, 0))
+@example((star_graph(40), 10.0, 40, 1))
+@example((star_graph(40), 0.3, 40, 2))
+@example((build_graph(12, [(0, 1), (2, 3), (5, 11)]), 1e6, 12, 3))
+def test_simulate_spread_matches_reference(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("n", [5, 10, 17, 26, 50, 98])
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1 / 3])
+def test_simulate_spread_ragged_last_block(n, eta):
+    # the block size isqrt(n) divides none of these n, so the last block is short
+    for g in (path_graph(n), erdos_renyi(n, 0.2, n)):
+        for seed in range(3):
+            _assert_matches_reference(g, eta, n, seed)
+
+
+@pytest.mark.parametrize(
+    "g,eta", [(torus_grid((50, 50)), 10.0), (torus_grid((50, 50)), 1.0), (empty_graph(2500), 0.0)]
+)
+def test_simulate_spread_matches_reference_at_benchmark_scale(g, eta):
+    for seed in (1, 2):
+        _assert_matches_reference(g, eta, 500, seed)
 
 
 def test_simulate_spread_frequencies_match_law():
