@@ -27,8 +27,9 @@ from .permtest import (
     TestResult,
     conditional_mc_test,
     mc_test,
+    validity_with_guard,
 )
-from .perms import automorphism_group, orbit, product_group_is_full
+from .perms import automorphism_group, orbit
 from .risk import (
     RiskInputs,
     baseline_diagnosis,
@@ -292,13 +293,10 @@ def _cmd_check_aut(args: argparse.Namespace) -> int:
             f"graphs must share a vertex set: null has {null_graph.n}, alt has {alt.n}"
         )
     n = null_graph.n
-    try:
-        g0 = automorphism_group(null_graph)
-        g1 = automorphism_group(alt)
-    except GuardExceededError as exc:
-        print(f"unverifiable: {exc}")
-        return 0
-    if product_group_is_full(g1, g0):
+    verdict, guard = validity_with_guard(null_graph, alt)
+    if verdict == "unverifiable":
+        print(f"unverifiable: {guard}")
+    elif verdict == "valid":
         print(f"valid (Aut(alt)*Aut(null) = S_{n})")
     else:
         print(

@@ -1,10 +1,12 @@
 """Vertex permutations, permutation groups, and graph automorphisms.
 
-Groups come in two flavors: explicit element lists (small or structured
-groups such as a cycle's rotations/reflections) and symbolic forms for
-groups too large to materialize (the full symmetric group, the
-stabilizer of one vertex). Symbolic forms keep exact big-integer orders
-so validity checks stay exact at any n.
+Groups come in three flavors: explicit element lists (small structured
+groups such as a cycle's rotations/reflections), the automorphism group
+of a graph that keeps only the graph and counts its order without
+listing its elements, and symbolic forms for groups too large to
+materialize (the full symmetric group, the stabilizer of one vertex).
+Every group keeps its exact big-integer order, so validity checks stay
+exact at any n.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
 SYMMETRIC = "symmetric"
 STABILIZER = "stabilizer"
 EXPLICIT = "explicit"
+GRAPH = "graph"
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,14 @@ def apply_to_graph(pi: Permutation, g: Graph) -> Graph:
 class PermGroup:
     """A permutation group on {0..n-1}.
 
-    kind is "explicit" (elements materialized), "symmetric" (all of
+    kind is "explicit" (elements materialized), "graph" (every
+    permutation preserving the edge set of `graph`), "symmetric" (all of
     S_n), or "stabilizer" (every permutation fixing one vertex).
     order is always the exact group order as a Python int.
+
+    A graph group keeps only its graph: order, orbit_of and contains are
+    answered from the graph by search, and iter_elements lists the
+    elements only when asked.
     """
 
     n: int
@@ -118,6 +126,7 @@ class PermGroup:
     kind: str
     elements: tuple[Permutation, ...] | None = field(default=None, compare=False)
     fixed_vertex: int | None = None
+    graph: Graph | None = field(default=None, compare=False)
 
     ENUM_CAP = 10**6
 
@@ -125,6 +134,9 @@ class PermGroup:
         if self.kind == EXPLICIT:
             if self.elements is None or len(self.elements) != self.order:
                 raise ValueError("explicit group must carry exactly `order` elements")
+        elif self.kind == GRAPH:
+            if self.graph is None or self.graph.n != self.n:
+                raise ValueError("graph group needs a graph on its n vertices")
         elif self.kind == SYMMETRIC:
             if self.order != factorial(self.n):
                 raise ValueError("symmetric group order must be n!")
@@ -169,10 +181,17 @@ class PermGroup:
             return True
         if self.kind == STABILIZER:
             return pi(self.fixed_vertex) == self.fixed_vertex
+        if self.kind == GRAPH:
+            # a bijection sending every edge to an edge preserves the edge set
+            adj = self.graph.adjacency_sets
+            return all(pi(v) in adj[pi(u)] for u, v in self.graph.edges)
         return pi.image in self._image_set
 
     def iter_elements(self, cap: int | None = None) -> Iterator[Permutation]:
-        """Yield every element; raises GuardExceededError above the cap."""
+        """Yield every element; raises GuardExceededError above the cap.
+
+        Explicit and graph groups yield in sorted image order.
+        """
         limit = self.ENUM_CAP if cap is None else cap
         if self.order > limit:
             raise GuardExceededError(
@@ -180,6 +199,12 @@ class PermGroup:
             )
         if self.kind == EXPLICIT:
             yield from self.elements
+        elif self.kind == GRAPH:
+            images: list[tuple[int, ...]] = []
+            same, code = _coloring(self.n, [self.graph])
+            _search(code, range(self.n), same, images.append)
+            for image in images:
+                yield Permutation(image)
         elif self.kind == SYMMETRIC:
             for image in itertools.permutations(range(self.n)):
                 yield Permutation(image)
@@ -202,6 +227,8 @@ class PermGroup:
             if v == self.fixed_vertex:
                 return frozenset({v})
             return frozenset(w for w in range(self.n) if w != self.fixed_vertex)
+        if self.kind == GRAPH:
+            return frozenset(_orbit(*_coloring(self.n, [self.graph]), (), v))
         # explicit groups are closed, so one sweep gives the full orbit
         return frozenset(p(v) for p in self.elements)
 
@@ -218,8 +245,13 @@ def automorphism_group(g: Graph, n_max: int = 10) -> PermGroup:
     """The full automorphism group of g.
 
     Structured families (empty, complete, star, cycle) are recognized and
-    returned in closed form at any size. Everything else runs an exact
-    backtracking search, guarded by n_max.
+    returned in closed form at any size. Any other graph, guarded by
+    n_max, becomes a "graph" group whose order is counted, not
+    enumerated: pinning the base 0, 1, ... in turn, the order is the
+    product of each base vertex's orbit under the automorphisms that fix
+    the earlier ones, and each orbit member costs at most one
+    backtracking search, which stops at the first automorphism sending
+    the vertex there.
     """
     n, m = g.n, g.num_edges
     if m == 0 or m == comb(n, 2):
@@ -236,7 +268,7 @@ def automorphism_group(g: Graph, n_max: int = 10) -> PermGroup:
             f"automorphism search guarded at n_max={n_max}, got n={n} "
             "with no recognized structure"
         )
-    return PermGroup.explicit(n, _search_automorphisms(g))
+    return PermGroup(n=n, order=_count(*_coloring(n, [g])), kind=GRAPH, graph=g)
 
 
 def _dihedral_group(g: Graph) -> PermGroup:
@@ -260,36 +292,113 @@ def _dihedral_group(g: Graph) -> PermGroup:
     return PermGroup.explicit(n, elems)
 
 
-def _search_automorphisms(g: Graph) -> list[Permutation]:
-    """Exact backtracking over images, pruned by degree and partial adjacency."""
-    n = g.n
-    degs = g.degrees
-    adj = g.adjacency_sets
+def _coloring(n: int, graphs, fixed=()) -> tuple[list[list[int]], list[list[int]]]:
+    """Color classes and pair codes whose preservers are the common automorphisms.
+
+    Bit i of code[u][v] is set when (u, v) is an edge of graphs[i]. A
+    vertex's color is its degree in each graph, and each vertex in fixed
+    gets a color of its own, so a permutation preserving colors and
+    codes preserves every edge set and fixes every vertex in fixed.
+    same[v] lists the vertices of v's color in increasing order.
+    """
+    code = [[0] * n for _ in range(n)]
+    for bit, g in enumerate(graphs):
+        for u, v in g.edges:
+            code[u][v] |= 1 << bit
+            code[v][u] |= 1 << bit
+    classes: dict[tuple, list[int]] = {}
+    same = [
+        classes.setdefault((tuple(g.degrees[v] for g in graphs), v if v in fixed else -1), [])
+        for v in range(n)
+    ]
+    for v in range(n):
+        same[v].append(v)
+    return same, code
+
+
+def _search(code, order, cands, visit) -> bool:
+    """Backtrack over the code-preserving permutations sending each
+    order[t] to one of cands[t]; visit(image) is called on each in turn
+    until it returns True, which ends the search and is returned.
+
+    Vertices are placed in `order`, each trying its candidates in the
+    order listed, and an image must keep the vertex's code to every
+    vertex placed before it. Placing 0, 1, ... against ascending
+    candidates meets the images in sorted order.
+    """
+    n = len(order)
+    placed = [order[:t] for t in range(n)]
     image = [-1] * n
     used = [False] * n
-    found: list[Permutation] = []
 
-    def extend(v: int) -> None:
-        if v == n:
-            found.append(Permutation(tuple(image)))
-            return
-        for w in range(n):
-            if used[w] or degs[w] != degs[v]:
+    def extend(t: int) -> bool:
+        if t == n:
+            return bool(visit(tuple(image)))
+        v = order[t]
+        row_v = code[v]
+        for w in cands[t]:
+            if used[w]:
                 continue
-            ok = True
-            for u in range(v):
-                if (u in adj[v]) != (image[u] in adj[w]):
-                    ok = False
+            row_w = code[w]
+            for u in placed[t]:
+                if row_v[u] != row_w[image[u]]:
                     break
-            if ok:
+            else:
                 image[v] = w
                 used[w] = True
-                extend(v + 1)
+                if extend(t + 1):
+                    return True
                 used[w] = False
         image[v] = -1
+        return False
 
-    extend(0)
-    return found
+    return extend(0)
+
+
+def _orbit(same, code, fixed, v: int) -> set[int]:
+    """The orbit of v under the color- and code-preserving permutations
+    that fix every vertex in fixed.
+
+    One search per candidate image w stops at the first permutation
+    sending v to w. The orbit so far is closed under every permutation
+    found, so a candidate it already holds needs no search.
+    """
+    fixed = list(fixed)
+    order = fixed + [v] + [u for u in range(len(same)) if u != v and u not in fixed]
+    cands = [[u] for u in fixed] + [[]] + [same[u] for u in order[len(fixed) + 1 :]]
+    found: list[tuple[int, ...]] = []
+
+    def keep_first(image: tuple[int, ...]) -> bool:
+        found.append(image)
+        return True
+
+    reached = {v}
+    for w in same[v]:
+        if w in reached or w in fixed:
+            continue
+        cands[len(fixed)] = [w]
+        if _search(code, order, cands, keep_first):
+            todo = list(reached)
+            while todo:
+                x = todo.pop()
+                for image in found:
+                    y = image[x]
+                    if y not in reached:
+                        reached.add(y)
+                        todo.append(y)
+    return reached
+
+
+def _count(same, code) -> int:
+    """Order of the color- and code-preserving group, by orbit-stabilizer.
+
+    |G| = |orbit of 0| * |G fixing 0|, applied along the base 0, 1, ...,
+    n - 2; the automorphisms fixing all but one vertex fix it too.
+    """
+    order = 1
+    for i in range(len(same) - 1):
+        order *= len(_orbit(same, code, range(i), i))
+    return order
 
 
 def is_vertex_transitive(g: Graph, n_max: int = 10) -> bool:
@@ -319,15 +428,19 @@ def product_group_is_full(p1: PermGroup, p0: PermGroup) -> bool:
 
 
 def _intersection_order(a: PermGroup, b: PermGroup) -> int:
+    # symmetric sides were handled by the caller
     if a.kind == STABILIZER and b.kind == STABILIZER:
         if a.fixed_vertex == b.fixed_vertex:
             return factorial(a.n - 1)
         return factorial(a.n - 2)
-    # at least one side is explicit here (symmetric was handled by caller);
-    # iterate the explicit side and membership-test the other.
-    if a.kind == EXPLICIT and b.kind == EXPLICIT and b.order < a.order:
-        a, b = b, a
-    if a.kind != EXPLICIT:
-        a, b = b, a
-    assert a.kind == EXPLICIT
-    return sum(1 for p in a.elements if b.contains(p))
+    if EXPLICIT in (a.kind, b.kind):
+        # iterate the explicit side (the smaller, if both) and
+        # membership-test the other
+        if a.kind != EXPLICIT or (b.kind == EXPLICIT and b.order < a.order):
+            a, b = b, a
+        return sum(1 for p in a.elements if b.contains(p))
+    # graph groups and at most one stabilizer: count the permutations
+    # preserving every edge set, with the stabilized vertex pinned
+    graphs = [x.graph for x in (a, b) if x.kind == GRAPH]
+    fixed = [x.fixed_vertex for x in (a, b) if x.kind == STABILIZER]
+    return _count(*_coloring(a.n, graphs, fixed))

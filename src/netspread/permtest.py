@@ -203,22 +203,35 @@ def check_validity(null_graph: Graph, alt: Graph | PermGroup, n_max: int = 10) -
     answer without computing the other, so an empty or complete null
     validates any alternative at any size.
     """
+    return validity_with_guard(null_graph, alt, n_max)[0]
 
-    def group_of(g):
-        try:
-            return automorphism_group(g, n_max=n_max)
-        except GuardExceededError:
-            return None
 
-    g0 = group_of(null_graph)
-    if g0 is not None and g0.is_full_symmetric:
-        return "valid"
-    g1 = alt if isinstance(alt, PermGroup) else group_of(alt)
-    if g1 is not None and g1.is_full_symmetric:
-        return "valid"
-    if g0 is None or g1 is None:
-        return "unverifiable"
-    return "valid" if product_group_is_full(g1, g0) else "invalid"
+def validity_with_guard(
+    null_graph: Graph, alt: Graph | PermGroup, n_max: int = 10
+) -> tuple[str, GuardExceededError | None]:
+    """check_validity's verdict, with the guard error behind "unverifiable".
+
+    The null's group is computed first and the alternative's only when
+    the null's is not fully symmetric.
+    """
+    groups = []
+    guard = None
+    for g in (null_graph, alt):
+        if isinstance(g, PermGroup):
+            group = g
+        else:
+            try:
+                group = automorphism_group(g, n_max=n_max)
+            except GuardExceededError as exc:
+                guard = guard or exc
+                continue
+        if group.is_full_symmetric:
+            return "valid", None
+        groups.append(group)
+    if guard is not None:
+        return "unverifiable", guard
+    g0, g1 = groups
+    return ("valid" if product_group_is_full(g1, g0) else "invalid"), None
 
 
 # statuses per drawn block: bounds a block, and the per-row temporaries its

@@ -2,14 +2,18 @@
 
 Nothing here imports package internals beyond the Graph container; every
 computation re-derives its answer from first principles (recursive
-enumeration, subset search, permutation filtering) so agreement with
-the package is evidence, not tautology.
+enumeration, subset search, permutation filtering) or through networkx's
+isomorphism matcher, so agreement with the package is evidence, not
+tautology.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb, fsum
+
+import networkx as nx
+from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 
 def spread_law(g, eta: float, k: int) -> dict[frozenset, float]:
@@ -102,6 +106,48 @@ def brute_automorphisms(g) -> set[tuple[int, ...]]:
         if {frozenset((image[u], image[v])) for u, v in g.edges} == edges:
             autos.add(image)
     return autos
+
+
+def nx_orbit(g, v: int, fixed=()) -> set[int]:
+    """Vertices w that some automorphism fixing every vertex in fixed maps v to.
+
+    Each w outside fixed is one networkx isomorphism test of g onto
+    itself: every fixed vertex carries a node color of its own on both
+    sides, and v on one side and w on the other share one more, so a
+    color-preserving isomorphism is exactly such an automorphism. Node
+    degrees are matched too, and a w of another degree than v is ruled
+    out without a test (an isomorphism keeps degrees anyway): that
+    spares the matcher futile branches among isolated vertices.
+    """
+    base = nx.Graph()
+    base.add_nodes_from(range(g.n), pin=-1)
+    base.add_edges_from(g.edges)
+    for x in base:
+        base.nodes[x]["deg"] = base.degree(x)
+    for u in fixed:
+        base.nodes[u]["pin"] = u
+    match = categorical_node_match(["pin", "deg"], [-1, 0])
+    out = set()
+    for w in set(range(g.n)) - set(fixed):
+        if base.degree(w) != base.degree(v):
+            continue
+        a, b = base.copy(), base.copy()
+        a.nodes[v]["pin"] = b.nodes[w]["pin"] = g.n
+        if GraphMatcher(a, b, node_match=match).is_isomorphic():
+            out.add(w)
+    return out
+
+
+def nx_automorphism_order(g) -> int:
+    """|Aut(g)| by orbit-stabilizer along the base 0, 1, ..., n - 1.
+
+    |G| = |orbit of v in G| * |G fixing v|, with each orbit taken in the
+    automorphisms that fix the earlier base vertices (nx_orbit).
+    """
+    order = 1
+    for v in range(g.n):
+        order *= len(nx_orbit(g, v, fixed=range(v)))
+    return order
 
 
 def hypergeometric_pmf(n: int, good: int, draws: int, x: int) -> float:

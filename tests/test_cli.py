@@ -305,6 +305,37 @@ def test_check_aut_unverifiable(capsys):
     assert stdout.startswith("unverifiable")
 
 
+_VALID_10 = "valid (Aut(alt)*Aut(null) = S_10)\n"
+_INVALID_6 = "invalid (automorphism products cover only part of the 720 relabelings)\n"
+_VALID_12 = "valid (Aut(alt)*Aut(null) = S_12)\n"
+
+
+_CHECK_AUT_CASES = [
+    ("star:10", "two-block:10:1:0:1", _VALID_10),
+    ("two-block:10:1:0:1", "star:10", _VALID_10),
+    ("star:6", "path:6", _INVALID_6),
+    ("path:6", "star:6", _INVALID_6),
+    # a structureless side past the guard is settled by a symmetric other side
+    ("er:12:0.5:7", "empty:12", _VALID_12),
+    ("empty:12", "er:12:0.5:7", _VALID_12),
+    (
+        "er:24:0.4:1",
+        "er:24:0.4:2",
+        "unverifiable: automorphism search guarded at n_max=10, got n=24 "
+        "with no recognized structure\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "null,alt,expected", _CHECK_AUT_CASES, ids=[f"{c[0]}-{c[1]}" for c in _CHECK_AUT_CASES]
+)
+def test_check_aut_stdout(capsys, null, alt, expected):
+    code, stdout, _ = run(capsys, "check-aut", null, alt)
+    assert code == 0
+    assert stdout == expected
+
+
 def test_check_aut_size_mismatch(capsys):
     code, _, err = run(capsys, "check-aut", "cycle:5", "cycle:6")
     assert code == 3

@@ -2,6 +2,8 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from netspread import (
     GuardExceededError,
@@ -11,18 +13,34 @@ from netspread import (
     apply_to_infection,
     automorphism_group,
     build_graph,
+    check_validity,
     complete_graph,
     cycle_graph,
     empty_graph,
     erdos_renyi,
+    from_spec,
     infection_from_infected,
     is_vertex_transitive,
     orbit,
     path_graph,
     product_group_is_full,
     star_graph,
+    two_block,
 )
-from oracles import brute_automorphisms
+from netspread.cli import main as cli_main
+from oracles import brute_automorphisms, nx_automorphism_order, nx_orbit
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+# two disjoint K5: the alternative of the benchmark's check-aut command
+TWO_K5 = from_spec("two-block:10:1:0:1")
+PETERSEN = _petersen()
 
 
 def test_permutation_validates_bijection():
@@ -98,16 +116,13 @@ def test_automorphism_group_matches_brute_force():
         group = automorphism_group(g)
         expected = brute_automorphisms(g)
         assert group.order == len(expected)
-        got = {p.image for p in group.iter_elements()}
-        assert got == expected
+        images = [p.image for p in group.iter_elements()]
+        assert set(images) == expected
+        assert images == sorted(images)
 
 
 def test_petersen_group_order():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    petersen = build_graph(10, outer + spokes + inner)
-    assert automorphism_group(petersen).order == 120
+    assert automorphism_group(PETERSEN).order == 120
 
 
 def test_complete_bipartite_33():
@@ -136,6 +151,15 @@ def test_guard_on_structureless_large_graph():
     g = erdos_renyi(11, 0.5, 7)
     with pytest.raises(GuardExceededError):
         automorphism_group(g)
+    with pytest.raises(GuardExceededError):
+        automorphism_group(two_block(12, 1.0, 0.0, 1))
+    with pytest.raises(GuardExceededError):
+        automorphism_group(erdos_renyi(10, 0.5, 7), n_max=9)
+    # at the guard a structureless graph is counted; structured families
+    # pass it at any size
+    assert automorphism_group(erdos_renyi(10, 0.5, 7)).order >= 1
+    for big in (star_graph(11), cycle_graph(11), empty_graph(11), complete_graph(11)):
+        automorphism_group(big)
 
 
 def test_iter_elements_cap():
@@ -209,3 +233,94 @@ def test_explicit_group_sorted_deterministically():
     g = automorphism_group(cycle_graph(4))
     images = [p.image for p in g.iter_elements()]
     assert images == sorted(images)
+
+
+# -- counted groups against independent oracles ----------------------------------
+
+
+@st.composite
+def graphs_on(draw, n):
+    """Random, regular (circulant) or many-copies graphs on n vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["random", "circulant", "copies"]))
+    if kind == "random":
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    elif kind == "circulant":
+        # vertex i joined to i + j for every drawn jump j: a regular graph
+        jumps = draw(st.sets(st.integers(1, max(1, n // 2))))
+        edges = {(i, (i + j) % n) for i in range(n) for j in jumps if (i + j) % n != i}
+    else:
+        # disjoint copies of one piece; the vertices left over are isolated
+        size = draw(st.integers(1, n))
+        copies = draw(st.integers(1, n // size))
+        piece_pairs = list(itertools.combinations(range(size), 2))
+        piece = draw(st.sets(st.sampled_from(piece_pairs))) if piece_pairs else set()
+        edges = {(u + c * size, v + c * size) for c in range(copies) for u, v in piece}
+    return build_graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(graphs_on))
+@example(TWO_K5)
+@example(PETERSEN)
+@example(build_graph(10, [(0, 1), (2, 3), (4, 5)]))
+def test_automorphism_group_matches_networkx_oracle(g):
+    group = automorphism_group(g)
+    assert group.order == nx_automorphism_order(g)
+    expected: dict[int, set[int]] = {}
+    for v in range(g.n):
+        if v not in expected:
+            orb = nx_orbit(g, v)
+            expected.update(dict.fromkeys(orb, orb))
+    for v in range(g.n):
+        assert group.orbit_of(v) == expected[v]
+    assert is_vertex_transitive(g) == (len(expected[0]) == g.n)
+
+
+def _brute_product_is_full(g1, g0) -> bool:
+    """Whether {a . b} over brute-force automorphisms a of g1, b of g0 is S_n."""
+    a1, a0 = brute_automorphisms(g1), brute_automorphisms(g0)
+    product = {tuple(a[x] for x in b) for a in a1 for b in a0}
+    return len(product) == factorial(g1.n)
+
+
+def _k1_plus_clique(n):
+    return build_graph(n, itertools.combinations(range(1, n), 2))
+
+
+def _k33():
+    return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(graphs_on(n), graphs_on(n))))
+# stabilizer x counted, with the hub at 0 and elsewhere
+@example((star_graph(7), path_graph(7)))
+@example((build_graph(6, [(5, v) for v in range(5)]), _k33()))
+@example((_k1_plus_clique(6), star_graph(6)))
+# dihedral x counted
+@example((cycle_graph(7), erdos_renyi(7, 0.5, 3)))
+@example((cycle_graph(6), _k1_plus_clique(6)))
+# counted x counted, valid and not
+@example((_k1_plus_clique(6), _k33()))
+@example((path_graph(7), erdos_renyi(7, 0.4, 5)))
+def test_product_and_validity_match_brute_force(pair):
+    g1, g0 = pair
+    assume(len(brute_automorphisms(g1)) * len(brute_automorphisms(g0)) <= 50_000)
+    full = _brute_product_is_full(g1, g0)
+    p1, p0 = automorphism_group(g1), automorphism_group(g0)
+    assert product_group_is_full(p1, p0) == full
+    assert product_group_is_full(p0, p1) == full
+    assert check_validity(g0, g1) == ("valid" if full else "invalid")
+
+
+def test_counted_validity_builds_no_permutation(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(Permutation, "__post_init__", lambda self: built.append(self))
+    assert check_validity(star_graph(10), TWO_K5) == "valid"
+    assert cli_main(["check-aut", "star:10", "two-block:10:1:0:1"]) == 0
+    assert capsys.readouterr().out == "valid (Aut(alt)*Aut(null) = S_10)\n"
+    assert built == []
+    # the stub is live: listing the elements does build them
+    assert len(list(automorphism_group(TWO_K5).iter_elements())) == 28800
+    assert len(built) == 28800
