@@ -1,14 +1,15 @@
 """Snapshot statistics: clustering scores evaluated on infection vectors.
 
 All statistics ignore censored vertices in their infected set (a
-censored vertex contributes no evidence), and all are invariant under
-relabelings that preserve the graph they are bound to, which is what
-makes them usable inside the permutation tests.
+censored vertex contributes no evidence). W and R are invariant under
+relabelings that preserve the graph they are bound to, as the validity
+condition of the permutation tests assumes. T is not: its Steiner
+approximation breaks ties by vertex number, so an automorphic image of
+the infected set can score differently (see steiner_weight).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Sequence
@@ -36,6 +37,9 @@ _DMAT_LIMIT = 4096
 
 # bytes of the (rows, n) running maximum one batched R step keeps at once
 _R_GATHER_BYTES = 1 << 18
+
+# bytes of the (rows, n) BFS state one batched T chunk keeps at once
+_T_CHUNK_BYTES = 1 << 18
 
 
 def edges_within(g: Graph, iv: InfectionVector) -> int:
@@ -129,144 +133,124 @@ def avg_edges_within(g: Graph, ivs: Sequence[InfectionVector]) -> float:
 def steiner_weight(g: Graph, iv: InfectionVector) -> int:
     """2-approximate minimum Steiner tree weight over the infected set.
 
-    Voronoi construction: multi-source BFS from the terminals, an
-    auxiliary terminal graph from boundary edges, its MST expanded back
-    into graph paths, a spanning tree of the expansion, then non-terminal
-    leaves pruned. Guarantees weight <= 2 * optimum. Raises
-    DisconnectedTerminalsError when the infected set spans components.
+    Mehlhorn's (1988) construction: a multi-source BFS from the sorted
+    terminals splits the graph into Voronoi cells, Kruskal joins the
+    cells by boundary edges (u, v) in (dist[u] + 1 + dist[v], u, v)
+    order, and each chosen bridge expands into the BFS paths from its
+    endpoints back to their cell terminals. Those paths stay inside
+    disjoint cells, so the expansion is a tree whose leaves are all
+    terminals: its weight is the k - 1 bridges plus one edge per
+    non-terminal vertex on the paths. Guarantees weight <= 2 * optimum.
+    The ties follow vertex numbers, so T is not invariant under graph
+    automorphisms: on the 4x4 torus it is 3 on {0, 2, 5} and 4 on the
+    image {0, 5, 8}. Raises DisconnectedTerminalsError when the
+    infected set spans components.
     """
     if g.n != iv.n:
         raise ValueError("graph and snapshot sizes differ")
-    terminals = [int(v) for v in np.flatnonzero(iv.status == INFECTED)]
-    if not terminals:
-        raise ValueError("steiner weight needs at least one infected vertex")
-    if len(terminals) == 1:
-        return 0
-
-    dist, src, parent = _voronoi(g, terminals)
-
-    # cheapest boundary connection per terminal pair
-    best: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for u, v in g.edges:
-        su, sv = src[u], src[v]
-        if su < 0 or sv < 0 or su == sv:
-            continue
-        pair = (su, sv) if su < sv else (sv, su)
-        cand = (dist[u] + 1 + dist[v], u, v)
-        if pair not in best or cand < best[pair]:
-            best[pair] = cand
-
-    mst_pairs = _kruskal(terminals, best)
-    if len(mst_pairs) != len(terminals) - 1:
-        raise DisconnectedTerminalsError(
-            "infected vertices do not lie in one connected component"
-        )
-
-    # expand terminal-graph edges into real paths
-    sub_edges: set[tuple[int, int]] = set()
-    sub_vertices: set[int] = set(terminals)
-    for pair in mst_pairs:
-        _, u, v = best[pair]
-        sub_edges.add((u, v) if u < v else (v, u))
-        for x in (u, v):
-            sub_vertices.add(x)
-            while parent[x] >= 0:
-                p = parent[x]
-                sub_edges.add((x, p) if x < p else (p, x))
-                sub_vertices.add(p)
-                x = p
-
-    tree = _spanning_tree(sub_vertices, sub_edges)
-    return _prune_leaves(tree, set(terminals))
+    return int(_steiner_batch(g, (iv.status == INFECTED)[None, :])[0])
 
 
-def _voronoi(g: Graph, terminals: list[int]):
-    """Multi-source BFS: distance, owning terminal, and BFS parent per vertex."""
-    n = g.n
-    dist = [-1] * n
-    src = [-1] * n
-    parent = [-1] * n
-    queue: deque[int] = deque()
-    for t in sorted(terminals):
-        dist[t] = 0
-        src[t] = t
-        queue.append(t)
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                src[w] = src[u]
-                parent[w] = u
-                queue.append(w)
-    return dist, src, parent
+def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
+    """steiner_weight of every row of a (rows, n) infected mask, as int64.
 
-
-def _kruskal(
-    terminals: list[int], weighted: dict[tuple[int, int], tuple[int, int, int]]
-) -> list[tuple[int, int]]:
-    root = {t: t for t in terminals}
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    chosen: list[tuple[int, int]] = []
-    for pair in sorted(weighted, key=lambda p: (weighted[p], p)):
-        ra, rb = find(pair[0]), find(pair[1])
-        if ra != rb:
-            root[ra] = rb
-            chosen.append(pair)
-    return chosen
-
-
-def _spanning_tree(
-    vertices: set[int], edges: set[tuple[int, int]]
-) -> dict[int, list[int]]:
-    """BFS spanning tree of the (connected) expansion, as an adjacency dict."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in sorted(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    start = min(vertices)
-    seen = {start}
-    tree: dict[int, list[int]] = {v: [] for v in vertices}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if w not in seen:
-                seen.add(w)
-                tree[u].append(w)
-                tree[w].append(u)
-                queue.append(w)
-    return tree
-
-
-def _prune_leaves(tree: dict[int, list[int]], terminals: set[int]) -> int:
-    """Drop non-terminal leaves until none remain; return edge count."""
-    degree = {v: len(ws) for v, ws in tree.items()}
-    edge_count = sum(degree.values()) // 2
-    removable = deque(
-        v for v, d in degree.items() if d == 1 and v not in terminals
-    )
-    gone: set[int] = set()
-    while removable:
-        v = removable.popleft()
-        if v in gone or degree[v] != 1:
-            continue
-        gone.add(v)
-        edge_count -= 1
-        for w in tree[v]:
-            if w in gone:
-                continue
-            degree[w] -= 1
-            if degree[w] == 1 and w not in terminals:
-                removable.append(w)
-        degree[v] = 0
-    return edge_count
+    Scores chunks of rows whose BFS state takes about _T_CHUNK_BYTES,
+    vertex v of row r standing at r * n + v in one flat range. Ties
+    break as a deque BFS and a Kruskal over (weight, u, v) break them,
+    so every row equals steiner_weight of that row alone. Raises what
+    steiner_weight raises for the first row that fails.
+    """
+    rows, n = infected.shape
+    indptr, indices = g.csr
+    eu, ev = g.edge_arrays
+    out = np.empty(rows, dtype=np.int64)
+    unclaimed = np.iinfo(np.int64).max
+    step = max(1, _T_CHUNK_BYTES // (32 * n))  # four int64 entries per vertex
+    for lo in range(0, rows, step):
+        mask = infected[lo : lo + step]
+        size = mask.size
+        # 1. Voronoi cells: a BFS level by level, each frontier in deque order
+        # (row, queue rank), so a vertex's first candidate is its deque parent
+        dist = np.full(size, -1, dtype=np.int64)
+        owner = np.full(size, -1, dtype=np.int64)  # the cell's terminal
+        parent = np.full(size, -1, dtype=np.int64)
+        claim = np.full(size, unclaimed)  # first candidate index, per level
+        front = np.flatnonzero(mask)
+        dist[front] = 0
+        owner[front] = front
+        level = 0
+        while front.size:
+            v = front % n
+            deg = indptr[v + 1] - indptr[v]
+            ends = np.cumsum(deg)
+            cand = np.repeat(indptr[v] - ends + deg, deg)
+            cand += np.arange(cand.size)
+            cand = indices[cand]
+            cand += np.repeat(front - v, deg)
+            fresh = np.flatnonzero(dist[cand] < 0)
+            reached = cand[fresh]
+            np.minimum.at(claim, reached, fresh)
+            first = fresh[claim[reached] == fresh]
+            claim[reached] = unclaimed
+            src = front[np.searchsorted(ends, first, side="right")]
+            front = cand[first]
+            level += 1
+            dist[front] = level
+            owner[front] = owner[src]
+            parent[front] = src
+        # 2. boundary edges, keyed in Kruskal order within a row:
+        # (dist[u] + 1 + dist[v], edge index), the index standing in for (u, v)
+        base = np.arange(0, size, n)[:, None]
+        a, b = (base + eu).reshape(-1), (base + ev).reshape(-1)
+        cut = np.flatnonzero(owner[a] != owner[b])
+        a, b = a[cut], b[cut]
+        key = (dist[a] + dist[b]) * cut.size + np.arange(cut.size)
+        # 3. Boruvka: the keys are distinct, so the minimum spanning forest is
+        # unique, and joining each group of cells along its cheapest outgoing
+        # edge picks exactly the bridges Kruskal picks
+        ca, cb = owner[a], owner[b]  # the groups each edge joins, named by a terminal
+        none = 2 * n * cut.size  # above every key
+        bridge = np.zeros(cut.size, dtype=bool)
+        while key.size:
+            best = np.full(size, none)
+            np.minimum.at(best, ca, key)
+            np.minimum.at(best, cb, key)
+            by_a, by_b = key == best[ca], key == best[cb]
+            bridge[key[by_a | by_b] % cut.size] = True
+            link = np.arange(size)
+            link[ca[by_a]] = cb[by_a]
+            link[cb[by_b]] = ca[by_b]
+            # two groups that picked the same edge keep the smaller name
+            groups = np.flatnonzero(best < none)
+            mutual = groups[(link[link[groups]] == groups) & (groups < link[groups])]
+            link[mutual] = mutual
+            while True:
+                up = link[link[groups]]
+                if (up == link[groups]).all():
+                    break
+                link[groups] = up
+            ca, cb = link[ca], link[cb]
+            joins = ca != cb
+            ca, cb, key = ca[joins], cb[joins], key[joins]
+        k = np.count_nonzero(mask, axis=1)
+        bad = np.bincount(a[bridge] // n, minlength=k.size) != k - 1
+        if bad.any():
+            if k[np.argmax(bad)] == 0:
+                raise ValueError("steiner weight needs at least one infected vertex")
+            raise DisconnectedTerminalsError(
+                "infected vertices do not lie in one connected component"
+            )
+        # 4. mark the BFS paths from every bridge endpoint back to its terminal
+        on = np.zeros(size, dtype=bool)
+        x = np.concatenate([a[bridge], b[bridge]])
+        while x.size:
+            on[x] = True
+            x = parent[x]
+            x = x[x >= 0]
+            x = x[~on[x]]
+        on &= dist > 0
+        out[lo : lo + step] = k - 1 + np.count_nonzero(on.reshape(mask.shape), axis=1)
+    return out
 
 
 # -- bound statistic specs -------------------------------------------------------
@@ -359,10 +343,11 @@ class StatisticSpec:
 
         Rows must hold valid statuses, as relabelings of a validated
         snapshot do. W is one gather over the edge arrays, C and orbit
-        are column counts, and R folds rows of the cached distance
-        matrix (see _radius_batch). T, and R on graphs above
-        _DMAT_LIMIT or on rows that differ in infected count, score row
-        by row through score().
+        are column counts, R folds rows of the cached distance matrix
+        (see _radius_batch), and T runs one Steiner kernel over the
+        whole block (see _steiner_batch). R on graphs above _DMAT_LIMIT
+        or on rows that differ in infected count scores row by row
+        through score().
         """
         n = block.shape[1]
         if self.graph is not None and self.graph.n != n:
@@ -385,6 +370,8 @@ class StatisticSpec:
             values = np.count_nonzero(infected[:, idx], axis=1)
         elif self.kind == "infection_radius":
             values = _radius_batch(self.graph, infected)
+        elif self.kind == "steiner_weight":
+            values = _steiner_batch(self.graph, infected)
         if values is None:
             return np.array([self.score(InfectionVector(row)) for row in block], dtype=np.float64)
         scores = values.astype(np.float64)

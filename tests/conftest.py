@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# property tests build graphs and run whole permutation tests per example, so a
+# per-example time limit only measures the host; no test sets one
+settings.register_profile("netspread", deadline=None)
+settings.load_profile("netspread")
 
 
 def pytest_addoption(parser):

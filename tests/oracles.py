@@ -1,19 +1,28 @@
 """Independent brute-force oracles the tests check the package against.
 
-Nothing here imports package internals beyond the Graph container; every
+Nothing here imports package internals beyond the graph and snapshot
+containers, the infected status code and one exception type; every
 computation re-derives its answer from first principles (recursive
-enumeration, subset search, permutation filtering) or through networkx's
-isomorphism matcher, so agreement with the package is evidence, not
+enumeration, subset search, permutation filtering), through networkx's
+isomorphism matcher, or, for T, through the per-snapshot Mehlhorn
+implementation of dicts and deques that the package's batched array
+kernel replaced, so agreement with the package is evidence, not
 tautology.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from math import comb, fsum
 
 import networkx as nx
+import numpy as np
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
+
+from netspread.errors import DisconnectedTerminalsError
+from netspread.graphs import Graph
+from netspread.spreading import INFECTED, InfectionVector
 
 
 def spread_law(g, eta: float, k: int) -> dict[frozenset, float]:
@@ -220,3 +229,151 @@ def spread_path_reference(g, eta: float, k: int, rng) -> tuple[int, ...]:
             if weights[x] > 0.0:
                 weights[x] = 1.0 + eta * hits[x]
     return tuple(order)
+
+
+# -- Mehlhorn's Steiner approximation, per snapshot -------------------------------
+# The package's per-row T before the batched kernel replaced it, kept as the
+# reference the kernel must equal value for value and error for error.
+
+
+def steiner_weight(g: Graph, iv: InfectionVector) -> int:
+    """2-approximate minimum Steiner tree weight over the infected set.
+
+    Voronoi construction: multi-source BFS from the terminals, an
+    auxiliary terminal graph from boundary edges, its MST expanded back
+    into graph paths, a spanning tree of the expansion, then non-terminal
+    leaves pruned. Guarantees weight <= 2 * optimum. Raises
+    DisconnectedTerminalsError when the infected set spans components.
+    """
+    if g.n != iv.n:
+        raise ValueError("graph and snapshot sizes differ")
+    terminals = [int(v) for v in np.flatnonzero(iv.status == INFECTED)]
+    if not terminals:
+        raise ValueError("steiner weight needs at least one infected vertex")
+    if len(terminals) == 1:
+        return 0
+
+    dist, src, parent = _voronoi(g, terminals)
+
+    # cheapest boundary connection per terminal pair
+    best: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for u, v in g.edges:
+        su, sv = src[u], src[v]
+        if su < 0 or sv < 0 or su == sv:
+            continue
+        pair = (su, sv) if su < sv else (sv, su)
+        cand = (dist[u] + 1 + dist[v], u, v)
+        if pair not in best or cand < best[pair]:
+            best[pair] = cand
+
+    mst_pairs = _kruskal(terminals, best)
+    if len(mst_pairs) != len(terminals) - 1:
+        raise DisconnectedTerminalsError(
+            "infected vertices do not lie in one connected component"
+        )
+
+    # expand terminal-graph edges into real paths
+    sub_edges: set[tuple[int, int]] = set()
+    sub_vertices: set[int] = set(terminals)
+    for pair in mst_pairs:
+        _, u, v = best[pair]
+        sub_edges.add((u, v) if u < v else (v, u))
+        for x in (u, v):
+            sub_vertices.add(x)
+            while parent[x] >= 0:
+                p = parent[x]
+                sub_edges.add((x, p) if x < p else (p, x))
+                sub_vertices.add(p)
+                x = p
+
+    tree = _spanning_tree(sub_vertices, sub_edges)
+    return _prune_leaves(tree, set(terminals))
+
+
+def _voronoi(g: Graph, terminals: list[int]):
+    """Multi-source BFS: distance, owning terminal, and BFS parent per vertex."""
+    n = g.n
+    dist = [-1] * n
+    src = [-1] * n
+    parent = [-1] * n
+    queue: deque[int] = deque()
+    for t in sorted(terminals):
+        dist[t] = 0
+        src[t] = t
+        queue.append(t)
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                src[w] = src[u]
+                parent[w] = u
+                queue.append(w)
+    return dist, src, parent
+
+
+def _kruskal(
+    terminals: list[int], weighted: dict[tuple[int, int], tuple[int, int, int]]
+) -> list[tuple[int, int]]:
+    root = {t: t for t in terminals}
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    chosen: list[tuple[int, int]] = []
+    for pair in sorted(weighted, key=lambda p: (weighted[p], p)):
+        ra, rb = find(pair[0]), find(pair[1])
+        if ra != rb:
+            root[ra] = rb
+            chosen.append(pair)
+    return chosen
+
+
+def _spanning_tree(
+    vertices: set[int], edges: set[tuple[int, int]]
+) -> dict[int, list[int]]:
+    """BFS spanning tree of the (connected) expansion, as an adjacency dict."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in sorted(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    start = min(vertices)
+    seen = {start}
+    tree: dict[int, list[int]] = {v: [] for v in vertices}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if w not in seen:
+                seen.add(w)
+                tree[u].append(w)
+                tree[w].append(u)
+                queue.append(w)
+    return tree
+
+
+def _prune_leaves(tree: dict[int, list[int]], terminals: set[int]) -> int:
+    """Drop non-terminal leaves until none remain; return edge count."""
+    degree = {v: len(ws) for v, ws in tree.items()}
+    edge_count = sum(degree.values()) // 2
+    removable = deque(
+        v for v, d in degree.items() if d == 1 and v not in terminals
+    )
+    gone: set[int] = set()
+    while removable:
+        v = removable.popleft()
+        if v in gone or degree[v] != 1:
+            continue
+        gone.add(v)
+        edge_count -= 1
+        for w in tree[v]:
+            if w in gone:
+                continue
+            degree[w] -= 1
+            if degree[w] == 1 and w not in terminals:
+                removable.append(w)
+        degree[v] = 0
+    return edge_count

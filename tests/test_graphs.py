@@ -150,7 +150,7 @@ def _networkx_distances(g):
     return want
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(sparse_graphs())
 @example(build_graph(1, []))
 @example(empty_graph(64))

@@ -259,7 +259,7 @@ def graphs_on(draw, n):
     return build_graph(n, edges)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(1, 10).flatmap(graphs_on))
 @example(TWO_K5)
 @example(PETERSEN)
@@ -292,7 +292,7 @@ def _k33():
     return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(graphs_on(n), graphs_on(n))))
 # stabilizer x counted, with the hub at 0 and elsewhere
 @example((star_graph(7), path_graph(7)))

@@ -5,6 +5,8 @@ from math import comb, factorial, isclose
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netspread import (
     CENSORED,
@@ -12,6 +14,7 @@ from netspread import (
     InfectionVector,
     StatisticSpec,
     TestConfig,
+    build_graph,
     check_validity,
     complete_graph,
     composite_mc_test,
@@ -27,6 +30,7 @@ from netspread import (
     substream,
     torus_grid,
 )
+from netspread import permtest
 from netspread.permtest import _threshold_rule
 
 
@@ -257,6 +261,56 @@ def test_composite_test_stage_structure():
     fire2 = o1 <= t1 and o2 > t2
     assert res.reject == (fire1 or fire2)
     assert 0.0 < res.p_value <= 1.0
+
+
+@st.composite
+def composite_cases(draw):
+    """W then R, or R then W, on a random graph of 2..12 vertices with a
+    snapshot, a level and a B small enough that stages often saturate."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    status = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    status[draw(st.integers(0, n - 1))] = 1
+    stats = [StatisticSpec.edges_within(g), StatisticSpec.infection_radius(g)]
+    if draw(st.booleans()):
+        stats.reverse()
+    cfg = TestConfig(
+        alpha=draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.6])),
+        B=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return stats, InfectionVector(status), cfg
+
+
+@settings(max_examples=150)
+@given(composite_cases())
+@example((
+    [StatisticSpec.edges_within(cycle_graph(6)), StatisticSpec.infection_radius(cycle_graph(6))],
+    infection_from_infected(6, [0, 1, 2]),
+    TestConfig(alpha=0.1, B=5, seed=3),
+))
+def test_composite_reject_is_stagewise_exceedance(case):
+    stats, iv, cfg = case
+    stages = []
+
+    def recording(*args, **kwargs):
+        stages.append(calibrate(*args, **kwargs))
+        return stages[-1]
+
+    calibrate = permtest._calibrate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permtest, "_calibrate", recording)
+        res = composite_mc_test(*stats, iv, cfg)
+    assert len(stages) == 2
+    for stage in stages:
+        assert stage.reject == (stage.observed > stage.threshold)
+        if stage.saturated:
+            assert stage.reject == (stage.raw_ge_count == 0)
+    assert res.observed == tuple(s.observed for s in stages)
+    assert res.threshold == tuple(s.threshold for s in stages)
+    assert res.saturated == tuple(s.saturated for s in stages)
+    assert res.reject == any(s.reject for s in stages)
 
 
 def test_composite_level_under_uniform_null():

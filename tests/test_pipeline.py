@@ -72,7 +72,7 @@ def graphs_and_blocks(draw):
     return build_graph(n, edges), np.array(rows, dtype=np.int8), center, orbit
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(graphs_and_blocks())
 @example((build_graph(1, []), np.array([[1], [1]], dtype=np.int8), 0, {0}))
 @example((cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}))

@@ -279,7 +279,7 @@ def _assert_matches_reference(g, eta, k, seed):
     assert rng.random() == ref_rng.random()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(spread_cases())
 @example((build_graph(1, []), 0.0, 1, 0))
 @example((star_graph(40), 10.0, 40, 1))

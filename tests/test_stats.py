@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 from math import inf
 
 import networkx as nx
@@ -15,6 +15,7 @@ from netspread import (
     TestConfig,
     avg_edges_within,
     build_graph,
+    censor_uniform,
     center_indicator,
     complete_graph,
     cycle_graph,
@@ -33,7 +34,9 @@ from netspread import (
     torus_grid,
 )
 from netspread import stats as stats_mod
+from networkx.algorithms.isomorphism import GraphMatcher
 from oracles import steiner_optimum
+from oracles import steiner_weight as mehlhorn_oracle
 
 
 def iv_of(n, infected, censored=()):
@@ -119,7 +122,7 @@ def graphs_and_snapshots(draw):
     return g, InfectionVector(status)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(graphs_and_snapshots())
 @example((build_graph(1, []), InfectionVector([1])))
 @example((build_graph(4, [(0, 1), (2, 3)]), InfectionVector([1, 0, 1, 0])))
@@ -244,12 +247,126 @@ def test_steiner_weight_within_factor_two_of_optimum():
                 assert opt <= got <= 2 * opt
 
 
+def _oracle_or_error(g, block):
+    """The oracle's T per row, or the type the first failing row raises."""
+    try:
+        return [mehlhorn_oracle(g, InfectionVector(row)) for row in block]
+    except (ValueError, DisconnectedTerminalsError) as exc:
+        return type(exc)
+
+
+def _assert_batch_matches_oracle(g, block):
+    """Each row alone, _steiner_batch and score_batch all agree with the oracle."""
+    for row in block:
+        want = _oracle_or_error(g, [row])
+        if isinstance(want, type):
+            with pytest.raises(want):
+                steiner_weight(g, InfectionVector(row))
+        else:
+            assert steiner_weight(g, InfectionVector(row)) == want[0]
+    want = _oracle_or_error(g, block)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            stats_mod._steiner_batch(g, block == 1)
+        with pytest.raises(want):
+            StatisticSpec.steiner_weight(g).score_batch(block)
+        return
+    assert stats_mod._steiner_batch(g, block == 1).tolist() == want
+    assert StatisticSpec.steiner_weight(g).score_batch(block).tolist() == [-float(t) for t in want]
+
+
+@st.composite
+def graphs_and_steiner_blocks(draw):
+    """A random graph on 1..30 vertices (often disconnected, isolated vertices
+    included) and a status block with censoring. Rows are relabelings of one
+    snapshot, as the tests draw them, or independent rows whose infected
+    counts differ."""
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    statuses = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        status = draw(statuses)
+        perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=8))
+        rows = [[status[p] for p in perm] for perm in perms]
+    else:
+        rows = draw(st.lists(statuses, min_size=1, max_size=8))
+    return g, np.array(rows, dtype=np.int8)
+
+
+_TWO_PATHS = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
+@settings(max_examples=300)
+@given(graphs_and_steiner_blocks(), st.sampled_from([None, 1, 64]))
+@example((build_graph(1, []), np.array([[1], [0], [2]], dtype=np.int8)), None)
+@example((cycle_graph(7), np.ones((2, 7), dtype=np.int8)), 1)
+@example((_TWO_PATHS, np.array([[1, 1, 0, 0, 0, 1], [0, 0, 0, 0, 2, 0]], dtype=np.int8)), None)
+@example((_TWO_PATHS, np.array([[1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]], dtype=np.int8)), 64)
+@example((_TWO_PATHS, np.array([[0, 2, 0, 0, 0, 0], [1, 0, 0, 1, 0, 0]], dtype=np.int8)), 64)
+def test_steiner_batch_equals_mehlhorn_oracle(case, chunk_bytes):
+    # chunk budgets of 1 and 64 bytes score one row per chunk
+    g, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_bytes is not None:
+            mp.setattr(stats_mod, "_T_CHUNK_BYTES", chunk_bytes)
+        _assert_batch_matches_oracle(g, block)
+
+
+def test_steiner_batch_on_an_analyst_session_block():
+    # the shape of a T test on a simulated torus snapshot: k about 35 of 400
+    # vertices after 40 uniform censorings, 200 relabelings over several chunks
+    g = torus_grid((20, 20))
+    iv = simulate_spread(g, SpreadParams(eta=10.0, k=40), substream(7, 0)).to_infection(g.n)
+    iv = censor_uniform(iv, 40, substream(7, 1))
+    block = np.random.default_rng(7).permuted(np.tile(iv.status, (200, 1)), axis=1)
+    _assert_batch_matches_oracle(g, block)
+
+
 def steiner_is_defined(g, terms):
     try:
         steiner_weight(g, iv_of(g.n, terms))
         return True
     except DisconnectedTerminalsError:
         return False
+
+
+@st.composite
+def graphs_automorphisms_and_snapshots(draw):
+    """A random graph on 1..9 vertices, up to 40 of its automorphisms found by
+    networkx's matcher, and a snapshot with censoring and at least one
+    infected vertex."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    autos = [
+        [m[v] for v in range(n)] for m in islice(GraphMatcher(ref, ref).isomorphisms_iter(), 40)
+    ]
+    status = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    status[draw(st.integers(0, n - 1))] = 1
+    return build_graph(n, edges), autos, np.array(status, dtype=np.int8)
+
+
+# T is left out: Mehlhorn's tie-breaks follow vertex numbers, so T can change
+# under an automorphism (on the 4x4 torus it is 3 on {0, 2, 5} and 4 on its
+# image {0, 5, 8})
+@settings(max_examples=150)
+@given(graphs_automorphisms_and_snapshots())
+@example((cycle_graph(6), [[(v + 2) % 6 for v in range(6)]], np.array([1, 0, 2, 1, 0, 0], dtype=np.int8)))
+def test_edges_within_and_radius_are_automorphism_invariant(case):
+    g, autos, status = case
+    iv = InfectionVector(status)
+    want = (edges_within(g, iv), infection_radius(g, iv))
+    for image in autos:
+        moved = np.empty_like(status)
+        moved[image] = status
+        assert g.edges == build_graph(g.n, [(image[u], image[v]) for u, v in g.edges]).edges
+        iv_moved = InfectionVector(moved)
+        assert (edges_within(g, iv_moved), infection_radius(g, iv_moved)) == want
 
 
 def test_statistic_spec_names_and_tails():
