@@ -63,19 +63,20 @@ from .permtest import (
     multi_spread_mc_test,
 )
 from .risk import (
+    BaselineRule,
     BoundValue,
     MultiSpreadBounds,
     RiskCurve,
-    RiskEstimate,
     RiskInputs,
     baseline_diagnosis,
+    baseline_risk_curve,
+    baseline_rule,
     cascade_count,
     cascade_count_cycle,
     center_test_risk_bounds,
     h_eta,
     infection_reach_probability,
     line_cycle_bound,
-    mc_risk,
     mc_risk_curve,
     min_cascade_count,
     multi_spread_bounds,

@@ -15,24 +15,24 @@ import argparse
 import json
 import os
 import sys
-from math import factorial, inf, isfinite
+from math import factorial, isfinite
 from typing import Any, Sequence
 
 from .errors import ConfigError, GuardExceededError, NetspreadError, ParseError
-from .graphs import Graph, eccentricity, empty_graph, from_spec
+from .graphs import Graph, empty_graph, from_spec
 from .permtest import (
     MODE_CENSOR_FIXING,
     MODE_FULL,
     TestConfig,
-    TestResult,
     conditional_mc_test,
     mc_test,
     validity_with_guard,
 )
-from .perms import automorphism_group, orbit
 from .risk import (
+    RiskCurve,
     RiskInputs,
-    baseline_diagnosis,
+    baseline_risk_curve,
+    baseline_rule,
     cascade_count_cycle,
     center_test_risk_bounds,
     h_eta,
@@ -40,10 +40,7 @@ from .risk import (
     mc_risk_curve,
     min_cascade_count,
     multi_spread_bounds,
-    resolve_threads,
     star_null_risk_bound,
-    tb_threshold,
-    tt_threshold,
 )
 from .rng import substream
 from .spreading import (
@@ -100,12 +97,16 @@ def _threads_from_env() -> int | None:
 # -- config plumbing -----------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _read_text(path: str, what: str = "") -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
+        raise ParseError(f"cannot read {what}{path}: {exc}") from exc
+
+
+def _load_config(path: str) -> dict:
+    text = _read_text(path, "config ")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -163,13 +164,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_label_file(path: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     labels = []
-    for raw in text.splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
             labels.append(line)
@@ -197,39 +193,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # -- test -----------------------------------------------------------------------
 
 
-def _build_statistic(args: argparse.Namespace, alt: Graph) -> StatisticSpec:
-    flag = args.statistic
-    if flag == "W":
-        return StatisticSpec.edges_within(alt)
-    if flag == "R":
-        return StatisticSpec.infection_radius(alt)
-    if flag == "T":
-        return StatisticSpec.steiner_weight(alt)
-    if flag == "C":
-        center = alt.index_of(args.center) if args.center is not None else 0
-        return StatisticSpec.center_indicator(center)
-    seed_vertex = alt.index_of(args.orbit_vertex) if args.orbit_vertex is not None else 0
-    group = automorphism_group(alt)
-    return StatisticSpec.orbit_count(orbit(group, seed_vertex))
-
-
-def _raw_scale(result: TestResult) -> tuple[float, float, str]:
-    """(observed, threshold, direction) on the raw statistic scale."""
-    if result.tail == "lower":
-        return -result.observed, -result.threshold, "below"
-    return result.observed, result.threshold, "above"
-
-
 def _cmd_test(args: argparse.Namespace) -> int:
     null_graph = from_spec(args.null_graph)
     alt = from_spec(args.alt_graph)
-    try:
-        with open(args.infection, "r", encoding="utf-8") as fh:
-            labels, codes = read_status_file(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.infection}: {exc}") from exc
+    labels, codes = read_status_file(_read_text(args.infection))
     iv = align_to_graph(alt, labels, codes)
-    stat = _build_statistic(args, alt)
+    label = {"C": args.center, "orbit": args.orbit_vertex}.get(args.statistic)
+    vertex = alt.index_of(label) if label is not None else 0
+    stat = StatisticSpec.from_name(args.statistic, alt, vertex)
     mode = MODE_CENSOR_FIXING if args.mode == "censor-fixed" else MODE_FULL
     cfg = TestConfig(alpha=args.alpha, B=args.B, seed=args.seed, mode=mode)
 
@@ -242,16 +213,14 @@ def _cmd_test(args: argparse.Namespace) -> int:
         def on_resample(_b: int, permuted) -> None:
             dump_fh.write("".join(chars[int(s)] for s in permuted) + "\n")
 
+    test_fn = conditional_mc_test if mode == MODE_CENSOR_FIXING else mc_test
     try:
-        if mode == MODE_CENSOR_FIXING:
-            result = conditional_mc_test(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
-        else:
-            result = mc_test(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
+        result = test_fn(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
     finally:
         if dump_fh is not None:
             dump_fh.close()
 
-    observed, threshold, direction = _raw_scale(result)
+    observed, threshold, direction = result.raw_scale()
     validity = result.validity_warning or "valid"
     if args.json:
         payload = {
@@ -309,33 +278,26 @@ def _cmd_check_aut(args: argparse.Namespace) -> int:
 # -- baseline ---------------------------------------------------------------------
 
 
-def _baseline_report(doc: dict, path: str) -> dict[str, Any]:
-    g = _graph_from(doc, "graph", path)
-    k = _need(doc, "k", int, path)
-    c = _opt(doc, "c", int, path, 0)
-    d = _opt(doc, "d", int, path, 2)
-    radius_ceiling = eccentricity(g, 0)
-    tb = tb_threshold(d, g.n, k, c)
-    tt = tt_threshold(g.n, k, c)
-    tb_diag = baseline_diagnosis(tb, 0.0, radius_ceiling)
-    tt_diag = baseline_diagnosis(tt, float(max(k - 1, 0)), float(g.n - 1))
-    return {
+def _cmd_baseline(args: argparse.Namespace) -> int:
+    doc = _load_config(args.config)
+    g = _graph_from(doc, "graph", args.config)
+    k = _need(doc, "k", int, args.config)
+    c = _opt(doc, "c", int, args.config, 0)
+    d = _opt(doc, "d", int, args.config, 2)
+    tb = baseline_rule("TB", g, k, c, d)
+    tt = baseline_rule("TT", g, k, c)
+    report = {
         "n": g.n,
         "k": k,
         "c": c,
         "d": d,
-        "tb_threshold": tb,
-        "tb_diagnosis": tb_diag,
-        "radius_ceiling": radius_ceiling,
-        "tt_threshold": tt,
-        "tt_diagnosis": tt_diag,
-        "tree_ceiling": g.n - 1,
+        "tb_threshold": tb.threshold,
+        "tb_diagnosis": tb.diagnosis,
+        "radius_ceiling": tb.ceiling,
+        "tt_threshold": tt.threshold,
+        "tt_diagnosis": tt.diagnosis,
+        "tree_ceiling": tt.ceiling,
     }
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    doc = _load_config(args.config)
-    report = _baseline_report(doc, args.config)
     if args.json:
         print(_dumps(report))
         return 0
@@ -354,17 +316,25 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 # -- risk --------------------------------------------------------------------------
 
 
+def _c_k(entry: dict, path: str, k: int) -> float:
+    """c_k as given, else the minimum cascade count of "graph", else the cycle's."""
+    if "c_k" in entry:
+        return _need(entry, "c_k", float, path)
+    if "graph" in entry:
+        return float(min_cascade_count(_graph_from(entry, "graph", path), k))
+    return float(cascade_count_cycle(k))
+
+
 def _bound_entry(entry: dict, path: str) -> dict[str, Any]:
     etype = _need(entry, "type", str, path)
     out: dict[str, Any] = {"type": etype}
     if etype == "h-eta":
-        value = h_eta(
+        out["value"] = h_eta(
             _need(entry, "n", int, path),
             _need(entry, "k", int, path),
             _need(entry, "eta", float, path),
             _need(entry, "nt_min", float, path),
         )
-        out["value"] = value
         return out
 
     if etype == "cascade-cycle":
@@ -386,22 +356,14 @@ def _bound_entry(entry: dict, path: str) -> dict[str, Any]:
         m=_opt(entry, "m", int, path, 1),
     )
     if etype == "star-null":
-        if "c_k" in entry:
-            c_k = _need(entry, "c_k", float, path)
-        elif "graph" in entry:
-            c_k = float(min_cascade_count(_graph_from(entry, "graph", path), inputs.k))
-        else:
-            c_k = float(cascade_count_cycle(inputs.k))
+        c_k = _c_k(entry, path, inputs.k)
         bound = star_null_risk_bound(inputs, c_k, nt_min=_opt(entry, "nt_min", float, path, 2.0))
         out.update(c_k=c_k, value=bound.value, vacuous=bound.vacuous)
     elif etype == "center":
         lower, upper = center_test_risk_bounds(inputs)
         out.update(lower=lower, upper=upper)
     elif etype == "multi-spread":
-        if "c_k" in entry:
-            c_k = _need(entry, "c_k", float, path)
-        else:
-            c_k = float(cascade_count_cycle(inputs.k))
+        c_k = _c_k(entry, path, inputs.k)
         bounds = multi_spread_bounds(inputs, c_k, nt_min=_opt(entry, "nt_min", float, path, 2.0))
         out.update(
             c_k=c_k,
@@ -419,52 +381,47 @@ def _bound_entry(entry: dict, path: str) -> dict[str, Any]:
     return out
 
 
-def _statistic_from_name(name: str, alt: Graph, path: str) -> StatisticSpec:
-    if name == "W":
-        return StatisticSpec.edges_within(alt)
-    if name == "R":
-        return StatisticSpec.infection_radius(alt)
-    if name == "T":
-        return StatisticSpec.steiner_weight(alt)
-    raise ConfigError(f"{path}.statistic: expected W, R, or T, got {name!r}")
+def _mc_curve(
+    entry: dict, path: str, etas: list[float], threads: int | None, statistic: str | None = None
+) -> tuple[StatisticSpec, RiskCurve]:
+    """Read the null graph, alternative, test config and statistic of a
+    Monte Carlo config, and run mc_risk_curve on them.
 
-
-def _risk_mc_report(doc: dict, path: str, threads: int | None) -> dict[str, Any]:
-    alt = _graph_from(doc, "alt_graph", path)
-    null_spec = _opt(doc, "null_graph", str, path, None)
+    statistic is the name used when the entry gives none; without one
+    the entry must name W, R or T.
+    """
+    alt = _graph_from(entry, "alt_graph", path)
+    null_spec = _opt(entry, "null_graph", str, path, None)
     g0 = from_spec(null_spec) if null_spec else empty_graph(alt.n)
-    etas = _eta_list(doc, path)
-    k = _need(doc, "k", int, path)
-    c = _opt(doc, "c", int, path, 0)
-    mode = _opt(doc, "mode", str, path, "full")
+    if statistic is None:
+        statistic = _need(entry, "statistic", str, path)
+    name = _opt(entry, "statistic", str, path, statistic)
+    if name not in ("W", "R", "T"):
+        raise ConfigError(f"{path}.statistic: expected W, R, or T, got {name!r}")
+    mode = _opt(entry, "mode", str, path, "full")
     if mode not in ("full", "censor-fixed"):
         raise ConfigError(f"{path}.mode: expected 'full' or 'censor-fixed'")
     cfg = TestConfig(
-        alpha=_need(doc, "alpha", float, path),
-        B=_need(doc, "B", int, path),
-        seed=_opt(doc, "seed", int, path, 0),
+        alpha=_need(entry, "alpha", float, path),
+        B=_need(entry, "B", int, path),
+        seed=_opt(entry, "seed", int, path, 0),
         mode=MODE_CENSOR_FIXING if mode == "censor-fixed" else MODE_FULL,
     )
-    stat = _statistic_from_name(_opt(doc, "statistic", str, path, "W"), alt, path)
+    stat = StatisticSpec.from_name(name, alt)
     curve = mc_risk_curve(
         g0,
         alt,
-        _opt(doc, "eta0", float, path, 0.0),
+        _opt(entry, "eta0", float, path, 0.0),
         etas,
-        k,
-        c,
+        _need(entry, "k", int, path),
+        _opt(entry, "c", int, path, 0),
         cfg,
-        _need(doc, "replicates", int, path),
+        _need(entry, "replicates", int, path),
         stat=stat,
         threads=threads,
+        collect_alt_values=True,
     )
-    return {
-        "statistic": stat.name,
-        "type_i": curve.type_i,
-        "mean_threshold": curve.mean_threshold,
-        "type_ii": {_fmt(eta): curve.type_ii[eta] for eta in etas},
-        "replicates": curve.reps,
-    }
+    return stat, curve
 
 
 def _cmd_risk(args: argparse.Namespace) -> int:
@@ -479,126 +436,51 @@ def _cmd_risk(args: argparse.Namespace) -> int:
             if not isinstance(entry, dict):
                 raise ConfigError(f"{args.config}.entries[{i}]: expected object")
             results.append(_bound_entry(entry, f"{args.config}.entries[{i}]"))
-        payload = {"schema": 1, "kind": "bounds", "results": results}
     elif kind == "mc":
-        payload = {
-            "schema": 1,
-            "kind": "mc",
-            "results": _risk_mc_report(doc, args.config, _threads_from_env()),
+        etas = _eta_list(doc, args.config)
+        stat, curve = _mc_curve(doc, args.config, etas, _threads_from_env(), statistic="W")
+        results = {
+            "statistic": stat.name,
+            "type_i": curve.type_i,
+            "mean_threshold": curve.mean_threshold,
+            "type_ii": {_fmt(eta): curve.type_ii[eta] for eta in etas},
+            "replicates": curve.reps,
         }
     else:
         raise ConfigError(f"{args.config}.kind: expected 'bounds' or 'mc', got {kind!r}")
-    _emit(_dumps(payload) + "\n", args.out)
+    _emit(_dumps({"schema": 1, "kind": kind, "results": results}) + "\n", args.out)
     return 0
 
 
 # -- experiment ----------------------------------------------------------------------
 
 
-def _uniform_snapshot(n: int, k: int, c: int, seed: int, tag: int, rep: int):
-    iv = simulate_spread(empty_graph(n), SpreadParams(eta=0.0, k=k), substream(seed, tag, rep)).to_infection(n)
-    if c:
-        iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
-    return iv
-
-
 def _baseline_row(
     entry: dict, path: str, etas: list[float], threads: int | None
-) -> dict[str, Any]:
+) -> tuple[str, float, str, RiskCurve]:
     algorithm = entry["algorithm"]
     alt = _graph_from(entry, "alt_graph", path)
     k = _need(entry, "k", int, path)
     c = _opt(entry, "c", int, path, 0)
     seed = _opt(entry, "seed", int, path, 0)
     reps = _need(entry, "replicates", int, path)
-    if algorithm == "TB":
-        d = _opt(entry, "d", int, path, 2)
-        threshold = tb_threshold(d, alt.n, k, c)
-        stat = StatisticSpec.infection_radius(alt)
-        diagnosis = baseline_diagnosis(threshold, 0.0, eccentricity(alt, 0))
-    else:
-        threshold = tt_threshold(alt.n, k, c)
-        stat = StatisticSpec.steiner_weight(alt)
-        diagnosis = baseline_diagnosis(threshold, float(max(k - 1, 0)), float(alt.n - 1))
-
-    if diagnosis == "always rejects":
-        type_i, type_ii = 1.0, {eta: 0.0 for eta in etas}
-    elif diagnosis == "never rejects":
-        type_i, type_ii = 0.0, {eta: 1.0 for eta in etas}
-    else:
-        hits = 0
-        for rep in range(reps):
-            iv = _uniform_snapshot(alt.n, k, c, seed, 0, rep)
-            if float(stat.evaluate(iv)) <= threshold:
-                hits += 1
-        type_i = hits / reps
-        type_ii = {}
-        for i, eta in enumerate(etas):
-            misses = 0
-            base = 10 * (i + 1)
-            for rep in range(reps):
-                p = simulate_spread(alt, SpreadParams(eta=eta, k=k), substream(seed, base, rep))
-                iv = p.to_infection(alt.n)
-                if c:
-                    iv = censor_uniform(iv, c, substream(seed, base + 1, rep))
-                if float(stat.evaluate(iv)) > threshold:
-                    misses += 1
-            type_ii[eta] = misses / reps
-    return {
-        "algorithm": algorithm,
-        "statistic": stat.name,
-        "threshold": threshold,
-        "diagnosis": diagnosis,
-        "type_i": type_i,
-        "type_ii": type_ii,
-    }
+    d = _opt(entry, "d", int, path, 2) if algorithm == "TB" else 2
+    rule = baseline_rule(algorithm, alt, k, c, d)
+    curve = baseline_risk_curve(rule, etas, k, c, reps, seed, threads)
+    return rule.stat.name, rule.threshold, rule.diagnosis, curve
 
 
 def _perm_row(
     entry: dict, path: str, etas: list[float], threads: int | None
-) -> dict[str, Any]:
-    alt = _graph_from(entry, "alt_graph", path)
-    null_spec = _opt(entry, "null_graph", str, path, None)
-    g0 = from_spec(null_spec) if null_spec else empty_graph(alt.n)
-    stat = _statistic_from_name(_need(entry, "statistic", str, path), alt, path)
-    mode = _opt(entry, "mode", str, path, "full")
-    if mode not in ("full", "censor-fixed"):
-        raise ConfigError(f"{path}.mode: expected 'full' or 'censor-fixed'")
-    cfg = TestConfig(
-        alpha=_need(entry, "alpha", float, path),
-        B=_need(entry, "B", int, path),
-        seed=_opt(entry, "seed", int, path, 0),
-        mode=MODE_CENSOR_FIXING if mode == "censor-fixed" else MODE_FULL,
-    )
+) -> tuple[str, float, str, RiskCurve]:
     long_out = _opt(entry, "long_out", str, path, None)
-    curve = mc_risk_curve(
-        g0,
-        alt,
-        _opt(entry, "eta0", float, path, 0.0),
-        etas,
-        _need(entry, "k", int, path),
-        _opt(entry, "c", int, path, 0),
-        cfg,
-        _need(entry, "replicates", int, path),
-        stat=stat,
-        threads=threads,
-        collect_alt_values=long_out is not None,
-    )
+    stat, curve = _mc_curve(entry, path, etas, threads)
     if long_out is not None:
-        lines = [f"eta,replicate,{stat.name}"]
-        for eta in etas:
-            for rep, value in enumerate(curve.alt_values[eta]):
-                lines.append(f"{_fmt(eta)},{rep},{_fmt(value)}")
+        values = curve.alt_values
+        rows = [f"{_fmt(eta)},{rep},{_fmt(v)}" for eta in etas for rep, v in enumerate(values[eta])]
         with open(long_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return {
-        "algorithm": "perm",
-        "statistic": stat.name,
-        "threshold": curve.mean_threshold,
-        "diagnosis": "data-dependent",
-        "type_i": curve.type_i,
-        "type_ii": curve.type_ii,
-    }
+            fh.write("\n".join([f"eta,replicate,{stat.name}", *rows]) + "\n")
+    return stat.name, curve.mean_threshold, "data-dependent", curve
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -607,7 +489,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if not entries:
         raise ConfigError(f"{args.config}.entries: must be non-empty")
     threads = _threads_from_env()
-    rows = []
+    lines = []
     grid: list[float] | None = None
     for i, entry in enumerate(entries):
         path = f"{args.config}.entries[{i}]"
@@ -620,25 +502,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise ConfigError(f"{path}.etas: all entries must share one eta grid")
         algorithm = _need(entry, "algorithm", str, path)
         if algorithm == "perm":
-            rows.append(_perm_row(entry, path, etas, threads))
+            statistic, threshold, diagnosis, curve = _perm_row(entry, path, etas, threads)
         elif algorithm in ("TB", "TT"):
-            rows.append(_baseline_row(entry, path, etas, threads))
+            statistic, threshold, diagnosis, curve = _baseline_row(entry, path, etas, threads)
         else:
             raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
+        cells = [algorithm, statistic, _fmt(threshold), diagnosis, _fmt(curve.type_i)]
+        lines.append(",".join(cells + [_fmt(curve.type_ii[eta]) for eta in etas]))
     header = ["algorithm", "statistic", "threshold", "diagnosis", "typeI"]
     header += [f"typeII@eta={_fmt(eta)}" for eta in grid]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            row["algorithm"],
-            row["statistic"],
-            _fmt(row["threshold"]),
-            row["diagnosis"],
-            _fmt(row["type_i"]),
-        ]
-        cells += [_fmt(row["type_ii"][eta]) for eta in grid]
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join([",".join(header), *lines]) + "\n", args.out)
     return 0
 
 

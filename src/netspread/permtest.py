@@ -100,6 +100,12 @@ class TestResult:
     mode: str
     validity_warning: str | None = None
 
+    def raw_scale(self) -> tuple[float, float, str]:
+        """(observed, threshold, "below" or "above") on the raw statistic scale."""
+        if self.tail == "lower":
+            return -self.observed, -self.threshold, "below"
+        return self.observed, self.threshold, "above"
+
 
 def _threshold_rule(
     scores: np.ndarray, alpha_mass: float, total: int

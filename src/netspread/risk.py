@@ -16,19 +16,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log, sqrt
 import os
+from typing import Callable
 
 from .errors import GuardExceededError
-from .graphs import Graph
-from .permtest import MODE_CENSOR_FIXING, TestConfig, TestResult, conditional_mc_test, mc_test
+from .graphs import Graph, eccentricity, empty_graph
+from .permtest import MODE_CENSOR_FIXING, TestConfig, conditional_mc_test, mc_test
 from .rng import substream
-from .spreading import SpreadParams, censor_uniform, simulate_spread
+from .spreading import InfectionVector, SpreadParams, censor_uniform, simulate_spread
 from .stats import StatisticSpec
 
 __all__ = [
     "RiskInputs",
     "BoundValue",
     "MultiSpreadBounds",
-    "RiskEstimate",
     "h_eta",
     "cascade_count",
     "cascade_count_cycle",
@@ -41,9 +41,11 @@ __all__ = [
     "tb_threshold",
     "tt_threshold",
     "baseline_diagnosis",
+    "BaselineRule",
+    "baseline_rule",
     "RiskCurve",
-    "mc_risk",
     "mc_risk_curve",
+    "baseline_risk_curve",
     "resolve_threads",
 ]
 
@@ -317,19 +319,34 @@ def baseline_diagnosis(threshold: float, floor: float, ceiling: float) -> str:
     return "data-dependent"
 
 
-# -- Monte-Carlo risk -----------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class RiskEstimate:
-    """Rejection frequencies from simulated nulls and alternatives."""
+class BaselineRule:
+    """Reject when stat <= threshold; ceiling is the top of stat's range."""
 
-    type_i: float
-    type_ii: float
-    mean_threshold: float
-    reps: int
-    rejects_null: int
-    rejects_alt: int
+    stat: StatisticSpec
+    threshold: float
+    diagnosis: str
+    ceiling: float
+
+
+def baseline_rule(algorithm: str, g: Graph, k: int, c: int, d: int = 2) -> BaselineRule:
+    """The TB (ball-radius, dimension d) or TT (tree-weight) rule on g.
+
+    TB thresholds R in [0, eccentricity(g, 0)], TT thresholds T in
+    [k - 1, n - 1].
+    """
+    if algorithm == "TB":
+        threshold = tb_threshold(d, g.n, k, c)
+        floor, ceiling, stat = 0.0, eccentricity(g, 0), StatisticSpec.infection_radius(g)
+    elif algorithm == "TT":
+        threshold = tt_threshold(g.n, k, c)
+        floor, ceiling, stat = float(max(k - 1, 0)), g.n - 1, StatisticSpec.steiner_weight(g)
+    else:
+        raise ValueError(f"unknown baseline {algorithm!r}; expected TB or TT")
+    return BaselineRule(stat, threshold, baseline_diagnosis(threshold, floor, ceiling), ceiling)
+
+
+# -- Monte-Carlo risk -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -358,9 +375,57 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def _raw_threshold(result: TestResult) -> float:
-    thr = result.threshold
-    return -thr if result.tail == "lower" else thr
+def _replicates(
+    g0: Graph,
+    g1: Graph,
+    eta0: float,
+    etas: list[float],
+    k: int,
+    c: int,
+    seed: int,
+    reps: int,
+    threads: int | None,
+    decide: Callable[[InfectionVector, int, int], tuple[bool, float, float]],
+) -> tuple[int, float, list[int], dict[float, list[float]]]:
+    """Tally one decision rule over simulated null and alternative snapshots.
+
+    Replicate rep spreads k infections on g0 at eta0 from substream
+    (seed, 0, rep) and on g1 at etas[i] from (seed, 10 * (i + 1), rep),
+    then censors c uniform vertices from the substream one tag above, so
+    the tallies are the same at any thread count. decide(iv, tag, rep)
+    returns (reject, raw threshold, raw statistic value). Returns the
+    null rejections, the sum of the null thresholds, and per eta the
+    rejections and the values in replicate order.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not etas:
+        raise ValueError("need at least one alternative eta")
+
+    def decide_on(g: Graph, eta: float, tag: int, rep: int) -> tuple[bool, float, float]:
+        path = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, tag, rep))
+        iv = path.to_infection(g.n)
+        if c:
+            iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
+        return decide(iv, tag, rep)
+
+    def one(rep: int) -> list[tuple[bool, float, float]]:
+        null = decide_on(g0, eta0, 0, rep)
+        return [null, *(decide_on(g1, eta, 10 * (i + 1), rep) for i, eta in enumerate(etas))]
+
+    workers = resolve_threads(threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one, range(reps)))
+    else:
+        rows = [one(rep) for rep in range(reps)]
+    null, *alts = zip(*rows)
+    return (
+        sum(reject for reject, _, _ in null),
+        sum(threshold for _, threshold, _ in null),
+        [sum(reject for reject, _, _ in col) for col in alts],
+        {eta: [value for _, _, value in col] for eta, col in zip(etas, alts)},
+    )
 
 
 def mc_risk_curve(
@@ -380,84 +445,58 @@ def mc_risk_curve(
 
     Each replicate simulates one spread under the null graph (eta0) and
     one under the alternative per eta, censors c vertices uniformly, and
-    runs the test. Every random draw comes from a substream keyed by
-    (seed, tag, replicate), so results are identical at any thread
-    count. Type II is the miss rate under the alternative;
-    mean_threshold averages the null replicates' thresholds on the raw
-    statistic scale.
+    runs the test, drawing relabelings from substream (seed, tag + 2,
+    replicate); see _replicates for the other substreams. Type II is the
+    miss rate under the alternative; mean_threshold averages the null
+    replicates' thresholds on the raw statistic scale.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not etas:
-        raise ValueError("need at least one alternative eta")
     the_stat = StatisticSpec.edges_within(g1) if stat is None else stat
     test_fn = conditional_mc_test if cfg.mode == MODE_CENSOR_FIXING else mc_test
-    seed = cfg.seed
 
-    def run_once(g: Graph, eta: float, base: int, rep: int) -> tuple[TestResult, float]:
-        path = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, base, rep))
-        iv = path.to_infection(g.n)
-        if c:
-            iv = censor_uniform(iv, c, substream(seed, base + 1, rep))
-        res = test_fn(the_stat, iv, cfg, null_graph=g0, rng=substream(seed, base + 2, rep))
-        return res, float(the_stat.evaluate(iv))
+    def decide(iv: InfectionVector, tag: int, rep: int) -> tuple[bool, float, float]:
+        res = test_fn(the_stat, iv, cfg, null_graph=g0, rng=substream(cfg.seed, tag + 2, rep))
+        observed, threshold, _ = res.raw_scale()
+        return res.reject, threshold, observed
 
-    def one(rep: int):
-        res0, _ = run_once(g0, eta0, 0, rep)
-        alt_rejects: list[bool] = []
-        alt_vals: list[float] = []
-        for i, eta1 in enumerate(etas):
-            res1, value = run_once(g1, eta1, 10 * (i + 1), rep)
-            alt_rejects.append(res1.reject)
-            if collect_alt_values:
-                alt_vals.append(value)
-        return res0.reject, _raw_threshold(res0), alt_rejects, alt_vals
-
-    workers = resolve_threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(reps)))
-    else:
-        rows = [one(rep) for rep in range(reps)]
-
-    rejects_null = sum(1 for r in rows if r[0])
-    type_ii = {
-        eta: 1.0 - sum(1 for r in rows if r[2][i]) / reps for i, eta in enumerate(etas)
-    }
-    alt_values = None
-    if collect_alt_values:
-        alt_values = {eta: [r[3][i] for r in rows] for i, eta in enumerate(etas)}
+    rejects, thresholds, alt_rejects, values = _replicates(
+        g0, g1, eta0, etas, k, c, cfg.seed, reps, threads, decide
+    )
     return RiskCurve(
-        type_i=rejects_null / reps,
-        mean_threshold=sum(r[1] for r in rows) / reps,
-        type_ii=type_ii,
+        type_i=rejects / reps,
+        mean_threshold=thresholds / reps,
+        type_ii={eta: 1.0 - r / reps for eta, r in zip(etas, alt_rejects)},
         reps=reps,
-        alt_values=alt_values,
+        alt_values=values if collect_alt_values else None,
     )
 
 
-def mc_risk(
-    g0: Graph,
-    g1: Graph,
-    eta0: float,
-    eta1: float,
+def baseline_risk_curve(
+    rule: BaselineRule,
+    etas: list[float],
     k: int,
     c: int,
-    cfg: TestConfig,
     reps: int,
-    stat: StatisticSpec | None = None,
+    seed: int = 0,
     threads: int | None = None,
-) -> RiskEstimate:
-    """Single-eta risk estimate; see mc_risk_curve for the mechanics."""
-    curve = mc_risk_curve(
-        g0, g1, eta0, [eta1], k, c, cfg, reps, stat=stat, threads=threads
+) -> RiskCurve:
+    """mc_risk_curve for a baseline rule, against a uniform scatter null.
+
+    The null snapshots spread on the empty graph at eta 0. A rule
+    diagnosed as always or never rejecting simulates nothing.
+    """
+    if rule.diagnosis != "data-dependent":
+        fires = rule.diagnosis == "always rejects"
+        type_ii = {eta: float(not fires) for eta in etas}
+        return RiskCurve(float(fires), rule.threshold, type_ii, reps)
+
+    def decide(iv: InfectionVector, tag: int, rep: int) -> tuple[bool, float, float]:
+        value = float(rule.stat.evaluate(iv))
+        return value <= rule.threshold, rule.threshold, value
+
+    g = rule.stat.graph
+    rejects, _, alt_rejects, _ = _replicates(
+        empty_graph(g.n), g, 0.0, etas, k, c, seed, reps, threads, decide
     )
-    rejects_alt = round((1.0 - curve.type_ii[eta1]) * reps)
-    return RiskEstimate(
-        type_i=curve.type_i,
-        type_ii=curve.type_ii[eta1],
-        mean_threshold=curve.mean_threshold,
-        reps=reps,
-        rejects_null=round(curve.type_i * reps),
-        rejects_alt=rejects_alt,
-    )
+    # the miss count over reps, the correctly rounded miss rate
+    type_ii = {eta: (reps - r) / reps for eta, r in zip(etas, alt_rejects)}
+    return RiskCurve(rejects / reps, rule.threshold, type_ii, reps)

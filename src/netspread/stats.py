@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import perms
 from .errors import DisconnectedTerminalsError
 from .graphs import UNREACHABLE, Graph, bfs_levels
 from .spreading import INFECTED, InfectionVector
@@ -305,6 +306,21 @@ class StatisticSpec:
     @classmethod
     def orbit_count(cls, vertex_orbit: Iterable[int]) -> "StatisticSpec":
         return cls(kind="orbit_count", vertex_orbit=frozenset(vertex_orbit))
+
+    @classmethod
+    def from_name(cls, name: str, g: Graph, vertex: int = 0) -> "StatisticSpec":
+        """The statistic W, R, T, C or orbit on g; vertex is C's center or the orbit's seed."""
+        if name == "W":
+            return cls.edges_within(g)
+        if name == "R":
+            return cls.infection_radius(g)
+        if name == "T":
+            return cls.steiner_weight(g)
+        if name == "C":
+            return cls.center_indicator(vertex)
+        if name == "orbit":
+            return cls.orbit_count(perms.orbit(perms.automorphism_group(g), vertex))
+        raise ValueError(f"unknown statistic {name!r}; expected W, R, T, C or orbit")
 
     @property
     def tail(self) -> str:

@@ -9,6 +9,7 @@ from netspread import (
     eccentricity,
     h_eta,
     min_cascade_count,
+    path_graph,
     read_status_file,
     star_null_risk_bound,
     tb_threshold,
@@ -357,6 +358,19 @@ def test_baseline_json(tmp_path, capsys):
     assert payload["tb_diagnosis"] in ("always rejects", "never rejects", "data-dependent")
 
 
+def test_baseline_json_stdout(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "b.json", {"schema": 1, "graph": "torus:20x20", "k": 5, "c": 10, "d": 1}
+    )
+    expected = (
+        '{\n  "c": 10,\n  "d": 1,\n  "k": 5,\n  "n": 400,\n  "radius_ceiling": 20,\n'
+        '  "tb_diagnosis": "data-dependent",\n  "tb_threshold": 10.099330610345557,\n'
+        '  "tree_ceiling": 399,\n  "tt_diagnosis": "data-dependent",\n'
+        '  "tt_threshold": 29.428554841405887\n}\n'
+    )
+    assert run(capsys, "baseline", "--config", cfg, "--json") == (0, expected, "")
+
+
 def test_baseline_text_flags_always_rejecting_rule(tmp_path, capsys):
     # on a small cycle the radius rule's threshold clears the whole range
     cfg = write_config(tmp_path, "b.json", {"schema": 1, "graph": "cycle:10", "k": 5})
@@ -426,6 +440,25 @@ def test_risk_bounds_config(tmp_path, capsys):
     assert results[6]["type"] == "line-cycle"
 
 
+def test_risk_bounds_c_k_from_graph_for_star_null_and_multi_spread(tmp_path, capsys):
+    # c_k is taken from "c_k", else from "graph" by min_cascade_count, else
+    # from the cycle closed form, for both bound types that use it
+    shared = {"n": 100, "k": 3, "eta": 1e6}
+    entries = []
+    for etype in ("star-null", "multi-spread"):
+        entries += [
+            dict(shared, type=etype, graph="path:8"),
+            dict(shared, type=etype, c_k=5),
+            dict(shared, type=etype),
+        ]
+    cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": entries})
+    code, stdout, _ = run(capsys, "risk", "--config", cfg)
+    assert code == 0
+    c_k = [r["c_k"] for r in json.loads(stdout)["results"]]
+    assert min_cascade_count(path_graph(8), 3) == 4
+    assert c_k == [4.0, 5.0, 8.0] * 2
+
+
 def test_risk_bounds_to_file(tmp_path, capsys):
     doc = {"schema": 1, "kind": "bounds", "entries": [{"type": "cascade-cycle", "k": 4}]}
     cfg = write_config(tmp_path, "r.json", doc)
@@ -458,6 +491,40 @@ def test_risk_mc_config(tmp_path, capsys):
     assert results["replicates"] == 6
     assert set(results["type_ii"]) == {"0", "3"}
     assert 0.0 <= results["type_i"] <= 1.0
+
+
+def _mc_json(statistic, mean_threshold, type_i, type_ii):
+    return (
+        '{\n  "kind": "mc",\n  "results": {\n'
+        f'    "mean_threshold": {mean_threshold},\n    "replicates": 12,\n'
+        f'    "statistic": "{statistic}",\n    "type_i": {type_i},\n    "type_ii": {{\n'
+        f'      "1": {type_ii[0]},\n      "1000": {type_ii[1]}\n'
+        '    }\n  },\n  "schema": 1\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "statistic, expected",
+    [
+        (
+            "W",
+            _mc_json("W", "3.1666666666666665", "0.0", ("0.9166666666666666", "0.33333333333333337")),
+        ),
+        ("R", _mc_json("R", "2.25", "0.0", ("1.0", "0.9166666666666666"))),
+        (
+            "T",
+            _mc_json("T", "6.416666666666667", "0.08333333333333333", ("1.0", "0.08333333333333337")),
+        ),
+    ],
+)
+def test_risk_mc_censor_fixed_stdout(tmp_path, capsys, statistic, expected):
+    doc = {
+        "schema": 1, "kind": "mc", "alt_graph": "torus:6x6", "null_graph": "empty:36",
+        "etas": [1.0, 1000.0], "k": 6, "c": 4, "mode": "censor-fixed", "alpha": 0.2,
+        "B": 40, "replicates": 12, "seed": 5, "statistic": statistic,
+    }
+    cfg = write_config(tmp_path, "m.json", doc)
+    assert run(capsys, "risk", "--config", cfg) == (0, expected, "")
 
 
 def test_risk_unknown_kind(tmp_path, capsys):
@@ -538,6 +605,35 @@ def test_experiment_csv(tmp_path, capsys):
     for row in (perm, tb, tt):
         float(row[2])
         assert 0.0 <= float(row[4]) <= 1.0
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_experiment_data_dependent_baselines_stdout(tmp_path, capsys, monkeypatch, threads):
+    # on a 20x20 torus with k=5 both baseline rules are data-dependent, so
+    # their rows run the Monte Carlo replicates
+    shared = {
+        "alt_graph": "torus:20x20", "etas": [1, 10], "k": 5, "c": 10, "replicates": 30, "seed": 3,
+    }
+    doc = {
+        "schema": 1,
+        "entries": [
+            dict(shared, algorithm="TB", d=1),
+            dict(shared, algorithm="TT"),
+            dict(shared, algorithm="perm", statistic="R", null_graph="empty:400", alpha=0.1, B=50),
+        ],
+    }
+    if threads is None:
+        monkeypatch.delenv("NETSPREAD_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("NETSPREAD_THREADS", threads)
+    cfg = write_config(tmp_path, "e.json", doc)
+    expected = (
+        "algorithm,statistic,threshold,diagnosis,typeI,typeII@eta=1,typeII@eta=10\n"
+        "TB,R,10.0993,data-dependent,0.9,0.1,0.0333333\n"
+        "TT,T,29.4286,data-dependent,0.7,0.233333,0.0333333\n"
+        "perm,R,6.36667,data-dependent,0,1,0.933333\n"
+    )
+    assert run(capsys, "experiment", "--config", cfg) == (0, expected, "")
 
 
 def test_experiment_long_out(tmp_path, capsys):

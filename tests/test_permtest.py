@@ -204,6 +204,9 @@ def test_mc_test_lower_tail_statistic_orientation():
     # radius 1 is the tightest possible for k=3: strong evidence
     assert res.observed == -1.0
     assert res.reject
+    assert res.raw_scale() == (1.0, -res.threshold, "below")
+    upper = mc_test(StatisticSpec.edges_within(g), iv, TestConfig(alpha=0.05, B=100, seed=5))
+    assert upper.raw_scale() == (upper.observed, upper.threshold, "above")
 
 
 def test_conditional_test_keeps_censored_fixed():

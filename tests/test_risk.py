@@ -7,28 +7,34 @@ from netspread import (
     GuardExceededError,
     MultiSpreadBounds,
     RiskCurve,
-    RiskEstimate,
     RiskInputs,
+    SpreadParams,
     StatisticSpec,
     TestConfig,
     baseline_diagnosis,
+    baseline_risk_curve,
+    baseline_rule,
     cascade_count,
     cascade_count_cycle,
+    censor_uniform,
     center_test_risk_bounds,
     cycle_graph,
+    eccentricity,
     empty_graph,
     h_eta,
     infection_reach_probability,
     line_cycle_bound,
-    mc_risk,
     mc_risk_curve,
     min_cascade_count,
     multi_spread_bounds,
     path_graph,
     resolve_threads,
+    simulate_spread,
     star_graph,
     star_null_risk_bound,
+    substream,
     tb_threshold,
+    torus_grid,
     tt_threshold,
 )
 from oracles import cascade_orderings
@@ -280,19 +286,6 @@ def test_mc_risk_curve_detects_contagion():
     assert curve.type_ii[1000.0] < 0.3
 
 
-def test_mc_risk_matches_curve():
-    g0 = star_graph(15)
-    g1 = cycle_graph(15)
-    cfg = TestConfig(alpha=0.1, B=50, seed=9)
-    est = mc_risk(g0, g1, 0.0, 3.0, k=3, c=0, cfg=cfg, reps=15)
-    curve = mc_risk_curve(g0, g1, 0.0, [3.0], k=3, c=0, cfg=cfg, reps=15)
-    assert isinstance(est, RiskEstimate)
-    assert est.type_i == curve.type_i
-    assert est.type_ii == curve.type_ii[3.0]
-    assert est.mean_threshold == curve.mean_threshold
-    assert est.rejects_null + est.rejects_alt >= 0
-
-
 def test_mc_risk_curve_collects_alt_values():
     g0 = star_graph(12)
     g1 = cycle_graph(12)
@@ -308,6 +301,67 @@ def test_mc_risk_curve_collects_alt_values():
     assert plain.alt_values is None
     # collecting values must not change the estimates
     assert plain.type_i == curve.type_i and plain.type_ii == curve.type_ii
+
+
+def _snapshot(g, eta, k, c, seed, tag, rep):
+    """The replicate snapshot the Monte Carlo risk functions draw."""
+    iv = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, tag, rep)).to_infection(g.n)
+    return censor_uniform(iv, c, substream(seed, tag + 1, rep)) if c else iv
+
+
+def test_mc_risk_curve_alt_values_are_the_raw_statistic():
+    g1 = torus_grid((5, 5))
+    spec = StatisticSpec.infection_radius(g1)
+    cfg = TestConfig(alpha=0.1, B=30, seed=6, mode="censor-fixing")
+    etas = [1.0, 50.0]
+    curve = mc_risk_curve(
+        empty_graph(25), g1, 0.0, etas, k=4, c=3, cfg=cfg, reps=5, stat=spec,
+        collect_alt_values=True,
+    )
+    for i, eta in enumerate(etas):
+        want = [spec.evaluate(_snapshot(g1, eta, 4, 3, 6, 10 * (i + 1), rep)) for rep in range(5)]
+        assert curve.alt_values[eta] == want
+
+
+def test_baseline_rule_thresholds_and_ranges():
+    g = torus_grid((20, 20))
+    tb = baseline_rule("TB", g, 5, 10, d=1)
+    assert (tb.stat.name, tb.threshold) == ("R", tb_threshold(1, 400, 5, 10))
+    assert tb.ceiling == eccentricity(g, 0) == 20
+    tt = baseline_rule("TT", g, 5, 10)
+    assert (tt.stat.name, tt.threshold, tt.ceiling) == ("T", tt_threshold(400, 5, 10), 399)
+    assert tb.diagnosis == tt.diagnosis == "data-dependent"
+    assert baseline_rule("TB", cycle_graph(10), 5, 0).diagnosis == "always rejects"
+    assert baseline_rule("TT", cycle_graph(10), 5, 0).diagnosis == "never rejects"
+    with pytest.raises(ValueError, match="unknown baseline"):
+        baseline_rule("TX", g, 5, 0)
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("algorithm", ["TB", "TT"])
+def test_baseline_risk_curve_matches_a_replicate_loop(algorithm, threads):
+    g = torus_grid((20, 20))
+    rule = baseline_rule(algorithm, g, 5, 10, d=1)
+    etas, reps, seed = [1.0, 10.0], 30, 3
+    curve = baseline_risk_curve(rule, etas, 5, 10, reps, seed, threads)
+
+    def value(g_, eta, tag, rep):
+        return float(rule.stat.evaluate(_snapshot(g_, eta, 5, 10, seed, tag, rep)))
+
+    hits = sum(value(empty_graph(400), 0.0, 0, rep) <= rule.threshold for rep in range(reps))
+    assert curve.type_i == hits / reps
+    for i, eta in enumerate(etas):
+        misses = sum(value(g, eta, 10 * (i + 1), rep) > rule.threshold for rep in range(reps))
+        assert curve.type_ii[eta] == misses / reps
+    assert (curve.mean_threshold, curve.reps) == (rule.threshold, reps)
+
+
+def test_baseline_risk_curve_skips_rules_that_ignore_the_data():
+    etas = [0.0, 2.0]
+    always = baseline_risk_curve(baseline_rule("TB", cycle_graph(10), 5, 0), etas, 5, 0, 8)
+    assert (always.type_i, always.type_ii) == (1.0, {0.0: 0.0, 2.0: 0.0})
+    never = baseline_risk_curve(baseline_rule("TT", cycle_graph(10), 5, 0), etas, 5, 0, 8)
+    assert (never.type_i, never.type_ii) == (0.0, {0.0: 1.0, 2.0: 1.0})
 
 
 def test_mc_risk_curve_censoring_modes():

@@ -386,6 +386,19 @@ def test_statistic_spec_names_and_tails():
     ]
 
 
+def test_statistic_spec_from_name():
+    g = star_graph(6)
+    assert StatisticSpec.from_name("W", g) == StatisticSpec.edges_within(g)
+    assert StatisticSpec.from_name("R", g) == StatisticSpec.infection_radius(g)
+    assert StatisticSpec.from_name("T", g) == StatisticSpec.steiner_weight(g)
+    assert StatisticSpec.from_name("C", g, 3) == StatisticSpec.center_indicator(3)
+    # the orbit of a leaf under Aut(star) is every leaf; the hub is alone
+    assert StatisticSpec.from_name("orbit", g, 2).vertex_orbit == {1, 2, 3, 4, 5}
+    assert StatisticSpec.from_name("orbit", g).vertex_orbit == {0}
+    with pytest.raises(ValueError, match="unknown statistic"):
+        StatisticSpec.from_name("Q", g)
+
+
 def test_statistic_spec_evaluate_and_score():
     g = cycle_graph(6)
     iv = iv_of(6, [0, 1, 3])
