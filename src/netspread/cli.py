@@ -105,6 +105,22 @@ def _read_text(path: str, what: str = "") -> str:
         raise ParseError(f"cannot read {what}{path}: {exc}") from exc
 
 
+def _open_out(path: str):
+    """path opened for writing text, or a ParseError (exit 3) naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _vertex(g: Graph, label: str, error: type[Exception], where: str) -> int:
+    """g's index of label; an unknown label raises error naming where it came from."""
+    try:
+        return g.index_of(label)
+    except KeyError:
+        raise error(f"{where}: unknown vertex label {label!r}") from None
+
+
 def _load_config(path: str) -> dict:
     text = _read_text(path, "config ")
     try:
@@ -155,7 +171,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
         print(f"wrote {out}")
 
@@ -181,10 +197,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     iv = path.to_infection(g.n)
     if args.censor_file is not None:
         labels = _read_label_file(args.censor_file)
-        iv = censor_fixed(iv, [g.index_of(lab) for lab in labels])
+        iv = censor_fixed(iv, [_vertex(g, lab, ParseError, args.censor_file) for lab in labels])
     elif args.c:
         iv = censor_uniform(iv, args.c, substream(args.seed, 1))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(args.out) as fh:
         write_status_file(fh, iv, labels=[g.label_of(v) for v in range(g.n)])
     print(f"wrote {args.out}")
     return 0
@@ -199,7 +215,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
     labels, codes = read_status_file(_read_text(args.infection))
     iv = align_to_graph(alt, labels, codes)
     label = {"C": args.center, "orbit": args.orbit_vertex}.get(args.statistic)
-    vertex = alt.index_of(label) if label is not None else 0
+    flag = "--center" if args.statistic == "C" else "--orbit-vertex"
+    vertex = _vertex(alt, label, ValueError, flag) if label is not None else 0
     stat = StatisticSpec.from_name(args.statistic, alt, vertex)
     mode = MODE_CENSOR_FIXING if args.mode == "censor-fixed" else MODE_FULL
     cfg = TestConfig(alpha=args.alpha, B=args.B, seed=args.seed, mode=mode)
@@ -207,7 +224,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     dump_fh = None
     on_resample = None
     if args.debug_dump is not None:
-        dump_fh = open(args.debug_dump, "w", encoding="utf-8", newline="")
+        dump_fh = _open_out(args.debug_dump)
         chars = {0: "0", 1: "1", 2: "*"}
 
         def on_resample(_b: int, permuted) -> None:
@@ -455,9 +472,9 @@ def _cmd_risk(args: argparse.Namespace) -> int:
 # -- experiment ----------------------------------------------------------------------
 
 
-def _baseline_row(
-    entry: dict, path: str, etas: list[float], threads: int | None
-) -> tuple[str, float, str, RiskCurve]:
+def _baseline_row(entry: dict, path: str, etas: list[float]) -> tuple[str, float, str, RiskCurve]:
+    """A TB or TT row, run serially: its few small numpy calls per
+    snapshot gain nothing from NETSPREAD_THREADS."""
     algorithm = entry["algorithm"]
     alt = _graph_from(entry, "alt_graph", path)
     k = _need(entry, "k", int, path)
@@ -466,7 +483,7 @@ def _baseline_row(
     reps = _need(entry, "replicates", int, path)
     d = _opt(entry, "d", int, path, 2) if algorithm == "TB" else 2
     rule = baseline_rule(algorithm, alt, k, c, d)
-    curve = baseline_risk_curve(rule, etas, k, c, reps, seed, threads)
+    curve = baseline_risk_curve(rule, etas, k, c, reps, seed)
     return rule.stat.name, rule.threshold, rule.diagnosis, curve
 
 
@@ -478,7 +495,7 @@ def _perm_row(
     if long_out is not None:
         values = curve.alt_values
         rows = [f"{_fmt(eta)},{rep},{_fmt(v)}" for eta in etas for rep, v in enumerate(values[eta])]
-        with open(long_out, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(long_out) as fh:
             fh.write("\n".join([f"eta,replicate,{stat.name}", *rows]) + "\n")
     return stat.name, curve.mean_threshold, "data-dependent", curve
 
@@ -504,7 +521,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if algorithm == "perm":
             statistic, threshold, diagnosis, curve = _perm_row(entry, path, etas, threads)
         elif algorithm in ("TB", "TT"):
-            statistic, threshold, diagnosis, curve = _baseline_row(entry, path, etas, threads)
+            statistic, threshold, diagnosis, curve = _baseline_row(entry, path, etas)
         else:
             raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
         cells = [algorithm, statistic, _fmt(threshold), diagnosis, _fmt(curve.type_i)]

@@ -107,18 +107,25 @@ class TestResult:
         return self.observed, self.threshold, "above"
 
 
+def _tail_budget(alpha_mass: float, total: int) -> int:
+    """floor(alpha_mass * total), taken exactly from the decimal alpha_mass.
+
+    So 0.29 * 100 allows 29 draws, not the float product's
+    28.999999999999996.
+    """
+    return floor(Fraction(repr(float(alpha_mass))) * total)
+
+
 def _threshold_rule(
     scores: np.ndarray, alpha_mass: float, total: int
 ) -> tuple[float, bool]:
-    """Minimal distinct score v with #{scores >= v} <= alpha_mass * total.
+    """Minimal distinct score v with #{scores >= v} <= _tail_budget(alpha_mass, total).
 
-    The tail budget floor(alpha_mass * total) is taken exactly from the
-    decimal alpha_mass, so 0.29 * 100 allows 29 draws, not the float
-    product's 28.999999999999996. Returns (threshold, saturated);
-    saturated means no such v exists and the threshold falls back to the
-    maximum score, rejectable only by a value strictly above every score.
+    Returns (threshold, saturated); saturated means no such v exists and
+    the threshold falls back to the maximum score, rejectable only by a
+    value strictly above every score.
     """
-    budget = floor(Fraction(repr(float(alpha_mass))) * total)
+    budget = _tail_budget(alpha_mass, total)
     values, counts = np.unique(scores, return_counts=True)
     tail_counts = counts[::-1].cumsum()[::-1]
     ok = np.flatnonzero(tail_counts <= budget)
@@ -243,6 +250,10 @@ def validity_with_guard(
 # statuses per drawn block: bounds a block, and the per-row temporaries its
 # scoring allocates, at any B
 _BLOCK_STATUSES = 1 << 18
+# statuses per shuffle buffer of np.intp (64 KB): numpy's Fisher-Yates moves
+# pointer-sized items about 1.5x faster per status than int8 ones; the buffer
+# lives while a block is scored, and at 256 KB it raised peak RSS by 0.3 MB
+_SHUFFLE_STATUSES = 1 << 13
 
 
 def _relabel_blocks(
@@ -250,6 +261,7 @@ def _relabel_blocks(
     B: int,
     rng: np.random.Generator,
     positions: np.ndarray | None = None,
+    first_rows: int | None = None,
 ) -> Iterator[np.ndarray]:
     """The B relabelings of a (..., n) status array, as (rows, ..., n) blocks.
 
@@ -257,20 +269,33 @@ def _relabel_blocks(
     uniform permutation, restricted to `positions` when given, in draw
     order. Generator.permuted shuffles slice after slice with exactly
     the draws of one rng.permutation per slice, so the random stream is
-    that of a per-draw loop, bit for bit.
+    that of a per-draw loop, bit for bit. The rows are shuffled as
+    np.intp in a reused buffer of at most _SHUFFLE_STATUSES statuses
+    (one draw at least) and copied into blocks of status's dtype; the
+    draws do not depend on the item size. Blocks hold up to
+    _BLOCK_STATUSES statuses; with first_rows the first block holds
+    that many rows and each later one twice as many as the last.
     """
-    movable = status if positions is None else status[..., positions]
+    cols = slice(None) if positions is None else positions
+    movable = status[..., cols]
     step = max(1, _BLOCK_STATUSES // status.size)
-    for lo in range(0, B, step):
-        rows = min(step, B - lo)
-        drawn = np.broadcast_to(movable, (rows, *movable.shape)).copy()
-        rng.permuted(drawn, axis=-1, out=drawn)
-        if positions is None:
-            yield drawn
-        else:
-            block = np.broadcast_to(status, (rows, *status.shape)).copy()
-            block[..., positions] = drawn
-            yield block
+    per_shuffle = max(1, _SHUFFLE_STATUSES // max(1, movable.size))
+    buf = np.empty((min(per_shuffle, step, B), *movable.shape), dtype=np.intp)
+    rows = step if first_rows is None else min(first_rows, step)
+    lo = 0
+    while lo < B:
+        rows = min(rows, B - lo)
+        block = np.empty((rows, *status.shape), dtype=status.dtype)
+        if positions is not None:
+            block[...] = status
+        for a in range(0, rows, per_shuffle):
+            drawn = buf[: min(per_shuffle, rows - a)]
+            drawn[...] = movable
+            rng.permuted(drawn, axis=-1, out=drawn)
+            block[a : a + len(drawn), ..., cols] = drawn
+        yield block
+        lo += rows
+        rows = min(2 * rows, step)
 
 
 def _enumerated_blocks(status: np.ndarray) -> Iterator[np.ndarray]:
@@ -389,12 +414,49 @@ def conditional_mc_test(
     Only uncensored statuses are shuffled; censored vertices keep their
     mark, matching a null where censoring is arbitrary but fixed.
     """
+    return _mc_result(
+        stat, iv, cfg, rng, MODE_CENSOR_FIXING, null_graph, _uncensored(iv), on_resample
+    )
+
+
+def _uncensored(iv: InfectionVector) -> np.ndarray:
+    """The positions a censor-fixing test shuffles."""
     positions = np.flatnonzero(iv.status != CENSORED)
     if positions.size == 0:
         raise ValueError("every vertex is censored; nothing to permute")
-    return _mc_result(
-        stat, iv, cfg, rng, MODE_CENSOR_FIXING, null_graph, positions, on_resample
-    )
+    return positions
+
+
+# rows in the first block an early-decided test draws; later blocks double
+_FIRST_ROWS = 16
+
+
+def _mc_reject(
+    stat: StatisticSpec, iv: InfectionVector, cfg: TestConfig, rng: np.random.Generator
+) -> tuple[bool, float]:
+    """(reject, observed score) of mc_test, or of conditional_mc_test in
+    censor-fixing mode, drawing only until reject is settled.
+
+    The draws come from rng in growing blocks. Once more than the tail
+    budget of them score at or above the observed score, the test cannot
+    reject: an observation above a threshold has every score at or above
+    it above the threshold too, and those number at most the budget; a
+    saturated threshold is the top draw. So the remaining rows are not
+    drawn. A test that draws all B rows calibrates exactly as mc_test.
+    """
+    positions = _uncensored(iv) if cfg.mode == MODE_CENSOR_FIXING else None
+    observed = stat.score(iv)
+    budget = _tail_budget(cfg.alpha, cfg.B)
+    parts = []
+    ge = 0
+    for block in _relabel_blocks(iv.status, cfg.B, rng, positions, _FIRST_ROWS):
+        scores = stat.score_batch(block)
+        ge += int(np.count_nonzero(scores >= observed))
+        if ge > budget:
+            return False, observed
+        parts.append(scores)
+    threshold, _ = _threshold_rule(np.concatenate(parts), cfg.alpha, cfg.B)
+    return observed > threshold, observed
 
 
 def composite_mc_test(

@@ -14,13 +14,13 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, log, sqrt
+from math import exp, log, nan, sqrt
 import os
 from typing import Callable
 
 from .errors import GuardExceededError
 from .graphs import Graph, eccentricity, empty_graph
-from .permtest import MODE_CENSOR_FIXING, TestConfig, conditional_mc_test, mc_test
+from .permtest import MODE_CENSOR_FIXING, TestConfig, _mc_reject, conditional_mc_test, mc_test
 from .rng import substream
 from .spreading import InfectionVector, SpreadParams, censor_uniform, simulate_spread
 from .stats import StatisticSpec
@@ -393,7 +393,8 @@ def _replicates(
     (seed, 0, rep) and on g1 at etas[i] from (seed, 10 * (i + 1), rep),
     then censors c uniform vertices from the substream one tag above, so
     the tallies are the same at any thread count. decide(iv, tag, rep)
-    returns (reject, raw threshold, raw statistic value). Returns the
+    returns (reject, raw threshold, raw statistic value); only the null
+    replicates' (tag 0) thresholds are read. Returns the
     null rejections, the sum of the null thresholds, and per eta the
     rejections and the values in replicate order.
     """
@@ -448,13 +449,21 @@ def mc_risk_curve(
     runs the test, drawing relabelings from substream (seed, tag + 2,
     replicate); see _replicates for the other substreams. Type II is the
     miss rate under the alternative; mean_threshold averages the null
-    replicates' thresholds on the raw statistic scale.
+    replicates' thresholds on the raw statistic scale. An alternative
+    replicate needs only reject, so it stops drawing once the test can
+    no longer reject (permtest._mc_reject); every output is the same as
+    with all B draws.
     """
     the_stat = StatisticSpec.edges_within(g1) if stat is None else stat
     test_fn = conditional_mc_test if cfg.mode == MODE_CENSOR_FIXING else mc_test
 
     def decide(iv: InfectionVector, tag: int, rep: int) -> tuple[bool, float, float]:
-        res = test_fn(the_stat, iv, cfg, null_graph=g0, rng=substream(cfg.seed, tag + 2, rep))
+        rng = substream(cfg.seed, tag + 2, rep)
+        if tag:
+            # an alternative needs only reject, so it stops drawing once that is settled
+            reject, observed = _mc_reject(the_stat, iv, cfg, rng)
+            return reject, nan, -observed if the_stat.tail == "lower" else observed
+        res = test_fn(the_stat, iv, cfg, null_graph=g0, rng=rng)
         observed, threshold, _ = res.raw_scale()
         return res.reject, threshold, observed
 

@@ -7,7 +7,8 @@ enumeration, subset search, permutation filtering), through networkx's
 isomorphism matcher, or, for T, through the per-snapshot Mehlhorn
 implementation of dicts and deques that the package's batched array
 kernel replaced, so agreement with the package is evidence, not
-tautology.
+tautology. relabeled_rows is the per-draw permutation loop that the
+package's blocked, word-sized shuffle must reproduce.
 """
 
 from __future__ import annotations
@@ -229,6 +230,22 @@ def spread_path_reference(g, eta: float, k: int, rng) -> tuple[int, ...]:
             if weights[x] > 0.0:
                 weights[x] = 1.0 + eta * hits[x]
     return tuple(order)
+
+
+def relabeled_rows(status: np.ndarray, B: int, rng, positions=None) -> np.ndarray:
+    """B relabelings of a (..., n) status array, drawn one at a time: per
+    draw, one rng.permutation of every snapshot's statuses, or of only
+    those at `positions` when given, snapshots in row-major order."""
+    rows = []
+    for _ in range(B):
+        row = status.copy()
+        for snap in row.reshape(-1, status.shape[-1]):
+            if positions is None:
+                snap[:] = rng.permutation(snap)
+            else:
+                snap[positions] = rng.permutation(snap[positions])
+        rows.append(row)
+    return np.array(rows, dtype=status.dtype)
 
 
 # -- Mehlhorn's Steiner approximation, per snapshot -------------------------------

@@ -74,6 +74,20 @@ def test_simulate_with_censor_file(tmp_path, capsys):
     assert codes[3] == 2 and codes[5] == 2
 
 
+def test_simulate_unknown_censor_label_is_data_error(tmp_path, capsys):
+    cf = tmp_path / "cens.txt"
+    cf.write_text("3\nnope\n")
+    code, stdout, err = run(
+        capsys,
+        "simulate", "--graph", "path:9", "--eta", "0.5", "--k", "2",
+        "--censor-file", str(cf), "--out", str(tmp_path / "snap.txt"),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert f"{cf}: unknown vertex label 'nope'" in err
+    assert not (tmp_path / "snap.txt").exists()
+
+
 def test_simulate_k_too_large_is_usage_error(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -263,6 +277,19 @@ def test_test_debug_dump_censor_fixed_keeps_marks(tmp_path, capsys):
     for line in dump.read_text().splitlines():
         for v in censored_at:
             assert line[v] == "*"
+
+
+@pytest.mark.parametrize("statistic, flag", [("C", "--center"), ("orbit", "--orbit-vertex")])
+def test_test_unknown_vertex_label_is_usage_error(tmp_path, capsys, statistic, flag):
+    snap = simulate_snapshot(tmp_path, capsys, graph="cycle:10", k="3")
+    code, stdout, err = run(
+        capsys,
+        "test", "--null-graph", "empty:10", "--alt-graph", "cycle:10",
+        "--statistic", statistic, flag, "nope", "--infection", snap, "--B", "20",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert f"{flag}: unknown vertex label 'nope'" in err
 
 
 def test_test_missing_infection_file(tmp_path, capsys):
@@ -696,3 +723,53 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- unwritable output paths ----------------------------------------------------------
+
+
+def _unwritable_commands(tmp_path, capsys):
+    """(name, argv) of every command writing to a path in a missing directory."""
+    missing = tmp_path / "missing"
+    snap = simulate_snapshot(tmp_path, capsys, graph="cycle:10", k="3")
+    bounds = write_config(
+        tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": [{"type": "cascade-cycle", "k": 4}]}
+    )
+    exp = write_config(tmp_path, "e.json", experiment_doc())
+    long_doc = experiment_doc()
+    long_doc["entries"][0]["long_out"] = str(missing / "values.csv")
+    long_cfg = write_config(tmp_path, "long.json", long_doc)
+    return [
+        ("simulate --out", ["simulate", "--graph", "cycle:10", "--eta", "1", "--k", "3",
+                            "--out", str(missing / "snap.txt")]),
+        ("risk --out", ["risk", "--config", bounds, "--out", str(missing / "r.json")]),
+        ("experiment --out", ["experiment", "--config", exp, "--out", str(missing / "e.csv")]),
+        ("long_out", ["experiment", "--config", long_cfg]),
+        ("--debug-dump", ["test", "--null-graph", "empty:10", "--alt-graph", "cycle:10",
+                          "--statistic", "W", "--infection", snap, "--B", "20",
+                          "--debug-dump", str(missing / "d.txt")]),
+    ]
+
+
+def test_unwritable_output_paths_are_data_errors(tmp_path, capsys):
+    for name, argv in _unwritable_commands(tmp_path, capsys):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 3, name
+        assert stdout == "", name
+        assert err.startswith(f"error: cannot write {tmp_path / 'missing'}"), name
+    assert not (tmp_path / "missing").exists()
+
+
+def test_baseline_rows_run_serially(tmp_path, capsys, monkeypatch):
+    import netspread.risk
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a TB/TT row started a thread pool")
+
+    monkeypatch.setattr(netspread.risk, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("NETSPREAD_THREADS", "2")
+    shared = {"alt_graph": "torus:20x20", "etas": [1, 10], "k": 5, "c": 10, "replicates": 5, "seed": 3}
+    doc = {"schema": 1, "entries": [dict(shared, algorithm="TB", d=1), dict(shared, algorithm="TT")]}
+    code, stdout, _ = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
+    assert code == 0
+    assert stdout.count("data-dependent") == 2

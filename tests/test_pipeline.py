@@ -1,5 +1,7 @@
 """The batched permutation pipeline: score_batch against per-row scoring,
-and fixed-seed results pinned to those of the per-draw loop it replaced."""
+fixed-seed results pinned to those of the per-draw loop it replaced, the
+blocked word-sized shuffle against a per-draw permutation loop, and
+mc_risk_curve's early-decided alternatives against full tests."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from netspread import (
     DisconnectedTerminalsError,
+    RiskCurve,
     InfectionVector,
     SpreadParams,
     StatisticSpec,
@@ -19,12 +22,17 @@ from netspread import (
     empty_graph,
     exact_test,
     infection_from_infected,
+    mc_risk_curve,
     mc_test,
     multi_spread_mc_test,
     simulate_spread,
     torus_grid,
 )
 from netspread import permtest, stats
+from netspread.rng import substream
+from netspread.spreading import censor_uniform
+
+import oracles
 
 
 def _specs(g, center, orbit):
@@ -266,3 +274,160 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
         ))
     assert runs[0] == runs[1] == runs[2]
     assert [b for b, _ in runs[0][1]] == list(range(60))
+
+
+# -- the blocked word-sized shuffle ------------------------------------------------
+
+
+@st.composite
+def relabel_cases(draw):
+    """A (n,) or (m, n) int8 status array, B, optional shuffle positions, a
+    first block size, and the block and shuffle-buffer caps in statuses."""
+    n = draw(st.integers(1, 70))
+    shape = (n,) if draw(st.booleans()) else (draw(st.integers(1, 3)), n)
+    status = np.array(
+        draw(st.lists(st.integers(0, 2), min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+        dtype=np.int8,
+    ).reshape(shape)
+    positions = None
+    if draw(st.booleans()):
+        positions = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    B = draw(st.integers(1, 40))
+    first_rows = draw(st.sampled_from([None, 1, 3, 16]))
+    defaults = (permtest._BLOCK_STATUSES, permtest._SHUFFLE_STATUSES)
+    caps = draw(st.sampled_from([defaults, (1, 1), (64, 64), (64, 1), (1, 64)]))
+    return status, B, positions, first_rows, caps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200)
+@given(relabel_cases())
+@example((np.array([1], dtype=np.int8), 5, None, None, (1, 1), 0))
+@example((np.ones((2, 70), dtype=np.int8), 40, np.arange(0, 70, 2), 3, (64, 64), 7))
+def test_relabel_blocks_equal_per_draw_permutations(case):
+    status, B, positions, first_rows, (block_cap, shuffle_cap), seed = case
+    want_rng = np.random.default_rng(seed)
+    want = oracles.relabeled_rows(status, B, want_rng, positions)
+    got_rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permtest, "_BLOCK_STATUSES", block_cap)
+        mp.setattr(permtest, "_SHUFFLE_STATUSES", shuffle_cap)
+        blocks = list(permtest._relabel_blocks(status, B, got_rng, positions, first_rows))
+    assert all(block.dtype == np.int8 for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), want)
+    # block sizes: first_rows, then doubling, never above the block cap
+    step = max(1, block_cap // status.size)
+    sizes, rows = [], step if first_rows is None else min(first_rows, step)
+    while sum(sizes) < B:
+        sizes.append(min(rows, B - sum(sizes)))
+        rows = min(2 * rows, step)
+    assert [len(block) for block in blocks] == sizes
+    assert got_rng.random() == want_rng.random()
+
+
+# -- early-decided alternatives in mc_risk_curve ------------------------------------
+
+
+def _curve_of_full_tests(g0, g1, eta0, etas, k, c, cfg, reps, stat):
+    """mc_risk_curve as a plain loop of full tests over the same substreams."""
+    test_fn = conditional_mc_test if cfg.mode == "censor-fixing" else mc_test
+
+    def run(g, eta, tag, rep):
+        iv = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(cfg.seed, tag, rep)).to_infection(g.n)
+        if c:
+            iv = censor_uniform(iv, c, substream(cfg.seed, tag + 1, rep))
+        return test_fn(stat, iv, cfg, null_graph=g0, rng=substream(cfg.seed, tag + 2, rep))
+
+    null = [run(g0, eta0, 0, rep) for rep in range(reps)]
+    alts = {eta: [run(g1, eta, 10 * (i + 1), rep) for rep in range(reps)] for i, eta in enumerate(etas)}
+    for res in null + [res for col in alts.values() for res in col]:
+        assert res.n_draws == cfg.B and sum(count for _, count in res.histogram) == cfg.B
+    return RiskCurve(
+        type_i=sum(res.reject for res in null) / reps,
+        mean_threshold=sum(res.raw_scale()[1] for res in null) / reps,
+        type_ii={eta: 1.0 - sum(res.reject for res in col) / reps for eta, col in alts.items()},
+        reps=reps,
+        alt_values={eta: [res.raw_scale()[0] for res in col] for eta, col in alts.items()},
+    )
+
+
+@st.composite
+def curve_cases(draw):
+    """Random graphs on 2..12 vertices (often disconnected, where R scores
+    -inf), a test config, and spread sizes."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = st.lists(st.sampled_from(pairs), unique=True)
+    g1 = build_graph(n, draw(edges))
+    g0 = empty_graph(n) if draw(st.booleans()) else build_graph(n, draw(edges))
+    k = draw(st.integers(1, n))
+    c = draw(st.integers(0, n - k))
+    # 0.29 * 100 is the exact-budget edge; B < 1/alpha saturates every test
+    alpha, B = draw(st.sampled_from([(0.29, 100), (0.05, 10), (0.01, 100), (0.2, 30), (0.1, 1)]))
+    mode = draw(st.sampled_from(["full-permute", "censor-fixing"]))
+    cfg = TestConfig(alpha=alpha, B=B, seed=draw(st.integers(0, 1000)), mode=mode)
+    stat = draw(st.sampled_from([StatisticSpec.edges_within, StatisticSpec.infection_radius]))(g1)
+    return g0, g1, k, c, cfg, stat, draw(st.integers(1, 4))
+
+
+_TWO_PATHS = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
+@settings(max_examples=60)
+@given(curve_cases())
+@example((empty_graph(6), _TWO_PATHS, 3, 1, TestConfig(alpha=0.29, B=100, seed=2),
+          StatisticSpec.infection_radius(_TWO_PATHS), 3))
+def test_mc_risk_curve_equals_full_tests(case):
+    g0, g1, k, c, cfg, stat, reps = case
+    args = (g0, g1, 0.0, [0.0, 1.0, 10.0], k, c, cfg, reps)
+    try:
+        want = _curve_of_full_tests(*args, stat)
+    except ValueError:
+        # R of a snapshot whose infected vertices were all censored
+        with pytest.raises(ValueError, match="at least one infected"):
+            mc_risk_curve(*args, stat=stat, collect_alt_values=True)
+        return
+    assert mc_risk_curve(*args, stat=stat, collect_alt_values=True) == want
+
+
+@pytest.mark.parametrize("mode", ["full-permute", "censor-fixing"])
+def test_mc_risk_curve_torus_equals_full_tests(mode):
+    g1 = torus_grid((8, 8))
+    cfg = TestConfig(alpha=0.05, B=60, seed=3, mode=mode)
+    for stat in (StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1)):
+        args = (empty_graph(64), g1, 0.0, [1.0, 10.0, 100.0], 12, 8, cfg, 6)
+        got = mc_risk_curve(*args, stat=stat, collect_alt_values=True)
+        assert got == _curve_of_full_tests(*args, stat)
+
+
+def test_mc_risk_curve_alternatives_stop_early(monkeypatch):
+    g1 = torus_grid((10, 10))
+    stat = StatisticSpec.infection_radius(g1)
+    etas, reps, k, cfg = [1.0, 10.0], 5, 20, TestConfig(alpha=0.01, B=100, seed=1)
+    budget = 1  # floor(0.01 * 100)
+    ends, rows = [], permtest._FIRST_ROWS
+    while not ends or ends[-1] < cfg.B:
+        ends.append(min(cfg.B, (ends[-1] if ends else 0) + rows))
+        rows *= 2
+    # each alternative scores up to the end of the block holding its
+    # (budget + 1)-th draw at or above the observed score, else all B rows
+    want = 0
+    for i, eta in enumerate(etas):
+        tag = 10 * (i + 1)
+        for rep in range(reps):
+            iv = simulate_spread(g1, SpreadParams(eta=eta, k=k), substream(cfg.seed, tag, rep)).to_infection(g1.n)
+            drawn = oracles.relabeled_rows(iv.status, cfg.B, substream(cfg.seed, tag + 2, rep))
+            over = np.flatnonzero(np.cumsum(stat.score_batch(drawn) >= stat.score(iv)) > budget)
+            want += ends[np.searchsorted(ends, over[0] + 1)] if over.size else cfg.B
+    scored = []
+    score_batch = StatisticSpec.score_batch
+
+    def counting(self, block):
+        scored.append(len(block))
+        return score_batch(self, block)
+
+    monkeypatch.setattr(StatisticSpec, "score_batch", counting)
+    mc_risk_curve(empty_graph(100), g1, 0.0, etas, k, 0, cfg, reps, stat=stat)
+    # the null replicates draw all B rows each
+    alternatives = sum(scored) - reps * cfg.B
+    assert alternatives == want
+    assert alternatives < reps * len(etas) * cfg.B
