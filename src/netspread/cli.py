@@ -15,8 +15,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 from math import factorial, isfinite
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import ConfigError, GuardExceededError, NetspreadError, ParseError
 from .graphs import Graph, empty_graph, from_spec
@@ -24,7 +25,6 @@ from .permtest import (
     MODE_CENSOR_FIXING,
     MODE_FULL,
     TestConfig,
-    conditional_mc_test,
     mc_test,
     validity_with_guard,
 )
@@ -105,12 +105,29 @@ def _read_text(path: str, what: str = "") -> str:
         raise ParseError(f"cannot read {what}{path}: {exc}") from exc
 
 
-def _open_out(path: str):
+def _open_out(path: str, mode: str = "w"):
     """path opened for writing text, or a ParseError (exit 3) naming it."""
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        return open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+@contextmanager
+def _claimed(paths: Sequence[str | None]) -> Iterator[None]:
+    """Check that every output path (None skipped) can be written before the
+    block runs; if it fails, remove the files this created, so a failed run
+    leaves no new output and an existing file as it was."""
+    fresh = [path for path in filter(None, paths) if not os.path.exists(path)]
+    try:
+        for path in filter(None, paths):
+            _open_out(path, "a").close()  # appending creates the file, keeps old content
+        yield
+    except BaseException:
+        for path in fresh:
+            with suppress(OSError):  # a failed cleanup must not hide the run's error
+                os.remove(path)
+        raise
 
 
 def _vertex(g: Graph, label: str, error: type[Exception], where: str) -> int:
@@ -230,9 +247,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
         def on_resample(_b: int, permuted) -> None:
             dump_fh.write("".join(chars[int(s)] for s in permuted) + "\n")
 
-    test_fn = conditional_mc_test if mode == MODE_CENSOR_FIXING else mc_test
     try:
-        result = test_fn(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
+        result = mc_test(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
     finally:
         if dump_fh is not None:
             dump_fh.close()
@@ -508,27 +524,30 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     threads = _threads_from_env()
     lines = []
     grid: list[float] | None = None
-    for i, entry in enumerate(entries):
-        path = f"{args.config}.entries[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected object")
-        etas = _eta_list(entry, path)
-        if grid is None:
-            grid = etas
-        elif etas != grid:
-            raise ConfigError(f"{path}.etas: all entries must share one eta grid")
-        algorithm = _need(entry, "algorithm", str, path)
-        if algorithm == "perm":
-            statistic, threshold, diagnosis, curve = _perm_row(entry, path, etas, threads)
-        elif algorithm in ("TB", "TT"):
-            statistic, threshold, diagnosis, curve = _baseline_row(entry, path, etas)
-        else:
-            raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
-        cells = [algorithm, statistic, _fmt(threshold), diagnosis, _fmt(curve.type_i)]
-        lines.append(",".join(cells + [_fmt(curve.type_ii[eta]) for eta in etas]))
-    header = ["algorithm", "statistic", "threshold", "diagnosis", "typeI"]
-    header += [f"typeII@eta={_fmt(eta)}" for eta in grid]
-    _emit("\n".join([",".join(header), *lines]) + "\n", args.out)
+    # the perm rows' long_out files, checked before the first row runs
+    perm = [e for e in entries if isinstance(e, dict) and e.get("algorithm") == "perm"]
+    with _claimed([e["long_out"] for e in perm if isinstance(e.get("long_out"), str)]):
+        for i, entry in enumerate(entries):
+            path = f"{args.config}.entries[{i}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{path}: expected object")
+            etas = _eta_list(entry, path)
+            if grid is None:
+                grid = etas
+            elif etas != grid:
+                raise ConfigError(f"{path}.etas: all entries must share one eta grid")
+            algorithm = _need(entry, "algorithm", str, path)
+            if algorithm == "perm":
+                statistic, threshold, diagnosis, curve = _perm_row(entry, path, etas, threads)
+            elif algorithm in ("TB", "TT"):
+                statistic, threshold, diagnosis, curve = _baseline_row(entry, path, etas)
+            else:
+                raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
+            cells = [algorithm, statistic, _fmt(threshold), diagnosis, _fmt(curve.type_i)]
+            lines.append(",".join(cells + [_fmt(curve.type_ii[eta]) for eta in etas]))
+        header = ["algorithm", "statistic", "threshold", "diagnosis", "typeI"]
+        header += [f"typeII@eta={_fmt(eta)}" for eta in grid]
+        _emit("\n".join([",".join(header), *lines]) + "\n", args.out)
     return 0
 
 
@@ -595,7 +614,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _claimed([getattr(args, "out", None)]):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

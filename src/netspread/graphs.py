@@ -385,8 +385,6 @@ def from_spec(spec: str) -> Graph:
             n, p_in, p_out, seed = rest.split(":")
             return two_block(int(n), float(p_in), float(p_out), int(seed))
     except (ValueError, OSError) as exc:
-        if isinstance(exc, ValueError) and "unknown graph kind" in str(exc):
-            raise
         raise ParseError(f"bad graph spec {spec!r}: {exc}") from exc
     raise ParseError(f"unknown graph kind {kind!r} in spec {spec!r}")
 

@@ -364,12 +364,12 @@ def _mc_result(
     stat: StatisticSpec,
     iv: InfectionVector,
     cfg: TestConfig,
-    rng: np.random.Generator | None,
-    mode: str,
     null_graph: Graph | None,
-    positions: np.ndarray | None = None,
-    on_resample: Callable[[int, np.ndarray], None] | None = None,
+    rng: np.random.Generator | None,
+    on_resample: Callable[[int, np.ndarray], None] | None,
 ) -> TestResult:
+    """The Monte-Carlo test in cfg.mode; the body of mc_test and conditional_mc_test."""
+    positions = _shuffled(iv, cfg)
     gen = substream(cfg.seed) if rng is None else rng
     blocks = _relabel_blocks(iv.status, cfg.B, gen, positions)
     [scores] = _score_blocks([stat], blocks, on_resample)
@@ -379,7 +379,7 @@ def _mc_result(
         cfg.alpha,
         statistic=stat.name,
         tail=stat.tail,
-        mode=mode,
+        mode=cfg.mode,
         validity_warning=_validity_warning(cfg, stat, null_graph),
     )
 
@@ -392,13 +392,14 @@ def mc_test(
     rng: np.random.Generator | None = None,
     on_resample: Callable[[int, np.ndarray], None] | None = None,
 ) -> TestResult:
-    """Monte-Carlo permutation test with B uniform relabelings.
+    """Monte-Carlo permutation test with B uniform relabelings, in cfg.mode.
 
     The add-one p-value (#{permuted >= observed} + 1) / (B + 1) is the
     standard unbiased-level estimate; reject still goes through the
-    threshold rule so level holds for every B.
+    threshold rule so level holds for every B. In censor-fixing mode it
+    is conditional_mc_test.
     """
-    return _mc_result(stat, iv, cfg, rng, MODE_FULL, null_graph, on_resample=on_resample)
+    return _mc_result(stat, iv, cfg, null_graph, rng, on_resample)
 
 
 def conditional_mc_test(
@@ -409,18 +410,19 @@ def conditional_mc_test(
     rng: np.random.Generator | None = None,
     on_resample: Callable[[int, np.ndarray], None] | None = None,
 ) -> TestResult:
-    """Permutation test conditioned on the censored positions.
+    """Permutation test conditioned on the censored positions, whatever cfg.mode says.
 
     Only uncensored statuses are shuffled; censored vertices keep their
     mark, matching a null where censoring is arbitrary but fixed.
     """
-    return _mc_result(
-        stat, iv, cfg, rng, MODE_CENSOR_FIXING, null_graph, _uncensored(iv), on_resample
-    )
+    cfg = replace(cfg, mode=MODE_CENSOR_FIXING)
+    return _mc_result(stat, iv, cfg, null_graph, rng, on_resample)
 
 
-def _uncensored(iv: InfectionVector) -> np.ndarray:
-    """The positions a censor-fixing test shuffles."""
+def _shuffled(iv: InfectionVector, cfg: TestConfig) -> np.ndarray | None:
+    """The positions a test in cfg.mode shuffles; None for all of them."""
+    if cfg.mode != MODE_CENSOR_FIXING:
+        return None
     positions = np.flatnonzero(iv.status != CENSORED)
     if positions.size == 0:
         raise ValueError("every vertex is censored; nothing to permute")
@@ -434,8 +436,7 @@ _FIRST_ROWS = 16
 def _mc_reject(
     stat: StatisticSpec, iv: InfectionVector, cfg: TestConfig, rng: np.random.Generator
 ) -> tuple[bool, float]:
-    """(reject, observed score) of mc_test, or of conditional_mc_test in
-    censor-fixing mode, drawing only until reject is settled.
+    """(reject, observed score) of mc_test, drawing only until reject is settled.
 
     The draws come from rng in growing blocks. Once more than the tail
     budget of them score at or above the observed score, the test cannot
@@ -444,7 +445,7 @@ def _mc_reject(
     saturated threshold is the top draw. So the remaining rows are not
     drawn. A test that draws all B rows calibrates exactly as mc_test.
     """
-    positions = _uncensored(iv) if cfg.mode == MODE_CENSOR_FIXING else None
+    positions = _shuffled(iv, cfg)
     observed = stat.score(iv)
     budget = _tail_budget(cfg.alpha, cfg.B)
     parts = []

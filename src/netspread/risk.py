@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import GuardExceededError
 from .graphs import Graph, eccentricity, empty_graph
-from .permtest import MODE_CENSOR_FIXING, TestConfig, _mc_reject, conditional_mc_test, mc_test
+from .permtest import TestConfig, _mc_reject, mc_test
 from .rng import substream
 from .spreading import InfectionVector, SpreadParams, censor_uniform, simulate_spread
 from .stats import StatisticSpec
@@ -455,7 +455,6 @@ def mc_risk_curve(
     with all B draws.
     """
     the_stat = StatisticSpec.edges_within(g1) if stat is None else stat
-    test_fn = conditional_mc_test if cfg.mode == MODE_CENSOR_FIXING else mc_test
 
     def decide(iv: InfectionVector, tag: int, rep: int) -> tuple[bool, float, float]:
         rng = substream(cfg.seed, tag + 2, rep)
@@ -463,7 +462,7 @@ def mc_risk_curve(
             # an alternative needs only reject, so it stops drawing once that is settled
             reject, observed = _mc_reject(the_stat, iv, cfg, rng)
             return reject, nan, -observed if the_stat.tail == "lower" else observed
-        res = test_fn(the_stat, iv, cfg, null_graph=g0, rng=rng)
+        res = mc_test(the_stat, iv, cfg, null_graph=g0, rng=rng)
         observed, threshold, _ = res.raw_scale()
         return res.reject, threshold, observed
 

@@ -51,12 +51,13 @@ class InfectionVector:
     status: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.status, dtype=np.int8)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(self.status)
+        if raw.ndim != 1 or raw.size == 0:
             raise ValueError("status must be a non-empty 1-d array")
-        if arr.min() < UNINFECTED or arr.max() > CENSORED:
+        # checked before the cast, which would wrap 256 to 0 and truncate 1.9 to 1
+        if not ((raw == UNINFECTED) | (raw == INFECTED) | (raw == CENSORED)).all():
             raise ValueError("statuses must be 0, 1, or 2")
-        arr = arr.copy()
+        arr = raw.astype(np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "status", arr)
 

@@ -1,5 +1,9 @@
 """Snapshot statistics: clustering scores evaluated on infection vectors.
 
+Each statistic is one kernel over a (rows, n) infected mask (_KINDS):
+StatisticSpec.score_batch runs it on a block of relabelings, evaluate
+and the module-level functions on a one-row block.
+
 All statistics ignore censored vertices in their infected set (a
 censored vertex contributes no evidence). W and R are invariant under
 relabelings that preserve the graph they are bound to, as the validity
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,12 +36,11 @@ __all__ = [
 ]
 
 # distance matrices are cached per graph up to this size (33 MB of uint16
-# at the limit); larger graphs run one packed BFS from the infected set
-# per evaluation
+# at the limit); larger graphs run one packed BFS per snapshot
 _DMAT_LIMIT = 4096
 
-# bytes of the (rows, n) running maximum one batched R step keeps at once
-_R_GATHER_BYTES = 1 << 18
+# bytes of the distance-matrix rows one batched R gather reads at once
+_R_GATHER_BYTES = 1 << 20
 
 # bytes of the (rows, n) BFS state one batched T chunk keeps at once
 _T_CHUNK_BYTES = 1 << 18
@@ -45,13 +48,7 @@ _T_CHUNK_BYTES = 1 << 18
 
 def edges_within(g: Graph, iv: InfectionVector) -> int:
     """Number of edges with both endpoints infected (censored never count)."""
-    if g.n != iv.n:
-        raise ValueError("graph and snapshot sizes differ")
-    eu, ev = g.edge_arrays
-    if eu.size == 0:
-        return 0
-    s = iv.status
-    return int(np.count_nonzero((s[eu] == INFECTED) & (s[ev] == INFECTED)))
+    return StatisticSpec.edges_within(g).evaluate(iv)
 
 
 def infection_radius(g: Graph, iv: InfectionVector) -> int | float:
@@ -62,73 +59,7 @@ def infection_radius(g: Graph, iv: InfectionVector) -> int | float:
     when no single component contains a center within reach of every
     infected vertex. Requires at least one infected vertex.
     """
-    if g.n != iv.n:
-        raise ValueError("graph and snapshot sizes differ")
-    if iv.k == 0:
-        raise ValueError("infection radius needs at least one infected vertex")
-    inf_idx = np.flatnonzero(iv.status == INFECTED)
-    if g.n <= _DMAT_LIMIT:
-        r = int(g.distance_matrix[inf_idx].max(axis=0).min())
-        return inf if r == UNREACHABLE else r
-    # the first BFS level at which some vertex is reached from every infected one
-    for level, _, unreached in bfs_levels(g, inf_idx):
-        if not unreached.any(axis=1).all():
-            return level
-    return inf
-
-
-def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray | None:
-    """infection_radius of every row of a (rows, n) infected mask.
-
-    Folds the distance-matrix rows of each row's infected vertices into
-    a running maximum, one infected rank at a time, over chunks of rows
-    whose (rows, n) maximum takes about _R_GATHER_BYTES. Needs the
-    cached distance matrix and the same infected count k >= 1 in every
-    row (relabelings keep it); returns None otherwise, leaving those
-    cases to the per-row path.
-    """
-    rows = infected.shape[0]
-    k = np.count_nonzero(infected, axis=1)
-    if g.n > _DMAT_LIMIT or rows == 0 or k[0] == 0 or (k != k[0]).any():
-        return None
-    dmat = g.distance_matrix
-    idx = np.nonzero(infected)[1].reshape(rows, int(k[0]))
-    step = max(1, _R_GATHER_BYTES // (dmat.shape[1] * dmat.itemsize))
-    hops = np.empty(rows, dtype=dmat.dtype)
-    for lo in range(0, rows, step):
-        cols = idx[lo : lo + step]
-        worst = dmat[cols[:, 0]]
-        for j in range(1, cols.shape[1]):
-            np.maximum(worst, dmat[cols[:, j]], out=worst)
-        hops[lo : lo + step] = worst.min(axis=1)
-    radii = hops.astype(np.float64)
-    radii[hops == UNREACHABLE] = inf
-    return radii
-
-
-def center_indicator(iv: InfectionVector, center: int) -> int:
-    """1 when the designated center is infected, else 0 (censored counts 0)."""
-    if not 0 <= center < iv.n:
-        raise ValueError(f"center {center} out of range")
-    return int(iv.status[center] == INFECTED)
-
-
-def orbit_count(iv: InfectionVector, vertex_orbit: Iterable[int]) -> int:
-    """Number of infected vertices inside the given orbit."""
-    idx = list(vertex_orbit)
-    if any(not 0 <= v < iv.n for v in idx):
-        raise ValueError("orbit vertex out of range")
-    return int(np.count_nonzero(iv.status[idx] == INFECTED))
-
-
-def avg_edges_within(g: Graph, ivs: Sequence[InfectionVector]) -> float:
-    """Mean edges-within across several snapshots (multi-spread aggregate)."""
-    if not ivs:
-        raise ValueError("need at least one snapshot")
-    return float(np.mean([edges_within(g, iv) for iv in ivs]))
-
-
-# -- Steiner approximation -----------------------------------------------------
+    return StatisticSpec.infection_radius(g).evaluate(iv)
 
 
 def steiner_weight(g: Graph, iv: InfectionVector) -> int:
@@ -147,13 +78,88 @@ def steiner_weight(g: Graph, iv: InfectionVector) -> int:
     image {0, 5, 8}. Raises DisconnectedTerminalsError when the
     infected set spans components.
     """
-    if g.n != iv.n:
-        raise ValueError("graph and snapshot sizes differ")
-    return int(_steiner_batch(g, (iv.status == INFECTED)[None, :])[0])
+    return StatisticSpec.steiner_weight(g).evaluate(iv)
+
+
+def center_indicator(iv: InfectionVector, center: int) -> int:
+    """1 when the designated center is infected, else 0 (censored counts 0)."""
+    return StatisticSpec.center_indicator(center).evaluate(iv)
+
+
+def orbit_count(iv: InfectionVector, vertex_orbit: Iterable[int]) -> int:
+    """Number of infected vertices inside the given orbit."""
+    orbit = frozenset(vertex_orbit)
+    return StatisticSpec.orbit_count(orbit).evaluate(iv) if orbit else 0
+
+
+def avg_edges_within(g: Graph, ivs: Sequence[InfectionVector]) -> float:
+    """Mean edges-within across several snapshots (multi-spread aggregate)."""
+    if not ivs:
+        raise ValueError("need at least one snapshot")
+    return float(np.mean([edges_within(g, iv) for iv in ivs]))
+
+
+# -- kernels over a (rows, n) infected mask ---------------------------------------
+
+
+def _edges_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
+    """edges_within of every row: one gather over the edge arrays."""
+    eu, ev = g.edge_arrays
+    both = infected[:, eu]
+    both &= infected[:, ev]
+    return np.count_nonzero(both, axis=1)
+
+
+def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
+    """infection_radius of every row, as float64.
+
+    Rows may differ in infected count: each row's infected vertices are
+    padded to the largest count by repeating its last one, which leaves
+    its max unchanged. The distance-matrix rows of those vertices are
+    gathered for chunks of rows and ranks whose gather takes about
+    _R_GATHER_BYTES, maxed over the ranks and minimized over the
+    centers. Graphs above _DMAT_LIMIT run one packed BFS per row
+    instead. Raises ValueError when a row has no infected vertex.
+    """
+    rows, n = infected.shape
+    k = np.count_nonzero(infected, axis=1)
+    if not k.all():
+        raise ValueError("infection radius needs at least one infected vertex")
+    radii = np.empty(rows)
+    if n > _DMAT_LIMIT:
+        for r, row in enumerate(infected):
+            # the first BFS level at which some vertex is reached from every infected one
+            levels = bfs_levels(g, np.flatnonzero(row))
+            covered = (level for level, _, unreached in levels if not unreached.any(axis=1).all())
+            radii[r] = next(covered, inf)
+        return radii
+    dmat = g.distance_matrix
+    kmax = int(k.max(initial=0))
+    ranks = np.minimum(np.arange(kmax), k[:, None] - 1) + (np.cumsum(k) - k)[:, None]
+    idx = (np.flatnonzero(infected) % n)[ranks]
+    per_rank = n * dmat.itemsize
+    width = max(1, min(kmax, _R_GATHER_BYTES // per_rank))
+    step = max(1, _R_GATHER_BYTES // (width * per_rank))
+    for lo in range(0, rows, step):
+        cols = idx[lo : lo + step]
+        worst = dmat[cols[:, :width]].max(axis=1)
+        for j in range(width, kmax, width):
+            np.maximum(worst, dmat[cols[:, j : j + width]].max(axis=1), out=worst)
+        hops = worst.min(axis=1)
+        radii[lo : lo + step] = np.where(hops == UNREACHABLE, inf, hops)
+    return radii
+
+
+def _count_in(infected: np.ndarray, vertices: Iterable[int], what: str) -> np.ndarray:
+    """Infected vertices among `vertices` in every row; what names them in the range error."""
+    idx = list(vertices)
+    if any(not 0 <= v < infected.shape[1] for v in idx):
+        raise ValueError(f"{what} out of range")
+    return np.count_nonzero(infected[:, idx], axis=1)
 
 
 def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
-    """steiner_weight of every row of a (rows, n) infected mask, as int64.
+    """steiner_weight of every row, as int64.
 
     Scores chunks of rows whose BFS state takes about _T_CHUNK_BYTES,
     vertex v of row r standing at r * n + v in one flat range. Ties
@@ -257,14 +263,36 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
 # -- bound statistic specs -------------------------------------------------------
 
 
+class _Kind(NamedTuple):
+    """A statistic's short name, the tail that carries evidence of clustering
+    (upper for counts, lower for radius and tree weight), the spec field it
+    needs, and its kernel: (spec, (rows, n) infected mask) -> one value per row."""
+
+    name: str
+    tail: str
+    needs: str
+    kernel: Callable[["StatisticSpec", np.ndarray], np.ndarray]
+
+
+_KINDS = {
+    "edges_within": _Kind("W", "upper", "graph", lambda s, m: _edges_batch(s.graph, m)),
+    "infection_radius": _Kind("R", "lower", "graph", lambda s, m: _radius_batch(s.graph, m)),
+    "steiner_weight": _Kind("T", "lower", "graph", lambda s, m: _steiner_batch(s.graph, m)),
+    "center_indicator": _Kind(
+        "C", "upper", "center", lambda s, m: _count_in(m, [s.center], f"center {s.center}")
+    ),
+    "orbit_count": _Kind(
+        "orbit", "upper", "vertex_orbit", lambda s, m: _count_in(m, s.vertex_orbit, "orbit vertex")
+    ),
+}
+
+
 @dataclass(frozen=True)
 class StatisticSpec:
     """A statistic bound to its graph/parameters, ready to evaluate.
 
     kind is one of edges_within, infection_radius, steiner_weight,
-    center_indicator, orbit_count. tail says which side carries
-    evidence of clustering: upper for counts, lower for radius and tree
-    weight (small = concentrated).
+    center_indicator, orbit_count; name and tail come from _KINDS.
     """
 
     kind: str
@@ -272,20 +300,12 @@ class StatisticSpec:
     center: int | None = None
     vertex_orbit: frozenset[int] | None = None
 
-    _NEEDS_GRAPH = ("edges_within", "infection_radius", "steiner_weight")
-
     def __post_init__(self) -> None:
-        if self.kind in self._NEEDS_GRAPH:
-            if self.graph is None:
-                raise ValueError(f"{self.kind} needs a graph")
-        elif self.kind == "center_indicator":
-            if self.center is None:
-                raise ValueError("center_indicator needs a center vertex")
-        elif self.kind == "orbit_count":
-            if not self.vertex_orbit:
-                raise ValueError("orbit_count needs a non-empty orbit")
-        else:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
+        field = _KINDS[self.kind].needs
+        if getattr(self, field) in (None, frozenset()):
+            raise ValueError(f"{self.kind} needs a {field}")
 
     @classmethod
     def edges_within(cls, g: Graph) -> "StatisticSpec":
@@ -310,44 +330,33 @@ class StatisticSpec:
     @classmethod
     def from_name(cls, name: str, g: Graph, vertex: int = 0) -> "StatisticSpec":
         """The statistic W, R, T, C or orbit on g; vertex is C's center or the orbit's seed."""
-        if name == "W":
-            return cls.edges_within(g)
-        if name == "R":
-            return cls.infection_radius(g)
-        if name == "T":
-            return cls.steiner_weight(g)
+        kinds = {entry.name: kind for kind, entry in _KINDS.items()}
+        if name not in kinds:
+            raise ValueError(f"unknown statistic {name!r}; expected W, R, T, C or orbit")
         if name == "C":
             return cls.center_indicator(vertex)
         if name == "orbit":
             return cls.orbit_count(perms.orbit(perms.automorphism_group(g), vertex))
-        raise ValueError(f"unknown statistic {name!r}; expected W, R, T, C or orbit")
+        return cls(kinds[name], graph=g)
 
     @property
     def tail(self) -> str:
-        if self.kind in ("infection_radius", "steiner_weight"):
-            return "lower"
-        return "upper"
+        return _KINDS[self.kind].tail
 
     @property
     def name(self) -> str:
-        return {
-            "edges_within": "W",
-            "infection_radius": "R",
-            "steiner_weight": "T",
-            "center_indicator": "C",
-            "orbit_count": "orbit",
-        }[self.kind]
+        return _KINDS[self.kind].name
+
+    def _values(self, block: np.ndarray) -> np.ndarray:
+        """The statistic's kernel on every row of a (rows, n) status block."""
+        if self.graph is not None and self.graph.n != block.shape[1]:
+            raise ValueError("graph and snapshot sizes differ")
+        return _KINDS[self.kind].kernel(self, block == INFECTED)
 
     def evaluate(self, iv: InfectionVector) -> int | float:
-        if self.kind == "edges_within":
-            return edges_within(self.graph, iv)
-        if self.kind == "infection_radius":
-            return infection_radius(self.graph, iv)
-        if self.kind == "steiner_weight":
-            return steiner_weight(self.graph, iv)
-        if self.kind == "center_indicator":
-            return center_indicator(iv, self.center)
-        return orbit_count(iv, self.vertex_orbit)
+        """The raw statistic of one snapshot: an int, or inf where R has no covering center."""
+        [value] = self._values(iv.status[None, :])
+        return int(value) if value != inf else inf
 
     def score(self, iv: InfectionVector) -> float:
         """Evaluate on the oriented evidence scale (larger = more clustered)."""
@@ -357,38 +366,7 @@ class StatisticSpec:
     def score_batch(self, block: np.ndarray) -> np.ndarray:
         """score() of every row of a (rows, n) status block, as float64.
 
-        Rows must hold valid statuses, as relabelings of a validated
-        snapshot do. W is one gather over the edge arrays, C and orbit
-        are column counts, R folds rows of the cached distance matrix
-        (see _radius_batch), and T runs one Steiner kernel over the
-        whole block (see _steiner_batch). R on graphs above _DMAT_LIMIT
-        or on rows that differ in infected count scores row by row
-        through score().
+        The same kernel as evaluate, run once over the whole block.
         """
-        n = block.shape[1]
-        if self.graph is not None and self.graph.n != n:
-            raise ValueError("graph and snapshot sizes differ")
-        infected = block == INFECTED
-        values = None
-        if self.kind == "edges_within":
-            eu, ev = self.graph.edge_arrays
-            both = infected[:, eu]
-            both &= infected[:, ev]
-            values = np.count_nonzero(both, axis=1)
-        elif self.kind == "center_indicator":
-            if not 0 <= self.center < n:
-                raise ValueError(f"center {self.center} out of range")
-            values = infected[:, self.center]
-        elif self.kind == "orbit_count":
-            idx = list(self.vertex_orbit)
-            if any(not 0 <= v < n for v in idx):
-                raise ValueError("orbit vertex out of range")
-            values = np.count_nonzero(infected[:, idx], axis=1)
-        elif self.kind == "infection_radius":
-            values = _radius_batch(self.graph, infected)
-        elif self.kind == "steiner_weight":
-            values = _steiner_batch(self.graph, infected)
-        if values is None:
-            return np.array([self.score(InfectionVector(row)) for row in block], dtype=np.float64)
-        scores = values.astype(np.float64)
+        scores = self._values(block).astype(np.float64)
         return -scores if self.tail == "lower" else scores

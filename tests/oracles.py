@@ -4,9 +4,9 @@ Nothing here imports package internals beyond the graph and snapshot
 containers, the infected status code and one exception type; every
 computation re-derives its answer from first principles (recursive
 enumeration, subset search, permutation filtering), through networkx's
-isomorphism matcher, or, for T, through the per-snapshot Mehlhorn
-implementation of dicts and deques that the package's batched array
-kernel replaced, so agreement with the package is evidence, not
+isomorphism matcher and shortest paths, or through the per-snapshot
+implementations of W, R, T, C and orbit that the package's batched
+kernels replaced, so agreement with the package is evidence, not
 tautology. relabeled_rows is the per-draw permutation loop that the
 package's blocked, word-sized shuffle must reproduce.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from math import comb, fsum
+from math import comb, fsum, inf
 
 import networkx as nx
 import numpy as np
@@ -246,6 +246,73 @@ def relabeled_rows(status: np.ndarray, B: int, rng, positions=None) -> np.ndarra
                 snap[positions] = rng.permutation(snap[positions])
         rows.append(row)
     return np.array(rows, dtype=status.dtype)
+
+
+# -- the statistics, per snapshot ---------------------------------------------------
+# The package's per-row W, R, C and orbit before one batched kernel per
+# statistic replaced them (R now from networkx distances), kept as the
+# references the kernels must equal value for value and error for error.
+
+
+def edges_within(g: Graph, iv: InfectionVector) -> int:
+    """Number of edges with both endpoints infected (censored never count)."""
+    if g.n != iv.n:
+        raise ValueError("graph and snapshot sizes differ")
+    s = iv.status
+    return sum(1 for u, v in g.edges if s[u] == INFECTED and s[v] == INFECTED)
+
+
+def infection_radius(g: Graph, iv: InfectionVector) -> int | float:
+    """min over centers v of max over infected u of d(u, v); inf when no
+    vertex is reachable from every infected one."""
+    if g.n != iv.n:
+        raise ValueError("graph and snapshot sizes differ")
+    infected = [int(u) for u in np.flatnonzero(iv.status == INFECTED)]
+    if not infected:
+        raise ValueError("infection radius needs at least one infected vertex")
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    worst: dict[int, list[int]] = {}
+    for u in infected:
+        for v, d in nx.single_source_shortest_path_length(ref, u).items():
+            worst.setdefault(v, []).append(d)
+    covering = [max(ds) for ds in worst.values() if len(ds) == len(infected)]
+    return min(covering) if covering else inf
+
+
+def center_indicator(iv: InfectionVector, center: int) -> int:
+    """1 when the designated center is infected, else 0 (censored counts 0)."""
+    if not 0 <= center < iv.n:
+        raise ValueError(f"center {center} out of range")
+    return int(iv.status[center] == INFECTED)
+
+
+def orbit_count(iv: InfectionVector, vertex_orbit) -> int:
+    """Number of infected vertices inside the given orbit."""
+    idx = list(vertex_orbit)
+    if any(not 0 <= v < iv.n for v in idx):
+        raise ValueError("orbit vertex out of range")
+    return sum(int(iv.status[v] == INFECTED) for v in idx)
+
+
+def statistic(spec, iv: InfectionVector) -> int | float:
+    """The raw value of a StatisticSpec on one snapshot, from the references here."""
+    if spec.kind == "edges_within":
+        return edges_within(spec.graph, iv)
+    if spec.kind == "infection_radius":
+        return infection_radius(spec.graph, iv)
+    if spec.kind == "steiner_weight":
+        return steiner_weight(spec.graph, iv)
+    if spec.kind == "center_indicator":
+        return center_indicator(iv, spec.center)
+    return orbit_count(iv, spec.vertex_orbit)
+
+
+def score(spec, iv: InfectionVector) -> float:
+    """statistic() on the oriented evidence scale: radius and tree weight negated."""
+    value = float(statistic(spec, iv))
+    return -value if spec.kind in ("infection_radius", "steiner_weight") else value
 
 
 # -- Mehlhorn's Steiner approximation, per snapshot -------------------------------

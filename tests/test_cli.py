@@ -760,6 +760,52 @@ def test_unwritable_output_paths_are_data_errors(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_unwritable_output_paths_fail_before_any_replicate(tmp_path, capsys, monkeypatch):
+    import netspread.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a row ran before every output path was checked")
+
+    monkeypatch.setattr(netspread.cli, "mc_risk_curve", no_run)
+    monkeypatch.setattr(netspread.cli, "baseline_risk_curve", no_run)
+    missing = tmp_path / "missing"
+    mc = write_config(tmp_path, "mc.json", {
+        "schema": 1, "kind": "mc", "alt_graph": "cycle:10", "etas": [1], "k": 3,
+        "alpha": 0.1, "B": 20, "replicates": 2,
+    })
+    exp = write_config(tmp_path, "e.json", experiment_doc())
+    # the perm row with the unwritable long_out comes after both baseline rows
+    doc = experiment_doc()
+    doc["entries"] = doc["entries"][1:] + [dict(doc["entries"][0], long_out=str(missing / "v.csv"))]
+    long_cfg = write_config(tmp_path, "long.json", doc)
+    for argv in (
+        ["risk", "--config", mc, "--out", str(missing / "r.json")],
+        ["experiment", "--config", exp, "--out", str(missing / "e.csv")],
+        ["experiment", "--config", long_cfg],
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, ""), argv
+        assert err.startswith(f"error: cannot write {missing}"), argv
+
+
+def test_failed_experiment_leaves_no_output_behind(tmp_path, capsys):
+    doc = experiment_doc()
+    doc["entries"][0]["long_out"] = str(tmp_path / "values.csv")
+    # fails once the perm row has run
+    doc["entries"].append(dict(doc["entries"][1], algorithm="magic"))
+    cfg = write_config(tmp_path, "e.json", doc)
+    code, stdout, err = run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "e.csv"))
+    assert (code, stdout) == (2, "")
+    assert "algorithm: expected perm, TB, or TT" in err
+    assert not (tmp_path / "values.csv").exists()
+    assert not (tmp_path / "e.csv").exists()
+    # an existing output file keeps its content
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier run\n")
+    assert run(capsys, "experiment", "--config", cfg, "--out", str(kept))[0] == 2
+    assert kept.read_text() == "earlier run\n"
+
+
 def test_baseline_rows_run_serially(tmp_path, capsys, monkeypatch):
     import netspread.risk
 

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 from itertools import permutations
 from math import comb, factorial, isclose
 
@@ -233,6 +234,38 @@ def test_conditional_test_all_censored_raises():
     spec = StatisticSpec.center_indicator(0)
     with pytest.raises(ValueError):
         conditional_mc_test(spec, iv, TestConfig(alpha=0.1, B=10))
+
+
+def test_mc_test_follows_cfg_mode():
+    # mc_test ran full-permute whatever cfg.mode said; now censor-fixing makes it
+    # conditional_mc_test, whose body it shares without calling it
+    g = cycle_graph(8)
+    iv = infection_from_infected(8, [0, 1], censored=[4, 5])
+    spec = StatisticSpec.edges_within(g)
+    cfg = TestConfig(alpha=0.1, B=50, seed=2, mode="censor-fixing")
+    seen: list[np.ndarray] = []
+    res = mc_test(spec, iv, cfg, on_resample=lambda b, permuted: seen.append(permuted.copy()))
+    assert res.mode == "censor-fixing"
+    assert all(arr[4] == CENSORED and arr[5] == CENSORED for arr in seen)
+    assert res == conditional_mc_test(spec, iv, cfg)
+    # conditional_mc_test fixes the censored vertices whatever cfg.mode says
+    assert res == conditional_mc_test(spec, iv, replace(cfg, mode="full-permute"))
+    assert mc_test(spec, iv, replace(cfg, mode="full-permute")).mode == "full-permute"
+
+
+def test_mc_test_and_conditional_mc_test_do_not_call_each_other(monkeypatch):
+    # a tracer that wraps both must see one call per test
+    def refuse(*args, **kwargs):
+        raise AssertionError("one Monte Carlo entry called the other")
+
+    iv = infection_from_infected(6, [0], censored=[1])
+    spec = StatisticSpec.center_indicator(0)
+    cfg = TestConfig(alpha=0.1, B=20, mode="censor-fixing")
+    original_mc, original_conditional = permtest.mc_test, permtest.conditional_mc_test
+    monkeypatch.setattr(permtest, "conditional_mc_test", refuse)
+    original_mc(spec, iv, cfg)
+    monkeypatch.setattr(permtest, "mc_test", refuse)
+    original_conditional(spec, iv, cfg)
 
 
 def test_full_mode_shuffles_censored_too():

@@ -1,7 +1,8 @@
-"""The batched permutation pipeline: score_batch against per-row scoring,
-fixed-seed results pinned to those of the per-draw loop it replaced, the
-blocked word-sized shuffle against a per-draw permutation loop, and
-mc_risk_curve's early-decided alternatives against full tests."""
+"""The batched permutation pipeline: each statistic's kernel, on one row
+and on a block, against the per-row oracles, fixed-seed results pinned to
+those of the per-draw loop it replaced, the blocked word-sized shuffle
+against a per-draw permutation loop, and mc_risk_curve's early-decided
+alternatives against full tests."""
 
 import numpy as np
 import pytest
@@ -45,10 +46,23 @@ def _specs(g, center, orbit):
     ]
 
 
-def _assert_batch_matches_rows(spec, block):
-    """score_batch equals score() row by row, or raises what score() raises."""
+def _assert_batch_matches_oracle(spec, block):
+    """evaluate() and score() row by row and score_batch on the block equal
+    the per-row oracle, or raise what it raises (for the block: for the
+    first row that fails)."""
+    for row in block:
+        iv = InfectionVector(row)
+        try:
+            want = oracles.statistic(spec, iv)
+        except (ValueError, DisconnectedTerminalsError) as exc:
+            with pytest.raises(type(exc)):
+                spec.evaluate(iv)
+            continue
+        got = spec.evaluate(iv)
+        assert got == want and type(got) is type(want)
+        assert spec.score(iv) == oracles.score(spec, iv)
     try:
-        want = [spec.score(InfectionVector(row)) for row in block]
+        want = [oracles.score(spec, InfectionVector(row)) for row in block]
     except (ValueError, DisconnectedTerminalsError) as exc:
         with pytest.raises(type(exc)):
             spec.score_batch(block)
@@ -80,22 +94,33 @@ def graphs_and_blocks(draw):
     return build_graph(n, edges), np.array(rows, dtype=np.int8), center, orbit
 
 
+_TWO_PATHS = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
+# R's knobs: every graph above the distance-matrix limit (one BFS per row), and
+# a gather budget of one byte (one row and one infected rank per gather)
 @settings(max_examples=150)
-@given(graphs_and_blocks())
-@example((build_graph(1, []), np.array([[1], [1]], dtype=np.int8), 0, {0}))
-@example((cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}))
+@given(graphs_and_blocks(), st.sampled_from([{}, {"_DMAT_LIMIT": 0}, {"_R_GATHER_BYTES": 1}]))
+@example((build_graph(1, []), np.array([[1], [1]], dtype=np.int8), 0, {0}), {})
+@example((build_graph(1, []), np.array([[1], [0], [2]], dtype=np.int8), 0, {0}), {"_DMAT_LIMIT": 0})
+@example((cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}), {"_R_GATHER_BYTES": 1})
+@example((_TWO_PATHS, np.array([[1, 0, 2, 0, 1, 0], [0, 1, 0, 2, 0, 1]], dtype=np.int8), 0, {1, 4}), {})
 @example(
-    (
-        build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
-        np.array([[1, 0, 2, 0, 1, 0], [0, 1, 0, 2, 0, 1]], dtype=np.int8),
-        0,
-        {1, 4},
-    )
+    (_TWO_PATHS, np.array([[1, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0], [0, 0, 2, 1, 1, 1]], dtype=np.int8), 3, {2}),
+    {},
 )
-def test_score_batch_equals_per_row_score(case):
+@example(
+    (cycle_graph(6), np.array([[1, 1, 0, 2, 0, 0], [0, 0, 2, 0, 0, 0], [1, 0, 0, 0, 0, 0]], dtype=np.int8), 5, {1}),
+    {"_R_GATHER_BYTES": 1},
+)
+def test_score_batch_equals_per_row_score(case, knobs):
+    # rows whose infected counts differ, rows with none infected, and n = 1
     g, block, center, orbit = case
-    for spec in _specs(g, center, orbit):
-        _assert_batch_matches_rows(spec, block)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in knobs.items():
+            mp.setattr(stats, name, value)
+        for spec in _specs(g, center, orbit):
+            _assert_batch_matches_oracle(spec, block)
 
 
 def test_score_batch_disconnected_radius_is_minus_inf():
@@ -229,6 +254,28 @@ def test_multi_spread_mc_test_canary():
     assert r.histogram == (
         (-2.6666666666666665, 7), (-2.3333333333333335, 29), (-2.0, 12), (-1.6666666666666667, 2)
     )
+
+
+def test_multi_spread_radius_with_differing_k_equals_per_snapshot_loop():
+    # every block scores snapshots with different infected counts together
+    g = torus_grid((6, 6))
+    ivs = [
+        simulate_spread(g, SpreadParams(eta=4.0, k=k), substream(11, k)).to_infection(g.n)
+        for k in (6, 4, 3)
+    ]
+    ivs[0] = censor_uniform(ivs[0], 5, substream(11, 0))
+    cfg = TestConfig(alpha=0.1, B=300, seed=8)
+    spec = StatisticSpec.infection_radius(g)
+    res = multi_spread_mc_test(spec, ivs, cfg, null_graph=empty_graph(g.n))
+    draws = oracles.relabeled_rows(np.stack([iv.status for iv in ivs]), cfg.B, substream(cfg.seed))
+    means = [
+        sum(oracles.score(spec, InfectionVector(snap)) for snap in draw) / len(ivs) for draw in draws
+    ]
+    assert res.observed == sum(oracles.score(spec, iv) for iv in ivs) / len(ivs)
+    assert res.histogram == tuple(
+        (float(v), int(c)) for v, c in zip(*np.unique(means, return_counts=True))
+    )
+    assert res.raw_ge_count == sum(m >= res.observed for m in means)
 
 
 def test_exact_test_canary():

@@ -66,11 +66,18 @@ def test_infection_vector_is_immutable_and_hashable():
 
 
 def test_infection_vector_rejects_bad_status():
-    for bad in ((0, 3), (-1, 0), (1, 2, 1, 7)):
+    # 256 and -255 wrap to valid int8 statuses, and 0.5 and 1.9 truncate to them
+    for bad in ((0, 3), (-1, 0), (1, 2, 1, 7), [256, 1, 0], [-255, 1, 0], [0.5, 1.0, 1.9]):
         with pytest.raises(ValueError, match="statuses must be 0, 1, or 2"):
-            InfectionVector(bad)
+            InfectionVector(np.array(bad))
     with pytest.raises(ValueError):
         InfectionVector(())
+
+
+def test_infection_vector_accepts_exact_statuses_of_any_dtype():
+    for good in (np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2], dtype=np.uint64), [False, True, 2]):
+        iv = InfectionVector(good)
+        assert iv.status.dtype == np.int8 and iv.status.tolist() == [0, 1, 2]
 
 
 def test_infection_from_infected():
