@@ -15,9 +15,9 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from math import factorial, isfinite
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 from .errors import ConfigError, GuardExceededError, NetspreadError, ParseError
 from .graphs import Graph, empty_graph, from_spec
@@ -130,6 +130,24 @@ def _claimed(paths: Sequence[str | None]) -> Iterator[None]:
         raise
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A text file written beside path and moved onto it once the block
+    succeeds; a failed block removes it, so it creates no file and leaves
+    an existing one as it was."""
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with _open_out(partial, "x") as fh:
+            yield fh
+        try:
+            os.replace(partial, path)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):  # gone after the replace; a failed cleanup must not hide an error
+            os.remove(partial)
+
+
 def _vertex(g: Graph, label: str, error: type[Exception], where: str) -> int:
     """g's index of label; an unknown label raises error naming where it came from."""
     try:
@@ -238,20 +256,16 @@ def _cmd_test(args: argparse.Namespace) -> int:
     mode = MODE_CENSOR_FIXING if args.mode == "censor-fixed" else MODE_FULL
     cfg = TestConfig(alpha=args.alpha, B=args.B, seed=args.seed, mode=mode)
 
-    dump_fh = None
     on_resample = None
-    if args.debug_dump is not None:
-        dump_fh = _open_out(args.debug_dump)
-        chars = {0: "0", 1: "1", 2: "*"}
-
-        def on_resample(_b: int, permuted) -> None:
-            dump_fh.write("".join(chars[int(s)] for s in permuted) + "\n")
-
-    try:
-        result = mc_test(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
-    finally:
+    dump = args.debug_dump
+    with nullcontext() if dump is None else _replacing(dump) as dump_fh:
         if dump_fh is not None:
-            dump_fh.close()
+            chars = {0: "0", 1: "1", 2: "*"}
+
+            def on_resample(_b: int, permuted) -> None:
+                dump_fh.write("".join(chars[int(s)] for s in permuted) + "\n")
+
+        result = mc_test(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
 
     observed, threshold, direction = result.raw_scale()
     validity = result.validity_warning or "valid"
@@ -452,7 +466,6 @@ def _mc_curve(
         _need(entry, "replicates", int, path),
         stat=stat,
         threads=threads,
-        collect_alt_values=True,
     )
     return stat, curve
 

@@ -21,7 +21,7 @@ import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial, floor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,11 +100,19 @@ class TestResult:
     mode: str
     validity_warning: str | None = None
 
-    def raw_scale(self) -> tuple[float, float, str]:
-        """(observed, threshold, "below" or "above") on the raw statistic scale."""
-        if self.tail == "lower":
-            return -self.observed, -self.threshold, "below"
-        return self.observed, self.threshold, "above"
+    def raw_scale(self) -> tuple:
+        """(observed, threshold, "below" or "above") on the raw statistic scale;
+        per-stage tuples for a composite test, each stage by its own tail."""
+        if isinstance(self.observed, tuple):
+            stages = zip(self.observed, self.threshold, self.tail.split("+"))
+            return tuple(zip(*(_raw_scale(*stage) for stage in stages)))
+        return _raw_scale(self.observed, self.threshold, self.tail)
+
+
+def _raw_scale(observed: float, threshold: float, tail: str) -> tuple[float, float, str]:
+    if tail == "lower":
+        return -observed, -threshold, "below"
+    return observed, threshold, "above"
 
 
 def _tail_budget(alpha_mass: float, total: int) -> int:
@@ -310,24 +318,6 @@ def _enumerated_blocks(status: np.ndarray) -> Iterator[np.ndarray]:
         yield block
 
 
-def _score_blocks(
-    stats: Sequence[StatisticSpec],
-    blocks: Iterable[np.ndarray],
-    on_resample: Callable[[int, np.ndarray], None] | None = None,
-) -> list[np.ndarray]:
-    """Score every row of every (rows, n) block with each statistic, in row order."""
-    parts: list[list[np.ndarray]] = [[] for _ in stats]
-    b = 0
-    for block in blocks:
-        if on_resample is not None:
-            for row in block:
-                on_resample(b, row)
-                b += 1
-        for part, stat in zip(parts, stats):
-            part.append(stat.score_batch(block))
-    return [np.concatenate(part) for part in parts]
-
-
 def exact_test(
     stat: StatisticSpec,
     iv: InfectionVector,
@@ -347,7 +337,7 @@ def exact_test(
         raise GuardExceededError(
             f"exact test costs {n}! = {factorial(n)} evaluations; guard is n <= {n_guard}"
         )
-    [scores] = _score_blocks([stat], _enumerated_blocks(iv.status))
+    scores = np.concatenate([stat.score_batch(block) for block in _enumerated_blocks(iv.status)])
     return _calibrate(
         stat.score(iv),
         scores,
@@ -360,26 +350,68 @@ def exact_test(
     )
 
 
+def _shuffled(stack: np.ndarray, cfg: TestConfig) -> np.ndarray | None:
+    """The positions cfg.mode shuffles in every snapshot of an (m, n) status
+    stack, None for all; censor-fixing needs one censored set for all."""
+    if cfg.mode != MODE_CENSOR_FIXING:
+        return None
+    censored = stack == CENSORED
+    if len(stack) > 1 and (censored[1:] != censored[0]).any():
+        raise ValueError("censor-fixing needs every snapshot to share one censored set")
+    positions = np.flatnonzero(~censored[0])
+    if positions.size == 0:
+        raise ValueError("every vertex is censored; nothing to permute")
+    return positions
+
+
+def _mc_draws(
+    stats: Sequence[StatisticSpec],
+    stack: np.ndarray,
+    cfg: TestConfig,
+    rng: np.random.Generator | None = None,
+    first_rows: int | None = None,
+    on_resample: Callable[[int, np.ndarray], None] | None = None,
+) -> Iterator[list[np.ndarray]]:
+    """Per block of cfg.B relabelings of an (m, n) status stack in cfg.mode
+    (drawn from rng, else substream(cfg.seed)), each statistic's scores of
+    the drawn stacks averaged over their m snapshots. Every Monte-Carlo
+    test draws here; stopping the iteration stops the drawing.
+    on_resample sees each drawn stack, flattened, before it is scored."""
+    positions = _shuffled(stack, cfg)
+    gen = substream(cfg.seed) if rng is None else rng
+    index = itertools.count()
+    m, n = stack.shape
+    for block in _relabel_blocks(stack, cfg.B, gen, positions, first_rows):
+        if on_resample is not None:
+            for row in block.reshape(len(block), m * n):
+                on_resample(next(index), row)
+        scores = [stat.score_batch(block.reshape(-1, n)) for stat in stats]
+        # scores are integers or infinite, so the sums are exact in any order
+        yield scores if m == 1 else [s.reshape(-1, m).sum(axis=1) / m for s in scores]
+
+
 def _mc_result(
     stat: StatisticSpec,
-    iv: InfectionVector,
+    ivs: Sequence[InfectionVector],
     cfg: TestConfig,
     null_graph: Graph | None,
     rng: np.random.Generator | None,
     on_resample: Callable[[int, np.ndarray], None] | None,
+    statistic: str,
+    mode: str,
 ) -> TestResult:
-    """The Monte-Carlo test in cfg.mode; the body of mc_test and conditional_mc_test."""
-    positions = _shuffled(iv, cfg)
-    gen = substream(cfg.seed) if rng is None else rng
-    blocks = _relabel_blocks(iv.status, cfg.B, gen, positions)
-    [scores] = _score_blocks([stat], blocks, on_resample)
+    """The Monte-Carlo test of stat's mean over the snapshots ivs, in cfg.mode;
+    the body of mc_test, conditional_mc_test and multi_spread_mc_test."""
+    own = [stat.score(iv) for iv in ivs]
+    stack = np.array([iv.status for iv in ivs])
+    [scores] = map(np.concatenate, zip(*_mc_draws([stat], stack, cfg, rng, None, on_resample)))
     return _calibrate(
-        stat.score(iv),
+        sum(own[1:], own[0]) / len(own),  # from own[0], so one snapshot's -0.0 stays -0.0
         scores,
         cfg.alpha,
-        statistic=stat.name,
+        statistic=statistic,
         tail=stat.tail,
-        mode=cfg.mode,
+        mode=mode,
         validity_warning=_validity_warning(cfg, stat, null_graph),
     )
 
@@ -399,7 +431,7 @@ def mc_test(
     threshold rule so level holds for every B. In censor-fixing mode it
     is conditional_mc_test.
     """
-    return _mc_result(stat, iv, cfg, null_graph, rng, on_resample)
+    return _mc_result(stat, [iv], cfg, null_graph, rng, on_resample, stat.name, cfg.mode)
 
 
 def conditional_mc_test(
@@ -416,17 +448,7 @@ def conditional_mc_test(
     mark, matching a null where censoring is arbitrary but fixed.
     """
     cfg = replace(cfg, mode=MODE_CENSOR_FIXING)
-    return _mc_result(stat, iv, cfg, null_graph, rng, on_resample)
-
-
-def _shuffled(iv: InfectionVector, cfg: TestConfig) -> np.ndarray | None:
-    """The positions a test in cfg.mode shuffles; None for all of them."""
-    if cfg.mode != MODE_CENSOR_FIXING:
-        return None
-    positions = np.flatnonzero(iv.status != CENSORED)
-    if positions.size == 0:
-        raise ValueError("every vertex is censored; nothing to permute")
-    return positions
+    return _mc_result(stat, [iv], cfg, null_graph, rng, on_resample, stat.name, cfg.mode)
 
 
 # rows in the first block an early-decided test draws; later blocks double
@@ -445,13 +467,11 @@ def _mc_reject(
     saturated threshold is the top draw. So the remaining rows are not
     drawn. A test that draws all B rows calibrates exactly as mc_test.
     """
-    positions = _shuffled(iv, cfg)
     observed = stat.score(iv)
     budget = _tail_budget(cfg.alpha, cfg.B)
     parts = []
     ge = 0
-    for block in _relabel_blocks(iv.status, cfg.B, rng, positions, _FIRST_ROWS):
-        scores = stat.score_batch(block)
+    for [scores] in _mc_draws([stat], iv.status[None], cfg, rng, _FIRST_ROWS):
         ge += int(np.count_nonzero(scores >= observed))
         if ge > budget:
             return False, observed
@@ -475,17 +495,18 @@ def composite_mc_test(
     alone (first score <= its threshold), so the rejection regions are
     disjoint and masses add. Rejects when either stage fires on the
     observed snapshot. p_value is the Bonferroni combination
-    min(1, 2 min(p1, p2)) of the stagewise add-one p-values.
+    min(1, 2 min(p1, p2)) of the stagewise add-one p-values. Draws follow
+    cfg.mode; the validity warning is the first one of the two statistics.
     """
-    gen = substream(cfg.seed) if rng is None else rng
-    blocks = _relabel_blocks(iv.status, cfg.B, gen)
-    s1, s2 = _score_blocks([stat_first, stat_second], blocks)
+    stats = (stat_first, stat_second)
+    s1, s2 = map(np.concatenate, zip(*_mc_draws(stats, iv.status[None], cfg, rng)))
     half = cfg.alpha / 2.0
+    warnings = (_validity_warning(cfg, stat, null_graph) for stat in stats)
     labels = dict(
         statistic=f"{stat_first.name}+{stat_second.name}",
         tail=f"{stat_first.tail}+{stat_second.tail}",
         mode="composite",
-        validity_warning=_validity_warning(cfg, stat_first, null_graph),
+        validity_warning=next(filter(None, warnings), None),
     )
     first = _calibrate(stat_first.score(iv), s1, half, **labels)
     # a saturated first threshold equals max(s1), so the mask is then all-true;
@@ -514,24 +535,11 @@ def multi_spread_mc_test(
 
     The observed score is the mean of per-snapshot scores; each
     Monte-Carlo draw relabels every snapshot with its own independent
-    uniform permutation. With m = 1 this reduces exactly to mc_test.
+    uniform permutation, in cfg.mode: censor-fixing needs one censored
+    set shared by all. With m = 1 this reduces exactly to mc_test.
     """
     if not ivs:
         raise ValueError("need at least one snapshot")
-    n = ivs[0].n
-    if any(iv.n != n for iv in ivs):
+    if any(iv.n != ivs[0].n for iv in ivs):
         raise ValueError("snapshots must share one vertex set")
-    gen = substream(cfg.seed) if rng is None else rng
-    m = len(ivs)
-    blocks = _relabel_blocks(np.stack([iv.status for iv in ivs]), cfg.B, gen)
-    [flat] = _score_blocks([stat], (block.reshape(-1, n) for block in blocks))
-    # scores are integers or infinite, so the row sums are exact in any order
-    return _calibrate(
-        float(np.mean([stat.score(iv) for iv in ivs])),
-        flat.reshape(cfg.B, m).sum(axis=1) / m,
-        cfg.alpha,
-        statistic=f"avg-{stat.name}",
-        tail=stat.tail,
-        mode="multi-spread",
-        validity_warning=_validity_warning(cfg, stat, null_graph),
-    )
+    return _mc_result(stat, ivs, cfg, null_graph, rng, None, f"avg-{stat.name}", "multi-spread")

@@ -353,8 +353,9 @@ def baseline_rule(algorithm: str, g: Graph, k: int, c: int, d: int = 2) -> Basel
 class RiskCurve:
     """Type I once, Type II per eta, from shared null replicates.
 
-    alt_values optionally carries the raw statistic value of every
-    alternative snapshot, keyed by eta (boxplot-ready data).
+    alt_values carries the raw statistic value of every alternative
+    snapshot of mc_risk_curve, keyed by eta (boxplot-ready data);
+    baseline_risk_curve leaves it None.
     """
 
     type_i: float
@@ -440,7 +441,6 @@ def mc_risk_curve(
     reps: int,
     stat: StatisticSpec | None = None,
     threads: int | None = None,
-    collect_alt_values: bool = False,
 ) -> RiskCurve:
     """Estimate Type I and a Type II curve for the configured test.
 
@@ -449,7 +449,8 @@ def mc_risk_curve(
     runs the test, drawing relabelings from substream (seed, tag + 2,
     replicate); see _replicates for the other substreams. Type II is the
     miss rate under the alternative; mean_threshold averages the null
-    replicates' thresholds on the raw statistic scale. An alternative
+    replicates' thresholds on the raw statistic scale, and alt_values
+    holds every alternative replicate's raw statistic. An alternative
     replicate needs only reject, so it stops drawing once the test can
     no longer reject (permtest._mc_reject); every output is the same as
     with all B draws.
@@ -474,7 +475,7 @@ def mc_risk_curve(
         mean_threshold=thresholds / reps,
         type_ii={eta: 1.0 - r / reps for eta, r in zip(etas, alt_rejects)},
         reps=reps,
-        alt_values=values if collect_alt_values else None,
+        alt_values=values,
     )
 
 

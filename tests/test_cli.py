@@ -806,6 +806,51 @@ def test_failed_experiment_leaves_no_output_behind(tmp_path, capsys):
     assert kept.read_text() == "earlier run\n"
 
 
+@pytest.mark.parametrize("infected", ["a x", "a b"])
+def test_failed_test_leaves_no_debug_dump_behind(tmp_path, capsys, infected):
+    # T on two triangles: {a, x} spans both, so the observed snapshot fails;
+    # {a, b} scores, but some draw spans both and fails after earlier draws
+    graph = tmp_path / "two.txt"
+    graph.write_text("a b\nb c\nc a\nx y\ny z\nz x\n")
+    snap = tmp_path / "snap.txt"
+    snap.write_text("".join(f"{v} {int(v in infected.split())}\n" for v in "abcxyz"))
+    argv = ["test", "--null-graph", "empty:6", "--alt-graph", f"file:{graph}",
+            "--statistic", "T", "--infection", str(snap), "--B", "50", "--debug-dump"]
+    dump = tmp_path / "dump.txt"
+    code, stdout, err = run(capsys, *argv, str(dump))
+    assert (code, stdout) == (3, "")
+    assert "connected component" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.txt", "two.txt"]
+    # an existing dump keeps its content
+    dump.write_text("earlier run\n")
+    assert run(capsys, *argv, str(dump))[0] == 3
+    assert dump.read_text() == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dump.txt", "snap.txt", "two.txt"]
+
+
+def test_debug_dump_replaces_an_existing_file(tmp_path, capsys):
+    snap = simulate_snapshot(tmp_path, capsys, k="3")
+    dump = tmp_path / "draws.txt"
+    dump.write_text("earlier run\n" * 100)
+    code, _, _ = run(
+        capsys,
+        "test", "--null-graph", "star:12", "--alt-graph", "cycle:12",
+        "--statistic", "W", "--infection", snap, "--B", "25", "--debug-dump", str(dump),
+    )
+    assert code == 0
+    lines = dump.read_text().splitlines()
+    assert len(lines) == 25 and all(len(line) == 12 for line in lines)
+    # a directory cannot be replaced: a data error, and the partial file goes
+    code, stdout, err = run(
+        capsys,
+        "test", "--null-graph", "star:12", "--alt-graph", "cycle:12",
+        "--statistic", "W", "--infection", snap, "--B", "25", "--debug-dump", str(tmp_path),
+    )
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"error: cannot write {tmp_path}")
+    assert not list(tmp_path.parent.glob("*.partial"))
+
+
 def test_baseline_rows_run_serially(tmp_path, capsys, monkeypatch):
     import netspread.risk
 

@@ -27,6 +27,7 @@ from netspread import (
     infection_from_infected,
     mc_test,
     multi_spread_mc_test,
+    path_graph,
     star_graph,
     substream,
     torus_grid,
@@ -366,6 +367,52 @@ def test_composite_level_under_uniform_null():
         rejections += res.reject
     # allow generous slack over alpha for Monte-Carlo noise
     assert rejections / reps <= alpha + 0.1
+
+
+def test_composite_validity_warning_covers_both_statistics():
+    # star:6 validates W on cycle:6 but not W on path:6, in either order
+    null = star_graph(6)
+    on_cycle = StatisticSpec.edges_within(cycle_graph(6))
+    on_path = StatisticSpec.edges_within(path_graph(6))
+    iv = infection_from_infected(6, [0, 1])
+    cfg = TestConfig(alpha=0.1, B=20, seed=1)
+    assert check_validity(null, cycle_graph(6)) == "valid"
+    assert check_validity(null, path_graph(6)) == "invalid"
+    for stats in ((on_cycle, on_path), (on_path, on_cycle)):
+        res = composite_mc_test(*stats, iv, cfg, null_graph=null)
+        assert res.validity_warning.startswith("invalid"), stats
+    assert composite_mc_test(on_cycle, on_cycle, iv, cfg, null_graph=null).validity_warning is None
+
+
+def test_composite_raw_scale_maps_each_stage_by_its_tail():
+    g = torus_grid((4, 4))
+    w, r = StatisticSpec.edges_within(g), StatisticSpec.infection_radius(g)
+    iv = infection_from_infected(16, [0, 1, 4, 5])
+    res = composite_mc_test(w, r, iv, TestConfig(alpha=0.1, B=100, seed=7))
+    (o1, o2), (t1, t2) = res.observed, res.threshold
+    assert res.raw_scale() == ((o1, -o2), (t1, -t2), ("above", "below"))
+    assert res.raw_scale()[0] == (w.evaluate(iv), r.evaluate(iv))
+    flipped = composite_mc_test(r, w, iv, TestConfig(alpha=0.1, B=100, seed=7))
+    assert flipped.raw_scale()[2] == ("below", "above")
+    single = mc_test(r, iv, TestConfig(alpha=0.1, B=100, seed=7))
+    assert single.raw_scale() == (-single.observed, -single.threshold, "below")
+
+
+def test_composite_and_multi_spread_follow_cfg_mode():
+    # both ran full-permute whatever cfg.mode said; censor-fixing now keeps the marks
+    g = torus_grid((6, 6))
+    censored = [3, 9, 10, 14, 20, 23, 27, 30, 33, 35]
+    iv = infection_from_infected(36, [0, 1, 6, 7, 12], censored=censored)
+    w, r = StatisticSpec.edges_within(g), StatisticSpec.infection_radius(g)
+    full = TestConfig(alpha=0.1, B=200, seed=5)
+    fixing = replace(full, mode="censor-fixing")
+    assert composite_mc_test(w, r, iv, full) != composite_mc_test(w, r, iv, fixing)
+    assert multi_spread_mc_test(w, [iv, iv], full) != multi_spread_mc_test(w, [iv, iv], fixing)
+    # with one snapshot, censor-fixing multi-spread is the conditional test
+    one = multi_spread_mc_test(w, [iv], fixing)
+    cond = conditional_mc_test(w, iv, full)
+    assert one.observed == cond.observed and one.threshold == cond.threshold
+    assert one.histogram == cond.histogram
 
 
 def test_multi_spread_one_snapshot_equals_mc_test():

@@ -4,6 +4,8 @@ those of the per-draw loop it replaced, the blocked word-sized shuffle
 against a per-draw permutation loop, and mc_risk_curve's early-decided
 alternatives against full tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -371,6 +373,112 @@ def test_relabel_blocks_equal_per_draw_permutations(case):
     assert got_rng.random() == want_rng.random()
 
 
+# -- composite and multi-spread tests in both modes -------------------------------
+
+
+@st.composite
+def stack_cases(draw):
+    """m = 1..3 snapshots of a random graph on 2..10 vertices sharing one
+    censored set, each with an infected vertex, two of W, R and T, and a
+    config in either mode."""
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    censored = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    free = [v for v in range(n) if v not in censored]
+    ivs = []
+    for _ in range(draw(st.integers(1, 3))):
+        status = [2 if v in censored else draw(st.integers(0, 1)) for v in range(n)]
+        status[draw(st.sampled_from(free))] = 1
+        ivs.append(InfectionVector(status))
+    kinds = [StatisticSpec.edges_within, StatisticSpec.infection_radius, StatisticSpec.steiner_weight]
+    first, second = (kind(g) for kind in draw(st.permutations(kinds))[:2])
+    cfg = TestConfig(
+        alpha=draw(st.sampled_from([0.05, 0.1, 0.3])),
+        B=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 1000)),
+        mode=draw(st.sampled_from(["full-permute", "censor-fixing"])),
+    )
+    return (first, second), ivs, cfg
+
+
+def _oracle_draws(stack, cfg):
+    """The per-draw loop: cfg.B relabelings of an (m, n) status stack from substream(cfg.seed)."""
+    positions = np.flatnonzero(stack[0] != 2) if cfg.mode == "censor-fixing" else None
+    return oracles.relabeled_rows(stack, cfg.B, substream(cfg.seed), positions)
+
+
+def _oracle_mean(spec, snaps):
+    return sum(oracles.score(spec, InfectionVector(snap)) for snap in snaps) / len(snaps)
+
+
+def _oracle_composite(first, second, iv, cfg):
+    """composite_mc_test from the oracle's draws and per-row scores."""
+    draws = _oracle_draws(iv.status[None], cfg)[:, 0]
+    o1, o2 = oracles.score(first, iv), oracles.score(second, iv)
+    s1 = np.array([oracles.score(first, InfectionVector(row)) for row in draws])
+    s2 = np.array([oracles.score(second, InfectionVector(row)) for row in draws])
+    labels = dict(
+        statistic=f"{first.name}+{second.name}", tail=f"{first.tail}+{second.tail}",
+        mode="composite", validity_warning="unverifiable: no null graph provided",
+    )
+    one = permtest._calibrate(o1, s1, cfg.alpha / 2, **labels)
+    two = permtest._calibrate(o2, s2[s1 <= one.threshold], cfg.alpha / 2, total=cfg.B, **labels)
+    return replace(
+        one,
+        observed=(o1, o2),
+        threshold=(one.threshold, two.threshold),
+        p_value=min(1.0, 2 * min(one.p_value, two.p_value)),
+        reject=one.reject or two.reject,
+        saturated=(one.saturated, two.saturated),
+    )
+
+
+@settings(max_examples=150)
+@given(stack_cases())
+@example((
+    (StatisticSpec.edges_within(cycle_graph(6)), StatisticSpec.steiner_weight(cycle_graph(6))),
+    [infection_from_infected(6, [0, 1], censored=[3, 4])] * 3,
+    TestConfig(alpha=0.3, B=40, seed=2, mode="censor-fixing"),
+))
+def test_composite_and_multi_spread_equal_per_draw_loop(case):
+    (first, second), ivs, cfg = case
+    stack = np.stack([iv.status for iv in ivs])
+    try:
+        want_multi = permtest._calibrate(
+            _oracle_mean(first, stack),
+            np.array([_oracle_mean(first, draw) for draw in _oracle_draws(stack, cfg)]),
+            cfg.alpha,
+            statistic=f"avg-{first.name}", tail=first.tail, mode="multi-spread",
+            validity_warning="unverifiable: no null graph provided",
+        )
+    except DisconnectedTerminalsError:
+        with pytest.raises(DisconnectedTerminalsError):
+            multi_spread_mc_test(first, ivs, cfg)
+    else:
+        assert multi_spread_mc_test(first, ivs, cfg) == want_multi
+    try:
+        want_composite = _oracle_composite(first, second, ivs[0], cfg)
+    except DisconnectedTerminalsError:
+        with pytest.raises(DisconnectedTerminalsError):
+            composite_mc_test(first, second, ivs[0], cfg)
+    else:
+        assert composite_mc_test(first, second, ivs[0], cfg) == want_composite
+
+
+def test_multi_spread_censor_fixing_needs_one_censored_set():
+    g = cycle_graph(8)
+    ivs = [
+        infection_from_infected(8, [0, 1], censored=[4]),
+        infection_from_infected(8, [2, 3], censored=[5]),
+    ]
+    spec = StatisticSpec.edges_within(g)
+    cfg = TestConfig(alpha=0.1, B=20, seed=1)
+    assert multi_spread_mc_test(spec, ivs, cfg).n_draws == 20
+    with pytest.raises(ValueError, match="share one censored set"):
+        multi_spread_mc_test(spec, ivs, replace(cfg, mode="censor-fixing"))
+
+
 # -- early-decided alternatives in mc_risk_curve ------------------------------------
 
 
@@ -431,9 +539,9 @@ def test_mc_risk_curve_equals_full_tests(case):
     except ValueError:
         # R of a snapshot whose infected vertices were all censored
         with pytest.raises(ValueError, match="at least one infected"):
-            mc_risk_curve(*args, stat=stat, collect_alt_values=True)
+            mc_risk_curve(*args, stat=stat)
         return
-    assert mc_risk_curve(*args, stat=stat, collect_alt_values=True) == want
+    assert mc_risk_curve(*args, stat=stat) == want
 
 
 @pytest.mark.parametrize("mode", ["full-permute", "censor-fixing"])
@@ -442,7 +550,7 @@ def test_mc_risk_curve_torus_equals_full_tests(mode):
     cfg = TestConfig(alpha=0.05, B=60, seed=3, mode=mode)
     for stat in (StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1)):
         args = (empty_graph(64), g1, 0.0, [1.0, 10.0, 100.0], 12, 8, cfg, 6)
-        got = mc_risk_curve(*args, stat=stat, collect_alt_values=True)
+        got = mc_risk_curve(*args, stat=stat)
         assert got == _curve_of_full_tests(*args, stat)
 
 

@@ -1,6 +1,8 @@
-"""The README's command-line examples, run as written.
+"""The README's examples, run as written.
 
-Every `$ netspread ...` line in a sh block of README.md runs through
+The python quick-start block runs as one script; each `# ` line right
+after a `print(...)` line is what that print must write. Every
+`$ netspread ...` line in a sh block of README.md runs through
 cli.main in one temporary directory, in README order (the `test`
 example reads the snapshot the `simulate` example writes). A
 `$ cat FILE` line before it writes the lines that follow it to FILE.
@@ -64,3 +66,16 @@ def test_readme_cli_examples(tmp_path, capsys, monkeypatch):
             assert json.loads(out) == json.loads(expected), argv
         else:
             assert out == expected, argv
+
+
+def test_readme_python_quick_start(capsys):
+    [block] = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = block.splitlines()
+    expected = [
+        after[2:] + "\n"
+        for line, after in zip(lines, lines[1:])
+        if line.startswith("print(") and after.startswith("# ")
+    ]
+    assert expected == ["4.0 4.0 0.041916167664670656 False\n"]
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out == "".join(expected)
