@@ -48,7 +48,6 @@ from .perms import (
     apply_to_graph,
     apply_to_infection,
     automorphism_group,
-    is_vertex_transitive,
     orbit,
     product_group_is_full,
 )
@@ -106,7 +105,6 @@ from .spreading import (
 )
 from .stats import (
     StatisticSpec,
-    avg_edges_within,
     center_indicator,
     edges_within,
     infection_radius,

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from math import factorial, isfinite
 from typing import Any, Iterator, Sequence, TextIO
 
@@ -105,47 +105,39 @@ def _read_text(path: str, what: str = "") -> str:
         raise ParseError(f"cannot read {what}{path}: {exc}") from exc
 
 
-def _open_out(path: str, mode: str = "w"):
-    """path opened for writing text, or a ParseError (exit 3) naming it."""
-    try:
-        return open(path, mode, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
-
-
 @contextmanager
-def _claimed(paths: Sequence[str | None]) -> Iterator[None]:
-    """Check that every output path (None skipped) can be written before the
-    block runs; if it fails, remove the files this created, so a failed run
-    leaves no new output and an existing file as it was."""
-    fresh = [path for path in filter(None, paths) if not os.path.exists(path)]
+def _outputs(paths: Sequence[str | None]) -> Iterator[list[TextIO | None]]:
+    """One text file per output path (None for None), written as
+    PATH.<pid>.partial beside it and moved onto PATH once the block
+    succeeds. Every partial is created before the block runs, and an
+    unwritable path, a directory included, raises ParseError (exit 3)
+    there; a failed block removes them, so it creates no output and
+    leaves an existing file as it was."""
+    files: list[TextIO | None] = []
     try:
-        for path in filter(None, paths):
-            _open_out(path, "a").close()  # appending creates the file, keeps old content
-        yield
-    except BaseException:
-        for path in fresh:
-            with suppress(OSError):  # a failed cleanup must not hide the run's error
-                os.remove(path)
-        raise
-
-
-@contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A text file written beside path and moved onto it once the block
-    succeeds; a failed block removes it, so it creates no file and leaves
-    an existing one as it was."""
-    partial = f"{path}.{os.getpid()}.partial"
-    try:
-        with _open_out(partial, "x") as fh:
-            yield fh
-        try:
-            os.replace(partial, path)
-        except OSError as exc:
-            raise ParseError(f"cannot write {path}: {exc}") from exc
+        for path in paths:
+            if path is None:
+                files.append(None)
+                continue
+            try:
+                if os.path.isdir(path):
+                    raise IsADirectoryError("is a directory")
+                files.append(open(f"{path}.{os.getpid()}.partial", "x", encoding="utf-8", newline=""))
+            except OSError as exc:
+                raise ParseError(f"cannot write {path}: {exc}") from exc
+        yield files
+        for path, fh in zip(paths, files):
+            if fh is not None:
+                fh.close()
+                try:
+                    os.replace(fh.name, path)
+                except OSError as exc:
+                    raise ParseError(f"cannot write {path}: {exc}") from exc
     finally:
-        with suppress(OSError):  # gone after the replace; a failed cleanup must not hide an error
-            os.remove(partial)
+        for fh in filter(None, files):
+            fh.close()
+            with suppress(OSError):  # gone after the replace; a failed cleanup must not hide an error
+                os.remove(fh.name)
 
 
 def _vertex(g: Graph, label: str, error: type[Exception], where: str) -> int:
@@ -195,20 +187,16 @@ def _eta_list(cfg: dict, path: str) -> list[float]:
     if not raw:
         raise ConfigError(f"{path}.etas: must be non-empty")
     out = []
+    seen: dict[str, int] = {}  # printed text -> index, as keys and headers show etas
     for i, x in enumerate(raw):
-        if not isinstance(x, (int, float)) or isinstance(x, bool) or x < 0:
+        if not isinstance(x, (int, float)) or isinstance(x, bool) or not x >= 0:
             raise ConfigError(f"{path}.etas[{i}]: expected number >= 0")
+        text = _fmt(float(x))
+        if text in seen:
+            raise ConfigError(f"{path}.etas[{i}]: prints as {text}, the same as etas[{seen[text]}]")
+        seen[text] = i
         out.append(float(x))
     return out
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _open_out(out) as fh:
-            fh.write(text)
-        print(f"wrote {out}")
 
 
 # -- simulate -------------------------------------------------------------------
@@ -225,7 +213,7 @@ def _read_label_file(path: str) -> list[str]:
     return labels
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     g = from_spec(args.graph)
     params = SpreadParams(eta=args.eta, k=args.k)
     path = simulate_spread(g, params, substream(args.seed, 0))
@@ -235,16 +223,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         iv = censor_fixed(iv, [_vertex(g, lab, ParseError, args.censor_file) for lab in labels])
     elif args.c:
         iv = censor_uniform(iv, args.c, substream(args.seed, 1))
-    with _open_out(args.out) as fh:
-        write_status_file(fh, iv, labels=[g.label_of(v) for v in range(g.n)])
-    print(f"wrote {args.out}")
-    return 0
+    write_status_file(args.out_file, iv, labels=[g.label_of(v) for v in range(g.n)])
 
 
 # -- test -----------------------------------------------------------------------
 
 
-def _cmd_test(args: argparse.Namespace) -> int:
+def _cmd_test(args: argparse.Namespace) -> None:
     null_graph = from_spec(args.null_graph)
     alt = from_spec(args.alt_graph)
     labels, codes = read_status_file(_read_text(args.infection))
@@ -257,13 +242,12 @@ def _cmd_test(args: argparse.Namespace) -> int:
     cfg = TestConfig(alpha=args.alpha, B=args.B, seed=args.seed, mode=mode)
 
     on_resample = None
-    dump = args.debug_dump
-    with nullcontext() if dump is None else _replacing(dump) as dump_fh:
-        if dump_fh is not None:
+    with _outputs([args.debug_dump]) as (dump,):
+        if dump is not None:
             chars = {0: "0", 1: "1", 2: "*"}
 
             def on_resample(_b: int, permuted) -> None:
-                dump_fh.write("".join(chars[int(s)] for s in permuted) + "\n")
+                dump.write("".join(chars[int(s)] for s in permuted) + "\n")
 
         result = mc_test(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
 
@@ -295,13 +279,12 @@ def _cmd_test(args: argparse.Namespace) -> int:
         print(f"reject:     {result.reject}")
         print(f"saturated:  {result.saturated}")
         print(f"validity:   {validity}")
-    return 0
 
 
 # -- check-aut --------------------------------------------------------------------
 
 
-def _cmd_check_aut(args: argparse.Namespace) -> int:
+def _cmd_check_aut(args: argparse.Namespace) -> None:
     null_graph = from_spec(args.null_graph)
     alt = from_spec(args.alt_graph)
     if null_graph.n != alt.n:
@@ -319,13 +302,12 @@ def _cmd_check_aut(args: argparse.Namespace) -> int:
             "invalid (automorphism products cover only part of the "
             f"{factorial(n)} relabelings)"
         )
-    return 0
 
 
 # -- baseline ---------------------------------------------------------------------
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
+def _cmd_baseline(args: argparse.Namespace) -> None:
     doc = _load_config(args.config)
     g = _graph_from(doc, "graph", args.config)
     k = _need(doc, "k", int, args.config)
@@ -347,7 +329,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     }
     if args.json:
         print(_dumps(report))
-        return 0
+        return
     print(
         f"ball-radius baseline: threshold {_fmt(report['tb_threshold'])} "
         f"(floor {_fmt(float(int(report['tb_threshold'])))}), statistic ceiling "
@@ -357,7 +339,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         f"tree-weight baseline: threshold {_fmt(report['tt_threshold'])}, "
         f"statistic ceiling {_fmt(float(report['tree_ceiling']))} -> {report['tt_diagnosis']}"
     )
-    return 0
 
 
 # -- risk --------------------------------------------------------------------------
@@ -470,7 +451,7 @@ def _mc_curve(
     return stat, curve
 
 
-def _cmd_risk(args: argparse.Namespace) -> int:
+def _cmd_risk(args: argparse.Namespace) -> None:
     doc = _load_config(args.config)
     kind = _need(doc, "kind", str, args.config)
     if kind == "bounds":
@@ -494,8 +475,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
         }
     else:
         raise ConfigError(f"{args.config}.kind: expected 'bounds' or 'mc', got {kind!r}")
-    _emit(_dumps({"schema": 1, "kind": kind, "results": results}) + "\n", args.out)
-    return 0
+    (args.out_file or sys.stdout).write(_dumps({"schema": 1, "kind": kind, "results": results}) + "\n")
 
 
 # -- experiment ----------------------------------------------------------------------
@@ -517,19 +497,18 @@ def _baseline_row(entry: dict, path: str, etas: list[float]) -> tuple[str, float
 
 
 def _perm_row(
-    entry: dict, path: str, etas: list[float], threads: int | None
+    entry: dict, path: str, etas: list[float], threads: int | None, long_files: dict[str, TextIO]
 ) -> tuple[str, float, str, RiskCurve]:
     long_out = _opt(entry, "long_out", str, path, None)
     stat, curve = _mc_curve(entry, path, etas, threads)
     if long_out is not None:
         values = curve.alt_values
         rows = [f"{_fmt(eta)},{rep},{_fmt(v)}" for eta in etas for rep, v in enumerate(values[eta])]
-        with _open_out(long_out) as fh:
-            fh.write("\n".join([f"eta,replicate,{stat.name}", *rows]) + "\n")
+        long_files[long_out].write("\n".join([f"eta,replicate,{stat.name}", *rows]) + "\n")
     return stat.name, curve.mean_threshold, "data-dependent", curve
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> None:
     doc = _load_config(args.config)
     entries = _need(doc, "entries", list, args.config)
     if not entries:
@@ -537,9 +516,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     threads = _threads_from_env()
     lines = []
     grid: list[float] | None = None
-    # the perm rows' long_out files, checked before the first row runs
+    # the perm rows' long_out files, claimed before the first row runs
     perm = [e for e in entries if isinstance(e, dict) and e.get("algorithm") == "perm"]
-    with _claimed([e["long_out"] for e in perm if isinstance(e.get("long_out"), str)]):
+    long_outs = [e["long_out"] for e in perm if isinstance(e.get("long_out"), str)]
+    with _outputs(long_outs) as files:
+        long_files = dict(zip(long_outs, files))
         for i, entry in enumerate(entries):
             path = f"{args.config}.entries[{i}]"
             if not isinstance(entry, dict):
@@ -551,7 +532,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 raise ConfigError(f"{path}.etas: all entries must share one eta grid")
             algorithm = _need(entry, "algorithm", str, path)
             if algorithm == "perm":
-                statistic, threshold, diagnosis, curve = _perm_row(entry, path, etas, threads)
+                statistic, threshold, diagnosis, curve = _perm_row(entry, path, etas, threads, long_files)
             elif algorithm in ("TB", "TT"):
                 statistic, threshold, diagnosis, curve = _baseline_row(entry, path, etas)
             else:
@@ -560,8 +541,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             lines.append(",".join(cells + [_fmt(curve.type_ii[eta]) for eta in etas]))
         header = ["algorithm", "statistic", "threshold", "diagnosis", "typeI"]
         header += [f"typeII@eta={_fmt(eta)}" for eta in grid]
-        _emit("\n".join([",".join(header), *lines]) + "\n", args.out)
-    return 0
+        (args.out_file or sys.stdout).write("\n".join([",".join(header), *lines]) + "\n")
 
 
 # -- parser ----------------------------------------------------------------------------
@@ -626,9 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        with _claimed([getattr(args, "out", None)]):
-            return args.func(args)
+        with _outputs([out]) as (args.out_file,):
+            args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -644,6 +625,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
+    if out is not None:
+        print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":

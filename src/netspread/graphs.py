@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, inf, prod
+from math import inf, prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -127,20 +127,11 @@ class Graph:
         indices.setflags(write=False)
         return indptr, indices
 
-    @cached_property
-    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(vs) for vs in self.adjacency)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return v in self.adjacency_sets[u]
 
     # -- labels ----------------------------------------------------------
 
@@ -338,26 +329,28 @@ def correlated_pair(n: int, p: float, gamma: float, seed: int) -> tuple[Graph, G
     return build_graph(n, edges0), build_graph(n, edges1)
 
 
-_FIXED_KINDS = {
-    "empty": empty_graph,
-    "complete": complete_graph,
-    "star": star_graph,
-    "cycle": cycle_graph,
-    "path": path_graph,
+def _dims(text: str) -> list[int]:
+    return [int(d) for d in text.split("x")]
+
+
+# kind -> (generator, one parser per ':'-separated field of its spec)
+_KINDS = {
+    "empty": (empty_graph, (int,)),
+    "complete": (complete_graph, (int,)),
+    "star": (star_graph, (int,)),
+    "cycle": (cycle_graph, (int,)),
+    "path": (path_graph, (int,)),
+    "torus": (torus_grid, (_dims,)),
+    "er": (erdos_renyi, (int, float, int)),
+    "two-block": (two_block, (int, float, float, int)),
 }
 
 
 def generate(kind: str, *args, **kwargs) -> Graph:
     """Dispatch to a named generator: empty|complete|star|cycle|path|torus|er|two-block."""
-    if kind in _FIXED_KINDS:
-        return _FIXED_KINDS[kind](*args, **kwargs)
-    if kind == "torus":
-        return torus_grid(*args, **kwargs)
-    if kind == "er":
-        return erdos_renyi(*args, **kwargs)
-    if kind in ("two-block", "two_block", "sbm"):
-        return two_block(*args, **kwargs)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    return _KINDS[kind][0](*args, **kwargs)
 
 
 def from_spec(spec: str) -> Graph:
@@ -374,16 +367,12 @@ def from_spec(spec: str) -> Graph:
                 raise ValueError("file: needs a path")
             with open(rest, "r", encoding="utf-8") as fh:
                 return load_edge_list(fh.read())
-        if kind in _FIXED_KINDS:
-            return _FIXED_KINDS[kind](int(rest))
-        if kind == "torus":
-            return torus_grid([int(d) for d in rest.split("x")])
-        if kind == "er":
-            n, p, seed = rest.split(":")
-            return erdos_renyi(int(n), float(p), int(seed))
-        if kind in ("two-block", "sbm"):
-            n, p_in, p_out, seed = rest.split(":")
-            return two_block(int(n), float(p_in), float(p_out), int(seed))
+        if kind in _KINDS:
+            make, parsers = _KINDS[kind]
+            fields = rest.split(":")
+            if len(fields) != len(parsers):
+                raise ValueError(f"expected {len(parsers)} fields after '{kind}:'")
+            return make(*(parse(f) for parse, f in zip(parsers, fields)))
     except (ValueError, OSError) as exc:
         raise ParseError(f"bad graph spec {spec!r}: {exc}") from exc
     raise ParseError(f"unknown graph kind {kind!r} in spec {spec!r}")
@@ -524,23 +513,3 @@ def load_edge_list(text: str) -> Graph:
         raise ParseError("edge list has no edges")
     labels = tuple(sorted(index, key=index.__getitem__))
     return build_graph(len(index), edges, labels=labels)
-
-
-def expected_edge_count(kind: str, n: int, **params) -> float:
-    """Closed-form (expected) edge counts for the named families."""
-    if kind == "empty":
-        return 0
-    if kind == "complete":
-        return comb(n, 2)
-    if kind == "star":
-        return n - 1
-    if kind == "cycle":
-        return n
-    if kind == "path":
-        return n - 1
-    if kind == "torus":
-        dims = params["dims"]
-        return prod(dims) * len(dims)
-    if kind == "er":
-        return params["p"] * comb(n, 2)
-    raise ValueError(f"no closed form for kind {kind!r}")

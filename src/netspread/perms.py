@@ -29,7 +29,6 @@ __all__ = [
     "apply_to_graph",
     "automorphism_group",
     "product_group_is_full",
-    "is_vertex_transitive",
     "orbit",
 ]
 
@@ -183,7 +182,7 @@ class PermGroup:
             return pi(self.fixed_vertex) == self.fixed_vertex
         if self.kind == GRAPH:
             # a bijection sending every edge to an edge preserves the edge set
-            adj = self.graph.adjacency_sets
+            adj = self.graph.adjacency
             return all(pi(v) in adj[pi(u)] for u, v in self.graph.edges)
         return pi.image in self._image_set
 
@@ -399,11 +398,6 @@ def _count(same, code) -> int:
     for i in range(len(same) - 1):
         order *= len(_orbit(same, code, range(i), i))
     return order
-
-
-def is_vertex_transitive(g: Graph, n_max: int = 10) -> bool:
-    """True when Aut(g) has a single vertex orbit."""
-    return len(orbit(automorphism_group(g, n_max=n_max), 0)) == g.n
 
 
 # -- validity condition --------------------------------------------------------

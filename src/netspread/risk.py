@@ -133,7 +133,7 @@ def cascade_count(g: Graph, k: int, u: int, v: int, n_guard: int = 10, k_guard: 
         )
     if k >= n or k < 2:
         return 0
-    adj = g.adjacency_sets
+    adj = g.adjacency
     total = 0
     for subset in itertools.combinations(range(n), k):
         ss = set(subset)
@@ -486,7 +486,6 @@ def baseline_risk_curve(
     c: int,
     reps: int,
     seed: int = 0,
-    threads: int | None = None,
 ) -> RiskCurve:
     """mc_risk_curve for a baseline rule, against a uniform scatter null.
 
@@ -504,7 +503,7 @@ def baseline_risk_curve(
 
     g = rule.stat.graph
     rejects, _, alt_rejects, _ = _replicates(
-        empty_graph(g.n), g, 0.0, etas, k, c, seed, reps, threads, decide
+        empty_graph(g.n), g, 0.0, etas, k, c, seed, reps, None, decide
     )
     # the miss count over reps, the correctly rounded miss rate
     type_ii = {eta: (reps - r) / reps for eta, r in zip(etas, alt_rejects)}

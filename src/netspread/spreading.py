@@ -142,7 +142,7 @@ class SpreadParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
+        if not self.eta >= 0:  # NaN fails too
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -158,12 +158,15 @@ def simulate_spread(
     whose cumulative weight exceeds u, so results are reproducible
     across platforms and an infected (zero-weight) vertex is never
     drawn again. The k uniforms are one rng.random(k) call, the same
-    values and end state as k scalar draws.
+    values and end state as k scalar draws. On a graph with edges,
+    n + 2|E| eta bounds the total weight and must be finite in float64.
     """
     n = g.n
     if params.k > n:
         raise ValueError(f"cannot infect k={params.k} of n={n} vertices")
     eta = float(params.eta)
+    if g.num_edges and not isfinite(n + 2 * g.num_edges * eta):
+        raise ValueError(f"eta={eta} overflows the spread weights: n + 2|E| eta is not finite")
     draws = as_generator(seed_or_rng).random(params.k).tolist()
     walk = _blocked_path if _sums_exact(g, eta) else _sequential_path
     return InfectionPath(tuple(walk(g, eta, draws)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "steiner_weight",
     "center_indicator",
     "orbit_count",
-    "avg_edges_within",
     "StatisticSpec",
 ]
 
@@ -90,13 +89,6 @@ def orbit_count(iv: InfectionVector, vertex_orbit: Iterable[int]) -> int:
     """Number of infected vertices inside the given orbit."""
     orbit = frozenset(vertex_orbit)
     return StatisticSpec.orbit_count(orbit).evaluate(iv) if orbit else 0
-
-
-def avg_edges_within(g: Graph, ivs: Sequence[InfectionVector]) -> float:
-    """Mean edges-within across several snapshots (multi-spread aggregate)."""
-    if not ivs:
-        raise ValueError("need at least one snapshot")
-    return float(np.mean([edges_within(g, iv) for iv in ivs]))
 
 
 # -- kernels over a (rows, n) infected mask ---------------------------------------

@@ -98,6 +98,19 @@ def test_simulate_k_too_large_is_usage_error(tmp_path, capsys):
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize("eta", ["nan", "inf", "1e308"])
+def test_simulate_non_finite_or_overflowing_eta_is_usage_error(tmp_path, capsys, eta):
+    out = tmp_path / "x.txt"
+    argv = ["simulate", "--eta", eta, "--k", "5", "--out", str(out)]
+    code, stdout, err = run(capsys, *argv, "--graph", "cycle:10")
+    assert (code, stdout) == (2, "")
+    assert err.startswith("invalid parameters: eta")
+    assert list(tmp_path.iterdir()) == []
+    # a graph without edges spreads uniformly at any eta, NaN aside
+    code, _, _ = run(capsys, *argv, "--graph", "empty:10")
+    assert (code, out.exists()) == ((2, False) if eta == "nan" else (0, True))
+
+
 def test_simulate_bad_graph_spec_is_parse_error(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -692,6 +705,55 @@ def test_experiment_unknown_algorithm(tmp_path, capsys):
     assert code == 2
 
 
+def _eta_configs(tmp_path, etas):
+    """(risk mc config, experiment config) paths, both over the given etas."""
+    mc = write_config(tmp_path, "mc.json", {
+        "schema": 1, "kind": "mc", "alt_graph": "cycle:10", "etas": etas, "k": 3,
+        "alpha": 0.1, "B": 20, "replicates": 2,
+    })
+    doc = experiment_doc()
+    for entry in doc["entries"]:
+        entry["etas"] = etas
+    return mc, write_config(tmp_path, "e.json", doc)
+
+
+@pytest.mark.parametrize(
+    "eta, message",
+    [
+        (float("nan"), "config error: {cfg}.etas[1]: expected number >= 0"),
+        (float("inf"), "invalid parameters: eta=inf overflows"),
+        (1e308, "invalid parameters: eta=1e+308 overflows"),
+    ],
+)
+def test_risk_and_experiment_reject_non_finite_or_overflowing_etas(tmp_path, capsys, eta, message):
+    # json.loads reads the NaN and Infinity that json.dumps writes
+    mc, exp = _eta_configs(tmp_path, [1, eta])
+    out = tmp_path / "out.txt"
+    for command, cfg in (("risk", mc), ("experiment", exp)):
+        code, stdout, err = run(capsys, command, "--config", cfg, "--out", str(out))
+        assert (code, stdout) == (2, ""), command
+        where = cfg if command == "risk" else f"{cfg}.entries[0]"
+        assert err.startswith(message.format(cfg=where)), command
+        assert not out.exists(), command
+
+
+def test_experiment_rejects_nan_eta_on_a_row_that_simulates_nothing(tmp_path, capsys):
+    # TB on cycle:10 always rejects, so no spread would check the eta
+    doc = {"schema": 1, "entries": [dict(experiment_doc()["entries"][1], etas=[float("nan")])]}
+    code, stdout, err = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
+    assert (code, stdout) == (2, "")
+    assert "etas[0]: expected number >= 0" in err
+
+
+def test_risk_and_experiment_reject_etas_that_print_alike(tmp_path, capsys):
+    # both would print as 1: one type_ii key, two typeII@eta=1 columns
+    mc, exp = _eta_configs(tmp_path, [1.0000001, 1.0000002, 5])
+    for command, cfg in (("risk", mc), ("experiment", exp)):
+        code, stdout, err = run(capsys, command, "--config", cfg)
+        assert (code, stdout) == (2, ""), command
+        assert "etas[1]: prints as 1, the same as etas[0]" in err, command
+
+
 def test_experiment_thread_env(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "e.json", experiment_doc())
     out1 = tmp_path / "serial.csv"
@@ -849,6 +911,102 @@ def test_debug_dump_replaces_an_existing_file(tmp_path, capsys):
     assert (code, stdout) == (3, "")
     assert err.startswith(f"error: cannot write {tmp_path}")
     assert not list(tmp_path.parent.glob("*.partial"))
+
+
+_OUTPUTS = ["simulate --out", "risk --out", "experiment --out", "long_out", "--debug-dump"]
+
+
+def _failing_run(tmp_path, output):
+    """(argv for a run that writes PATH to output and then fails, its exit code)."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    if output == "simulate --out":
+        return lambda path: ["simulate", "--graph", "cycle:10", "--eta", "1", "--k", "11", "--out", path], 2
+    if output == "risk --out":
+        entries = [{"type": "cascade-cycle", "k": 4}, {"type": "mystery"}]
+        cfg = write_config(inputs, "r.json", {"schema": 1, "kind": "bounds", "entries": entries})
+        return lambda path: ["risk", "--config", cfg, "--out", path], 2
+    if output == "--debug-dump":
+        # T on two triangles: {a, b} scores, but some draw spans both and fails
+        graph = inputs / "two.txt"
+        graph.write_text("a b\nb c\nc a\nx y\ny z\nz x\n")
+        snap = inputs / "snap.txt"
+        snap.write_text("".join(f"{v} {int(v in 'ab')}\n" for v in "abcxyz"))
+        return lambda path: ["test", "--null-graph", "empty:6", "--alt-graph", f"file:{graph}",
+                             "--statistic", "T", "--infection", str(snap), "--B", "50",
+                             "--debug-dump", path], 3
+    # fails once the perm row has run
+    doc = experiment_doc()
+    doc["entries"].append(dict(doc["entries"][1], algorithm="magic"))
+    if output == "experiment --out":
+        cfg = write_config(inputs, "e.json", doc)
+        return lambda path: ["experiment", "--config", cfg, "--out", path], 2
+
+    def long_out(path):
+        doc["entries"][0]["long_out"] = path
+        return ["experiment", "--config", write_config(inputs, "e.json", doc)]
+
+    return long_out, 2
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_failed_run_leaves_its_output_as_it_was(tmp_path, capsys, output):
+    argv, failure = _failing_run(tmp_path, output)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "result"
+    assert run(capsys, *argv(str(target)))[:2] == (failure, "")
+    assert list(out_dir.iterdir()) == []
+    earlier = b"earlier run\r\n\x00\xff"
+    target.write_bytes(earlier)
+    assert run(capsys, *argv(str(target)))[:2] == (failure, "")
+    assert target.read_bytes() == earlier
+    assert list(out_dir.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("output", _OUTPUTS)
+def test_directory_output_fails_before_the_command_runs(tmp_path, capsys, monkeypatch, output):
+    import netspread.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran before its output paths were claimed")
+
+    for name in ("simulate_spread", "mc_test", "mc_risk_curve", "baseline_risk_curve"):
+        monkeypatch.setattr(netspread.cli, name, no_run)
+    argv, _ = _failing_run(tmp_path, output)
+    target = tmp_path / "out"
+    target.mkdir()
+    code, stdout, err = run(capsys, *argv(str(target)))
+    assert (code, stdout) == (3, "")
+    assert err == f"error: cannot write {target}: is a directory\n"
+    assert list(target.iterdir()) == []
+    assert not list(tmp_path.glob("*.partial"))
+
+
+def test_two_outputs_on_one_path_fail_before_any_row(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    doc = experiment_doc()
+    doc["entries"][0]["long_out"] = str(out)
+    cfg = write_config(tmp_path, "e.json", doc)
+    code, stdout, err = run(capsys, "experiment", "--config", cfg, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"error: cannot write {out}: [Errno 17] File exists")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
+
+
+def test_output_replaces_its_file(tmp_path, capsys):
+    # a new file moves onto the path: a symlink there is replaced, not written through
+    cfg = write_config(tmp_path, "r.json", {
+        "schema": 1, "kind": "bounds", "entries": [{"type": "cascade-cycle", "k": 4}],
+    })
+    linked = tmp_path / "linked.json"
+    linked.write_text("earlier run\n")
+    out = tmp_path / "out.json"
+    out.symlink_to(linked)
+    assert run(capsys, "risk", "--config", cfg, "--out", str(out)) == (0, f"wrote {out}\n", "")
+    assert not out.is_symlink()
+    assert json.loads(out.read_text())["results"][0]["value"] == 24
+    assert linked.read_text() == "earlier run\n"
 
 
 def test_baseline_rows_run_serially(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,29 @@
+"""The export lists: every submodule's __all__ names something that
+exists, and the package re-exports only names its submodules list."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import netspread
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(netspread.__path__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"netspread.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_listed_names():
+    tree = ast.parse(Path(netspread.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"netspread.{node.module}")
+        public = [a.name for a in node.names if not a.name.startswith("_")]
+        assert [n for n in public if n not in module.__all__] == [], node.module

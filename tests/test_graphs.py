@@ -29,7 +29,6 @@ from netspread import (
     two_block,
 )
 from netspread import graphs
-from netspread.graphs import expected_edge_count
 
 
 @pytest.mark.parametrize(
@@ -43,9 +42,7 @@ from netspread.graphs import expected_edge_count
     ],
 )
 def test_family_edge_counts(kind, n, count):
-    g = generate(kind, n)
-    assert g.num_edges == count
-    assert expected_edge_count(kind, n) == count
+    assert generate(kind, n).num_edges == count
 
 
 def test_torus_edge_count_and_regularity():
@@ -53,7 +50,6 @@ def test_torus_edge_count_and_regularity():
     assert g.n == 12
     assert g.num_edges == 12 * 2  # one cycle per axis
     assert set(g.degrees) == {4}
-    assert expected_edge_count("torus", 12, dims=[3, 4]) == 24
 
 
 def test_torus_rejects_small_dims():
@@ -97,8 +93,7 @@ def test_adjacency_and_degrees():
     g = star_graph(5)
     assert g.neighbors(0) == (1, 2, 3, 4)
     assert g.degrees == (4, 1, 1, 1, 1)
-    assert g.has_edge(0, 3)
-    assert not g.has_edge(1, 2)
+    assert g.neighbors(3) == (0,)
 
 
 def test_bfs_distances_path():
@@ -265,6 +260,33 @@ def test_from_spec_bad_inputs():
         from_spec("cycle:notanumber")
     with pytest.raises(ParseError):
         from_spec("file:/no/such/file")
+    with pytest.raises(ParseError, match="expected 3 fields"):
+        from_spec("er:10:0.5")
+
+
+@pytest.mark.parametrize(
+    "spec, args",
+    [
+        ("empty:4", (4,)),
+        ("complete:5", (5,)),
+        ("star:6", (6,)),
+        ("cycle:7", (7,)),
+        ("path:8", (8,)),
+        ("torus:3x4", ([3, 4],)),
+        ("er:12:0.5:3", (12, 0.5, 3)),
+        ("two-block:10:0.8:0.1:2", (10, 0.8, 0.1, 2)),
+    ],
+)
+def test_generate_and_from_spec_share_one_kind_table(spec, args):
+    assert from_spec(spec) == generate(spec.partition(":")[0], *args)
+
+
+@pytest.mark.parametrize("kind", ["sbm", "two_block"])
+def test_kind_aliases_are_rejected(kind):
+    with pytest.raises(ValueError, match="unknown graph kind"):
+        generate(kind, 10, 1.0, 0.0, 1)
+    with pytest.raises(ParseError, match="unknown graph kind"):
+        from_spec(f"{kind}:10:1:0:1")
 
 
 def test_erdos_renyi_extremes_and_determinism():

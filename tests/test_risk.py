@@ -332,13 +332,12 @@ def test_baseline_rule_thresholds_and_ranges():
         baseline_rule("TX", g, 5, 0)
 
 
-@pytest.mark.parametrize("threads", [None, 2])
 @pytest.mark.parametrize("algorithm", ["TB", "TT"])
-def test_baseline_risk_curve_matches_a_replicate_loop(algorithm, threads):
+def test_baseline_risk_curve_matches_a_replicate_loop(algorithm):
     g = torus_grid((20, 20))
     rule = baseline_rule(algorithm, g, 5, 10, d=1)
     etas, reps, seed = [1.0, 10.0], 30, 3
-    curve = baseline_risk_curve(rule, etas, 5, 10, reps, seed, threads)
+    curve = baseline_risk_curve(rule, etas, 5, 10, reps, seed)
 
     def value(g_, eta, tag, rep):
         return float(rule.stat.evaluate(_snapshot(g_, eta, 5, 10, seed, tag, rep)))

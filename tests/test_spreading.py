@@ -105,7 +105,19 @@ def test_spread_params_validation():
     with pytest.raises(ValueError):
         SpreadParams(eta=-0.5, k=2)
     with pytest.raises(ValueError):
+        SpreadParams(eta=float("nan"), k=2)
+    with pytest.raises(ValueError):
         SpreadParams(eta=1.0, k=0)
+
+
+@pytest.mark.parametrize("eta", [float("inf"), 1e308])
+def test_spread_rejects_eta_whose_weights_overflow(eta):
+    with pytest.raises(ValueError, match="not finite"):
+        simulate_spread(cycle_graph(10), SpreadParams(eta=eta, k=5), 0)
+    # without edges every weight stays 1, whatever eta
+    assert len(simulate_spread(empty_graph(10), SpreadParams(eta=eta, k=5), 0).order) == 5
+    # the largest total weight, n + 2|E| eta, still fits in float64
+    assert len(simulate_spread(cycle_graph(10), SpreadParams(eta=1e306, k=10), 0).order) == 10
 
 
 def test_path_probability_uniform_when_eta_zero():

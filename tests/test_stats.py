@@ -13,7 +13,6 @@ from netspread import (
     SpreadParams,
     StatisticSpec,
     TestConfig,
-    avg_edges_within,
     build_graph,
     censor_uniform,
     center_indicator,
@@ -181,14 +180,6 @@ def test_orbit_count():
     assert orbit_count(iv, range(6)) == 3
     with pytest.raises(ValueError):
         orbit_count(iv, {9})
-
-
-def test_avg_edges_within():
-    g = cycle_graph(5)
-    ivs = [iv_of(5, [0, 1]), iv_of(5, [0, 2])]
-    assert avg_edges_within(g, ivs) == 0.5
-    with pytest.raises(ValueError):
-        avg_edges_within(g, [])
 
 
 def test_steiner_weight_simple_cases():
