@@ -77,6 +77,7 @@ from .risk import (
     infection_reach_probability,
     line_cycle_bound,
     mc_risk_curve,
+    mc_risk_curves,
     min_cascade_count,
     multi_spread_bounds,
     resolve_threads,

@@ -16,11 +16,12 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from functools import cache
 from math import factorial, isfinite
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .errors import ConfigError, GuardExceededError, NetspreadError, ParseError
-from .graphs import Graph, empty_graph, from_spec
+from .graphs import Graph, from_spec
 from .permtest import (
     MODE_CENSOR_FIXING,
     MODE_FULL,
@@ -29,6 +30,7 @@ from .permtest import (
     validity_with_guard,
 )
 from .risk import (
+    BaselineRule,
     RiskCurve,
     RiskInputs,
     baseline_risk_curve,
@@ -38,6 +40,7 @@ from .risk import (
     h_eta,
     line_cycle_bound,
     mc_risk_curve,
+    mc_risk_curves,
     min_cascade_count,
     multi_spread_bounds,
     star_null_risk_bound,
@@ -106,13 +109,27 @@ def _read_text(path: str, what: str = "") -> str:
 
 
 @contextmanager
-def _outputs(paths: Sequence[str | None]) -> Iterator[list[TextIO | None]]:
+def _outputs(
+    paths: Sequence[str | None], claimed: Sequence[str | None] = ()
+) -> Iterator[list[TextIO | None]]:
     """One text file per output path (None for None), written as
     PATH.<pid>.partial beside it and moved onto PATH once the block
     succeeds. Every partial is created before the block runs, and an
     unwritable path, a directory included, raises ParseError (exit 3)
     there; a failed block removes them, so it creates no output and
-    leaves an existing file as it was."""
+    leaves an existing file as it was. A path named twice, or also in
+    claimed (the paths an enclosing _outputs holds), raises ParseError
+    before any partial is created."""
+
+    def where(path: str) -> str:
+        # the file's own name is kept, so a symlink there is an output of its own
+        return os.path.join(os.path.realpath(os.path.dirname(path) or "."), os.path.basename(path))
+
+    seen = {where(path) for path in claimed if path is not None}
+    for path in filter(None, paths):
+        if where(path) in seen:
+            raise ParseError(f"cannot write {path}: named by two outputs")
+        seen.add(where(path))
     files: list[TextIO | None] = []
     try:
         for path in paths:
@@ -409,18 +426,25 @@ def _bound_entry(entry: dict, path: str) -> dict[str, Any]:
     return out
 
 
-def _mc_curve(
-    entry: dict, path: str, etas: list[float], threads: int | None, statistic: str | None = None
-) -> tuple[StatisticSpec, RiskCurve]:
-    """Read the null graph, alternative, test config and statistic of a
-    Monte Carlo config, and run mc_risk_curve on them.
+_McSettings = tuple[Graph, Graph, float, int, int, TestConfig, int]
+
+
+def _mc_settings(
+    entry: dict, path: str, load: Callable[[str], Graph], statistic: str | None = None
+) -> tuple[_McSettings, str]:
+    """The settings and statistic name of a Monte Carlo config, its graphs
+    built by load. The settings are the arguments of mc_risk_curves but
+    etas and the statistics, with defaults applied: (g0, alt, eta0, k,
+    c, cfg, reps). Runs with equal settings and one eta grid share their
+    replicate snapshots.
 
     statistic is the name used when the entry gives none; without one
-    the entry must name W, R or T.
+    the entry must name W, R or T. The null graph defaults to the empty
+    graph on the alternative's vertices.
     """
-    alt = _graph_from(entry, "alt_graph", path)
+    alt = load(_need(entry, "alt_graph", str, path))
     null_spec = _opt(entry, "null_graph", str, path, None)
-    g0 = from_spec(null_spec) if null_spec else empty_graph(alt.n)
+    g0 = load(null_spec or f"empty:{alt.n}")
     if statistic is None:
         statistic = _need(entry, "statistic", str, path)
     name = _opt(entry, "statistic", str, path, statistic)
@@ -435,20 +459,10 @@ def _mc_curve(
         seed=_opt(entry, "seed", int, path, 0),
         mode=MODE_CENSOR_FIXING if mode == "censor-fixed" else MODE_FULL,
     )
-    stat = StatisticSpec.from_name(name, alt)
-    curve = mc_risk_curve(
-        g0,
-        alt,
-        _opt(entry, "eta0", float, path, 0.0),
-        etas,
-        _need(entry, "k", int, path),
-        _opt(entry, "c", int, path, 0),
-        cfg,
-        _need(entry, "replicates", int, path),
-        stat=stat,
-        threads=threads,
-    )
-    return stat, curve
+    eta0 = _opt(entry, "eta0", float, path, 0.0)
+    k = _need(entry, "k", int, path)
+    c = _opt(entry, "c", int, path, 0)
+    return (g0, alt, eta0, k, c, cfg, _need(entry, "replicates", int, path)), name
 
 
 def _cmd_risk(args: argparse.Namespace) -> None:
@@ -465,7 +479,9 @@ def _cmd_risk(args: argparse.Namespace) -> None:
             results.append(_bound_entry(entry, f"{args.config}.entries[{i}]"))
     elif kind == "mc":
         etas = _eta_list(doc, args.config)
-        stat, curve = _mc_curve(doc, args.config, etas, _threads_from_env(), statistic="W")
+        (g0, alt, eta0, k, c, cfg, reps), name = _mc_settings(doc, args.config, from_spec, statistic="W")
+        stat = StatisticSpec.from_name(name, alt)
+        curve = mc_risk_curve(g0, alt, eta0, etas, k, c, cfg, reps, stat, _threads_from_env())
         results = {
             "statistic": stat.name,
             "type_i": curve.type_i,
@@ -481,64 +497,80 @@ def _cmd_risk(args: argparse.Namespace) -> None:
 # -- experiment ----------------------------------------------------------------------
 
 
-def _baseline_row(entry: dict, path: str, etas: list[float]) -> tuple[str, float, str, RiskCurve]:
-    """A TB or TT row, run serially: its few small numpy calls per
-    snapshot gain nothing from NETSPREAD_THREADS."""
-    algorithm = entry["algorithm"]
-    alt = _graph_from(entry, "alt_graph", path)
+def _baseline_setup(
+    entry: dict, path: str, algorithm: str, load: Callable[[str], Graph]
+) -> tuple[BaselineRule, int, int, int, int]:
+    """The TB or TT rule of an entry, with its k, c, replicates and seed."""
+    alt = load(_need(entry, "alt_graph", str, path))
     k = _need(entry, "k", int, path)
     c = _opt(entry, "c", int, path, 0)
     seed = _opt(entry, "seed", int, path, 0)
     reps = _need(entry, "replicates", int, path)
     d = _opt(entry, "d", int, path, 2) if algorithm == "TB" else 2
-    rule = baseline_rule(algorithm, alt, k, c, d)
-    curve = baseline_risk_curve(rule, etas, k, c, reps, seed)
-    return rule.stat.name, rule.threshold, rule.diagnosis, curve
-
-
-def _perm_row(
-    entry: dict, path: str, etas: list[float], threads: int | None, long_files: dict[str, TextIO]
-) -> tuple[str, float, str, RiskCurve]:
-    long_out = _opt(entry, "long_out", str, path, None)
-    stat, curve = _mc_curve(entry, path, etas, threads)
-    if long_out is not None:
-        values = curve.alt_values
-        rows = [f"{_fmt(eta)},{rep},{_fmt(v)}" for eta in etas for rep, v in enumerate(values[eta])]
-        long_files[long_out].write("\n".join([f"eta,replicate,{stat.name}", *rows]) + "\n")
-    return stat.name, curve.mean_threshold, "data-dependent", curve
+    return baseline_rule(algorithm, alt, k, c, d), k, c, reps, seed
 
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
+    """Read every entry, then run the rows: perm rows with equal settings
+    in one mc_risk_curves call when the first of them is reached, TB/TT
+    rows serially (their few small numpy calls per snapshot gain nothing
+    from NETSPREAD_THREADS). Rows and long_out files keep entry order."""
     doc = _load_config(args.config)
     entries = _need(doc, "entries", list, args.config)
     if not entries:
         raise ConfigError(f"{args.config}.entries: must be non-empty")
     threads = _threads_from_env()
+    load = cache(from_spec)  # one graph per spec for the whole experiment
+    rows = []  # (algorithm, statistic, perm settings or baseline setup, long_out)
+    groups: dict[_McSettings, list[str]] = {}  # settings -> its perm rows' statistics
+    grid: list[float] = []
+    for i, entry in enumerate(entries):
+        path = f"{args.config}.entries[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: expected object")
+        etas = _eta_list(entry, path)
+        if i == 0:
+            grid = etas
+        elif etas != grid:
+            raise ConfigError(f"{path}.etas: all entries must share one eta grid")
+        algorithm = _need(entry, "algorithm", str, path)
+        if algorithm == "perm":
+            long_out = _opt(entry, "long_out", str, path, None)
+            settings, name = _mc_settings(entry, path, load)
+            names = groups.setdefault(settings, [])
+            if name not in names:
+                names.append(name)
+            rows.append((algorithm, name, settings, long_out))
+        elif algorithm in ("TB", "TT"):
+            setup = _baseline_setup(entry, path, algorithm, load)
+            rows.append((algorithm, setup[0].stat.name, setup, None))
+        else:
+            raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
+
+    long_outs = [long_out for *_, long_out in rows if long_out is not None]
+    curves: dict[_McSettings, dict[str, RiskCurve]] = {}
     lines = []
-    grid: list[float] | None = None
-    # the perm rows' long_out files, claimed before the first row runs
-    perm = [e for e in entries if isinstance(e, dict) and e.get("algorithm") == "perm"]
-    long_outs = [e["long_out"] for e in perm if isinstance(e.get("long_out"), str)]
-    with _outputs(long_outs) as files:
+    with _outputs(long_outs, claimed=[args.out]) as files:
         long_files = dict(zip(long_outs, files))
-        for i, entry in enumerate(entries):
-            path = f"{args.config}.entries[{i}]"
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{path}: expected object")
-            etas = _eta_list(entry, path)
-            if grid is None:
-                grid = etas
-            elif etas != grid:
-                raise ConfigError(f"{path}.etas: all entries must share one eta grid")
-            algorithm = _need(entry, "algorithm", str, path)
+        for algorithm, name, setup, long_out in rows:
             if algorithm == "perm":
-                statistic, threshold, diagnosis, curve = _perm_row(entry, path, etas, threads, long_files)
-            elif algorithm in ("TB", "TT"):
-                statistic, threshold, diagnosis, curve = _baseline_row(entry, path, etas)
+                if setup not in curves:
+                    g0, alt, eta0, k, c, cfg, reps = setup
+                    stats = [StatisticSpec.from_name(s, alt) for s in groups[setup]]
+                    group = mc_risk_curves(g0, alt, eta0, grid, k, c, cfg, reps, stats, threads)
+                    curves[setup] = dict(zip(groups[setup], group))
+                curve = curves[setup][name]
+                threshold, diagnosis = curve.mean_threshold, "data-dependent"
             else:
-                raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
-            cells = [algorithm, statistic, _fmt(threshold), diagnosis, _fmt(curve.type_i)]
-            lines.append(",".join(cells + [_fmt(curve.type_ii[eta]) for eta in etas]))
+                rule, k, c, reps, seed = setup
+                curve = baseline_risk_curve(rule, grid, k, c, reps, seed)
+                threshold, diagnosis = rule.threshold, rule.diagnosis
+            if long_out is not None:
+                values = curve.alt_values
+                cells = [f"{_fmt(eta)},{rep},{_fmt(v)}" for eta in grid for rep, v in enumerate(values[eta])]
+                long_files[long_out].write("\n".join([f"eta,replicate,{name}", *cells]) + "\n")
+            cells = [algorithm, name, _fmt(threshold), diagnosis, _fmt(curve.type_i)]
+            lines.append(",".join(cells + [_fmt(curve.type_ii[eta]) for eta in grid]))
         header = ["algorithm", "statistic", "threshold", "diagnosis", "typeI"]
         header += [f"typeII@eta={_fmt(eta)}" for eta in grid]
         (args.out_file or sys.stdout).write("\n".join([",".join(header), *lines]) + "\n")

@@ -375,8 +375,10 @@ def _mc_draws(
     """Per block of cfg.B relabelings of an (m, n) status stack in cfg.mode
     (drawn from rng, else substream(cfg.seed)), each statistic's scores of
     the drawn stacks averaged over their m snapshots. Every Monte-Carlo
-    test draws here; stopping the iteration stops the drawing.
-    on_resample sees each drawn stack, flattened, before it is scored."""
+    test draws here; stopping the iteration stops the drawing. stats is
+    read afresh for each block, so a caller may drop statistics from it
+    between blocks. on_resample sees each drawn stack, flattened, before
+    it is scored."""
     positions = _shuffled(stack, cfg)
     gen = substream(cfg.seed) if rng is None else rng
     index = itertools.count()
@@ -456,28 +458,40 @@ _FIRST_ROWS = 16
 
 
 def _mc_reject(
-    stat: StatisticSpec, iv: InfectionVector, cfg: TestConfig, rng: np.random.Generator
-) -> tuple[bool, float]:
-    """(reject, observed score) of mc_test, drawing only until reject is settled.
+    stats: Sequence[StatisticSpec], iv: InfectionVector, cfg: TestConfig, rng: np.random.Generator
+) -> tuple[list[bool], list[float]]:
+    """Per statistic, (reject, observed score) of mc_test, drawing only until
+    every reject is settled.
 
-    The draws come from rng in growing blocks. Once more than the tail
-    budget of them score at or above the observed score, the test cannot
-    reject: an observation above a threshold has every score at or above
-    it above the threshold too, and those number at most the budget; a
-    saturated threshold is the top draw. So the remaining rows are not
-    drawn. A test that draws all B rows calibrates exactly as mc_test.
+    The draws come from rng in growing blocks, one stream for all
+    statistics. Once more than the tail budget of them score at or above
+    a statistic's observed score, its test cannot reject: an observation
+    above a threshold has every score at or above it above the threshold
+    too, and those number at most the budget; a saturated threshold is
+    the top draw. Later blocks are not scored with it, and once every
+    statistic is settled the remaining rows are not drawn. A statistic
+    scored on all B rows calibrates exactly as mc_test, so each result
+    is the one a call with that statistic alone gives.
     """
-    observed = stat.score(iv)
+    observed = [stat.score(iv) for stat in stats]
     budget = _tail_budget(cfg.alpha, cfg.B)
-    parts = []
-    ge = 0
-    for [scores] in _mc_draws([stat], iv.status[None], cfg, rng, _FIRST_ROWS):
-        ge += int(np.count_nonzero(scores >= observed))
-        if ge > budget:
-            return False, observed
-        parts.append(scores)
-    threshold, _ = _threshold_rule(np.concatenate(parts), cfg.alpha, cfg.B)
-    return observed > threshold, observed
+    live = list(range(len(stats)))  # the unsettled statistics
+    scoring = list(stats)  # theirs, read by _mc_draws for the next block
+    ge = [0] * len(stats)
+    parts: list[list[np.ndarray]] = [[] for _ in stats]
+    for block in _mc_draws(scoring, iv.status[None], cfg, rng, _FIRST_ROWS):
+        for i, scores in zip(live, block):
+            ge[i] += int(np.count_nonzero(scores >= observed[i]))
+            parts[i].append(scores)
+        live = [i for i in live if ge[i] <= budget]
+        if not live:
+            break
+        scoring[:] = [stats[i] for i in live]
+    reject = [False] * len(stats)
+    for i in live:
+        threshold, _ = _threshold_rule(np.concatenate(parts[i]), cfg.alpha, cfg.B)
+        reject[i] = observed[i] > threshold
+    return reject, observed
 
 
 def composite_mc_test(

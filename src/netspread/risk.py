@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log, nan, sqrt
 import os
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import GuardExceededError
 from .graphs import Graph, eccentricity, empty_graph
 from .permtest import TestConfig, _mc_reject, mc_test
 from .rng import substream
-from .spreading import InfectionVector, SpreadParams, censor_uniform, simulate_spread
+from .spreading import InfectionVector, SpreadParams, _check_eta, censor_uniform, simulate_spread
 from .stats import StatisticSpec
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "baseline_rule",
     "RiskCurve",
     "mc_risk_curve",
+    "mc_risk_curves",
     "baseline_risk_curve",
     "resolve_threads",
 ]
@@ -386,17 +387,18 @@ def _replicates(
     seed: int,
     reps: int,
     threads: int | None,
-    decide: Callable[[InfectionVector, int, int], tuple[bool, float, float]],
-) -> tuple[int, float, list[int], dict[float, list[float]]]:
-    """Tally one decision rule over simulated null and alternative snapshots.
+    decide: Callable[[InfectionVector, int, int], list[tuple[bool, float, float]]],
+) -> list[tuple[int, float, list[int], dict[float, list[float]]]]:
+    """Tally decision rules over simulated null and alternative snapshots.
 
     Replicate rep spreads k infections on g0 at eta0 from substream
     (seed, 0, rep) and on g1 at etas[i] from (seed, 10 * (i + 1), rep),
     then censors c uniform vertices from the substream one tag above, so
-    the tallies are the same at any thread count. decide(iv, tag, rep)
-    returns (reject, raw threshold, raw statistic value); only the null
-    replicates' (tag 0) thresholds are read. Returns the
-    null rejections, the sum of the null thresholds, and per eta the
+    the tallies are the same at any thread count. Each snapshot is
+    spread and censored once, and decide(iv, tag, rep) returns one
+    (reject, raw threshold, raw statistic value) per rule; only the null
+    replicates' (tag 0) thresholds are read. Returns per rule the null
+    rejections, the sum of the null thresholds, and per eta the
     rejections and the values in replicate order.
     """
     if reps < 1:
@@ -404,14 +406,14 @@ def _replicates(
     if not etas:
         raise ValueError("need at least one alternative eta")
 
-    def decide_on(g: Graph, eta: float, tag: int, rep: int) -> tuple[bool, float, float]:
+    def decide_on(g: Graph, eta: float, tag: int, rep: int) -> list[tuple[bool, float, float]]:
         path = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, tag, rep))
         iv = path.to_infection(g.n)
         if c:
             iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
         return decide(iv, tag, rep)
 
-    def one(rep: int) -> list[tuple[bool, float, float]]:
+    def one(rep: int) -> list[list[tuple[bool, float, float]]]:
         null = decide_on(g0, eta0, 0, rep)
         return [null, *(decide_on(g1, eta, 10 * (i + 1), rep) for i, eta in enumerate(etas))]
 
@@ -421,13 +423,17 @@ def _replicates(
             rows = list(pool.map(one, range(reps)))
     else:
         rows = [one(rep) for rep in range(reps)]
-    null, *alts = zip(*rows)
-    return (
-        sum(reject for reject, _, _ in null),
-        sum(threshold for _, threshold, _ in null),
-        [sum(reject for reject, _, _ in col) for col in alts],
-        {eta: [value for _, _, value in col] for eta, col in zip(etas, alts)},
-    )
+    tallies = []
+    for rule in range(len(rows[0][0])):
+        # rows[rep][snapshot][rule]: each snapshot's decisions in replicate order
+        null, *alts = ([row[snap][rule] for row in rows] for snap in range(1 + len(etas)))
+        tallies.append((
+            sum(reject for reject, _, _ in null),
+            sum(threshold for _, threshold, _ in null),
+            [sum(reject for reject, _, _ in col) for col in alts],
+            {eta: [value for _, _, value in col] for eta, col in zip(etas, alts)},
+        ))
+    return tallies
 
 
 def mc_risk_curve(
@@ -453,30 +459,65 @@ def mc_risk_curve(
     holds every alternative replicate's raw statistic. An alternative
     replicate needs only reject, so it stops drawing once the test can
     no longer reject (permtest._mc_reject); every output is the same as
-    with all B draws.
+    with all B draws. stat defaults to W on g1; this is mc_risk_curves
+    with one statistic.
     """
     the_stat = StatisticSpec.edges_within(g1) if stat is None else stat
+    [curve] = mc_risk_curves(g0, g1, eta0, etas, k, c, cfg, reps, [the_stat], threads)
+    return curve
 
-    def decide(iv: InfectionVector, tag: int, rep: int) -> tuple[bool, float, float]:
-        rng = substream(cfg.seed, tag + 2, rep)
+
+def mc_risk_curves(
+    g0: Graph,
+    g1: Graph,
+    eta0: float,
+    etas: list[float],
+    k: int,
+    c: int,
+    cfg: TestConfig,
+    reps: int,
+    stats: Sequence[StatisticSpec],
+    threads: int | None = None,
+) -> list[RiskCurve]:
+    """mc_risk_curve for each statistic in stats, on one set of snapshots.
+
+    Every replicate snapshot is spread and censored once and tested with
+    each statistic. A null replicate runs one mc_test per statistic,
+    each from its own substream (seed, 2, replicate). An alternative
+    replicate draws one stream (seed, tag + 2, replicate) for all of
+    them, scores each block only with the statistics whose reject is
+    not yet settled, and stops once all are. So curve i equals
+    mc_risk_curve(..., stat=stats[i]) field for field, at the cost of
+    one set of spreads and one alternative draw stream.
+    """
+    if not stats:
+        raise ValueError("need at least one statistic")
+
+    def decide(iv: InfectionVector, tag: int, rep: int) -> list[tuple[bool, float, float]]:
         if tag:
-            # an alternative needs only reject, so it stops drawing once that is settled
-            reject, observed = _mc_reject(the_stat, iv, cfg, rng)
-            return reject, nan, -observed if the_stat.tail == "lower" else observed
-        res = mc_test(the_stat, iv, cfg, null_graph=g0, rng=rng)
-        observed, threshold, _ = res.raw_scale()
-        return res.reject, threshold, observed
+            rejects, observed = _mc_reject(stats, iv, cfg, substream(cfg.seed, tag + 2, rep))
+            return [
+                (reject, nan, -score if stat.tail == "lower" else score)
+                for stat, reject, score in zip(stats, rejects, observed)
+            ]
+        out = []
+        for stat in stats:
+            res = mc_test(stat, iv, cfg, null_graph=g0, rng=substream(cfg.seed, 2, rep))
+            value, threshold, _ = res.raw_scale()
+            out.append((res.reject, threshold, value))
+        return out
 
-    rejects, thresholds, alt_rejects, values = _replicates(
-        g0, g1, eta0, etas, k, c, cfg.seed, reps, threads, decide
-    )
-    return RiskCurve(
-        type_i=rejects / reps,
-        mean_threshold=thresholds / reps,
-        type_ii={eta: 1.0 - r / reps for eta, r in zip(etas, alt_rejects)},
-        reps=reps,
-        alt_values=values,
-    )
+    tallies = _replicates(g0, g1, eta0, etas, k, c, cfg.seed, reps, threads, decide)
+    return [
+        RiskCurve(
+            type_i=rejects / reps,
+            mean_threshold=thresholds / reps,
+            type_ii={eta: 1.0 - r / reps for eta, r in zip(etas, alt_rejects)},
+            reps=reps,
+            alt_values=values,
+        )
+        for rejects, thresholds, alt_rejects, values in tallies
+    ]
 
 
 def baseline_risk_curve(
@@ -490,19 +531,22 @@ def baseline_risk_curve(
     """mc_risk_curve for a baseline rule, against a uniform scatter null.
 
     The null snapshots spread on the empty graph at eta 0. A rule
-    diagnosed as always or never rejecting simulates nothing.
+    diagnosed as always or never rejecting simulates nothing, but its
+    etas must still be ones a spread on the rule's graph accepts.
     """
+    for eta in etas:
+        _check_eta(rule.stat.graph, eta)
     if rule.diagnosis != "data-dependent":
         fires = rule.diagnosis == "always rejects"
         type_ii = {eta: float(not fires) for eta in etas}
         return RiskCurve(float(fires), rule.threshold, type_ii, reps)
 
-    def decide(iv: InfectionVector, tag: int, rep: int) -> tuple[bool, float, float]:
+    def decide(iv: InfectionVector, tag: int, rep: int) -> list[tuple[bool, float, float]]:
         value = float(rule.stat.evaluate(iv))
-        return value <= rule.threshold, rule.threshold, value
+        return [(value <= rule.threshold, rule.threshold, value)]
 
     g = rule.stat.graph
-    rejects, _, alt_rejects, _ = _replicates(
+    [(rejects, _, alt_rejects, _)] = _replicates(
         empty_graph(g.n), g, 0.0, etas, k, c, seed, reps, None, decide
     )
     # the miss count over reps, the correctly rounded miss rate

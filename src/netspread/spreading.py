@@ -165,11 +165,18 @@ def simulate_spread(
     if params.k > n:
         raise ValueError(f"cannot infect k={params.k} of n={n} vertices")
     eta = float(params.eta)
-    if g.num_edges and not isfinite(n + 2 * g.num_edges * eta):
-        raise ValueError(f"eta={eta} overflows the spread weights: n + 2|E| eta is not finite")
+    _check_eta(g, eta)
     draws = as_generator(seed_or_rng).random(params.k).tolist()
     walk = _blocked_path if _sums_exact(g, eta) else _sequential_path
     return InfectionPath(tuple(walk(g, eta, draws)))
+
+
+def _check_eta(g: Graph, eta: float) -> None:
+    """Raise ValueError when a spread on g at eta could overflow: on a
+    graph with edges, n + 2|E| eta bounds the total weight and must be
+    finite in float64."""
+    if g.num_edges and not isfinite(g.n + 2 * g.num_edges * eta):
+        raise ValueError(f"eta={eta} overflows the spread weights: n + 2|E| eta is not finite")
 
 
 def _sums_exact(g: Graph, eta: float) -> bool:

@@ -105,9 +105,9 @@ def _edges_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
 def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     """infection_radius of every row, as float64.
 
-    Rows may differ in infected count: each row's infected vertices are
-    padded to the largest count by repeating its last one, which leaves
-    its max unchanged. The distance-matrix rows of those vertices are
+    Rows may differ in infected count: then each row's infected vertices
+    are padded to the largest count by repeating its last one, which
+    leaves its max unchanged. The distance-matrix rows of those vertices are
     gathered for chunks of rows and ranks whose gather takes about
     _R_GATHER_BYTES, maxed over the ranks and minimized over the
     centers. Graphs above _DMAT_LIMIT run one packed BFS per row
@@ -127,8 +127,11 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
         return radii
     dmat = g.distance_matrix
     kmax = int(k.max(initial=0))
-    ranks = np.minimum(np.arange(kmax), k[:, None] - 1) + (np.cumsum(k) - k)[:, None]
-    idx = (np.flatnonzero(infected) % n)[ranks]
+    if (k == kmax).all():
+        idx = (np.flatnonzero(infected) % n).reshape(rows, kmax)
+    else:
+        ranks = np.minimum(np.arange(kmax), k[:, None] - 1) + (np.cumsum(k) - k)[:, None]
+        idx = (np.flatnonzero(infected) % n)[ranks]
     per_rank = n * dmat.itemsize
     width = max(1, min(kmax, _R_GATHER_BYTES // per_rank))
     step = max(1, _R_GATHER_BYTES // (width * per_rank))

@@ -1,5 +1,6 @@
 import json
 from math import log
+from pathlib import Path
 
 import pytest
 
@@ -745,6 +746,16 @@ def test_experiment_rejects_nan_eta_on_a_row_that_simulates_nothing(tmp_path, ca
     assert "etas[0]: expected number >= 0" in err
 
 
+@pytest.mark.parametrize("row", [1, 2])
+@pytest.mark.parametrize("eta, text", [(float("inf"), "inf"), (1e308, "1e+308")])
+def test_experiment_rejects_overflowing_eta_on_a_row_that_simulates_nothing(tmp_path, capsys, row, eta, text):
+    # TB on cycle:10 always rejects and TT never does, so no spread would check the eta
+    doc = {"schema": 1, "entries": [dict(experiment_doc()["entries"][row], etas=[1, eta])]}
+    code, stdout, err = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"invalid parameters: eta={text} overflows")
+
+
 def test_risk_and_experiment_reject_etas_that_print_alike(tmp_path, capsys):
     # both would print as 1: one type_ii key, two typeII@eta=1 columns
     mc, exp = _eta_configs(tmp_path, [1.0000001, 1.0000002, 5])
@@ -752,6 +763,84 @@ def test_risk_and_experiment_reject_etas_that_print_alike(tmp_path, capsys):
         code, stdout, err = run(capsys, command, "--config", cfg)
         assert (code, stdout) == (2, ""), command
         assert "etas[1]: prints as 1, the same as etas[0]" in err, command
+
+
+def _mixed_experiment(tmp_path):
+    """Entries of one eta grid: perm rows that share every setting but
+    statistic and long_out (the first repeated without long_out), one
+    that differs only in its seed, one in its mode, and TB/TT rows, with
+    long_out files in tmp_path."""
+    shared = {"alt_graph": "torus:6x6", "etas": [1, 10], "k": 8, "c": 4, "replicates": 6, "seed": 3}
+    perm = dict(shared, algorithm="perm", null_graph="empty:36", alpha=0.1, B=30)
+    return [
+        dict(perm, statistic="W", long_out=str(tmp_path / "W.csv")),
+        dict(shared, algorithm="TB", d=1),
+        dict(perm, statistic="R", long_out=str(tmp_path / "R.csv")),
+        dict(perm, statistic="R", seed=4, long_out=str(tmp_path / "R4.csv")),
+        dict(perm, statistic="T", long_out=str(tmp_path / "T.csv")),
+        dict(shared, algorithm="TT"),
+        dict(perm, statistic="W", mode="censor-fixed"),
+        dict(perm, statistic="W"),
+    ]
+
+
+def test_experiment_rows_equal_each_entry_run_alone(tmp_path, capsys):
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    entries = _mixed_experiment(whole)
+    cfg = write_config(tmp_path, "e.json", {"schema": 1, "entries": entries})
+    code, stdout, _ = run(capsys, "experiment", "--config", cfg)
+    assert code == 0
+    header, *lines = stdout.splitlines()
+    assert len(lines) == len(entries)
+    for i, entry in enumerate(entries):
+        alone = tmp_path / f"alone{i}"
+        alone.mkdir()
+        if "long_out" in entry:
+            entry = dict(entry, long_out=str(alone / "values.csv"))
+        cfg = write_config(alone, "e.json", {"schema": 1, "entries": [entry]})
+        code, stdout, _ = run(capsys, "experiment", "--config", cfg)
+        assert (code, stdout) == (0, f"{header}\n{lines[i]}\n"), entry
+        if "long_out" in entry:
+            values = (whole / Path(entries[i]["long_out"]).name).read_bytes()
+            assert (alone / "values.csv").read_bytes() == values, entry
+
+
+def test_experiment_reads_every_entry_before_any_row_runs(tmp_path, capsys, monkeypatch):
+    import netspread.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a row ran before every entry was read")
+
+    monkeypatch.setattr(netspread.cli, "mc_risk_curves", no_run)
+    monkeypatch.setattr(netspread.cli, "baseline_risk_curve", no_run)
+    doc = experiment_doc()
+    doc["entries"].append(dict(doc["entries"][1], algorithm="magic"))
+    cfg = write_config(tmp_path, "e.json", doc)
+    code, stdout, err = run(capsys, "experiment", "--config", cfg)
+    assert (code, stdout) == (2, "")
+    assert err == f"config error: {cfg}.entries[3].algorithm: expected perm, TB, or TT\n"
+
+
+def test_experiment_spreads_each_snapshot_once_for_rows_of_one_setting(tmp_path, capsys, monkeypatch):
+    import netspread.risk
+
+    calls = []
+    spread = netspread.risk.simulate_spread
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].eta)
+        return spread(*args, **kwargs)
+
+    monkeypatch.setattr(netspread.risk, "simulate_spread", counting)
+    entry = {
+        "algorithm": "perm", "alt_graph": "torus:6x6", "null_graph": "empty:36", "k": 8, "c": 4,
+        "alpha": 0.1, "B": 30, "etas": [1, 10, 100], "replicates": 5, "seed": 2,
+    }
+    doc = {"schema": 1, "entries": [dict(entry, statistic="W"), dict(entry, statistic="R")]}
+    assert run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))[0] == 0
+    # one spread per replicate and snapshot: the null at eta0 = 0, then each eta
+    assert sorted(calls) == sorted([0.0, 1, 10, 100] * 5)
 
 
 def test_experiment_thread_env(tmp_path, capsys, monkeypatch):
@@ -829,6 +918,7 @@ def test_unwritable_output_paths_fail_before_any_replicate(tmp_path, capsys, mon
         raise AssertionError("a row ran before every output path was checked")
 
     monkeypatch.setattr(netspread.cli, "mc_risk_curve", no_run)
+    monkeypatch.setattr(netspread.cli, "mc_risk_curves", no_run)
     monkeypatch.setattr(netspread.cli, "baseline_risk_curve", no_run)
     missing = tmp_path / "missing"
     mc = write_config(tmp_path, "mc.json", {
@@ -852,13 +942,13 @@ def test_unwritable_output_paths_fail_before_any_replicate(tmp_path, capsys, mon
 
 def test_failed_experiment_leaves_no_output_behind(tmp_path, capsys):
     doc = experiment_doc()
+    # fails once the other rows have run: a spread cannot infect 11 of 10 vertices
+    doc["entries"].append(dict(doc["entries"][0], k=11))
     doc["entries"][0]["long_out"] = str(tmp_path / "values.csv")
-    # fails once the perm row has run
-    doc["entries"].append(dict(doc["entries"][1], algorithm="magic"))
     cfg = write_config(tmp_path, "e.json", doc)
     code, stdout, err = run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "e.csv"))
     assert (code, stdout) == (2, "")
-    assert "algorithm: expected perm, TB, or TT" in err
+    assert "cannot infect k=11 of n=10 vertices" in err
     assert not (tmp_path / "values.csv").exists()
     assert not (tmp_path / "e.csv").exists()
     # an existing output file keeps its content
@@ -935,9 +1025,9 @@ def _failing_run(tmp_path, output):
         return lambda path: ["test", "--null-graph", "empty:6", "--alt-graph", f"file:{graph}",
                              "--statistic", "T", "--infection", str(snap), "--B", "50",
                              "--debug-dump", path], 3
-    # fails once the perm row has run
+    # fails once the other rows have run: a spread cannot infect 11 of 10 vertices
     doc = experiment_doc()
-    doc["entries"].append(dict(doc["entries"][1], algorithm="magic"))
+    doc["entries"].append(dict(doc["entries"][0], k=11))
     if output == "experiment --out":
         cfg = write_config(inputs, "e.json", doc)
         return lambda path: ["experiment", "--config", cfg, "--out", path], 2
@@ -971,7 +1061,7 @@ def test_directory_output_fails_before_the_command_runs(tmp_path, capsys, monkey
     def no_run(*args, **kwargs):
         raise AssertionError("the command ran before its output paths were claimed")
 
-    for name in ("simulate_spread", "mc_test", "mc_risk_curve", "baseline_risk_curve"):
+    for name in ("simulate_spread", "mc_test", "mc_risk_curve", "mc_risk_curves", "baseline_risk_curve"):
         monkeypatch.setattr(netspread.cli, name, no_run)
     argv, _ = _failing_run(tmp_path, output)
     target = tmp_path / "out"
@@ -990,7 +1080,25 @@ def test_two_outputs_on_one_path_fail_before_any_row(tmp_path, capsys):
     cfg = write_config(tmp_path, "e.json", doc)
     code, stdout, err = run(capsys, "experiment", "--config", cfg, "--out", str(out))
     assert (code, stdout) == (3, "")
-    assert err.startswith(f"error: cannot write {out}: [Errno 17] File exists")
+    assert err == f"error: cannot write {out}: named by two outputs\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
+
+
+def test_two_long_outs_on_one_path_fail_before_any_partial(tmp_path, capsys, monkeypatch):
+    import netspread.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a row ran before the output clash was found")
+
+    monkeypatch.setattr(netspread.cli, "mc_risk_curves", no_run)
+    doc = experiment_doc()
+    # the same file spelled two ways, on rows with different statistics
+    doc["entries"][0]["long_out"] = str(tmp_path / "v.csv")
+    doc["entries"].append(dict(doc["entries"][0], statistic="R", long_out=f"{tmp_path}/./v.csv"))
+    cfg = write_config(tmp_path, "e.json", doc)
+    code, stdout, err = run(capsys, "experiment", "--config", cfg)
+    assert (code, stdout) == (3, "")
+    assert err == f"error: cannot write {tmp_path}/./v.csv: named by two outputs\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["e.json"]
 
 

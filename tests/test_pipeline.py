@@ -1,9 +1,11 @@
 """The batched permutation pipeline: each statistic's kernel, on one row
 and on a block, against the per-row oracles, fixed-seed results pinned to
 those of the per-draw loop it replaced, the blocked word-sized shuffle
-against a per-draw permutation loop, and mc_risk_curve's early-decided
-alternatives against full tests."""
+against a per-draw permutation loop, mc_risk_curve's early-decided
+alternatives against full tests, and mc_risk_curves against one
+mc_risk_curve call per statistic."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +28,10 @@ from netspread import (
     exact_test,
     infection_from_infected,
     mc_risk_curve,
+    mc_risk_curves,
     mc_test,
     multi_spread_mc_test,
+    path_graph,
     simulate_spread,
     torus_grid,
 )
@@ -144,6 +148,21 @@ def test_score_batch_radius_chunks_and_bfs_path(monkeypatch):
     # above the distance-matrix limit: per-row BFS
     monkeypatch.setattr(stats, "_DMAT_LIMIT", 0)
     assert spec.score_batch(block).tolist() == want.tolist()
+
+
+def test_score_batch_radius_rows_of_equal_and_unequal_counts():
+    # equal counts take the plain index reshape, unequal ones the padding
+    g = torus_grid((6, 6))
+    spec = StatisticSpec.infection_radius(g)
+    rng = np.random.default_rng(5)
+    status = infection_from_infected(36, [0, 1, 7, 20, 33], censored=[4, 5]).status
+    equal = np.array([status[rng.permutation(36)] for _ in range(9)])
+    unequal = equal.copy()
+    unequal[::2, 3] = 1  # vertex 3 infected on every other row, a sixth where it was not
+    for block in (equal, unequal, equal[:1], unequal[:1]):
+        want = [oracles.score(spec, InfectionVector(row)) for row in block]
+        assert spec.score_batch(block).tolist() == want
+    assert len(set(np.count_nonzero(unequal == 1, axis=1))) == 2
 
 
 def test_score_batch_rejects_size_mismatch():
@@ -586,3 +605,86 @@ def test_mc_risk_curve_alternatives_stop_early(monkeypatch):
     alternatives = sum(scored) - reps * cfg.B
     assert alternatives == want
     assert alternatives < reps * len(etas) * cfg.B
+
+
+# -- statistics sharing one pass: mc_risk_curves -------------------------------------
+
+
+@st.composite
+def shared_curve_cases(draw):
+    """A connected random graph on 3..12 vertices, a null graph, k, c < k
+    (so every snapshot keeps an infected vertex and W, R and T all score
+    it), a test config whose B may fall below ceil(1/alpha) - 1, a
+    replicate count and a thread count."""
+    n = draw(st.integers(3, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g1 = build_graph(n, tree + draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)))
+    g0 = draw(st.sampled_from([empty_graph, cycle_graph]))(n)
+    k = draw(st.integers(1, n - 1))
+    c = draw(st.sampled_from([0, min(k - 1, n - k)]))
+    # B=10 < 19 at alpha 0.05 and B=3 < 4 at alpha 0.2 saturate every test
+    alpha, B = draw(st.sampled_from([(0.05, 10), (0.2, 3), (0.29, 100), (0.1, 40), (0.01, 50)]))
+    mode = draw(st.sampled_from(["full-permute", "censor-fixing"]))
+    cfg = TestConfig(alpha=alpha, B=B, seed=draw(st.integers(0, 1000)), mode=mode)
+    return g0, g1, k, c, cfg, draw(st.integers(1, 3)), draw(st.sampled_from([None, 2]))
+
+
+@settings(max_examples=40)
+@given(shared_curve_cases())
+@example((empty_graph(6), cycle_graph(6), 3, 2, TestConfig(alpha=0.29, B=100, seed=2), 3, 2))
+@example((cycle_graph(8), path_graph(8), 4, 0,
+          TestConfig(alpha=0.05, B=10, seed=1, mode="censor-fixing"), 2, None))
+def test_mc_risk_curves_equal_one_call_per_statistic(case):
+    g0, g1, k, c, cfg, reps, threads = case
+    stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1), StatisticSpec.steiner_weight(g1)]
+    args = (g0, g1, 0.0, [0.0, 1.0, 10.0], k, c, cfg, reps)
+    want = [mc_risk_curve(*args, stat=stat, threads=threads) for stat in stats_]
+    assert mc_risk_curves(*args, stats_, threads) == want
+    assert mc_risk_curves(*args, stats_[::-1], threads) == want[::-1]
+
+
+def test_mc_risk_curves_score_each_statistic_only_until_it_settles(monkeypatch):
+    g1 = torus_grid((10, 10))
+    stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1), StatisticSpec.steiner_weight(g1)]
+    args = (empty_graph(100), g1, 0.0, [1.0, 10.0], 20, 5, TestConfig(alpha=0.01, B=100, seed=1), 5)
+    scored, drawn = Counter(), Counter()
+    score_batch, relabel_blocks = StatisticSpec.score_batch, permtest._relabel_blocks
+
+    def counting_scores(self, block):
+        scored[self.name] += len(block)
+        return score_batch(self, block)
+
+    def counting_draws(status, B, rng, positions=None, first_rows=None):
+        # keyed by the snapshot, and whether it is an early-decided alternative
+        for block in relabel_blocks(status, B, rng, positions, first_rows):
+            drawn[status.tobytes(), first_rows is not None] += len(block)
+            yield block
+
+    monkeypatch.setattr(StatisticSpec, "score_batch", counting_scores)
+    monkeypatch.setattr(permtest, "_relabel_blocks", counting_draws)
+    alone = []
+    for stat in stats_:
+        mc_risk_curve(*args, stat=stat)
+        alone.append(Counter(drawn))
+        drawn.clear()
+    alone_scored = dict(scored)
+    scored.clear()
+    mc_risk_curves(*args, stats_)
+    # every statistic scores exactly the rows it scores alone
+    assert dict(scored) == alone_scored
+    # a null snapshot draws B rows per statistic, an alternative the rows
+    # of the statistic that settles last
+    assert set(drawn) == set(alone[0])
+    for key, rows in drawn.items():
+        counts = [each[key] for each in alone]
+        assert rows == (max(counts) if key[1] else sum(counts)), key
+    assert sum(v for (_, early), v in drawn.items() if early) < sum(
+        v for each in alone for (_, early), v in each.items() if early
+    )
+
+
+def test_mc_risk_curves_needs_a_statistic():
+    g = cycle_graph(6)
+    with pytest.raises(ValueError, match="at least one statistic"):
+        mc_risk_curves(empty_graph(6), g, 0.0, [1.0], 2, 0, TestConfig(alpha=0.1, B=10), 2, [])
