@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
 )
 from .graphs import (
-    UNREACHABLE,
     Graph,
     bfs_distances,
     build_graph,

@@ -32,7 +32,6 @@ __all__ = [
     "correlated_pair",
     "generate",
     "from_spec",
-    "UNREACHABLE",
     "bfs_distances",
     "bfs_levels",
     "eccentricity",
@@ -40,11 +39,8 @@ __all__ = [
     "load_edge_list",
 ]
 
-# hop count that marks "no path" in Graph.distance_matrix
-UNREACHABLE = int(np.iinfo(np.uint16).max)
-
-# bytes of the neighbour gather one packed BFS level step holds at once,
-# and of the unpacked rows one distance-matrix decode step holds
+# bytes of the neighbour gather one packed BFS level step holds at once;
+# one distance-matrix decode step unpacks rows of an eighth as many entries
 _STEP_BYTES = 1 << 21
 
 
@@ -154,17 +150,20 @@ class Graph:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs hop distances as uint16, UNREACHABLE where no path exists.
+        """All-pairs hop distances in the narrowest unsigned type that holds them.
 
-        Cached; built by one packed BFS from every vertex at once
-        (bfs_levels), whose level numbers are kept as bit planes and
-        decoded in row chunks. Meant for graphs up to a few thousand
-        vertices; raises ValueError for n >= UNREACHABLE, where a hop
-        count could collide with the sentinel.
+        uint8 when no finite hop count exceeds 254, else uint16; pairs
+        with no path hold the dtype's maximum (255 or 65535). Cached;
+        built by one packed BFS from every vertex at once (bfs_levels),
+        whose level numbers are kept as bit planes and decoded in row
+        chunks. Meant for graphs up to a few thousand vertices; raises
+        ValueError for n >= 65535, where a uint16 hop count could
+        collide with the sentinel.
         """
         n = self.n
-        if n >= UNREACHABLE:
-            raise ValueError(f"distance matrix needs n < {UNREACHABLE}, got n={n}")
+        limit = int(np.iinfo(np.uint16).max)
+        if n >= limit:
+            raise ValueError(f"distance matrix needs n < {limit}, got n={n}")
         # planes[b] holds bit b of the level at which each source reaches each vertex
         planes: list[np.ndarray] = []
         for level, frontier, unreached in bfs_levels(self, range(n)):
@@ -173,15 +172,22 @@ class Graph:
                     planes.append(np.zeros_like(frontier))
                 if level >> b & 1:
                     planes[b] |= frontier
-        mat = np.empty((n, n), dtype=np.uint16)
-        rows = max(1, _STEP_BYTES // (4 * n))
+        del frontier  # only the planes and unreached outlive the search
+        if not unreached.any():
+            unreached = None
+        # level is now the largest finite hop count
+        dtype = np.uint8 if level < np.iinfo(np.uint8).max else np.uint16
+        mat = np.empty((n, n), dtype=dtype)
+        rows = max(1, _STEP_BYTES // (8 * n))
         for lo in range(0, n, rows):
             block = mat[lo : lo + rows]
             block[:] = 0
             for b, plane in enumerate(planes):
-                bits = _unpack_rows(plane[lo : lo + rows], n)
-                block |= bits.astype(np.uint16) << b
-            block[_unpack_rows(unreached[lo : lo + rows], n).view(bool)] = UNREACHABLE
+                bits = _unpack_rows(plane[lo : lo + rows], n).astype(dtype, copy=False)
+                bits <<= b
+                block |= bits
+            if unreached is not None:
+                block[_unpack_rows(unreached[lo : lo + rows], n).view(bool)] = np.iinfo(dtype).max
         return mat
 
 
@@ -416,7 +422,7 @@ def bfs_levels(
     k = src.size
     if k and (src.min() < 0 or src.max() >= g.n):
         raise ValueError("source out of range")
-    if np.unique(src).size != k:
+    if k and np.bincount(src).max() > 1:  # np.unique would import numpy.ma
         raise ValueError("sources must be distinct")
     width = 8 * max(1, -(-k // 64))  # bytes per row, whole words
     j = np.arange(k)

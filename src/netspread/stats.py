@@ -22,7 +22,7 @@ import numpy as np
 
 from . import perms
 from .errors import DisconnectedTerminalsError
-from .graphs import UNREACHABLE, Graph, bfs_levels
+from .graphs import Graph, bfs_levels
 from .spreading import INFECTED, InfectionVector
 
 __all__ = [
@@ -34,8 +34,9 @@ __all__ = [
     "StatisticSpec",
 ]
 
-# distance matrices are cached per graph up to this size (33 MB of uint16
-# at the limit); larger graphs run one packed BFS per snapshot
+# distance matrices are cached per graph up to this size (16.8 MB of uint8
+# at the limit, 33.6 MB of uint16 once a hop count exceeds 254); larger
+# graphs run one packed BFS per snapshot
 _DMAT_LIMIT = 4096
 
 # bytes of the distance-matrix rows one batched R gather reads at once
@@ -110,7 +111,8 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     leaves its max unchanged. The distance-matrix rows of those vertices are
     gathered for chunks of rows and ranks whose gather takes about
     _R_GATHER_BYTES, maxed over the ranks and minimized over the
-    centers. Graphs above _DMAT_LIMIT run one packed BFS per row
+    centers; a minimum at the matrix dtype's maximum means no covering
+    center. Graphs above _DMAT_LIMIT run one packed BFS per row
     instead. Raises ValueError when a row has no infected vertex.
     """
     rows, n = infected.shape
@@ -126,6 +128,7 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             radii[r] = next(covered, inf)
         return radii
     dmat = g.distance_matrix
+    unreachable = np.iinfo(dmat.dtype).max
     kmax = int(k.max(initial=0))
     if (k == kmax).all():
         idx = (np.flatnonzero(infected) % n).reshape(rows, kmax)
@@ -141,7 +144,7 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
         for j in range(width, kmax, width):
             np.maximum(worst, dmat[cols[:, j : j + width]].max(axis=1), out=worst)
         hops = worst.min(axis=1)
-        radii[lo : lo + step] = np.where(hops == UNREACHABLE, inf, hops)
+        radii[lo : lo + step] = np.where(hops == unreachable, inf, hops)
     return radii
 
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netspread import (
-    UNREACHABLE,
     Graph,
     ParseError,
     bfs_distances,
@@ -118,7 +117,7 @@ def test_distance_matrix_matches_bfs():
     g = torus_grid([3, 3])
     mat = g.distance_matrix
     assert mat.shape == (9, 9)
-    assert mat.dtype == np.uint16
+    assert mat.dtype == np.uint8
     assert np.array_equal(mat[4], bfs_distances(g, 4))
     assert np.array_equal(mat, mat.T)
     assert np.all(np.diag(mat) == 0)
@@ -135,12 +134,17 @@ def sparse_graphs(draw):
 
 
 def _networkx_distances(g):
+    """All-pairs hop distances from networkx, as uint8 when no finite one
+    exceeds 254 and as uint16 otherwise; no path holds the dtype's max."""
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges)
-    want = np.full((g.n, g.n), UNREACHABLE, dtype=np.uint16)
-    for s, lengths in nx.all_pairs_shortest_path_length(ref):
-        for t, d in lengths.items():
+    lengths = dict(nx.all_pairs_shortest_path_length(ref))
+    longest = max(d for row in lengths.values() for d in row.values())
+    dtype = np.uint8 if longest <= 254 else np.uint16
+    want = np.full((g.n, g.n), np.iinfo(dtype).max, dtype=dtype)
+    for s, row in lengths.items():
+        for t, d in row.items():
             want[s, t] = d
     return want
 
@@ -154,8 +158,9 @@ def _networkx_distances(g):
 @example(complete_graph(63))
 def test_distance_matrix_matches_networkx(g):
     mat = g.distance_matrix
-    assert mat.dtype == np.uint16
-    assert np.array_equal(mat, _networkx_distances(g))
+    want = _networkx_distances(g)
+    assert mat.dtype == want.dtype == np.uint8
+    assert np.array_equal(mat, want)
     assert np.array_equal(mat, mat.T)
     assert np.all(np.diag(mat) == 0)
 
@@ -175,15 +180,35 @@ def test_distance_matrix_in_small_chunks(monkeypatch, step_bytes):
 def test_distance_matrix_marks_unreachable():
     g = build_graph(5, [(0, 1), (2, 3)])
     mat = g.distance_matrix
+    assert mat.dtype == np.uint8
     assert mat[0, 1] == 1
-    assert mat[0, 2] == UNREACHABLE
+    assert mat[0, 2] == 255
     assert mat[4, 4] == 0
-    assert np.count_nonzero(mat == UNREACHABLE) == 5 * 5 - 2 * 4 - 1
+    assert np.count_nonzero(mat == 255) == 5 * 5 - 2 * 4 - 1
+
+
+@pytest.mark.parametrize(
+    "g, dtype, unreachable",
+    [
+        (path_graph(255), np.uint8, 0),  # longest hop count 254
+        (path_graph(256), np.uint16, 0),  # 255, the uint8 sentinel
+        # the same paths and three isolated vertices
+        (build_graph(258, [(v, v + 1) for v in range(254)]), np.uint8, 258**2 - 255**2 - 3),
+        (build_graph(259, [(v, v + 1) for v in range(255)]), np.uint16, 259**2 - 256**2 - 3),
+    ],
+)
+def test_distance_matrix_dtype_is_the_narrowest_that_holds_it(g, dtype, unreachable):
+    mat = g.distance_matrix
+    want = _networkx_distances(g)
+    assert mat.dtype == want.dtype == dtype
+    assert np.array_equal(mat, want)
+    # pairs with no path hold the dtype's own maximum
+    assert np.count_nonzero(mat == np.iinfo(dtype).max) == unreachable
 
 
 def test_distance_matrix_rejects_sentinel_sized_graphs():
     with pytest.raises(ValueError):
-        empty_graph(UNREACHABLE).distance_matrix
+        empty_graph(65535).distance_matrix
 
 
 def test_distance_matrix_build_memory():
@@ -197,8 +222,18 @@ def test_distance_matrix_build_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mat.nbytes == 2500 * 2500 * 2
+    assert mat.nbytes == 2500 * 2500
     assert peak <= 2 * mat.nbytes, peak
+
+
+@pytest.mark.parametrize("sources", [[1, 3, 1], [0, 0], [0, 5], [-1]])
+def test_bfs_levels_rejects_repeated_or_out_of_range_sources(sources):
+    with pytest.raises(ValueError):
+        next(graphs.bfs_levels(path_graph(5), sources))
+
+
+def test_bfs_levels_from_no_source_stops_at_level_zero():
+    assert [level for level, _, _ in graphs.bfs_levels(path_graph(5), [])] == [0]
 
 
 def test_csr_lists_sorted_neighbours():

@@ -7,6 +7,7 @@ mc_risk_curve call per statistic."""
 
 from collections import Counter
 from dataclasses import replace
+from math import inf
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ def test_score_batch_radius_rows_of_equal_and_unequal_counts():
         want = [oracles.score(spec, InfectionVector(row)) for row in block]
         assert spec.score_batch(block).tolist() == want
     assert len(set(np.count_nonzero(unequal == 1, axis=1))) == 2
+
+
+# a path of 300 vertices needs uint16 distances; with one more, isolated,
+# vertex its unreachable pairs hold 65535, and those of _TWO_PATHS 255
+@pytest.mark.parametrize(
+    "g, dtype, infected, want",
+    [
+        (path_graph(300), np.uint16, [[0, 299], [0, 150], [7, 8], [3, 200, 299]], [150, 75, 1, 148]),
+        (build_graph(301, [(v, v + 1) for v in range(299)]), np.uint16, [[0, 299], [0, 300], [300]], [150, inf, 0]),
+        (_TWO_PATHS, np.uint8, [[0, 2], [0, 5], [3], [2, 3]], [1, inf, 0, inf]),
+    ],
+)
+@pytest.mark.parametrize("knobs", [{}, {"_R_GATHER_BYTES": 1}])
+def test_score_batch_radius_at_either_distance_width(monkeypatch, g, dtype, infected, want, knobs):
+    assert g.distance_matrix.dtype == dtype
+    for name, value in knobs.items():
+        monkeypatch.setattr(stats, name, value)
+    block = np.array([infection_from_infected(g.n, row).status for row in infected])
+    spec = StatisticSpec.infection_radius(g)
+    assert [spec.evaluate(InfectionVector(row)) for row in block] == want
+    _assert_batch_matches_oracle(spec, block)
 
 
 def test_score_batch_rejects_size_mismatch():
