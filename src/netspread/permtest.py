@@ -20,6 +20,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, floor
 from typing import Callable, Iterator, Sequence
 
@@ -115,6 +116,7 @@ def _raw_scale(observed: float, threshold: float, tail: str) -> tuple[float, flo
     return observed, threshold, "above"
 
 
+@lru_cache(maxsize=256)
 def _tail_budget(alpha_mass: float, total: int) -> int:
     """floor(alpha_mass * total), taken exactly from the decimal alpha_mass.
 
@@ -133,18 +135,19 @@ def _threshold_rule(
     the threshold falls back to the maximum score, rejectable only by a
     value strictly above every score.
     """
+    return _threshold_of(*np.unique(scores, return_counts=True), alpha_mass, total)
+
+
+def _threshold_of(
+    values: np.ndarray, counts: np.ndarray, alpha_mass: float, total: int
+) -> tuple[float, bool]:
+    """_threshold_rule on the distinct scores and their counts, ascending."""
     budget = _tail_budget(alpha_mass, total)
-    values, counts = np.unique(scores, return_counts=True)
     tail_counts = counts[::-1].cumsum()[::-1]
     ok = np.flatnonzero(tail_counts <= budget)
     if ok.size == 0:
         return float(values[-1]), True
     return float(values[ok[0]]), False
-
-
-def _histogram(scores: np.ndarray) -> tuple[tuple[float, int], ...]:
-    values, counts = np.unique(scores, return_counts=True)
-    return tuple((float(v), int(c)) for v, c in zip(values, counts))
 
 
 def _calibrate(
@@ -164,7 +167,8 @@ def _calibrate(
     labels fill statistic, tail, mode and validity_warning.
     """
     total = scores.size if total is None else total
-    threshold, saturated = _threshold_rule(scores, alpha, total)
+    values, counts = np.unique(scores, return_counts=True)
+    threshold, saturated = _threshold_of(values, counts, alpha, total)
     ge = int(np.count_nonzero(scores >= observed))
     extra = 1 if add_one else 0
     return TestResult(
@@ -172,7 +176,7 @@ def _calibrate(
         threshold=threshold,
         p_value=(ge + extra) / (total + extra),
         reject=observed > threshold,
-        histogram=_histogram(scores),
+        histogram=tuple(zip(values.tolist(), counts.tolist())),
         raw_ge_count=ge,
         n_draws=total,
         saturated=saturated,

@@ -12,17 +12,31 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log, nan, sqrt
 import os
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import GuardExceededError
 from .graphs import Graph, eccentricity, empty_graph
 from .permtest import TestConfig, _mc_reject, mc_test
 from .rng import substream
-from .spreading import InfectionVector, SpreadParams, _check_eta, censor_uniform, simulate_spread
+from .spreading import (
+    _STACK_MIN_ROWS,
+    InfectionVector,
+    SpreadParams,
+    _check_eta,
+    _stack_rows,
+    _stackable,
+    _stacked_paths,
+    censor_uniform,
+    infection_from_infected,
+    simulate_spread,
+)
 from .stats import StatisticSpec
 
 __all__ = [
@@ -400,29 +414,55 @@ def _replicates(
     replicates' (tag 0) thresholds are read. Returns per rule the null
     rejections, the sum of the null thresholds, and per eta the
     rejections and the values in replicate order.
+
+    When g0 and g1 have the same n, the spreads of the snapshots under
+    spreading._stackable walk in lockstep (spreading._stacked_paths),
+    chunk by chunk of replicates, before the chunk's replicates are
+    censored and decided; they give the paths simulate_spread gives.
+    Below _STACK_MIN_ROWS such rows, and for every other snapshot, each
+    spread is one simulate_spread call.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not etas:
         raise ValueError("need at least one alternative eta")
 
+    snapshots = [(g0, eta0, 0), *((g1, eta, 10 * (i + 1)) for i, eta in enumerate(etas))]
+    lockstep = []  # the snapshots whose spreads walk in lockstep
+    if g0.n == g1.n and 1 <= k <= g0.n:
+        lockstep = [(g, eta, tag) for g, eta, tag in snapshots if _stackable(g, eta)]
+    if len(lockstep) * reps < _STACK_MIN_ROWS:
+        lockstep = []
+    chunks = -(-len(lockstep) * reps // _stack_rows(g0.n, k)) if lockstep else 1
+    per_chunk = -(-reps // chunks)
+    walked: dict[tuple[int, int], np.ndarray] = {}  # (tag, rep) -> path, for the chunk at hand
+
     def decide_on(g: Graph, eta: float, tag: int, rep: int) -> list[tuple[bool, float, float]]:
-        path = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, tag, rep))
-        iv = path.to_infection(g.n)
+        path = walked.get((tag, rep))
+        if path is None:
+            order = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, tag, rep)).order
+        else:
+            order = path.tolist()
+        iv = infection_from_infected(g.n, order)
         if c:
             iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
         return decide(iv, tag, rep)
 
     def one(rep: int) -> list[list[tuple[bool, float, float]]]:
-        null = decide_on(g0, eta0, 0, rep)
-        return [null, *(decide_on(g1, eta, 10 * (i + 1), rep) for i, eta in enumerate(etas))]
+        return [decide_on(g, eta, tag, rep) for g, eta, tag in snapshots]
 
     workers = resolve_threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(reps)))
-    else:
-        rows = [one(rep) for rep in range(reps)]
+    rows = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        each = pool.map if pool else map
+        for lo in range(0, reps, per_chunk):
+            chunk = range(lo, min(lo + per_chunk, reps))
+            jobs = [(g, eta, tag, rep) for rep in chunk for g, eta, tag in lockstep]
+            if jobs:
+                draws = np.array([substream(seed, tag, rep).random(k) for _, _, tag, rep in jobs])
+                paths = _stacked_paths([(g, eta) for g, eta, _, _ in jobs], draws)
+                walked = {(tag, rep): path for (_, _, tag, rep), path in zip(jobs, paths)}
+            rows.extend(each(one, chunk))
     tallies = []
     for rule in range(len(rows[0][0])):
         # rows[rep][snapshot][rule]: each snapshot's decisions in replicate order
@@ -488,7 +528,9 @@ def mc_risk_curves(
     them, scores each block only with the statistics whose reject is
     not yet settled, and stops once all are. So curve i equals
     mc_risk_curve(..., stat=stats[i]) field for field, at the cost of
-    one set of spreads and one alternative draw stream.
+    one set of spreads and one alternative draw stream. The spreads of
+    enough replicates walk in lockstep, with the same paths (see
+    _replicates).
     """
     if not stats:
         raise ValueError("need at least one statistic")

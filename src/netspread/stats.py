@@ -116,11 +116,11 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     instead. Raises ValueError when a row has no infected vertex.
     """
     rows, n = infected.shape
-    k = np.count_nonzero(infected, axis=1)
+    k = infected.sum(axis=1)
     if not k.all():
         raise ValueError("infection radius needs at least one infected vertex")
-    radii = np.empty(rows)
     if n > _DMAT_LIMIT:
+        radii = np.empty(rows)
         for r, row in enumerate(infected):
             # the first BFS level at which some vertex is reached from every infected one
             levels = bfs_levels(g, np.flatnonzero(row))
@@ -128,24 +128,24 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             radii[r] = next(covered, inf)
         return radii
     dmat = g.distance_matrix
-    unreachable = np.iinfo(dmat.dtype).max
+    flat = np.flatnonzero(infected) % n
     kmax = int(k.max(initial=0))
-    if (k == kmax).all():
-        idx = (np.flatnonzero(infected) % n).reshape(rows, kmax)
+    if flat.size == rows * kmax:  # every row has kmax infected vertices
+        idx = flat.reshape(rows, kmax)
     else:
         ranks = np.minimum(np.arange(kmax), k[:, None] - 1) + (np.cumsum(k) - k)[:, None]
-        idx = (np.flatnonzero(infected) % n)[ranks]
+        idx = flat[ranks]
     per_rank = n * dmat.itemsize
     width = max(1, min(kmax, _R_GATHER_BYTES // per_rank))
     step = max(1, _R_GATHER_BYTES // (width * per_rank))
+    hops = np.empty(rows, dtype=dmat.dtype)
     for lo in range(0, rows, step):
         cols = idx[lo : lo + step]
         worst = dmat[cols[:, :width]].max(axis=1)
         for j in range(width, kmax, width):
             np.maximum(worst, dmat[cols[:, j : j + width]].max(axis=1), out=worst)
-        hops = worst.min(axis=1)
-        radii[lo : lo + step] = np.where(hops == unreachable, inf, hops)
-    return radii
+        worst.min(axis=1, out=hops[lo : lo + step])
+    return np.where(hops == np.iinfo(hops.dtype).max, inf, hops)
 
 
 def _count_in(infected: np.ndarray, vertices: Iterable[int], what: str) -> np.ndarray:

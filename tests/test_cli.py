@@ -843,6 +843,32 @@ def test_experiment_spreads_each_snapshot_once_for_rows_of_one_setting(tmp_path,
     assert sorted(calls) == sorted([0.0, 1, 10, 100] * 5)
 
 
+def test_experiment_walks_each_snapshot_once_in_lockstep_above_the_stack_size(tmp_path, capsys, monkeypatch):
+    import netspread.risk
+
+    calls = []
+    spread, walk = netspread.risk.simulate_spread, netspread.risk._stacked_paths
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].eta)
+        return spread(*args, **kwargs)
+
+    def counting_rows(rows, draws):
+        calls.extend(eta for _, eta in rows)
+        return walk(rows, draws)
+
+    monkeypatch.setattr(netspread.risk, "simulate_spread", counting)
+    monkeypatch.setattr(netspread.risk, "_stacked_paths", counting_rows)
+    entry = {
+        "algorithm": "perm", "alt_graph": "torus:6x6", "null_graph": "empty:36", "k": 8, "c": 4,
+        "alpha": 0.1, "B": 30, "etas": [1, 10, 100], "replicates": 8, "seed": 2,
+    }
+    doc = {"schema": 1, "entries": [dict(entry, statistic="W"), dict(entry, statistic="R")]}
+    assert run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))[0] == 0
+    # 32 rows, all in one lockstep walk: one spread per replicate and snapshot
+    assert calls == [0.0, 1, 10, 100] * 8
+
+
 def test_experiment_thread_env(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "e.json", experiment_doc())
     out1 = tmp_path / "serial.csv"

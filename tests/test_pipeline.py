@@ -36,7 +36,7 @@ from netspread import (
     simulate_spread,
     torus_grid,
 )
-from netspread import permtest, stats
+from netspread import permtest, risk, spreading, stats
 from netspread.rng import substream
 from netspread.spreading import censor_uniform
 
@@ -593,6 +593,45 @@ def test_mc_risk_curve_torus_equals_full_tests(mode):
         args = (empty_graph(64), g1, 0.0, [1.0, 10.0, 100.0], 12, 8, cfg, 6)
         got = mc_risk_curve(*args, stat=stat)
         assert got == _curve_of_full_tests(*args, stat)
+
+
+def _lockstep_calls(monkeypatch):
+    """The rows of every lockstep walk mc_risk_curve runs, one list per call."""
+    calls = []
+    walk = risk._stacked_paths
+
+    def counting(rows, draws):
+        calls.append([eta for _, eta in rows])
+        return walk(rows, draws)
+
+    monkeypatch.setattr(risk, "_stacked_paths", counting)
+    return calls
+
+
+@pytest.mark.parametrize("reps", [5, 6])
+def test_mc_risk_curve_lockstep_either_side_of_the_stack_size(monkeypatch, reps):
+    # four exact snapshots a replicate: 20 rows walk one by one, 24 in lockstep
+    assert spreading._STACK_MIN_ROWS == 24
+    calls = _lockstep_calls(monkeypatch)
+    g1 = torus_grid((6, 6))
+    args = (empty_graph(36), g1, 0.0, [1.0, 10.0, 100.0], 8, 4, TestConfig(alpha=0.1, B=40, seed=5), reps)
+    for stat in (StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1)):
+        assert mc_risk_curve(*args, stat=stat) == _curve_of_full_tests(*args, stat)
+    assert calls == ([[0.0, 1.0, 10.0, 100.0] * reps] * 2 if reps == 6 else [])
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_mc_risk_curve_lockstep_across_chunks(monkeypatch, threads):
+    # chunks of at most 24 rows: 10 replicates of three exact snapshots (eta
+    # 0.3 walks per row) split into two chunks of five replicates
+    monkeypatch.setattr(spreading, "_STACK_BYTES", 0)
+    calls = _lockstep_calls(monkeypatch)
+    g1 = torus_grid((6, 6))
+    cfg = TestConfig(alpha=0.1, B=40, seed=6)
+    args = (empty_graph(36), g1, 0.5, [1.0, 0.3, 1e6], 12, 3, cfg, 10)
+    stat = StatisticSpec.edges_within(g1)
+    assert mc_risk_curve(*args, stat=stat, threads=threads) == _curve_of_full_tests(*args, stat)
+    assert calls == [[0.5, 1.0, 1e6] * 5] * 2
 
 
 def test_mc_risk_curve_alternatives_stop_early(monkeypatch):

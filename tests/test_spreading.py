@@ -325,6 +325,67 @@ def test_simulate_spread_matches_reference_at_benchmark_scale(g, eta):
         _assert_matches_reference(g, eta, 500, seed)
 
 
+_DYADIC_ETAS = [0.0, 0.25, 0.5, 1.0, 10.0, 1e6]
+
+
+@st.composite
+def stack_cases(draw):
+    """Rows of one lockstep walk: two graphs on the same 1..40 vertices
+    (random ones, often with isolated vertices, or the empty, star, cycle,
+    path or complete graph), and per row one of them, a dyadic eta and its
+    own substream; one k in 1..n for all rows."""
+    n = draw(st.integers(1, 40))
+
+    def graph():
+        if draw(st.booleans()):
+            vertex = st.integers(0, n - 1)
+            pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+            return build_graph(n, [(u, v) for u, v in pairs if u != v])
+        families = [empty_graph, path_graph, complete_graph]
+        families += [star_graph] * (n >= 2) + [cycle_graph] * (n >= 3)
+        return draw(st.sampled_from(families))(n)
+
+    graphs = (graph(), graph())
+    rows = draw(st.lists(st.tuples(st.sampled_from(graphs), st.sampled_from(_DYADIC_ETAS)), min_size=1, max_size=30))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return rows, k, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150)
+@given(stack_cases())
+@example(([(build_graph(1, []), 0.0)], 1, 0))
+@example(([(star_graph(17), 10.0), (empty_graph(17), 0.0)] * 13, 17, 1))
+@example(([(build_graph(12, [(0, 1), (2, 3), (5, 11)]), 1e6), (complete_graph(12), 1e6)], 12, 3))
+@example(([(torus_grid((5, 5)), eta) for eta in _DYADIC_ETAS] * 5, 25, 4))
+def test_stacked_paths_equal_per_row_walks(case):
+    rows, k, seed = case
+    draws = np.array([substream(seed, i).random(k) for i in range(len(rows))])
+    got = spreading._stacked_paths(rows, draws)
+    assert got.shape == (len(rows), k)
+    for i, ((g, eta), path) in enumerate(zip(rows, got.tolist())):
+        want = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, i)).order
+        assert tuple(path) == want
+        assert want == spread_path_reference(g, eta, k, substream(seed, i))
+
+
+def test_stacked_pick_at_zero_and_at_exact_block_boundaries():
+    # the uniforms of the two block-walk tests above, in one stack: u = 0
+    # skips infected vertices, and an exact cumulative sum is not a pick
+    rows = [(empty_graph(16), 0.0), (path_graph(16), 1.0), (empty_graph(16), 0.0)]
+    draws = np.array([[0.0] * 4, [0.0] * 4, [0.25, 4 / 15, 0.5, 6 / 13]])
+    assert spreading._stacked_paths(rows, draws).tolist() == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 9, 8]]
+
+
+def test_stackable_rows():
+    torus = torus_grid((6, 6))
+    assert spreading._stackable(torus, 10.0) and spreading._stackable(empty_graph(36), float("inf"))
+    # a row whose walk is not exact in blocks, or whose eta SpreadParams refuses
+    for eta in (0.3, -1.0, float("nan"), float("inf")):
+        assert not spreading._stackable(torus, eta)
+    # a hub pads every row of the neighbour table past the block size
+    assert spreading._stackable(cycle_graph(36), 1.0) and not spreading._stackable(star_graph(36), 1.0)
+
+
 def test_simulate_spread_frequencies_match_law():
     # empirical snapshot frequencies vs the exact law, chi-square at alpha=1e-3
     scipy_stats = pytest.importorskip("scipy.stats")
