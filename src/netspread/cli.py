@@ -635,9 +635,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parse_args keeps no
+    state between calls, so a parser per command is only a fixed cost."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:
         with _outputs([out]) as (args.out_file,):

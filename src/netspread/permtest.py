@@ -30,7 +30,7 @@ from .errors import GuardExceededError
 from .graphs import Graph
 from .perms import PermGroup, automorphism_group, product_group_is_full
 from .rng import substream
-from .spreading import CENSORED, InfectionVector
+from .spreading import CENSORED, INFECTED, UNINFECTED, InfectionVector
 from .stats import StatisticSpec
 
 __all__ = [
@@ -259,55 +259,124 @@ def validity_with_guard(
     return ("valid" if product_group_is_full(g1, g0) else "invalid"), None
 
 
-# statuses per drawn block: bounds a block, and the per-row temporaries its
-# scoring allocates, at any B
+# statuses per drawn block: bounds a block's keys, and the per-row
+# temporaries its scoring allocates, at any B
 _BLOCK_STATUSES = 1 << 18
-# statuses per shuffle buffer of np.intp (64 KB): numpy's Fisher-Yates moves
-# pointer-sized items about 1.5x faster per status than int8 ones; the buffer
-# lives while a block is scored, and at 256 KB it raised peak RSS by 0.3 MB
-_SHUFFLE_STATUSES = 1 << 13
 
 
-def _relabel_blocks(
-    status: np.ndarray,
+def _smallest(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Per snapshot j of (rows, m, p) keys, the mask of its keys at or below
+    its ks[j]-th smallest: ks[j] keys, or more where keys tie there."""
+    infected = np.empty(keys.shape, dtype=bool)
+    for j, k in enumerate(ks.tolist()):
+        if k == 0:
+            infected[:, j] = False
+            continue
+        kth = np.partition(keys[:, j], k - 1, axis=-1)[:, k - 1 : k]
+        np.less_equal(keys[:, j], kth, out=infected[:, j])
+    return infected
+
+
+def _draw_keys(
+    rng: np.random.Generator, ks: np.ndarray, rows: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, m, p) uint32 keys and _smallest's masks, as a per-row,
+    per-snapshot loop draws them: p keys for each snapshot in turn, and
+    while they tie at the k-th key, p more at once.
+
+    The uint32 stream does not depend on how it is chunked, so one call
+    draws the whole block. On a tie the generator rewinds to the start
+    of the block, the rows before the tied one are drawn again, the
+    tied row is drawn snapshot by snapshot with its redraws, and the
+    rest of the block is drawn after it.
+    """
+    start = rng.bit_generator.state
+    keys = rng.integers(0, 1 << 32, size=(rows, len(ks), p), dtype=np.uint32)
+    infected = _smallest(keys, ks)
+    # a mask holds at least its k keys, so one count over the block finds a tie
+    if np.count_nonzero(infected) == rows * int(ks.sum()):
+        return keys, infected
+    r = int(np.flatnonzero((np.count_nonzero(infected, axis=-1) != ks).any(axis=1))[0])
+    rng.bit_generator.state = start
+    rng.integers(0, 1 << 32, size=(r, len(ks), p), dtype=np.uint32)
+    for j in range(len(ks)):
+        while True:
+            snap = rng.integers(0, 1 << 32, size=(1, 1, p), dtype=np.uint32)
+            mask = _smallest(snap, ks[j : j + 1])
+            if np.count_nonzero(mask) == ks[j]:
+                break
+        keys[r, j], infected[r, j] = snap[0, 0], mask[0, 0]
+    keys[r + 1 :], infected[r + 1 :] = _draw_keys(rng, ks, rows - r - 1, p)
+    return keys, infected
+
+
+def _infected_blocks(
+    stack: np.ndarray,
     B: int,
     rng: np.random.Generator,
     positions: np.ndarray | None = None,
     first_rows: int | None = None,
-) -> Iterator[np.ndarray]:
-    """The B relabelings of a (..., n) status array, as (rows, ..., n) blocks.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The infected sets of B relabelings of an (m, n) status stack, as
+    ((rows, m, n) bool masks, (rows, m, p) uint32 keys) blocks.
 
-    Each draw permutes the last axis of every snapshot with its own
-    uniform permutation, restricted to `positions` when given, in draw
-    order. Generator.permuted shuffles slice after slice with exactly
-    the draws of one rng.permutation per slice, so the random stream is
-    that of a per-draw loop, bit for bit. The rows are shuffled as
-    np.intp in a reused buffer of at most _SHUFFLE_STATUSES statuses
-    (one draw at least) and copied into blocks of status's dtype; the
-    draws do not depend on the item size. Blocks hold up to
-    _BLOCK_STATUSES statuses; with first_rows the first block holds
-    that many rows and each later one twice as many as the last.
+    Every statistic reads only the relabeled infected set, and a
+    uniform relabeling makes each snapshot's a uniform k-subset of the
+    p = n vertices, or of the p `positions` when given. Each draw gives
+    every snapshot p uniform uint32 keys, and its infected set is the k
+    smallest; a tie at the k-th key happens with probability about
+    p / 2^32 and is redrawn, which keeps the subset exactly uniform
+    (_draw_keys). Blocks hold up to _BLOCK_STATUSES statuses; with
+    first_rows the first block holds that many rows and each later one
+    twice as many as the last. The draws do not depend on the block
+    sizes.
     """
-    cols = slice(None) if positions is None else positions
-    movable = status[..., cols]
-    step = max(1, _BLOCK_STATUSES // status.size)
-    per_shuffle = max(1, _SHUFFLE_STATUSES // max(1, movable.size))
-    buf = np.empty((min(per_shuffle, step, B), *movable.shape), dtype=np.intp)
+    m, n = stack.shape
+    p = n if positions is None else positions.size
+    ks = np.count_nonzero(stack == INFECTED, axis=1)
+    step = max(1, _BLOCK_STATUSES // stack.size)
     rows = step if first_rows is None else min(first_rows, step)
     lo = 0
     while lo < B:
         rows = min(rows, B - lo)
-        block = np.empty((rows, *status.shape), dtype=status.dtype)
+        keys, infected = _draw_keys(rng, ks, rows, p)
         if positions is not None:
-            block[...] = status
-        for a in range(0, rows, per_shuffle):
-            drawn = buf[: min(per_shuffle, rows - a)]
-            drawn[...] = movable
-            rng.permuted(drawn, axis=-1, out=drawn)
-            block[a : a + len(drawn), ..., cols] = drawn
-        yield block
+            scattered = np.zeros((rows, m, n), dtype=bool)
+            scattered[..., positions] = infected
+            infected = scattered
+        yield infected, keys
         lo += rows
         rows = min(2 * rows, step)
+
+
+def _statuses(
+    stack: np.ndarray, positions: np.ndarray | None, infected: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """The (rows, m, n) statuses of an _infected_blocks block, for on_resample.
+
+    In censor-fixing mode (positions given) the censored vertices keep
+    their mark. In full-permute mode a snapshot with c censored vertices
+    has them at its c keys next after the infected ones; a tie at that
+    boundary goes to the lower vertex numbers. Only these statuses see
+    that tie: no score reads the censored set.
+    """
+    censored = np.broadcast_to(stack == CENSORED, infected.shape)
+    if positions is None:
+        censored = np.zeros(infected.shape, dtype=bool)
+        ks = np.count_nonzero(stack == INFECTED, axis=1)
+        for j, c in enumerate(np.count_nonzero(stack == CENSORED, axis=1).tolist()):
+            if c == 0:
+                continue
+            last = int(ks[j]) + c - 1
+            kth = np.partition(keys[:, j], last, axis=-1)[:, last : last + 1]
+            censored[:, j] = (keys[:, j] <= kth) & ~infected[:, j]
+            extra = np.count_nonzero(censored[:, j], axis=1) - c
+            for r in np.flatnonzero(extra):
+                tied = np.flatnonzero(censored[r, j] & (keys[r, j] == kth[r]))
+                censored[r, j, tied[tied.size - extra[r] :]] = False
+    status = np.where(censored, CENSORED, UNINFECTED).astype(stack.dtype)
+    status[infected] = INFECTED
+    return status
 
 
 def _enumerated_blocks(status: np.ndarray) -> Iterator[np.ndarray]:
@@ -381,17 +450,19 @@ def _mc_draws(
     the drawn stacks averaged over their m snapshots. Every Monte-Carlo
     test draws here; stopping the iteration stops the drawing. stats is
     read afresh for each block, so a caller may drop statistics from it
-    between blocks. on_resample sees each drawn stack, flattened, before
-    it is scored."""
+    between blocks. The statistics score the drawn infected masks
+    (_infected_blocks). on_resample sees each drawn stack's statuses
+    (_statuses), flattened, before it is scored; setting it changes no
+    draw and no score."""
     positions = _shuffled(stack, cfg)
     gen = substream(cfg.seed) if rng is None else rng
     index = itertools.count()
     m, n = stack.shape
-    for block in _relabel_blocks(stack, cfg.B, gen, positions, first_rows):
+    for infected, keys in _infected_blocks(stack, cfg.B, gen, positions, first_rows):
         if on_resample is not None:
-            for row in block.reshape(len(block), m * n):
+            for row in _statuses(stack, positions, infected, keys).reshape(len(keys), m * n):
                 on_resample(next(index), row)
-        scores = [stat.score_batch(block.reshape(-1, n)) for stat in stats]
+        scores = [stat.score_batch(infected.reshape(-1, n)) for stat in stats]
         # scores are integers or infinite, so the sums are exact in any order
         yield scores if m == 1 else [s.reshape(-1, m).sum(axis=1) / m for s in scores]
 

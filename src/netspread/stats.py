@@ -1,8 +1,9 @@
 """Snapshot statistics: clustering scores evaluated on infection vectors.
 
 Each statistic is one kernel over a (rows, n) infected mask (_KINDS):
-StatisticSpec.score_batch runs it on a block of relabelings, evaluate
-and the module-level functions on a one-row block.
+StatisticSpec.score_batch runs it on a block of relabelings (statuses,
+or the infected masks the Monte-Carlo tests draw), evaluate and the
+module-level functions on a one-row block.
 
 All statistics ignore censored vertices in their infected set (a
 censored vertex contributes no evidence). W and R are invariant under
@@ -346,10 +347,12 @@ class StatisticSpec:
         return _KINDS[self.kind].name
 
     def _values(self, block: np.ndarray) -> np.ndarray:
-        """The statistic's kernel on every row of a (rows, n) status block."""
+        """The statistic's kernel on every row of a (rows, n) status block,
+        or of a (rows, n) bool infected mask, which it reads as is."""
         if self.graph is not None and self.graph.n != block.shape[1]:
             raise ValueError("graph and snapshot sizes differ")
-        return _KINDS[self.kind].kernel(self, block == INFECTED)
+        infected = block if block.dtype == bool else block == INFECTED
+        return _KINDS[self.kind].kernel(self, infected)
 
     def evaluate(self, iv: InfectionVector) -> int | float:
         """The raw statistic of one snapshot: an int, or inf where R has no covering center."""
@@ -364,7 +367,9 @@ class StatisticSpec:
     def score_batch(self, block: np.ndarray) -> np.ndarray:
         """score() of every row of a (rows, n) status block, as float64.
 
-        The same kernel as evaluate, run once over the whole block.
+        The same kernel as evaluate, run once over the whole block. A
+        bool block is read as the rows' infected masks (True is
+        INFECTED), which the Monte-Carlo tests draw.
         """
         scores = self._values(block).astype(np.float64)
         return -scores if self.tail == "lower" else scores

@@ -1,14 +1,14 @@
 """Independent brute-force oracles the tests check the package against.
 
 Nothing here imports package internals beyond the graph and snapshot
-containers, the infected status code and one exception type; every
+containers, the status codes and one exception type; every
 computation re-derives its answer from first principles (recursive
 enumeration, subset search, permutation filtering), through networkx's
 isomorphism matcher and shortest paths, or through the per-snapshot
 implementations of W, R, T, C and orbit that the package's batched
 kernels replaced, so agreement with the package is evidence, not
-tautology. relabeled_rows is the per-draw permutation loop that the
-package's blocked, word-sized shuffle must reproduce.
+tautology. relabeled_rows is the per-draw loop of the key draw that
+the package's blocked subset draw must reproduce.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from netspread.errors import DisconnectedTerminalsError
 from netspread.graphs import Graph
-from netspread.spreading import INFECTED, InfectionVector
+from netspread.spreading import CENSORED, INFECTED, UNINFECTED, InfectionVector
 
 
 def spread_law(g, eta: float, k: int) -> dict[frozenset, float]:
@@ -233,17 +233,31 @@ def spread_path_reference(g, eta: float, k: int, rng) -> tuple[int, ...]:
 
 
 def relabeled_rows(status: np.ndarray, B: int, rng, positions=None) -> np.ndarray:
-    """B relabelings of a (..., n) status array, drawn one at a time: per
-    draw, one rng.permutation of every snapshot's statuses, or of only
-    those at `positions` when given, snapshots in row-major order."""
+    """B relabelings of a (..., n) status array, drawn one at a time.
+
+    Per draw and snapshot in row-major order: one uint32 key per vertex,
+    or per vertex at `positions` when given, drawn again at once while
+    the k-th and (k+1)-th smallest keys are equal (k the snapshot's
+    infected count). The vertices in key order, ties by vertex number,
+    take the snapshot's k infected statuses, then its censored ones,
+    then the uninfected ones.
+    """
     rows = []
     for _ in range(B):
         row = status.copy()
         for snap in row.reshape(-1, status.shape[-1]):
-            if positions is None:
-                snap[:] = rng.permutation(snap)
-            else:
-                snap[positions] = rng.permutation(snap[positions])
+            movable = np.arange(snap.size) if positions is None else np.asarray(positions)
+            k = int(np.count_nonzero(snap[movable] == INFECTED))
+            c = int(np.count_nonzero(snap[movable] == CENSORED))
+            while True:
+                keys = rng.integers(0, 1 << 32, size=movable.size, dtype=np.uint32)
+                ordered = sorted(keys.tolist())
+                if k in (0, movable.size) or ordered[k - 1] != ordered[k]:
+                    break
+            by_key = movable[np.argsort(keys, kind="stable")]
+            snap[by_key] = UNINFECTED
+            snap[by_key[:k]] = INFECTED
+            snap[by_key[k : k + c]] = CENSORED
         rows.append(row)
     return np.array(rows, dtype=status.dtype)
 

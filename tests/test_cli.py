@@ -17,6 +17,7 @@ from netspread import (
     tt_threshold,
 )
 from netspread import RiskInputs
+from netspread import cli
 from netspread.cli import main
 
 
@@ -547,15 +548,9 @@ def _mc_json(statistic, mean_threshold, type_i, type_ii):
 @pytest.mark.parametrize(
     "statistic, expected",
     [
-        (
-            "W",
-            _mc_json("W", "3.1666666666666665", "0.0", ("0.9166666666666666", "0.33333333333333337")),
-        ),
-        ("R", _mc_json("R", "2.25", "0.0", ("1.0", "0.9166666666666666"))),
-        (
-            "T",
-            _mc_json("T", "6.416666666666667", "0.08333333333333333", ("1.0", "0.08333333333333337")),
-        ),
+        ("W", _mc_json("W", "3.25", "0.08333333333333333", ("1.0", "0.25"))),
+        ("R", _mc_json("R", "2.0833333333333335", "0.0", ("1.0", "1.0"))),
+        ("T", _mc_json("T", "6.5", "0.08333333333333333", ("1.0", "0.0"))),
     ],
 )
 def test_risk_mc_censor_fixed_stdout(tmp_path, capsys, statistic, expected):
@@ -672,7 +667,7 @@ def test_experiment_data_dependent_baselines_stdout(tmp_path, capsys, monkeypatc
         "algorithm,statistic,threshold,diagnosis,typeI,typeII@eta=1,typeII@eta=10\n"
         "TB,R,10.0993,data-dependent,0.9,0.1,0.0333333\n"
         "TT,T,29.4286,data-dependent,0.7,0.233333,0.0333333\n"
-        "perm,R,6.36667,data-dependent,0,1,0.933333\n"
+        "perm,R,6.6,data-dependent,0.0333333,1,0.9\n"
     )
     assert run(capsys, "experiment", "--config", cfg) == (0, expected, "")
 
@@ -1156,3 +1151,37 @@ def test_baseline_rows_run_serially(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
     assert code == 0
     assert stdout.count("data-dependent") == 2
+
+
+def test_main_parses_with_one_parser(tmp_path, capsys, monkeypatch):
+    # stdout, stderr and exit codes of a mixed session are those of a
+    # fresh parser per command
+    monkeypatch.chdir(tmp_path)
+    test = ["test", "--null-graph", "empty:10", "--alt-graph", "cycle:10", "--infection", "s.txt"]
+    commands = [
+        ["check-aut", "star:6", "path:6"],
+        ["simulate", "--graph", "cycle:10", "--eta", "2", "--k", "3", "--c", "1", "--seed", "1", "--out", "s.txt"],
+        test + ["--statistic", "W", "--B", "50", "--json", "--mode", "censor-fixed"],
+        test + ["--statistic", "W", "--B", "50"],
+        test + ["--statistic", "C", "--center", "99"],
+        ["test", "--alt-graph", "cycle:10"],
+        ["check-aut", "star:6", "path:7"],
+        ["risk", "--config", "missing.json"],
+    ]
+
+    def session():
+        outcomes = []
+        for argv in commands * 2:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    assert cli._parser() is cli._parser()
+    reused = session()
+    assert [code for code, _, _ in reused[:8]] == [0, 0, 0, 0, 2, ("exit", 2), 3, 3]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert session() == reused

@@ -1,11 +1,12 @@
 """The batched permutation pipeline: each statistic's kernel, on one row
-and on a block, against the per-row oracles, fixed-seed results pinned to
-those of the per-draw loop it replaced, the blocked word-sized shuffle
-against a per-draw permutation loop, mc_risk_curve's early-decided
+and on a block, against the per-row oracles, fixed-seed results pinned,
+the blocked subset draw against a per-draw loop of the key draw (ties
+included), mc_risk_curve's early-decided
 alternatives against full tests, and mc_risk_curves against one
 mc_risk_curve call per statistic."""
 
 from collections import Counter
+from itertools import combinations, product
 from dataclasses import replace
 from math import inf
 
@@ -200,8 +201,8 @@ def test_score_batch_rejects_size_mismatch():
 
 
 # -- fixed-seed canaries ---------------------------------------------------------
-# Results of the per-draw loop (one validated snapshot and one score() call per
-# draw) that the batched pipeline replaced; the random stream must not move.
+# Fixed-seed results of the subset draw, which oracles.relabeled_rows
+# reproduces draw by draw; they move only with a named change of the stream.
 
 _G = torus_grid((5, 5))
 _IV = infection_from_infected(25, [0, 1, 5, 6, 12, 18], censored=[3, 24])
@@ -216,18 +217,18 @@ _SPECS = dict(
 _NO_NULL = "unverifiable: no null graph provided"
 
 MC = {
-    "W": ((6.0, False, 15), ((0.0, 3), (1.0, 9), (2.0, 19), (3.0, 14), (4.0, 11), (5.0, 3), (6.0, 1))),
-    "R": ((-2.0, True, 60), ((-3.0, 48), (-2.0, 12))),
-    "T": ((-5.0, False, 28), ((-10.0, 4), (-9.0, 12), (-8.0, 16), (-7.0, 17), (-6.0, 9), (-5.0, 2))),
-    "C": ((1.0, True, 13), ((0.0, 47), (1.0, 13))),
-    "orbit": ((3.0, True, 0), ((0.0, 3), (1.0, 22), (2.0, 22), (3.0, 13))),
+    "W": ((5.0, True, 11), ((0.0, 5), (1.0, 7), (2.0, 20), (3.0, 17), (4.0, 7), (5.0, 4))),
+    "R": ((-2.0, True, 60), ((-3.0, 47), (-2.0, 13))),
+    "T": ((-5.0, False, 34), ((-10.0, 1), (-9.0, 8), (-8.0, 17), (-7.0, 26), (-6.0, 6), (-5.0, 2))),
+    "C": ((1.0, True, 19), ((0.0, 41), (1.0, 19))),
+    "orbit": ((4.0, False, 3), ((0.0, 8), (1.0, 22), (2.0, 19), (3.0, 8), (4.0, 3))),
 }
 CONDITIONAL = {
-    "W": ((5.0, False, 6), ((1.0, 4), (2.0, 8), (3.0, 22), (4.0, 5), (5.0, 1))),
-    "R": ((-2.0, True, 40), ((-3.0, 29), (-2.0, 11))),
-    "T": ((-5.0, False, 29), ((-9.0, 3), (-8.0, 8), (-7.0, 22), (-6.0, 6), (-5.0, 1))),
-    "C": ((1.0, True, 7), ((0.0, 33), (1.0, 7))),
-    "orbit": ((4.0, False, 1), ((0.0, 6), (1.0, 18), (2.0, 11), (3.0, 4), (4.0, 1))),
+    "W": ((5.0, False, 15), ((0.0, 1), (1.0, 10), (2.0, 8), (3.0, 6), (4.0, 13), (5.0, 2))),
+    "R": ((-2.0, True, 40), ((-3.0, 32), (-2.0, 8))),
+    "T": ((-5.0, False, 21), ((-10.0, 2), (-9.0, 7), (-8.0, 10), (-7.0, 9), (-6.0, 11), (-5.0, 1))),
+    "C": ((1.0, True, 10), ((0.0, 30), (1.0, 10))),
+    "orbit": ((3.0, True, 0), ((0.0, 7), (1.0, 17), (2.0, 9), (3.0, 7))),
 }
 
 
@@ -266,10 +267,10 @@ def test_composite_mc_test_canary():
     )
     assert res.observed == (4.0, -3.0)
     assert res.threshold == (5.0, -2.0)
-    assert res.p_value == 0.4691358024691358
+    assert res.p_value == 0.4444444444444444
     assert not res.reject
-    assert res.histogram == ((0.0, 6), (1.0, 11), (2.0, 25), (3.0, 20), (4.0, 13), (5.0, 5))
-    assert (res.raw_ge_count, res.n_draws, res.saturated) == (18, 80, (True, True))
+    assert res.histogram == ((0.0, 3), (1.0, 12), (2.0, 22), (3.0, 26), (4.0, 13), (5.0, 3), (6.0, 1))
+    assert (res.raw_ge_count, res.n_draws, res.saturated) == (17, 80, (False, True))
     assert (res.statistic, res.tail, res.mode) == ("W+R", "upper+lower", "composite")
 
 
@@ -284,18 +285,18 @@ def test_multi_spread_mc_test_canary():
     cfg = TestConfig(alpha=0.05, B=50, seed=4)
     w = multi_spread_mc_test(_SPECS["W"], _IVS, cfg, null_graph=_NULL)
     assert (w.observed, w.threshold, w.p_value, w.reject) == (
-        3.0, 2.6666666666666665, 0.0196078431372549, True
+        3.0, 2.3333333333333335, 0.0196078431372549, True
     )
     assert w.histogram == (
-        (0.3333333333333333, 1), (0.6666666666666666, 9), (1.0, 6), (1.3333333333333333, 11),
-        (1.6666666666666667, 12), (2.0, 8), (2.3333333333333335, 2), (2.6666666666666665, 1),
+        (0.3333333333333333, 2), (0.6666666666666666, 3), (1.0, 12), (1.3333333333333333, 14),
+        (1.6666666666666667, 11), (2.0, 6), (2.3333333333333335, 2),
     )
     r = multi_spread_mc_test(_SPECS["R"], _IVS, cfg)
     assert (r.observed, r.threshold, r.p_value, r.saturated) == (
-        -2.0, -1.6666666666666667, 0.29411764705882354, False
+        -2.0, -1.6666666666666667, 0.37254901960784315, False
     )
     assert r.histogram == (
-        (-2.6666666666666665, 7), (-2.3333333333333335, 29), (-2.0, 12), (-1.6666666666666667, 2)
+        (-2.6666666666666665, 2), (-2.3333333333333335, 30), (-2.0, 17), (-1.6666666666666667, 1)
     )
 
 
@@ -343,7 +344,7 @@ def test_readme_quick_start_p_value():
         null_graph=empty_graph(36),
     )
     assert (res.observed, res.threshold, res.p_value, res.reject) == (
-        4.0, 4.0, 0.041916167664670656, False
+        4.0, 4.0, 0.05189620758483034, False
     )
 
 
@@ -366,52 +367,282 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     assert [b for b, _ in runs[0][1]] == list(range(60))
 
 
-# -- the blocked word-sized shuffle ------------------------------------------------
+# -- the blocked subset draw -----------------------------------------------------
 
 
 @st.composite
 def relabel_cases(draw):
-    """A (n,) or (m, n) int8 status array, B, optional shuffle positions, a
-    first block size, and the block and shuffle-buffer caps in statuses."""
+    """An (m, n) int8 status stack, B, the positions a censor-fixing draw
+    moves (the uncensored ones, shared by the snapshots) or None, a first
+    block size, the block cap in statuses, and a seed."""
     n = draw(st.integers(1, 70))
-    shape = (n,) if draw(st.booleans()) else (draw(st.integers(1, 3)), n)
-    status = np.array(
-        draw(st.lists(st.integers(0, 2), min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
-        dtype=np.int8,
-    ).reshape(shape)
+    m = draw(st.integers(1, 3))
+    stack = np.array(
+        draw(st.lists(st.integers(0, 2), min_size=m * n, max_size=m * n)), dtype=np.int8
+    ).reshape(m, n)
     positions = None
-    if draw(st.booleans()):
-        positions = np.array(sorted(draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    if draw(st.booleans()) and (stack[0] != 2).any():
+        stack[1:][stack[1:] == 2] = 0
+        stack[:, stack[0] == 2] = 2
+        positions = np.flatnonzero(stack[0] != 2)
     B = draw(st.integers(1, 40))
     first_rows = draw(st.sampled_from([None, 1, 3, 16]))
-    defaults = (permtest._BLOCK_STATUSES, permtest._SHUFFLE_STATUSES)
-    caps = draw(st.sampled_from([defaults, (1, 1), (64, 64), (64, 1), (1, 64)]))
-    return status, B, positions, first_rows, caps, draw(st.integers(0, 2**32 - 1))
+    block_cap = draw(st.sampled_from([permtest._BLOCK_STATUSES, 1, 64]))
+    return stack, B, positions, first_rows, block_cap, draw(st.integers(0, 2**32 - 1))
+
+
+def _drawn_blocks(stack, B, rng, positions, first_rows, block_cap):
+    """_infected_blocks under a block cap, each block with its statuses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permtest, "_BLOCK_STATUSES", block_cap)
+        blocks = list(permtest._infected_blocks(stack, B, rng, positions, first_rows))
+    return [(infected, permtest._statuses(stack, positions, infected, keys)) for infected, keys in blocks]
+
+
+def _assert_blocks_equal_oracle(stack, B, seed_rng, positions, first_rows, block_cap):
+    """The blocked draw's masks and statuses equal the per-draw loop's, and
+    both leave the generator in one state."""
+    want_rng, got_rng = seed_rng(), seed_rng()
+    want = oracles.relabeled_rows(stack, B, want_rng, positions)
+    blocks = _drawn_blocks(stack, B, got_rng, positions, first_rows, block_cap)
+    infected = np.concatenate([mask for mask, _ in blocks])
+    assert infected.dtype == bool
+    assert np.array_equal(infected, want == 1)
+    assert np.array_equal(np.concatenate([status for _, status in blocks]), want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return blocks
 
 
 @settings(max_examples=200)
 @given(relabel_cases())
-@example((np.array([1], dtype=np.int8), 5, None, None, (1, 1), 0))
-@example((np.ones((2, 70), dtype=np.int8), 40, np.arange(0, 70, 2), 3, (64, 64), 7))
+@example((np.array([[1]], dtype=np.int8), 5, None, None, 1, 0))
+@example((np.ones((2, 70), dtype=np.int8), 40, None, 3, 64, 7))
+@example((np.array([[1, 2, 0, 1, 2, 0]] * 2, dtype=np.int8), 9, np.array([0, 2, 3, 5]), 1, 64, 3))
 def test_relabel_blocks_equal_per_draw_permutations(case):
-    status, B, positions, first_rows, (block_cap, shuffle_cap), seed = case
-    want_rng = np.random.default_rng(seed)
-    want = oracles.relabeled_rows(status, B, want_rng, positions)
-    got_rng = np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(permtest, "_BLOCK_STATUSES", block_cap)
-        mp.setattr(permtest, "_SHUFFLE_STATUSES", shuffle_cap)
-        blocks = list(permtest._relabel_blocks(status, B, got_rng, positions, first_rows))
-    assert all(block.dtype == np.int8 for block in blocks)
-    assert np.array_equal(np.concatenate(blocks), want)
+    stack, B, positions, first_rows, block_cap, seed = case
+    blocks = _assert_blocks_equal_oracle(
+        stack, B, lambda: np.random.default_rng(seed), positions, first_rows, block_cap
+    )
+    assert all(status.dtype == np.int8 for _, status in blocks)
     # block sizes: first_rows, then doubling, never above the block cap
-    step = max(1, block_cap // status.size)
+    step = max(1, block_cap // stack.size)
     sizes, rows = [], step if first_rows is None else min(first_rows, step)
     while sum(sizes) < B:
         sizes.append(min(rows, B - sum(sizes)))
         rows = min(2 * rows, step)
-    assert [len(block) for block in blocks] == sizes
-    assert got_rng.random() == want_rng.random()
+    assert [len(mask) for mask, _ in blocks] == sizes
+
+
+class _TiedStream:
+    """A generator whose uint32 keys are np.random.default_rng(seed)'s,
+    except that key vector i of the stream (keys i*p .. i*p + p - 1,
+    counted from its start, redraws included) is vectors[i] where given.
+    Its state covers both, so a rewind replays the same keys."""
+
+    def __init__(self, seed, p, vectors):
+        self.inner, self.p, self.vectors, self.drawn = np.random.default_rng(seed), p, vectors, 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.drawn, self.inner.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.drawn, self.inner.bit_generator.state = value
+
+    def integers(self, low, high, size, dtype):
+        keys = self.inner.integers(low, high, size=size, dtype=dtype)
+        flat = keys.reshape(-1)
+        for i, vector in self.vectors.items():
+            for at in range(i * self.p, (i + 1) * self.p):
+                if self.drawn <= at < self.drawn + flat.size:
+                    flat[at - self.drawn] = vector[at - i * self.p]
+        self.drawn += flat.size
+        return keys
+
+
+@pytest.mark.parametrize(
+    "stack, positions",
+    [
+        (np.array([[1, 1, 2, 2, 0, 0]], dtype=np.int8), None),
+        (np.array([[1, 1, 2, 2, 0, 0], [0, 1, 1, 0, 1, 0]], dtype=np.int8), None),
+        (np.array([[1, 1, 0, 0, 0, 2]], dtype=np.int8), np.arange(5)),
+    ],
+)
+def test_tied_keys_are_redrawn_whatever_the_block_size(stack, positions):
+    p = stack.shape[1] if positions is None else positions.size
+    vectors = {
+        0: [7] * p,  # ties at every k, then its redraw ties again
+        1: [7] * p,
+        4: [1, 9, 2, 9, 9, 9][:p],  # two infected, then a tie among the censored
+        6: [4, 4, 4, 0, 8, 8][:p],  # a tie at k = 2 and k = 3, in a later row
+        9: [3] * p,
+    }
+    B = 8
+    for block_cap in (permtest._BLOCK_STATUSES, 3 * stack.size):
+        blocks = _assert_blocks_equal_oracle(
+            stack, B, lambda: _TiedStream(11, p, vectors), positions, None, block_cap
+        )
+        infected = np.concatenate([mask for mask, _ in blocks])
+        assert (np.count_nonzero(infected, axis=2) == np.count_nonzero(stack == 1, axis=1)).all()
+    stream = _TiedStream(11, p, vectors)
+    list(permtest._infected_blocks(stack, B, stream, positions))
+    assert stream.drawn > B * stack.shape[0] * p  # some vectors were redrawn
+    if positions is None and stack.shape[0] == 1:
+        # row 2 is vector 4: infected {0, 2}, and the tie at key 9 gives the
+        # two censored marks to the lowest vertices, 1 and 3
+        [(_, statuses)] = _drawn_blocks(stack, B, _TiedStream(11, p, vectors), None, None, permtest._BLOCK_STATUSES)
+        assert statuses[2, 0].tolist() == [1, 2, 1, 2, 0, 0]
+
+
+def test_hooked_and_unhooked_runs_agree():
+    for mode, p in (("full-permute", 25), ("censor-fixing", 23)):
+        cfg = TestConfig(alpha=0.1, B=30, seed=2, mode=mode)
+        tied = lambda: _TiedStream(3, p, {2: [5] * p, 3: [5] * p})  # noqa: E731
+        for rng in (lambda: None, lambda: substream(8), tied):
+            seen = []
+            hooked_rng, plain_rng = rng(), rng()
+            hooked = mc_test(_SPECS["R"], _IV, cfg, rng=hooked_rng, on_resample=lambda b, row: seen.append(row))
+            assert hooked == mc_test(_SPECS["R"], _IV, cfg, rng=plain_rng)
+            assert len(seen) == 30
+            if hooked_rng is not None:
+                assert hooked_rng.bit_generator.state == plain_rng.bit_generator.state
+
+
+# -- the law of the draw ------------------------------------------------------------
+
+# one-sided Clopper-Pearson tail of the checks below: a correct draw fails
+# one this rarely
+CP_TAIL = 1e-6
+
+
+def _exact_cells(stack, mode):
+    """The equally likely (infected, censored) pairs of a relabeled (m, n)
+    stack, one pair per snapshot: in full-permute mode a snapshot's k
+    infected vertices are any k-subset and its c censored ones any c-subset
+    of the rest; in censor-fixing mode the infected set is any k-subset of
+    the uncensored vertices and the censored set stays. Snapshots are
+    independent."""
+    per_snapshot = []
+    for snap in stack.tolist():
+        n, k, c = len(snap), snap.count(1), snap.count(2)
+        if mode == "censor-fixing":
+            fixed = frozenset(v for v in range(n) if snap[v] == 2)
+            cells = [(frozenset(i), fixed) for i in combinations(sorted(set(range(n)) - fixed), k)]
+        else:
+            cells = [
+                (frozenset(i), frozenset(j))
+                for i in combinations(range(n), k)
+                for j in combinations(sorted(set(range(n)) - set(i)), c)
+            ]
+        per_snapshot.append(cells)
+    return list(product(*per_snapshot))
+
+
+@pytest.mark.parametrize(
+    "stack, mode",
+    [
+        ([[1, 1, 2, 0, 0, 0]], "full-permute"),
+        ([[1, 2, 1, 0, 1, 0, 2]], "full-permute"),
+        ([[1, 1, 1, 2, 0, 0, 0]], "censor-fixing"),
+        ([[1, 0, 2, 0], [1, 1, 0, 0]], "full-permute"),
+        ([[1, 0, 2, 0, 0], [1, 1, 2, 0, 0]], "censor-fixing"),
+    ],
+)
+def test_hooked_draws_follow_the_exact_law(stack, mode):
+    chisquare = pytest.importorskip("scipy.stats").chisquare
+    stack = np.array(stack, dtype=np.int8)
+    cells = _exact_cells(stack, mode)
+    seen = Counter()
+
+    def watch(_b, row):
+        snaps = row.reshape(stack.shape)
+        seen[tuple((frozenset(np.flatnonzero(s == 1).tolist()), frozenset(np.flatnonzero(s == 2).tolist())) for s in snaps)] += 1
+
+    cfg = TestConfig(alpha=0.1, B=60 * len(cells), seed=21, mode=mode)
+    for _ in permtest._mc_draws([], stack, cfg, on_resample=watch):
+        pass
+    assert set(seen) == set(cells)
+    assert chisquare([seen[cell] for cell in cells]).pvalue > CP_TAIL
+
+
+def _exact_tail(spec, stack, mode):
+    """The permutation probability that the mean score of a relabeled stack
+    is at least the observed one, enumerated over every snapshot's infected
+    sets (no statistic reads the censored set)."""
+    per_snapshot = []
+    for snap in stack:
+        movable = np.flatnonzero(snap != 2) if mode == "censor-fixing" else range(len(snap))
+        scores = []
+        for subset in combinations(movable, int(np.count_nonzero(snap == 1))):
+            status = np.zeros(len(snap), dtype=np.int8)
+            status[list(subset)] = 1
+            scores.append(oracles.score(spec, InfectionVector(status)))
+        per_snapshot.append(scores)
+    observed = _oracle_mean(spec, stack)
+    means = [sum(draw) / len(draw) for draw in product(*per_snapshot)]
+    return sum(mean >= observed for mean in means) / len(means)
+
+
+@pytest.mark.parametrize("mode", ["full-permute", "censor-fixing"])
+@pytest.mark.parametrize(
+    "spec, stack",
+    [
+        (StatisticSpec.edges_within(cycle_graph(7)), [[1, 1, 0, 2, 0, 1, 0]]),
+        (StatisticSpec.infection_radius(path_graph(6)), [[1, 0, 1, 2, 0, 0]]),
+        (StatisticSpec.edges_within(cycle_graph(6)), [[1, 1, 0, 2, 0, 0], [0, 1, 0, 2, 1, 1]]),
+    ],
+)
+def test_mc_p_values_agree_with_the_exact_law(spec, stack, mode):
+    beta = pytest.importorskip("scipy.stats").beta
+    stack = np.array(stack, dtype=np.int8)
+    ivs = [InfectionVector(snap) for snap in stack]
+    exact = _exact_tail(spec, stack, mode)
+    cfg = TestConfig(alpha=0.1, B=4000, seed=6, mode=mode)
+    res = multi_spread_mc_test(spec, ivs, cfg) if len(ivs) > 1 else mc_test(spec, ivs[0], cfg)
+    ge, B = res.raw_ge_count, cfg.B
+    lower = beta.ppf(CP_TAIL, ge, B - ge + 1) if ge else 0.0
+    upper = beta.ppf(1 - CP_TAIL, ge + 1, B - ge) if ge < B else 1.0
+    assert 0.0 < exact < 1.0 and lower <= exact <= upper
+    if mode == "full-permute" and len(ivs) == 1:
+        assert exact_test(spec, ivs[0], 0.1).p_value == exact
+
+
+@pytest.mark.parametrize(
+    "stack, mode",
+    [
+        ([[0, 0, 2, 0]], "full-permute"),  # k = 0
+        ([[0, 0, 2, 0]], "censor-fixing"),
+        ([[1, 1, 1, 1]], "full-permute"),  # k = n
+        ([[1, 2, 1, 1, 2]], "censor-fixing"),  # every uncensored vertex infected
+        ([[1, 2, 1, 1, 2]], "full-permute"),
+        ([[1]], "full-permute"),  # n = 1
+        ([[0]], "censor-fixing"),
+        ([[2]], "full-permute"),
+        ([[1, 0, 0], [1, 1, 1]], "full-permute"),  # k = 1 and k = n in one stack
+    ],
+)
+@pytest.mark.parametrize("B, first_rows", [(1, None), (7, 1), (7, None)])
+def test_edge_case_draws(stack, mode, B, first_rows):
+    stack = np.array(stack, dtype=np.int8)
+    cfg = TestConfig(alpha=0.1, B=B, seed=4, mode=mode)
+    positions = permtest._shuffled(stack, cfg)
+    blocks = _assert_blocks_equal_oracle(
+        stack, B, lambda: substream(4), positions, first_rows, permtest._BLOCK_STATUSES
+    )
+    infected = np.concatenate([mask for mask, _ in blocks])
+    assert (np.count_nonzero(infected, axis=2) == np.count_nonzero(stack == 1, axis=1)).all()
+    seen = []
+    stat = StatisticSpec.center_indicator(0)
+    draws = permtest._mc_draws([stat], stack, cfg, None, first_rows, lambda b, row: seen.append(row.copy()))
+    scores = np.concatenate([block for [block] in draws])
+    statuses = np.array(seen).reshape(B, *stack.shape)
+    assert scores.tolist() == (statuses[:, :, 0] == 1).mean(axis=1).tolist()
+    for code in (0, 1, 2):
+        assert (np.count_nonzero(statuses == code, axis=2) == np.count_nonzero(stack == code, axis=1)).all()
+    if mode == "censor-fixing":
+        assert (statuses[..., stack[0] == 2] == 2).all()
 
 
 # -- composite and multi-spread tests in both modes -------------------------------
@@ -710,20 +941,20 @@ def test_mc_risk_curves_score_each_statistic_only_until_it_settles(monkeypatch):
     stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1), StatisticSpec.steiner_weight(g1)]
     args = (empty_graph(100), g1, 0.0, [1.0, 10.0], 20, 5, TestConfig(alpha=0.01, B=100, seed=1), 5)
     scored, drawn = Counter(), Counter()
-    score_batch, relabel_blocks = StatisticSpec.score_batch, permtest._relabel_blocks
+    score_batch, infected_blocks = StatisticSpec.score_batch, permtest._infected_blocks
 
     def counting_scores(self, block):
         scored[self.name] += len(block)
         return score_batch(self, block)
 
-    def counting_draws(status, B, rng, positions=None, first_rows=None):
+    def counting_draws(stack, B, rng, positions=None, first_rows=None):
         # keyed by the snapshot, and whether it is an early-decided alternative
-        for block in relabel_blocks(status, B, rng, positions, first_rows):
-            drawn[status.tobytes(), first_rows is not None] += len(block)
-            yield block
+        for infected, keys in infected_blocks(stack, B, rng, positions, first_rows):
+            drawn[stack.tobytes(), first_rows is not None] += len(infected)
+            yield infected, keys
 
     monkeypatch.setattr(StatisticSpec, "score_batch", counting_scores)
-    monkeypatch.setattr(permtest, "_relabel_blocks", counting_draws)
+    monkeypatch.setattr(permtest, "_infected_blocks", counting_draws)
     alone = []
     for stat in stats_:
         mc_risk_curve(*args, stat=stat)

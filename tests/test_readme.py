@@ -76,6 +76,6 @@ def test_readme_python_quick_start(capsys):
         for line, after in zip(lines, lines[1:])
         if line.startswith("print(") and after.startswith("# ")
     ]
-    assert expected == ["4.0 4.0 0.041916167664670656 False\n"]
+    assert expected == ["4.0 4.0 0.05189620758483034 False\n"]
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == "".join(expected)
