@@ -79,7 +79,6 @@ from .risk import (
     mc_risk_curves,
     min_cascade_count,
     multi_spread_bounds,
-    resolve_threads,
     star_null_risk_bound,
     tb_threshold,
     tt_threshold,

@@ -84,19 +84,6 @@ def _dumps(payload) -> str:
     return json.dumps(strict(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("NETSPREAD_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"NETSPREAD_THREADS: expected integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"NETSPREAD_THREADS: must be >= 0, got {value}")
-    return value
-
-
 # -- config plumbing -----------------------------------------------------------
 
 
@@ -481,7 +468,7 @@ def _cmd_risk(args: argparse.Namespace) -> None:
         etas = _eta_list(doc, args.config)
         (g0, alt, eta0, k, c, cfg, reps), name = _mc_settings(doc, args.config, from_spec, statistic="W")
         stat = StatisticSpec.from_name(name, alt)
-        curve = mc_risk_curve(g0, alt, eta0, etas, k, c, cfg, reps, stat, _threads_from_env())
+        curve = mc_risk_curve(g0, alt, eta0, etas, k, c, cfg, reps, stat)
         results = {
             "statistic": stat.name,
             "type_i": curve.type_i,
@@ -512,14 +499,13 @@ def _baseline_setup(
 
 def _cmd_experiment(args: argparse.Namespace) -> None:
     """Read every entry, then run the rows: perm rows with equal settings
-    in one mc_risk_curves call when the first of them is reached, TB/TT
-    rows serially (their few small numpy calls per snapshot gain nothing
-    from NETSPREAD_THREADS). Rows and long_out files keep entry order."""
+    in one mc_risk_curves call when the first of them is reached, each
+    TB/TT row in one baseline_risk_curve call. Rows and long_out files
+    keep entry order."""
     doc = _load_config(args.config)
     entries = _need(doc, "entries", list, args.config)
     if not entries:
         raise ConfigError(f"{args.config}.entries: must be non-empty")
-    threads = _threads_from_env()
     load = cache(from_spec)  # one graph per spec for the whole experiment
     rows = []  # (algorithm, statistic, perm settings or baseline setup, long_out)
     groups: dict[_McSettings, list[str]] = {}  # settings -> its perm rows' statistics
@@ -557,7 +543,7 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
                 if setup not in curves:
                     g0, alt, eta0, k, c, cfg, reps = setup
                     stats = [StatisticSpec.from_name(s, alt) for s in groups[setup]]
-                    group = mc_risk_curves(g0, alt, eta0, grid, k, c, cfg, reps, stats, threads)
+                    group = mc_risk_curves(g0, alt, eta0, grid, k, c, cfg, reps, stats)
                     curves[setup] = dict(zip(groups[setup], group))
                 curve = curves[setup][name]
                 threshold, diagnosis = curve.mean_threshold, "data-dependent"

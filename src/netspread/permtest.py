@@ -58,7 +58,6 @@ class TestConfig:
     B: int = 1000
     seed: int = 0
     mode: str = MODE_FULL
-    validity: str = "checked"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -67,8 +66,6 @@ class TestConfig:
             raise ValueError(f"B must be >= 1, got {self.B}")
         if self.mode not in (MODE_FULL, MODE_CENSOR_FIXING):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.validity not in ("checked", "skip"):
-            raise ValueError(f"validity must be 'checked' or 'skip', got {self.validity!r}")
 
 
 @dataclass(frozen=True)
@@ -184,11 +181,7 @@ def _calibrate(
     )
 
 
-def _validity_warning(
-    cfg: TestConfig, stat: StatisticSpec, null_graph: Graph | None
-) -> str | None:
-    if cfg.validity == "skip":
-        return None
+def _validity_warning(stat: StatisticSpec, null_graph: Graph | None) -> str | None:
     if null_graph is None:
         return "unverifiable: no null graph provided"
     if stat.graph is None:
@@ -397,14 +390,13 @@ def exact_test(
     alpha: float,
     null_graph: Graph | None = None,
     n_guard: int = 8,
-    validity: str = "checked",
 ) -> TestResult:
     """Enumerate all n! relabelings; no Monte-Carlo error.
 
     Guarded at n_guard because the cost is n! score evaluations.
     p_value is the exact permutation fraction #{score >= observed} / n!.
     """
-    cfg = TestConfig(alpha=alpha, B=1, validity=validity)
+    TestConfig(alpha=alpha, B=1)  # checks alpha
     n = iv.n
     if n > n_guard:
         raise GuardExceededError(
@@ -419,7 +411,7 @@ def exact_test(
         statistic=stat.name,
         tail=stat.tail,
         mode="exact",
-        validity_warning=_validity_warning(cfg, stat, null_graph),
+        validity_warning=_validity_warning(stat, null_graph),
     )
 
 
@@ -489,7 +481,7 @@ def _mc_result(
         statistic=statistic,
         tail=stat.tail,
         mode=mode,
-        validity_warning=_validity_warning(cfg, stat, null_graph),
+        validity_warning=_validity_warning(stat, null_graph),
     )
 
 
@@ -590,7 +582,7 @@ def composite_mc_test(
     stats = (stat_first, stat_second)
     s1, s2 = map(np.concatenate, zip(*_mc_draws(stats, iv.status[None], cfg, rng)))
     half = cfg.alpha / 2.0
-    warnings = (_validity_warning(cfg, stat, null_graph) for stat in stats)
+    warnings = (_validity_warning(stat, null_graph) for stat in stats)
     labels = dict(
         statistic=f"{stat_first.name}+{stat_second.name}",
         tail=f"{stat_first.tail}+{stat_second.tail}",

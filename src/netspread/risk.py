@@ -11,12 +11,9 @@ into a fake guarantee.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, log, nan, sqrt
-import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +26,7 @@ from .spreading import (
     _STACK_MIN_ROWS,
     InfectionVector,
     SpreadParams,
-    _check_eta,
+    _check_spread,
     _stack_rows,
     _stackable,
     _stacked_paths,
@@ -61,7 +58,6 @@ __all__ = [
     "mc_risk_curve",
     "mc_risk_curves",
     "baseline_risk_curve",
-    "resolve_threads",
 ]
 
 
@@ -380,15 +376,15 @@ class RiskCurve:
     alt_values: dict[float, list[float]] | None = None
 
 
-def resolve_threads(threads: int | None) -> int:
-    """None -> serial; 0 -> all cores; n -> n."""
-    if threads is None:
-        return 1
-    if threads == 0:
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
-    return threads
+def _check_run(g: Graph, etas: list[float], k: int, reps: int) -> None:
+    """Raise, before anything is simulated, the ValueError that reps
+    replicates of k infections spread on g at each eta would raise."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not etas:
+        raise ValueError("need at least one alternative eta")
+    for eta in etas:
+        _check_spread(g, SpreadParams(eta=eta, k=k))
 
 
 def _replicates(
@@ -400,7 +396,6 @@ def _replicates(
     c: int,
     seed: int,
     reps: int,
-    threads: int | None,
     decide: Callable[[InfectionVector, int, int], list[tuple[bool, float, float]]],
 ) -> list[tuple[int, float, list[int], dict[float, list[float]]]]:
     """Tally decision rules over simulated null and alternative snapshots.
@@ -408,7 +403,7 @@ def _replicates(
     Replicate rep spreads k infections on g0 at eta0 from substream
     (seed, 0, rep) and on g1 at etas[i] from (seed, 10 * (i + 1), rep),
     then censors c uniform vertices from the substream one tag above, so
-    the tallies are the same at any thread count. Each snapshot is
+    each snapshot depends only on its own substreams. Each snapshot is
     spread and censored once, and decide(iv, tag, rep) returns one
     (reject, raw threshold, raw statistic value) per rule; only the null
     replicates' (tag 0) thresholds are read. Returns per rule the null
@@ -417,16 +412,13 @@ def _replicates(
 
     When g0 and g1 have the same n, the spreads of the snapshots under
     spreading._stackable walk in lockstep (spreading._stacked_paths),
-    chunk by chunk of replicates, before the chunk's replicates are
-    censored and decided; they give the paths simulate_spread gives.
+    chunk by chunk of replicates so that a chunk's walk fits
+    _STACK_BYTES, before the chunk's replicates are censored and
+    decided; they give the paths simulate_spread gives.
     Below _STACK_MIN_ROWS such rows, and for every other snapshot, each
     spread is one simulate_spread call.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not etas:
-        raise ValueError("need at least one alternative eta")
-
+    _check_run(g1, etas, k, reps)
     snapshots = [(g0, eta0, 0), *((g1, eta, 10 * (i + 1)) for i, eta in enumerate(etas))]
     lockstep = []  # the snapshots whose spreads walk in lockstep
     if g0.n == g1.n and 1 <= k <= g0.n:
@@ -448,21 +440,15 @@ def _replicates(
             iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
         return decide(iv, tag, rep)
 
-    def one(rep: int) -> list[list[tuple[bool, float, float]]]:
-        return [decide_on(g, eta, tag, rep) for g, eta, tag in snapshots]
-
-    workers = resolve_threads(threads)
     rows = []
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        each = pool.map if pool else map
-        for lo in range(0, reps, per_chunk):
-            chunk = range(lo, min(lo + per_chunk, reps))
-            jobs = [(g, eta, tag, rep) for rep in chunk for g, eta, tag in lockstep]
-            if jobs:
-                draws = np.array([substream(seed, tag, rep).random(k) for _, _, tag, rep in jobs])
-                paths = _stacked_paths([(g, eta) for g, eta, _, _ in jobs], draws)
-                walked = {(tag, rep): path for (_, _, tag, rep), path in zip(jobs, paths)}
-            rows.extend(each(one, chunk))
+    for lo in range(0, reps, per_chunk):
+        chunk = range(lo, min(lo + per_chunk, reps))
+        jobs = [(g, eta, tag, rep) for rep in chunk for g, eta, tag in lockstep]
+        if jobs:
+            draws = np.array([substream(seed, tag, rep).random(k) for _, _, tag, rep in jobs])
+            paths = _stacked_paths([(g, eta) for g, eta, _, _ in jobs], draws)
+            walked = {(tag, rep): path for (_, _, tag, rep), path in zip(jobs, paths)}
+        rows.extend([decide_on(g, eta, tag, rep) for g, eta, tag in snapshots] for rep in chunk)
     tallies = []
     for rule in range(len(rows[0][0])):
         # rows[rep][snapshot][rule]: each snapshot's decisions in replicate order
@@ -486,7 +472,6 @@ def mc_risk_curve(
     cfg: TestConfig,
     reps: int,
     stat: StatisticSpec | None = None,
-    threads: int | None = None,
 ) -> RiskCurve:
     """Estimate Type I and a Type II curve for the configured test.
 
@@ -503,7 +488,7 @@ def mc_risk_curve(
     with one statistic.
     """
     the_stat = StatisticSpec.edges_within(g1) if stat is None else stat
-    [curve] = mc_risk_curves(g0, g1, eta0, etas, k, c, cfg, reps, [the_stat], threads)
+    [curve] = mc_risk_curves(g0, g1, eta0, etas, k, c, cfg, reps, [the_stat])
     return curve
 
 
@@ -517,7 +502,6 @@ def mc_risk_curves(
     cfg: TestConfig,
     reps: int,
     stats: Sequence[StatisticSpec],
-    threads: int | None = None,
 ) -> list[RiskCurve]:
     """mc_risk_curve for each statistic in stats, on one set of snapshots.
 
@@ -549,7 +533,7 @@ def mc_risk_curves(
             out.append((res.reject, threshold, value))
         return out
 
-    tallies = _replicates(g0, g1, eta0, etas, k, c, cfg.seed, reps, threads, decide)
+    tallies = _replicates(g0, g1, eta0, etas, k, c, cfg.seed, reps, decide)
     return [
         RiskCurve(
             type_i=rejects / reps,
@@ -573,11 +557,10 @@ def baseline_risk_curve(
     """mc_risk_curve for a baseline rule, against a uniform scatter null.
 
     The null snapshots spread on the empty graph at eta 0. A rule
-    diagnosed as always or never rejecting simulates nothing, but its
-    etas must still be ones a spread on the rule's graph accepts.
+    diagnosed as always or never rejecting simulates nothing, but
+    refuses every run (reps, etas, k) that a simulation would refuse.
     """
-    for eta in etas:
-        _check_eta(rule.stat.graph, eta)
+    _check_run(rule.stat.graph, etas, k, reps)
     if rule.diagnosis != "data-dependent":
         fires = rule.diagnosis == "always rejects"
         type_ii = {eta: float(not fires) for eta in etas}
@@ -589,7 +572,7 @@ def baseline_risk_curve(
 
     g = rule.stat.graph
     [(rejects, _, alt_rejects, _)] = _replicates(
-        empty_graph(g.n), g, 0.0, etas, k, c, seed, reps, None, decide
+        empty_graph(g.n), g, 0.0, etas, k, c, seed, reps, decide
     )
     # the miss count over reps, the correctly rounded miss rate
     type_ii = {eta: (reps - r) / reps for eta, r in zip(etas, alt_rejects)}

@@ -3,8 +3,8 @@
 Every stochastic routine in the package draws from a numpy Generator
 obtained through :func:`substream`, keyed by a master seed plus an
 integer path. Streams with distinct paths are statistically independent,
-and the mapping (seed, path) -> stream is stable across platforms and
-process counts, so parallel replicates reproduce serial runs exactly.
+and the mapping (seed, path) -> stream is stable across platforms, so a
+replicate's draws do not depend on which replicates run before it.
 """
 
 from __future__ import annotations

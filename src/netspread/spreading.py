@@ -161,20 +161,20 @@ def simulate_spread(
     values and end state as k scalar draws. On a graph with edges,
     n + 2|E| eta bounds the total weight and must be finite in float64.
     """
-    n = g.n
-    if params.k > n:
-        raise ValueError(f"cannot infect k={params.k} of n={n} vertices")
+    _check_spread(g, params)
     eta = float(params.eta)
-    _check_eta(g, eta)
     draws = as_generator(seed_or_rng).random(params.k).tolist()
     walk = _blocked_path if _sums_exact(g, eta) else _sequential_path
     return InfectionPath(tuple(walk(g, eta, draws)))
 
 
-def _check_eta(g: Graph, eta: float) -> None:
-    """Raise ValueError when a spread on g at eta could overflow: on a
-    graph with edges, n + 2|E| eta bounds the total weight and must be
-    finite in float64."""
+def _check_spread(g: Graph, params: SpreadParams) -> None:
+    """Raise ValueError when params cannot spread on g: k passes n, or the
+    spread could overflow (on a graph with edges, n + 2|E| eta bounds the
+    total weight and must be finite in float64)."""
+    if params.k > g.n:
+        raise ValueError(f"cannot infect k={params.k} of n={g.n} vertices")
+    eta = float(params.eta)
     if g.num_edges and not isfinite(g.n + 2 * g.num_edges * eta):
         raise ValueError(f"eta={eta} overflows the spread weights: n + 2|E| eta is not finite")
 

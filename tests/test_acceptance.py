@@ -193,12 +193,12 @@ def test_acceptance_05_grid_experiment():
         g0 = empty_graph(400)
         cfg = TestConfig(alpha=0.01, B=100, seed=7)
         etas = [1.0, 10.0, 100.0]
-        w_curve = mc_risk_curve(g0, g1, 0.0, etas, k=80, c=80, cfg=cfg, reps=500, threads=4)
+        w_curve = mc_risk_curve(g0, g1, 0.0, etas, k=80, c=80, cfg=cfg, reps=500)
         assert w_curve.type_i <= 0.05, w_curve.type_i
         assert w_curve.type_ii[100.0] <= 0.01, w_curve.type_ii
         r_curve = mc_risk_curve(
             g0, g1, 0.0, etas, k=80, c=80, cfg=cfg, reps=500,
-            stat=StatisticSpec.infection_radius(g1), threads=4,
+            stat=StatisticSpec.infection_radius(g1),
         )
         misses = [r_curve.type_ii[e] for e in etas]
         assert misses[0] >= misses[1] >= misses[2], misses
@@ -370,8 +370,7 @@ def test_full_scale_grid_row():
     assert tt_threshold(2500, 500, 500) > 2499  # tree weight tops out at n-1
     cfg = TestConfig(alpha=0.01, B=100, seed=11)
     curve = mc_risk_curve(
-        g0, g1, 0.0, [1.0, 10.0, 100.0, 1000.0], k=500, c=500,
-        cfg=cfg, reps=150, threads=4,
+        g0, g1, 0.0, [1.0, 10.0, 100.0, 1000.0], k=500, c=500, cfg=cfg, reps=150
     )
     assert curve.type_i <= 0.05
     assert curve.type_ii[1.0] <= 0.01

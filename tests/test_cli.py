@@ -279,7 +279,7 @@ def test_test_debug_dump_full_mode(tmp_path, capsys):
 
 def test_test_debug_dump_censor_fixed_keeps_marks(tmp_path, capsys):
     snap = simulate_snapshot(tmp_path, capsys, graph="cycle:10", k="3", c="2")
-    _, codes = read_status_file(open(snap).read())
+    _, codes = read_status_file(Path(snap).read_text())
     censored_at = [i for i, s in enumerate(codes) if s == 2]
     dump = tmp_path / "draws.txt"
     code, _, _ = run(
@@ -647,6 +647,7 @@ def test_experiment_csv(tmp_path, capsys):
 def test_experiment_data_dependent_baselines_stdout(tmp_path, capsys, monkeypatch, threads):
     # on a 20x20 torus with k=5 both baseline rules are data-dependent, so
     # their rows run the Monte Carlo replicates
+    # (set or unset, NETSPREAD_THREADS leaves the stdout as it is)
     shared = {
         "alt_graph": "torus:20x20", "etas": [1, 10], "k": 5, "c": 10, "replicates": 30, "seed": 3,
     }
@@ -749,6 +750,22 @@ def test_experiment_rejects_overflowing_eta_on_a_row_that_simulates_nothing(tmp_
     code, stdout, err = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
     assert (code, stdout) == (2, "")
     assert err.startswith(f"invalid parameters: eta={text} overflows")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"replicates": 0}, "reps must be >= 1, got 0"),
+    ({"replicates": -3}, "reps must be >= 1, got -3"),
+    ({"alt_graph": "torus:4x4", "k": 20, "c": 0}, "cannot infect k=20 of n=16 vertices"),
+], ids=["reps-0", "reps-minus-3", "k-above-n"])
+@pytest.mark.parametrize("algorithm", ["TB", "TT"])
+def test_experiment_rejects_impossible_runs_on_a_row_that_simulates_nothing(
+    tmp_path, capsys, algorithm, change, message
+):
+    # both rules always reject on these rows, so no spread would check the run
+    entry = {"algorithm": algorithm, "alt_graph": "torus:20x20", "etas": [1, 10], "k": 80, "c": 80, "replicates": 5}
+    doc = {"schema": 1, "entries": [dict(entry, **change)]}
+    code, stdout, err = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
+    assert (code, stdout, err) == (2, "", f"invalid parameters: {message}\n")
 
 
 def test_risk_and_experiment_reject_etas_that_print_alike(tmp_path, capsys):
@@ -864,24 +881,17 @@ def test_experiment_walks_each_snapshot_once_in_lockstep_above_the_stack_size(tm
     assert calls == [0.0, 1, 10, 100] * 8
 
 
-def test_experiment_thread_env(tmp_path, capsys, monkeypatch):
+def test_thread_env_is_ignored(tmp_path, capsys, monkeypatch):
+    # no value of NETSPREAD_THREADS, valid or not, changes a run
     cfg = write_config(tmp_path, "e.json", experiment_doc())
-    out1 = tmp_path / "serial.csv"
+    unset = tmp_path / "unset.csv"
     monkeypatch.delenv("NETSPREAD_THREADS", raising=False)
-    assert run(capsys, "experiment", "--config", cfg, "--out", str(out1))[0] == 0
-    out2 = tmp_path / "threaded.csv"
-    monkeypatch.setenv("NETSPREAD_THREADS", "4")
-    assert run(capsys, "experiment", "--config", cfg, "--out", str(out2))[0] == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_thread_env_rejects_garbage(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, "e.json", experiment_doc())
-    monkeypatch.setenv("NETSPREAD_THREADS", "lots")
-    code, _, err = run(capsys, "experiment", "--config", cfg)
-    assert code == 2
-    monkeypatch.setenv("NETSPREAD_THREADS", "-2")
-    assert run(capsys, "experiment", "--config", cfg)[0] == 2
+    assert run(capsys, "experiment", "--config", cfg, "--out", str(unset))[0] == 0
+    for value in ("lots", "-2"):
+        out = tmp_path / f"{value}.csv"
+        monkeypatch.setenv("NETSPREAD_THREADS", value)
+        assert run(capsys, "experiment", "--config", cfg, "--out", str(out)) == (0, f"wrote {out}\n", "")
+        assert out.read_bytes() == unset.read_bytes()
 
 
 def test_config_must_be_object(tmp_path, capsys):
@@ -1136,21 +1146,6 @@ def test_output_replaces_its_file(tmp_path, capsys):
     assert not out.is_symlink()
     assert json.loads(out.read_text())["results"][0]["value"] == 24
     assert linked.read_text() == "earlier run\n"
-
-
-def test_baseline_rows_run_serially(tmp_path, capsys, monkeypatch):
-    import netspread.risk
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a TB/TT row started a thread pool")
-
-    monkeypatch.setattr(netspread.risk, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("NETSPREAD_THREADS", "2")
-    shared = {"alt_graph": "torus:20x20", "etas": [1, 10], "k": 5, "c": 10, "replicates": 5, "seed": 3}
-    doc = {"schema": 1, "entries": [dict(shared, algorithm="TB", d=1), dict(shared, algorithm="TT")]}
-    code, stdout, _ = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
-    assert code == 0
-    assert stdout.count("data-dependent") == 2
 
 
 def test_main_parses_with_one_parser(tmp_path, capsys, monkeypatch):

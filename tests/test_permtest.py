@@ -46,8 +46,6 @@ def test_config_validation():
         TestConfig(alpha=0.05, B=0)
     with pytest.raises(ValueError):
         TestConfig(alpha=0.05, mode="bogus")
-    with pytest.raises(ValueError):
-        TestConfig(alpha=0.05, validity="maybe")
 
 
 def test_threshold_rule_basic():
@@ -527,8 +525,6 @@ def test_validity_warning_threading():
     none_given = mc_test(spec, iv, cfg)
     assert none_given.validity_warning is not None
     assert "unverifiable" in none_given.validity_warning
-    skipped = mc_test(spec, iv, TestConfig(alpha=0.1, B=20, seed=0, validity="skip"))
-    assert skipped.validity_warning is None
     no_alt = mc_test(
         StatisticSpec.center_indicator(0), iv, cfg, null_graph=star_graph(6)
     )

@@ -851,8 +851,7 @@ def test_mc_risk_curve_lockstep_either_side_of_the_stack_size(monkeypatch, reps)
     assert calls == ([[0.0, 1.0, 10.0, 100.0] * reps] * 2 if reps == 6 else [])
 
 
-@pytest.mark.parametrize("threads", [None, 2])
-def test_mc_risk_curve_lockstep_across_chunks(monkeypatch, threads):
+def test_mc_risk_curve_lockstep_across_chunks(monkeypatch):
     # chunks of at most 24 rows: 10 replicates of three exact snapshots (eta
     # 0.3 walks per row) split into two chunks of five replicates
     monkeypatch.setattr(spreading, "_STACK_BYTES", 0)
@@ -861,7 +860,7 @@ def test_mc_risk_curve_lockstep_across_chunks(monkeypatch, threads):
     cfg = TestConfig(alpha=0.1, B=40, seed=6)
     args = (empty_graph(36), g1, 0.5, [1.0, 0.3, 1e6], 12, 3, cfg, 10)
     stat = StatisticSpec.edges_within(g1)
-    assert mc_risk_curve(*args, stat=stat, threads=threads) == _curve_of_full_tests(*args, stat)
+    assert mc_risk_curve(*args, stat=stat) == _curve_of_full_tests(*args, stat)
     assert calls == [[0.5, 1.0, 1e6] * 5] * 2
 
 
@@ -906,8 +905,8 @@ def test_mc_risk_curve_alternatives_stop_early(monkeypatch):
 def shared_curve_cases(draw):
     """A connected random graph on 3..12 vertices, a null graph, k, c < k
     (so every snapshot keeps an infected vertex and W, R and T all score
-    it), a test config whose B may fall below ceil(1/alpha) - 1, a
-    replicate count and a thread count."""
+    it), a test config whose B may fall below ceil(1/alpha) - 1 and a
+    replicate count."""
     n = draw(st.integers(3, 12))
     tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -919,21 +918,21 @@ def shared_curve_cases(draw):
     alpha, B = draw(st.sampled_from([(0.05, 10), (0.2, 3), (0.29, 100), (0.1, 40), (0.01, 50)]))
     mode = draw(st.sampled_from(["full-permute", "censor-fixing"]))
     cfg = TestConfig(alpha=alpha, B=B, seed=draw(st.integers(0, 1000)), mode=mode)
-    return g0, g1, k, c, cfg, draw(st.integers(1, 3)), draw(st.sampled_from([None, 2]))
+    return g0, g1, k, c, cfg, draw(st.integers(1, 3))
 
 
 @settings(max_examples=40)
 @given(shared_curve_cases())
-@example((empty_graph(6), cycle_graph(6), 3, 2, TestConfig(alpha=0.29, B=100, seed=2), 3, 2))
+@example((empty_graph(6), cycle_graph(6), 3, 2, TestConfig(alpha=0.29, B=100, seed=2), 3))
 @example((cycle_graph(8), path_graph(8), 4, 0,
-          TestConfig(alpha=0.05, B=10, seed=1, mode="censor-fixing"), 2, None))
+          TestConfig(alpha=0.05, B=10, seed=1, mode="censor-fixing"), 2))
 def test_mc_risk_curves_equal_one_call_per_statistic(case):
-    g0, g1, k, c, cfg, reps, threads = case
+    g0, g1, k, c, cfg, reps = case
     stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1), StatisticSpec.steiner_weight(g1)]
     args = (g0, g1, 0.0, [0.0, 1.0, 10.0], k, c, cfg, reps)
-    want = [mc_risk_curve(*args, stat=stat, threads=threads) for stat in stats_]
-    assert mc_risk_curves(*args, stats_, threads) == want
-    assert mc_risk_curves(*args, stats_[::-1], threads) == want[::-1]
+    want = [mc_risk_curve(*args, stat=stat) for stat in stats_]
+    assert mc_risk_curves(*args, stats_) == want
+    assert mc_risk_curves(*args, stats_[::-1]) == want[::-1]
 
 
 def test_mc_risk_curves_score_each_statistic_only_until_it_settles(monkeypatch):

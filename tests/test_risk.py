@@ -28,7 +28,6 @@ from netspread import (
     min_cascade_count,
     multi_spread_bounds,
     path_graph,
-    resolve_threads,
     simulate_spread,
     star_graph,
     star_null_risk_bound,
@@ -253,14 +252,6 @@ def test_baseline_diagnosis():
     assert baseline_diagnosis(3.0, 0.0, 5.0) == "data-dependent"
 
 
-def test_resolve_threads():
-    assert resolve_threads(None) == 1
-    assert resolve_threads(3) == 3
-    assert resolve_threads(0) >= 1
-    with pytest.raises(ValueError):
-        resolve_threads(-1)
-
-
 def test_mc_risk_curve_deterministic_and_thread_invariant():
     g0 = star_graph(20)
     g1 = cycle_graph(20)
@@ -268,8 +259,7 @@ def test_mc_risk_curve_deterministic_and_thread_invariant():
     kwargs = dict(eta0=0.0, etas=[0.0, 4.0], k=4, c=0, cfg=cfg, reps=20)
     serial = mc_risk_curve(g0, g1, **kwargs)
     again = mc_risk_curve(g0, g1, **kwargs)
-    threaded = mc_risk_curve(g0, g1, threads=4, **kwargs)
-    assert serial == again == threaded
+    assert serial == again
     assert serial.reps == 20
     assert set(serial.type_ii) == {0.0, 4.0}
 
@@ -295,8 +285,8 @@ def test_mc_risk_curve_collects_alt_values():
     for vals in curve.alt_values.values():
         assert len(vals) == 8
         assert all(v >= 0 for v in vals)
-    # the values, like the estimates, do not depend on the thread count
-    assert mc_risk_curve(g0, g1, 0.0, [1.0, 5.0], k=3, c=0, cfg=cfg, reps=8, threads=2) == curve
+    # the values, like the estimates, are reproducible
+    assert mc_risk_curve(g0, g1, 0.0, [1.0, 5.0], k=3, c=0, cfg=cfg, reps=8) == curve
 
 
 def _snapshot(g, eta, k, c, seed, tag, rep):
@@ -356,6 +346,21 @@ def test_baseline_risk_curve_skips_rules_that_ignore_the_data():
     assert (always.type_i, always.type_ii) == (1.0, {0.0: 0.0, 2.0: 0.0})
     never = baseline_risk_curve(baseline_rule("TT", cycle_graph(10), 5, 0), etas, 5, 0, 8)
     assert (never.type_i, never.type_ii) == (0.0, {0.0: 1.0, 2.0: 1.0})
+
+
+def test_baseline_risk_curve_shortcut_refuses_what_a_simulation_refuses():
+    always = baseline_rule("TT", torus_grid((4, 4)), 20, 0)
+    assert always.diagnosis == "always rejects"
+    with pytest.raises(ValueError, match="cannot infect k=20 of n=16"):
+        baseline_risk_curve(always, [1.0], 20, 0, 3)
+    data_dependent = baseline_rule("TB", torus_grid((20, 20)), 5, 10, d=1)
+    assert data_dependent.diagnosis == "data-dependent"
+    for rule in (baseline_rule("TB", cycle_graph(10), 5, 0), data_dependent):
+        for reps in (0, -3):
+            with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+                baseline_risk_curve(rule, [1.0], 5, 0, reps)
+        with pytest.raises(ValueError, match="need at least one alternative eta"):
+            baseline_risk_curve(rule, [], 5, 0, 3)
 
 
 def test_mc_risk_curve_censoring_modes():
