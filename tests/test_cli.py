@@ -881,17 +881,33 @@ def test_experiment_walks_each_snapshot_once_in_lockstep_above_the_stack_size(tm
     assert calls == [0.0, 1, 10, 100] * 8
 
 
-def test_thread_env_is_ignored(tmp_path, capsys, monkeypatch):
-    # no value of NETSPREAD_THREADS, valid or not, changes a run
-    cfg = write_config(tmp_path, "e.json", experiment_doc())
-    unset = tmp_path / "unset.csv"
-    monkeypatch.delenv("NETSPREAD_THREADS", raising=False)
-    assert run(capsys, "experiment", "--config", cfg, "--out", str(unset))[0] == 0
-    for value in ("lots", "-2"):
-        out = tmp_path / f"{value}.csv"
+def _experiment_csv_with_thread_env(tmp_path, capsys, monkeypatch, cfg, value):
+    """Run experiment with NETSPREAD_THREADS set to value (unset for None)
+    and return its exit code, stdout, stderr and CSV bytes."""
+    out = tmp_path / f"{value}.csv"
+    if value is None:
+        monkeypatch.delenv("NETSPREAD_THREADS", raising=False)
+    else:
         monkeypatch.setenv("NETSPREAD_THREADS", value)
-        assert run(capsys, "experiment", "--config", cfg, "--out", str(out)) == (0, f"wrote {out}\n", "")
-        assert out.read_bytes() == unset.read_bytes()
+    code, stdout, err = run(capsys, "experiment", "--config", cfg, "--out", str(out))
+    assert (code, stdout, err) == (0, f"wrote {out}\n", "")
+    return out.read_bytes()
+
+
+def test_experiment_thread_env(tmp_path, capsys, monkeypatch):
+    # NETSPREAD_THREADS is not read: a thread count leaves the CSV as it is
+    cfg = write_config(tmp_path, "e.json", experiment_doc())
+    unset = _experiment_csv_with_thread_env(tmp_path, capsys, monkeypatch, cfg, None)
+    assert _experiment_csv_with_thread_env(tmp_path, capsys, monkeypatch, cfg, "4") == unset
+
+
+def test_thread_env_rejects_garbage(tmp_path, capsys, monkeypatch):
+    # a garbage NETSPREAD_THREADS is disregarded, not an error: exit 0 and
+    # the CSV of the unset run
+    cfg = write_config(tmp_path, "e.json", experiment_doc())
+    unset = _experiment_csv_with_thread_env(tmp_path, capsys, monkeypatch, cfg, None)
+    for value in ("lots", "-2"):
+        assert _experiment_csv_with_thread_env(tmp_path, capsys, monkeypatch, cfg, value) == unset
 
 
 def test_config_must_be_object(tmp_path, capsys):

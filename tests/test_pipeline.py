@@ -851,16 +851,22 @@ def test_mc_risk_curve_lockstep_either_side_of_the_stack_size(monkeypatch, reps)
     assert calls == ([[0.0, 1.0, 10.0, 100.0] * reps] * 2 if reps == 6 else [])
 
 
-def test_mc_risk_curve_lockstep_across_chunks(monkeypatch):
+@pytest.mark.parametrize("n_stats", [None, 2])
+def test_mc_risk_curve_lockstep_across_chunks(monkeypatch, n_stats):
     # chunks of at most 24 rows: 10 replicates of three exact snapshots (eta
-    # 0.3 walks per row) split into two chunks of five replicates
+    # 0.3 walks per row) split into two chunks of five replicates; None is
+    # mc_risk_curve's default statistic, 2 is mc_risk_curves with W and R,
+    # which share the same two walks
     monkeypatch.setattr(spreading, "_STACK_BYTES", 0)
     calls = _lockstep_calls(monkeypatch)
     g1 = torus_grid((6, 6))
     cfg = TestConfig(alpha=0.1, B=40, seed=6)
     args = (empty_graph(36), g1, 0.5, [1.0, 0.3, 1e6], 12, 3, cfg, 10)
-    stat = StatisticSpec.edges_within(g1)
-    assert mc_risk_curve(*args, stat=stat) == _curve_of_full_tests(*args, stat)
+    if n_stats is None:
+        assert mc_risk_curve(*args) == _curve_of_full_tests(*args, StatisticSpec.edges_within(g1))
+    else:
+        stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1)]
+        assert mc_risk_curves(*args, stats_) == [_curve_of_full_tests(*args, stat) for stat in stats_]
     assert calls == [[0.5, 1.0, 1e6] * 5] * 2
 
 
