@@ -60,6 +60,8 @@ from .stats import StatisticSpec
 __all__ = ["main", "build_parser"]
 
 _STAT_FLAGS = ("W", "R", "T", "C", "orbit")
+# the --mode and config "mode" names of the TestConfig modes
+_MODES = {"full": MODE_FULL, "censor-fixed": MODE_CENSOR_FIXING}
 
 
 def _fmt(x: float) -> str:
@@ -242,8 +244,7 @@ def _cmd_test(args: argparse.Namespace) -> None:
     flag = "--center" if args.statistic == "C" else "--orbit-vertex"
     vertex = _vertex(alt, label, ValueError, flag) if label is not None else 0
     stat = StatisticSpec.from_name(args.statistic, alt, vertex)
-    mode = MODE_CENSOR_FIXING if args.mode == "censor-fixed" else MODE_FULL
-    cfg = TestConfig(alpha=args.alpha, B=args.B, seed=args.seed, mode=mode)
+    cfg = TestConfig(alpha=args.alpha, B=args.B, seed=args.seed, mode=_MODES[args.mode])
 
     on_resample = None
     with _outputs([args.debug_dump]) as (dump,):
@@ -438,13 +439,13 @@ def _mc_settings(
     if name not in ("W", "R", "T"):
         raise ConfigError(f"{path}.statistic: expected W, R, or T, got {name!r}")
     mode = _opt(entry, "mode", str, path, "full")
-    if mode not in ("full", "censor-fixed"):
-        raise ConfigError(f"{path}.mode: expected 'full' or 'censor-fixed'")
+    if mode not in _MODES:
+        raise ConfigError(f"{path}.mode: expected {' or '.join(map(repr, _MODES))}")
     cfg = TestConfig(
         alpha=_need(entry, "alpha", float, path),
         B=_need(entry, "B", int, path),
         seed=_opt(entry, "seed", int, path, 0),
-        mode=MODE_CENSOR_FIXING if mode == "censor-fixed" else MODE_FULL,
+        mode=_MODES[mode],
     )
     eta0 = _opt(entry, "eta0", float, path, 0.0)
     k = _need(entry, "k", int, path)
@@ -590,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--infection", required=True, help="status file path")
     test.add_argument("--alpha", type=float, default=0.05)
     test.add_argument("--B", type=int, default=1000)
-    test.add_argument("--mode", choices=("full", "censor-fixed"), default="full")
+    test.add_argument("--mode", choices=tuple(_MODES), default="full")
     test.add_argument("--seed", type=int, default=0)
     test.add_argument("--json", action="store_true")
     test.add_argument("--center", help="center vertex label for the C statistic")

@@ -213,7 +213,7 @@ def _pair_verdict(null_graph: Graph, alt: Graph) -> str:
     return hit[1]
 
 
-def check_validity(null_graph: Graph, alt: Graph | PermGroup, n_max: int = 10) -> str:
+def check_validity(null_graph: Graph, alt: Graph | PermGroup) -> str:
     """Exchangeability precondition: is Aut(alt) * Aut(null) all of S_n?
 
     Returns "valid", "invalid", or "unverifiable" (groups beyond the
@@ -221,11 +221,11 @@ def check_validity(null_graph: Graph, alt: Graph | PermGroup, n_max: int = 10) -
     answer without computing the other, so an empty or complete null
     validates any alternative at any size.
     """
-    return validity_with_guard(null_graph, alt, n_max)[0]
+    return validity_with_guard(null_graph, alt)[0]
 
 
 def validity_with_guard(
-    null_graph: Graph, alt: Graph | PermGroup, n_max: int = 10
+    null_graph: Graph, alt: Graph | PermGroup
 ) -> tuple[str, GuardExceededError | None]:
     """check_validity's verdict, with the guard error behind "unverifiable".
 
@@ -239,7 +239,7 @@ def validity_with_guard(
             group = g
         else:
             try:
-                group = automorphism_group(g, n_max=n_max)
+                group = automorphism_group(g)
             except GuardExceededError as exc:
                 guard = guard or exc
                 continue
@@ -527,8 +527,8 @@ _FIRST_ROWS = 16
 def _mc_reject(
     stats: Sequence[StatisticSpec], iv: InfectionVector, cfg: TestConfig, rng: np.random.Generator
 ) -> tuple[list[bool], list[float]]:
-    """Per statistic, (reject, observed score) of mc_test, drawing only until
-    every reject is settled.
+    """Per statistic, the reject and the raw observed value of mc_test,
+    drawing only until every reject is settled.
 
     The draws come from rng in growing blocks, one stream for all
     statistics. Once more than the tail budget of them score at or above
@@ -558,7 +558,7 @@ def _mc_reject(
     for i in live:
         threshold, _ = _threshold_rule(np.concatenate(parts[i]), cfg.alpha, cfg.B)
         reject[i] = observed[i] > threshold
-    return reject, observed
+    return reject, [_raw_scale(score, score, stat.tail)[0] for stat, score in zip(stats, observed)]
 
 
 def composite_mc_test(

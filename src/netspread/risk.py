@@ -16,23 +16,17 @@ from functools import lru_cache
 from math import exp, log, nan, sqrt
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import GuardExceededError
 from .graphs import Graph, eccentricity, empty_graph
 from .permtest import TestConfig, _mc_reject, mc_test
 from .rng import substream
 from .spreading import (
-    _STACK_MIN_ROWS,
     InfectionVector,
     SpreadParams,
     _check_spread,
-    _stack_rows,
-    _stackable,
-    _stacked_paths,
+    _spread_paths,
     censor_uniform,
     infection_from_infected,
-    simulate_spread,
 )
 from .stats import StatisticSpec
 
@@ -400,55 +394,32 @@ def _replicates(
 ) -> list[tuple[int, float, list[int], dict[float, list[float]]]]:
     """Tally decision rules over simulated null and alternative snapshots.
 
-    Replicate rep spreads k infections on g0 at eta0 from substream
-    (seed, 0, rep) and on g1 at etas[i] from (seed, 10 * (i + 1), rep),
-    then censors c uniform vertices from the substream one tag above, so
-    each snapshot depends only on its own substreams. Each snapshot is
-    spread and censored once, and decide(iv, tag, rep) returns one
-    (reject, raw threshold, raw statistic value) per rule; only the null
-    replicates' (tag 0) thresholds are read. Returns per rule the null
-    rejections, the sum of the null thresholds, and per eta the
-    rejections and the values in replicate order.
-
-    When g0 and g1 have the same n, the spreads of the snapshots under
-    spreading._stackable walk in lockstep (spreading._stacked_paths),
-    chunk by chunk of replicates so that a chunk's walk fits
-    _STACK_BYTES, before the chunk's replicates are censored and
-    decided; they give the paths simulate_spread gives.
-    Below _STACK_MIN_ROWS such rows, and for every other snapshot, each
-    spread is one simulate_spread call.
+    g0 and g1 must have the same n. Replicate rep spreads k infections
+    on g0 at eta0 from substream (seed, 0, rep) and on g1 at etas[i]
+    from (seed, 10 * (i + 1), rep), then censors c uniform vertices from
+    the substream one tag above, so each snapshot depends only on its
+    own substreams. Each snapshot is spread once, through
+    spreading._spread_paths, and censored once. decide(iv, tag, rep)
+    returns one (reject, raw threshold, raw statistic value) per rule;
+    only the null replicates' (tag 0) thresholds are read. Returns per
+    rule the null rejections, the sum of the null thresholds, and per
+    eta the rejections and the values in replicate order.
     """
+    if g0.n != g1.n:
+        raise ValueError(f"null and alternative graphs differ in size: n={g0.n} and n={g1.n}")
     _check_run(g1, etas, k, reps)
     snapshots = [(g0, eta0, 0), *((g1, eta, 10 * (i + 1)) for i, eta in enumerate(etas))]
-    lockstep = []  # the snapshots whose spreads walk in lockstep
-    if g0.n == g1.n and 1 <= k <= g0.n:
-        lockstep = [(g, eta, tag) for g, eta, tag in snapshots if _stackable(g, eta)]
-    if len(lockstep) * reps < _STACK_MIN_ROWS:
-        lockstep = []
-    chunks = -(-len(lockstep) * reps // _stack_rows(g0.n, k)) if lockstep else 1
-    per_chunk = -(-reps // chunks)
-    walked: dict[tuple[int, int], np.ndarray] = {}  # (tag, rep) -> path, for the chunk at hand
-
-    def decide_on(g: Graph, eta: float, tag: int, rep: int) -> list[tuple[bool, float, float]]:
-        path = walked.get((tag, rep))
-        if path is None:
-            order = simulate_spread(g, SpreadParams(eta=eta, k=k), substream(seed, tag, rep)).order
-        else:
-            order = path.tolist()
-        iv = infection_from_infected(g.n, order)
-        if c:
-            iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
-        return decide(iv, tag, rep)
-
+    jobs = ((g, eta, substream(seed, tag, rep)) for rep in range(reps) for g, eta, tag in snapshots)
+    paths = _spread_paths(jobs, k)
     rows = []
-    for lo in range(0, reps, per_chunk):
-        chunk = range(lo, min(lo + per_chunk, reps))
-        jobs = [(g, eta, tag, rep) for rep in chunk for g, eta, tag in lockstep]
-        if jobs:
-            draws = np.array([substream(seed, tag, rep).random(k) for _, _, tag, rep in jobs])
-            paths = _stacked_paths([(g, eta) for g, eta, _, _ in jobs], draws)
-            walked = {(tag, rep): path for (_, _, tag, rep), path in zip(jobs, paths)}
-        rows.extend([decide_on(g, eta, tag, rep) for g, eta, tag in snapshots] for rep in chunk)
+    for rep in range(reps):
+        row = []
+        for (g, _, tag), order in zip(snapshots, paths):
+            iv = infection_from_infected(g.n, order)
+            if c:
+                iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
+            row.append(decide(iv, tag, rep))
+        rows.append(row)
     tallies = []
     for rule in range(len(rows[0][0])):
         # rows[rep][snapshot][rule]: each snapshot's decisions in replicate order
@@ -512,20 +483,17 @@ def mc_risk_curves(
     them, scores each block only with the statistics whose reject is
     not yet settled, and stops once all are. So curve i equals
     mc_risk_curve(..., stat=stats[i]) field for field, at the cost of
-    one set of spreads and one alternative draw stream. The spreads of
-    enough replicates walk in lockstep, with the same paths (see
-    _replicates).
+    one set of spreads and one alternative draw stream. g0 and g1 must
+    have the same n; see _replicates for the spreads and their
+    substreams.
     """
     if not stats:
         raise ValueError("need at least one statistic")
 
     def decide(iv: InfectionVector, tag: int, rep: int) -> list[tuple[bool, float, float]]:
         if tag:
-            rejects, observed = _mc_reject(stats, iv, cfg, substream(cfg.seed, tag + 2, rep))
-            return [
-                (reject, nan, -score if stat.tail == "lower" else score)
-                for stat, reject, score in zip(stats, rejects, observed)
-            ]
+            rejects, values = _mc_reject(stats, iv, cfg, substream(cfg.seed, tag + 2, rep))
+            return [(reject, nan, value) for reject, value in zip(rejects, values)]
         out = []
         for stat in stats:
             res = mc_test(stat, iv, cfg, null_graph=g0, rng=substream(cfg.seed, 2, rep))

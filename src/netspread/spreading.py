@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, fsum, isfinite, isqrt
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -254,7 +254,8 @@ def _blocked_path(g: Graph, eta: float, draws: list[float]) -> list[int]:
 # 0.81 on 20x20 (k=80), 0.47 on 50x50 (k=500) and 0.27 on 100x100; 20
 # rows take 1.23 on 10x10 and 0.93 on 20x20.
 _STACK_MIN_ROWS = 24
-# Lockstep state of one chunk of rows: per row, n + isqrt(n) int64 weights,
+# What one chunk of rows may hold: per row, its generator while the chunk
+# is read (2 KB; a substream takes about 1.7), n + isqrt(n) int64 weights,
 # and per step its uniform and its vertex.
 _STACK_BYTES = 2 << 20
 
@@ -267,10 +268,32 @@ def _stackable(g: Graph, eta: float) -> bool:
     return eta >= 0 and _sums_exact(g, eta) and max(g.degrees, default=0) <= isqrt(g.n)
 
 
-def _stack_rows(n: int, k: int) -> int:
-    """Rows per lockstep chunk: what fits _STACK_BYTES, and never fewer
-    than _STACK_MIN_ROWS."""
-    return max(_STACK_MIN_ROWS, _STACK_BYTES // (8 * (n + isqrt(n) + 2 * k)))
+def _spread_paths(
+    jobs: Iterable[tuple[Graph, float, np.random.Generator]], k: int
+) -> Iterator[Sequence[int]]:
+    """The infection order of each job (g, eta, rng), in job order: the
+    order of simulate_spread(g, SpreadParams(eta=eta, k=k), rng).
+
+    Jobs are read one chunk at a time: as many as fit _STACK_BYTES as
+    rows on the n of the chunk's first job, and never fewer than
+    _STACK_MIN_ROWS. When at least _STACK_MIN_ROWS of a chunk's jobs are
+    _stackable with that n, they walk in lockstep (_stacked_paths), each
+    row on the k uniforms of its own rng; every other job is one
+    simulate_spread call.
+    """
+    jobs = iter(jobs)
+    for first in jobs:
+        n = first[0].n
+        rows = max(_STACK_MIN_ROWS, _STACK_BYTES // (2048 + 8 * (n + isqrt(n) + 2 * k)))
+        chunk = [first, *itertools.islice(jobs, rows - 1)]
+        stack = [i for i, (g, eta, _) in enumerate(chunk) if g.n == n and _stackable(g, eta)]
+        walked = {}
+        if 1 <= k <= n and len(stack) >= _STACK_MIN_ROWS:
+            draws = np.array([chunk[i][2].random(k) for i in stack])
+            paths = _stacked_paths([chunk[i][:2] for i in stack], draws)
+            walked = dict(zip(stack, paths.tolist()))
+        for i, (g, eta, rng) in enumerate(chunk):
+            yield walked[i] if i in walked else simulate_spread(g, SpreadParams(eta=eta, k=k), rng).order
 
 
 def _stacked_paths(rows: Sequence[tuple[Graph, float]], draws: np.ndarray) -> np.ndarray:

@@ -752,6 +752,18 @@ def test_experiment_rejects_overflowing_eta_on_a_row_that_simulates_nothing(tmp_
     assert err.startswith(f"invalid parameters: eta={text} overflows")
 
 
+@pytest.mark.parametrize("statistic", ["W", "R", "T"])
+def test_experiment_rejects_null_and_alternative_graphs_of_different_sizes(tmp_path, capsys, statistic):
+    entry = dict(experiment_doc()["entries"][0], statistic=statistic, null_graph="empty:10", alt_graph="torus:4x4")
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, "e.json", {"schema": 1, "entries": [entry]})
+    code, stdout, err = run(capsys, "experiment", "--config", cfg, "--out", str(out))
+    assert (code, stdout, err) == (
+        2, "", "invalid parameters: null and alternative graphs differ in size: n=10 and n=16\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("change, message", [
     ({"replicates": 0}, "reps must be >= 1, got 0"),
     ({"replicates": -3}, "reps must be >= 1, got -3"),
@@ -835,16 +847,16 @@ def test_experiment_reads_every_entry_before_any_row_runs(tmp_path, capsys, monk
 
 
 def test_experiment_spreads_each_snapshot_once_for_rows_of_one_setting(tmp_path, capsys, monkeypatch):
-    import netspread.risk
+    import netspread.spreading
 
     calls = []
-    spread = netspread.risk.simulate_spread
+    spread = netspread.spreading.simulate_spread
 
     def counting(*args, **kwargs):
         calls.append(args[1].eta)
         return spread(*args, **kwargs)
 
-    monkeypatch.setattr(netspread.risk, "simulate_spread", counting)
+    monkeypatch.setattr(netspread.spreading, "simulate_spread", counting)
     entry = {
         "algorithm": "perm", "alt_graph": "torus:6x6", "null_graph": "empty:36", "k": 8, "c": 4,
         "alpha": 0.1, "B": 30, "etas": [1, 10, 100], "replicates": 5, "seed": 2,
@@ -856,10 +868,10 @@ def test_experiment_spreads_each_snapshot_once_for_rows_of_one_setting(tmp_path,
 
 
 def test_experiment_walks_each_snapshot_once_in_lockstep_above_the_stack_size(tmp_path, capsys, monkeypatch):
-    import netspread.risk
+    import netspread.spreading
 
     calls = []
-    spread, walk = netspread.risk.simulate_spread, netspread.risk._stacked_paths
+    spread, walk = netspread.spreading.simulate_spread, netspread.spreading._stacked_paths
 
     def counting(*args, **kwargs):
         calls.append(args[1].eta)
@@ -869,8 +881,8 @@ def test_experiment_walks_each_snapshot_once_in_lockstep_above_the_stack_size(tm
         calls.extend(eta for _, eta in rows)
         return walk(rows, draws)
 
-    monkeypatch.setattr(netspread.risk, "simulate_spread", counting)
-    monkeypatch.setattr(netspread.risk, "_stacked_paths", counting_rows)
+    monkeypatch.setattr(netspread.spreading, "simulate_spread", counting)
+    monkeypatch.setattr(netspread.spreading, "_stacked_paths", counting_rows)
     entry = {
         "algorithm": "perm", "alt_graph": "torus:6x6", "null_graph": "empty:36", "k": 8, "c": 4,
         "alpha": 0.1, "B": 30, "etas": [1, 10, 100], "replicates": 8, "seed": 2,

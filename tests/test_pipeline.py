@@ -37,7 +37,7 @@ from netspread import (
     simulate_spread,
     torus_grid,
 )
-from netspread import permtest, risk, spreading, stats
+from netspread import permtest, spreading, stats
 from netspread.rng import substream
 from netspread.spreading import censor_uniform
 
@@ -829,13 +829,13 @@ def test_mc_risk_curve_torus_equals_full_tests(mode):
 def _lockstep_calls(monkeypatch):
     """The rows of every lockstep walk mc_risk_curve runs, one list per call."""
     calls = []
-    walk = risk._stacked_paths
+    walk = spreading._stacked_paths
 
     def counting(rows, draws):
         calls.append([eta for _, eta in rows])
         return walk(rows, draws)
 
-    monkeypatch.setattr(risk, "_stacked_paths", counting)
+    monkeypatch.setattr(spreading, "_stacked_paths", counting)
     return calls
 
 
@@ -853,21 +853,21 @@ def test_mc_risk_curve_lockstep_either_side_of_the_stack_size(monkeypatch, reps)
 
 @pytest.mark.parametrize("n_stats", [None, 2])
 def test_mc_risk_curve_lockstep_across_chunks(monkeypatch, n_stats):
-    # chunks of at most 24 rows: 10 replicates of three exact snapshots (eta
-    # 0.3 walks per row) split into two chunks of five replicates; None is
+    # chunks of 24 rows: 12 replicates of four exact snapshots split into
+    # two chunks of six replicates, each one lockstep walk; None is
     # mc_risk_curve's default statistic, 2 is mc_risk_curves with W and R,
     # which share the same two walks
     monkeypatch.setattr(spreading, "_STACK_BYTES", 0)
     calls = _lockstep_calls(monkeypatch)
     g1 = torus_grid((6, 6))
     cfg = TestConfig(alpha=0.1, B=40, seed=6)
-    args = (empty_graph(36), g1, 0.5, [1.0, 0.3, 1e6], 12, 3, cfg, 10)
+    args = (empty_graph(36), g1, 0.5, [1.0, 10.0, 1e6], 12, 3, cfg, 12)
     if n_stats is None:
         assert mc_risk_curve(*args) == _curve_of_full_tests(*args, StatisticSpec.edges_within(g1))
     else:
         stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1)]
         assert mc_risk_curves(*args, stats_) == [_curve_of_full_tests(*args, stat) for stat in stats_]
-    assert calls == [[0.5, 1.0, 1e6] * 5] * 2
+    assert calls == [[0.5, 1.0, 10.0, 1e6] * 6] * 2
 
 
 def test_mc_risk_curve_alternatives_stop_early(monkeypatch):

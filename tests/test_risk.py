@@ -387,6 +387,25 @@ def test_mc_risk_curve_custom_statistic():
     assert curve.mean_threshold >= 0.0
 
 
+@pytest.mark.parametrize(
+    "stat",
+    [None, StatisticSpec.center_indicator(0), StatisticSpec.orbit_count([0, 1])],
+    ids=["W", "C", "orbit"],
+)
+@pytest.mark.parametrize("n0", [10, 30])
+def test_mc_risk_curve_refuses_graphs_of_different_sizes(monkeypatch, stat, n0):
+    import netspread.spreading
+
+    def no_spread(*args, **kwargs):
+        raise AssertionError("a snapshot spread before the sizes were checked")
+
+    monkeypatch.setattr(netspread.spreading, "simulate_spread", no_spread)
+    monkeypatch.setattr(netspread.spreading, "_stacked_paths", no_spread)
+    cfg = TestConfig(alpha=0.1, B=20, seed=1)
+    with pytest.raises(ValueError, match=f"^null and alternative graphs differ in size: n={n0} and n=16$"):
+        mc_risk_curve(empty_graph(n0), cycle_graph(16), 0.0, [1.0, 100.0], 3, 0, cfg, 20, stat=stat)
+
+
 def test_mc_risk_curve_validation():
     g0 = star_graph(10)
     g1 = cycle_graph(10)

@@ -386,6 +386,63 @@ def test_stackable_rows():
     assert spreading._stackable(cycle_graph(36), 1.0) and not spreading._stackable(star_graph(36), 1.0)
 
 
+def test_spread_paths_equal_one_spread_per_job(monkeypatch):
+    k = 5
+    torus, cycle = torus_grid((6, 6)), cycle_graph(20)
+    # a chunk led by an n=36 job reads 40 jobs, one led by an n=20 job 42
+    monkeypatch.setattr(spreading, "_STACK_BYTES", 40 * (2048 + 8 * (36 + 6 + 2 * k)))
+    exact = [(torus, 1.0), (torus, 10.0), (empty_graph(36), 0.0)]
+    # not stackable on n=36: an eta whose sums are not exact, a hub past
+    # the block size, another n
+    others = [(torus, 0.3), (star_graph(36), 1.0), (cycle, 1.0)]
+
+    def chunk(lead, rest):
+        return [lead] + [rest[i] for i in np.random.default_rng(len(rest)).permutation(len(rest))]
+
+    specs = (
+        chunk((torus, 1.0), [exact[i % 3] for i in range(22)] + [others[i % 3] for i in range(17)])  # 23 stack: none walks
+        + chunk((torus, 1.0), [exact[i % 3] for i in range(29)] + [others[i % 3] for i in range(10)])  # 30 walk
+        + chunk((cycle, 1.0), [(cycle, 0.5)] * 24 + [(torus, 1.0)] * 5)  # the last, short chunk: 25 walk
+    )
+    ends = [40, 80, 110]
+    read = []
+
+    def jobs():
+        for i, (g, eta) in enumerate(specs):
+            read.append(i)
+            yield g, eta, substream(7, i)
+
+    walks, spreads = [], []
+    walk, spread = spreading._stacked_paths, spreading.simulate_spread
+
+    def counting_rows(rows, draws):
+        walks.append(len(rows))
+        return walk(rows, draws)
+
+    def counting(*args):
+        spreads.append(args[1].eta)
+        return spread(*args)
+
+    monkeypatch.setattr(spreading, "_stacked_paths", counting_rows)
+    monkeypatch.setattr(spreading, "simulate_spread", counting)
+    got = []
+    for i, order in enumerate(spreading._spread_paths(jobs(), k)):
+        # at most the chunk that holds job i has been read
+        assert len(read) <= next(end for end in ends if end > i)
+        got.append(list(order))
+    assert walks == [30, 25] and len(spreads) == 110 - 55
+    want = [list(simulate_spread(g, SpreadParams(eta=eta, k=k), substream(7, i)).order) for i, (g, eta) in enumerate(specs)]
+    assert got == want
+
+
+@pytest.mark.parametrize("k, message", [(37, "cannot infect k=37 of n=36"), (0, "k must be >= 1, got 0")])
+def test_spread_paths_refuse_what_simulate_spread_refuses(k, message):
+    # 30 stackable jobs, but no lockstep walk for a k that cannot spread
+    jobs = ((torus_grid((6, 6)), 1.0, substream(7, i)) for i in range(30))
+    with pytest.raises(ValueError, match=message):
+        next(spreading._spread_paths(jobs, k))
+
+
 def test_simulate_spread_frequencies_match_law():
     # empirical snapshot frequencies vs the exact law, chi-square at alpha=1e-3
     scipy_stats = pytest.importorskip("scipy.stats")
