@@ -26,6 +26,7 @@ from .permtest import (
     MODE_CENSOR_FIXING,
     MODE_FULL,
     TestConfig,
+    _resampled,
     mc_test,
     validity_with_guard,
 )
@@ -246,15 +247,12 @@ def _cmd_test(args: argparse.Namespace) -> None:
     stat = StatisticSpec.from_name(args.statistic, alt, vertex)
     cfg = TestConfig(alpha=args.alpha, B=args.B, seed=args.seed, mode=_MODES[args.mode])
 
-    on_resample = None
     with _outputs([args.debug_dump]) as (dump,):
+        result = mc_test(stat, iv, cfg, null_graph=null_graph)
         if dump is not None:
             chars = {0: "0", 1: "1", 2: "*"}
-
-            def on_resample(_b: int, permuted) -> None:
+            for permuted in _resampled(iv.status[None], cfg):
                 dump.write("".join(chars[int(s)] for s in permuted) + "\n")
-
-        result = mc_test(stat, iv, cfg, null_graph=null_graph, on_resample=on_resample)
 
     observed, threshold, direction = result.raw_scale()
     validity = result.validity_warning or "valid"

@@ -33,6 +33,14 @@ __all__ = [
     "topology_sup_likelihood",
 ]
 
+# the most infected vertices, censored ones included, whose k! orderings a
+# likelihood sums
+_K_GUARD = 8
+# the most paths a censored normalization enumerates
+_CENSORED_CAP = 10**6
+# the most vertices whose n! relabelings topology_sup_likelihood tries
+_SUP_N_GUARD = 6
+
 
 @dataclass(frozen=True)
 class LikelihoodReport:
@@ -49,9 +57,7 @@ class LikelihoodReport:
     censor_terms: int = 0
 
 
-def likelihood_exact(
-    g: Graph, eta: float, iv: InfectionVector, k_guard: int = 8
-) -> LikelihoodReport:
+def likelihood_exact(g: Graph, eta: float, iv: InfectionVector) -> LikelihoodReport:
     """Probability of an uncensored snapshot: sum over all k! orderings.
 
     The empty graph collapses to the closed form 1/C(n, k) (every
@@ -68,9 +74,9 @@ def likelihood_exact(
         return LikelihoodReport(
             value=1.0 / comb(g.n, k), n_paths=factorial(k), eta=eta
         )
-    if k > k_guard:
+    if k > _K_GUARD:
         raise GuardExceededError(
-            f"exact likelihood sums k! = {factorial(k)} paths; guard is k <= {k_guard}"
+            f"exact likelihood sums k! = {factorial(k)} paths; guard is k <= {_K_GUARD}"
         )
     total = fsum(
         path_probability(g, eta, InfectionPath(order))
@@ -79,9 +85,7 @@ def likelihood_exact(
     return LikelihoodReport(value=total, n_paths=factorial(k), eta=eta)
 
 
-def _completion_mass(
-    g: Graph, eta: float, iv: InfectionVector, k_guard: int
-) -> tuple[float, int, int]:
+def _completion_mass(g: Graph, eta: float, iv: InfectionVector) -> tuple[float, int, int]:
     """Unnormalized censored mass: mean over censored-set draws of the
     uncensored law, summed over all 2^c completions of this snapshot.
 
@@ -97,7 +101,7 @@ def _completion_mass(
         for v, bit in zip(censored, bits):
             status[v] = INFECTED if bit else 0
         completed = InfectionVector(status)
-        rep = likelihood_exact(g, eta, completed, k_guard=k_guard)
+        rep = likelihood_exact(g, eta, completed)
         n_paths += rep.n_paths
         terms.append(rep.value)
     mass = fsum(terms) / comb(iv.n, len(censored))
@@ -105,7 +109,7 @@ def _completion_mass(
 
 
 @lru_cache(maxsize=64)
-def _censored_norm(g: Graph, eta: float, k: int, c: int, k_guard: int) -> float:
+def _censored_norm(g: Graph, eta: float, k: int, c: int) -> float:
     """Normalizer over every snapshot with k infected and c censored."""
     n = g.n
     total_terms = []
@@ -113,18 +117,13 @@ def _censored_norm(g: Graph, eta: float, k: int, c: int, k_guard: int) -> float:
         rest = [v for v in range(n) if v not in infected]
         for cens in itertools.combinations(rest, c):
             snapshot = infection_from_infected(n, infected, cens)
-            mass, _, _ = _completion_mass(g, eta, snapshot, k_guard)
+            mass, _, _ = _completion_mass(g, eta, snapshot)
             total_terms.append(mass)
     return fsum(total_terms)
 
 
 def likelihood_censored(
-    g: Graph,
-    eta: float,
-    iv: InfectionVector,
-    c: int | None = None,
-    k_guard: int = 8,
-    cap: int = 10**6,
+    g: Graph, eta: float, iv: InfectionVector, c: int | None = None
 ) -> LikelihoodReport:
     """Probability of a censored snapshot.
 
@@ -140,17 +139,17 @@ def likelihood_censored(
     if iv.k == 0:
         raise ValueError("need at least one infected vertex")
     if iv.c == 0:
-        return likelihood_exact(g, eta, iv, k_guard=k_guard)
+        return likelihood_exact(g, eta, iv)
     k, cc, n = iv.k, iv.c, iv.n
-    if k + cc > k_guard:
+    if k + cc > _K_GUARD:
         raise GuardExceededError(
-            f"censored likelihood needs paths of length up to {k + cc}; guard is {k_guard}"
+            f"censored likelihood needs paths of length up to {k + cc}; guard is {_K_GUARD}"
         )
     # rough enumeration cost: snapshots * completions * orderings
     cost = comb(n, k) * comb(n - k, cc) * (1 << cc) * factorial(k + cc)
-    if cost > cap:
+    if cost > _CENSORED_CAP:
         raise GuardExceededError(
-            f"censored normalization enumerates ~{cost} paths, cap is {cap}"
+            f"censored normalization enumerates ~{cost} paths, cap is {_CENSORED_CAP}"
         )
     if g.num_edges == 0:
         # uniform over snapshots: 1 / (n choose k, c, rest)
@@ -158,8 +157,8 @@ def likelihood_censored(
         return LikelihoodReport(
             value=value, n_paths=factorial(k), eta=eta, censor_terms=1 << cc
         )
-    mass, n_paths, completions = _completion_mass(g, eta, iv, k_guard)
-    norm = _censored_norm(g, eta, k, cc, k_guard)
+    mass, n_paths, completions = _completion_mass(g, eta, iv)
+    norm = _censored_norm(g, eta, k, cc)
     return LikelihoodReport(
         value=mass / norm, n_paths=n_paths, eta=eta, censor_terms=completions
     )
@@ -191,19 +190,17 @@ def first_order_residual(g1: Graph, eta: float, iv: InfectionVector) -> float:
     return ratio - (1.0 + eta * edges_within(g1, iv))
 
 
-def topology_sup_likelihood(
-    g: Graph, eta: float, iv: InfectionVector, n_guard: int = 6
-) -> float:
+def topology_sup_likelihood(g: Graph, eta: float, iv: InfectionVector) -> float:
     """max over all n! relabelings of the graph of the exact likelihood.
 
     A statistic of the snapshot that ignores which relabeling generated
     it; constant over snapshots with the same (k) when the graph orbit
-    covers them all. Guarded at n_guard (cost n! likelihood sums).
+    covers them all. Guarded at n <= _SUP_N_GUARD (cost n! likelihood sums).
     """
     n = g.n
-    if n > n_guard:
+    if n > _SUP_N_GUARD:
         raise GuardExceededError(
-            f"sup over {n}! = {factorial(n)} relabelings; guard is n <= {n_guard}"
+            f"sup over {n}! = {factorial(n)} relabelings; guard is n <= {_SUP_N_GUARD}"
         )
     if iv.c:
         raise ValueError("topology sup is defined for uncensored snapshots")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -260,11 +260,9 @@ _BLOCK_STATUSES = 1 << 18
 def _smallest(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Per snapshot j of (rows, m, p) keys, the mask of its keys at or below
     its ks[j]-th smallest: ks[j] keys, or more where keys tie there."""
-    infected = np.empty(keys.shape, dtype=bool)
-    for j, k in enumerate(ks.tolist()):
-        if k == 0:
-            infected[:, j] = False
-            continue
+    infected = np.zeros(keys.shape, dtype=bool)
+    for j in np.flatnonzero(ks).tolist():
+        k = int(ks[j])
         kth = np.partition(keys[:, j], k - 1, axis=-1)[:, k - 1 : k]
         np.less_equal(keys[:, j], kth, out=infected[:, j])
     return infected
@@ -278,29 +276,21 @@ def _draw_keys(
     while they tie at the k-th key, p more at once.
 
     The uint32 stream does not depend on how it is chunked, so one call
-    draws the whole block. On a tie the generator rewinds to the start
-    of the block, the rows before the tied one are drawn again, the
-    tied row is drawn snapshot by snapshot with its redraws, and the
-    rest of the block is drawn after it.
+    draws the whole block as flat p-key slots. While some snapshot ties,
+    its p keys are dropped, which moves every later slot up by one, and
+    p fresh keys are appended: the loop's keys, with its end state.
     """
-    start = rng.bit_generator.state
-    keys = rng.integers(0, 1 << 32, size=(rows, len(ks), p), dtype=np.uint32)
-    infected = _smallest(keys, ks)
-    # a mask holds at least its k keys, so one count over the block finds a tie
-    if np.count_nonzero(infected) == rows * int(ks.sum()):
-        return keys, infected
-    r = int(np.flatnonzero((np.count_nonzero(infected, axis=-1) != ks).any(axis=1))[0])
-    rng.bit_generator.state = start
-    rng.integers(0, 1 << 32, size=(r, len(ks), p), dtype=np.uint32)
-    for j in range(len(ks)):
-        while True:
-            snap = rng.integers(0, 1 << 32, size=(1, 1, p), dtype=np.uint32)
-            mask = _smallest(snap, ks[j : j + 1])
-            if np.count_nonzero(mask) == ks[j]:
-                break
-        keys[r, j], infected[r, j] = snap[0, 0], mask[0, 0]
-    keys[r + 1 :], infected[r + 1 :] = _draw_keys(rng, ks, rows - r - 1, p)
-    return keys, infected
+    m = len(ks)
+    flat = rng.integers(0, 1 << 32, size=rows * m * p, dtype=np.uint32)
+    while True:
+        keys = flat.reshape(rows, m, p)
+        infected = _smallest(keys, ks)
+        # a mask holds at least its k keys, so one count over the block finds a tie
+        if np.count_nonzero(infected) == rows * int(ks.sum()):
+            return keys, infected
+        tied = int(np.flatnonzero(np.count_nonzero(infected, axis=-1) != ks)[0])
+        fresh = rng.integers(0, 1 << 32, size=p, dtype=np.uint32)
+        flat = np.concatenate((flat[: tied * p], flat[(tied + 1) * p :], fresh))
 
 
 def _infected_blocks(
@@ -345,7 +335,7 @@ def _infected_blocks(
 def _statuses(
     stack: np.ndarray, positions: np.ndarray | None, infected: np.ndarray, keys: np.ndarray
 ) -> np.ndarray:
-    """The (rows, m, n) statuses of an _infected_blocks block, for on_resample.
+    """The (rows, m, n) statuses of an _infected_blocks block, for _resampled.
 
     In censor-fixing mode (positions given) the censored vertices keep
     their mark. In full-permute mode a snapshot with c censored vertices
@@ -355,18 +345,14 @@ def _statuses(
     """
     censored = np.broadcast_to(stack == CENSORED, infected.shape)
     if positions is None:
-        censored = np.zeros(infected.shape, dtype=bool)
         ks = np.count_nonzero(stack == INFECTED, axis=1)
-        for j, c in enumerate(np.count_nonzero(stack == CENSORED, axis=1).tolist()):
-            if c == 0:
-                continue
-            last = int(ks[j]) + c - 1
-            kth = np.partition(keys[:, j], last, axis=-1)[:, last : last + 1]
-            censored[:, j] = (keys[:, j] <= kth) & ~infected[:, j]
-            extra = np.count_nonzero(censored[:, j], axis=1) - c
-            for r in np.flatnonzero(extra):
-                tied = np.flatnonzero(censored[r, j] & (keys[r, j] == kth[r]))
-                censored[r, j, tied[tied.size - extra[r] :]] = False
+        cs = np.count_nonzero(stack == CENSORED, axis=1)
+        censored = _smallest(keys, ks + cs) & ~infected
+        extra = np.count_nonzero(censored, axis=-1) - cs
+        for r, j in zip(*np.nonzero(extra)):
+            # the tied keys are the largest marked ones; the highest vertices lose the mark
+            tied = np.flatnonzero(keys[r, j] == keys[r, j][censored[r, j]].max())
+            censored[r, j, tied[tied.size - extra[r, j] :]] = False
     status = np.where(censored, CENSORED, UNINFECTED).astype(stack.dtype)
     status[infected] = INFECTED
     return status
@@ -384,23 +370,26 @@ def _enumerated_blocks(status: np.ndarray) -> Iterator[np.ndarray]:
         yield block
 
 
+# the most vertices whose n! relabelings exact_test enumerates
+_EXACT_N_GUARD = 8
+
+
 def exact_test(
     stat: StatisticSpec,
     iv: InfectionVector,
     alpha: float,
     null_graph: Graph | None = None,
-    n_guard: int = 8,
 ) -> TestResult:
     """Enumerate all n! relabelings; no Monte-Carlo error.
 
-    Guarded at n_guard because the cost is n! score evaluations.
+    Guarded at n <= _EXACT_N_GUARD because the cost is n! score evaluations.
     p_value is the exact permutation fraction #{score >= observed} / n!.
     """
     TestConfig(alpha=alpha, B=1)  # checks alpha
     n = iv.n
-    if n > n_guard:
+    if n > _EXACT_N_GUARD:
         raise GuardExceededError(
-            f"exact test costs {n}! = {factorial(n)} evaluations; guard is n <= {n_guard}"
+            f"exact test costs {n}! = {factorial(n)} evaluations; guard is n <= {_EXACT_N_GUARD}"
         )
     scores = np.concatenate([stat.score_batch(block) for block in _enumerated_blocks(iv.status)])
     return _calibrate(
@@ -430,33 +419,29 @@ def _shuffled(stack: np.ndarray, cfg: TestConfig) -> np.ndarray | None:
 
 
 def _mc_draws(
-    stats: Sequence[StatisticSpec],
     stack: np.ndarray,
     cfg: TestConfig,
     rng: np.random.Generator | None = None,
     first_rows: int | None = None,
-    on_resample: Callable[[int, np.ndarray], None] | None = None,
-) -> Iterator[list[np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """Per block of cfg.B relabelings of an (m, n) status stack in cfg.mode
-    (drawn from rng, else substream(cfg.seed)), each statistic's scores of
-    the drawn stacks averaged over their m snapshots. Every Monte-Carlo
-    test draws here; stopping the iteration stops the drawing. stats is
-    read afresh for each block, so a caller may drop statistics from it
-    between blocks. The statistics score the drawn infected masks
-    (_infected_blocks). on_resample sees each drawn stack's statuses
-    (_statuses), flattened, before it is scored; setting it changes no
-    draw and no score."""
+    (drawn from rng, else substream(cfg.seed)), the (rows * m, n) infected
+    masks of the drawn stacks (_infected_blocks), m rows per draw. Every
+    Monte-Carlo test draws here and scores the masks itself; stopping the
+    iteration stops the drawing."""
     positions = _shuffled(stack, cfg)
     gen = substream(cfg.seed) if rng is None else rng
-    index = itertools.count()
-    m, n = stack.shape
-    for infected, keys in _infected_blocks(stack, cfg.B, gen, positions, first_rows):
-        if on_resample is not None:
-            for row in _statuses(stack, positions, infected, keys).reshape(len(keys), m * n):
-                on_resample(next(index), row)
-        scores = [stat.score_batch(infected.reshape(-1, n)) for stat in stats]
-        # scores are integers or infinite, so the sums are exact in any order
-        yield scores if m == 1 else [s.reshape(-1, m).sum(axis=1) / m for s in scores]
+    for infected, _ in _infected_blocks(stack, cfg.B, gen, positions, first_rows):
+        yield infected.reshape(-1, stack.shape[1])
+
+
+def _resampled(stack: np.ndarray, cfg: TestConfig) -> Iterator[np.ndarray]:
+    """The flat (m * n) statuses (_statuses) of every relabeling a
+    Monte-Carlo test of an (m, n) status stack draws from substream(cfg.seed)
+    in cfg.mode, in draw order: the test's draws replayed for --debug-dump."""
+    positions = _shuffled(stack, cfg)
+    for infected, keys in _infected_blocks(stack, cfg.B, substream(cfg.seed), positions):
+        yield from _statuses(stack, positions, infected, keys).reshape(len(keys), -1)
 
 
 def _mc_result(
@@ -465,7 +450,6 @@ def _mc_result(
     cfg: TestConfig,
     null_graph: Graph | None,
     rng: np.random.Generator | None,
-    on_resample: Callable[[int, np.ndarray], None] | None,
     statistic: str,
     mode: str,
 ) -> TestResult:
@@ -473,10 +457,12 @@ def _mc_result(
     the body of mc_test, conditional_mc_test and multi_spread_mc_test."""
     own = [stat.score(iv) for iv in ivs]
     stack = np.array([iv.status for iv in ivs])
-    [scores] = map(np.concatenate, zip(*_mc_draws([stat], stack, cfg, rng, None, on_resample)))
+    scores = np.concatenate([stat.score_batch(block) for block in _mc_draws(stack, cfg, rng)])
+    # scores are integers or infinite, so the sums are exact in any order
+    mean = scores if len(ivs) == 1 else scores.reshape(-1, len(ivs)).sum(axis=1) / len(ivs)
     return _calibrate(
         sum(own[1:], own[0]) / len(own),  # from own[0], so one snapshot's -0.0 stays -0.0
-        scores,
+        mean,
         cfg.alpha,
         statistic=statistic,
         tail=stat.tail,
@@ -491,7 +477,6 @@ def mc_test(
     cfg: TestConfig,
     null_graph: Graph | None = None,
     rng: np.random.Generator | None = None,
-    on_resample: Callable[[int, np.ndarray], None] | None = None,
 ) -> TestResult:
     """Monte-Carlo permutation test with B uniform relabelings, in cfg.mode.
 
@@ -500,7 +485,7 @@ def mc_test(
     threshold rule so level holds for every B. In censor-fixing mode it
     is conditional_mc_test.
     """
-    return _mc_result(stat, [iv], cfg, null_graph, rng, on_resample, stat.name, cfg.mode)
+    return _mc_result(stat, [iv], cfg, null_graph, rng, stat.name, cfg.mode)
 
 
 def conditional_mc_test(
@@ -509,7 +494,6 @@ def conditional_mc_test(
     cfg: TestConfig,
     null_graph: Graph | None = None,
     rng: np.random.Generator | None = None,
-    on_resample: Callable[[int, np.ndarray], None] | None = None,
 ) -> TestResult:
     """Permutation test conditioned on the censored positions, whatever cfg.mode says.
 
@@ -517,7 +501,7 @@ def conditional_mc_test(
     mark, matching a null where censoring is arbitrary but fixed.
     """
     cfg = replace(cfg, mode=MODE_CENSOR_FIXING)
-    return _mc_result(stat, [iv], cfg, null_graph, rng, on_resample, stat.name, cfg.mode)
+    return _mc_result(stat, [iv], cfg, null_graph, rng, stat.name, cfg.mode)
 
 
 # rows in the first block an early-decided test draws; later blocks double
@@ -543,17 +527,16 @@ def _mc_reject(
     observed = [stat.score(iv) for stat in stats]
     budget = _tail_budget(cfg.alpha, cfg.B)
     live = list(range(len(stats)))  # the unsettled statistics
-    scoring = list(stats)  # theirs, read by _mc_draws for the next block
     ge = [0] * len(stats)
     parts: list[list[np.ndarray]] = [[] for _ in stats]
-    for block in _mc_draws(scoring, iv.status[None], cfg, rng, _FIRST_ROWS):
-        for i, scores in zip(live, block):
+    for block in _mc_draws(iv.status[None], cfg, rng, _FIRST_ROWS):
+        for i in live:
+            scores = stats[i].score_batch(block)
             ge[i] += int(np.count_nonzero(scores >= observed[i]))
             parts[i].append(scores)
         live = [i for i in live if ge[i] <= budget]
         if not live:
             break
-        scoring[:] = [stats[i] for i in live]
     reject = [False] * len(stats)
     for i in live:
         threshold, _ = _threshold_rule(np.concatenate(parts[i]), cfg.alpha, cfg.B)
@@ -580,7 +563,8 @@ def composite_mc_test(
     cfg.mode; the validity warning is the first one of the two statistics.
     """
     stats = (stat_first, stat_second)
-    s1, s2 = map(np.concatenate, zip(*_mc_draws(stats, iv.status[None], cfg, rng)))
+    blocks = _mc_draws(iv.status[None], cfg, rng)
+    s1, s2 = map(np.concatenate, zip(*([stat.score_batch(b) for stat in stats] for b in blocks)))
     half = cfg.alpha / 2.0
     warnings = (_validity_warning(stat, null_graph) for stat in stats)
     labels = dict(
@@ -623,4 +607,4 @@ def multi_spread_mc_test(
         raise ValueError("need at least one snapshot")
     if any(iv.n != ivs[0].n for iv in ivs):
         raise ValueError("snapshots must share one vertex set")
-    return _mc_result(stat, ivs, cfg, null_graph, rng, None, f"avg-{stat.name}", "multi-spread")
+    return _mc_result(stat, ivs, cfg, null_graph, rng, f"avg-{stat.name}", "multi-spread")

@@ -174,11 +174,11 @@ def cascade_count_cycle(k: int) -> int:
     return (k - 1) * (1 << (k - 1))
 
 
-def min_cascade_count(g: Graph, k: int, n_guard: int = 10, k_guard: int = 6) -> int:
+def min_cascade_count(g: Graph, k: int) -> int:
     """min over edges (u, v) of cascade_count(g, k, u, v)."""
     if g.num_edges == 0:
         raise ValueError("graph has no edges")
-    return min(cascade_count(g, k, u, v, n_guard, k_guard) for u, v in g.edges)
+    return min(cascade_count(g, k, u, v) for u, v in g.edges)
 
 
 # -- closed-form bounds ----------------------------------------------------------
@@ -506,7 +506,7 @@ def mc_risk_curves(
         RiskCurve(
             type_i=rejects / reps,
             mean_threshold=thresholds / reps,
-            type_ii={eta: 1.0 - r / reps for eta, r in zip(etas, alt_rejects)},
+            type_ii={eta: (reps - r) / reps for eta, r in zip(etas, alt_rejects)},
             reps=reps,
             alt_values=values,
         )

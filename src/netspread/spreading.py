@@ -437,16 +437,19 @@ def censor_fixed(iv: InfectionVector, censor_set: Iterable[int]) -> InfectionVec
     return InfectionVector(status)
 
 
+# the most subsets or paths an exact sampler or law enumerates
+_EXACT_CAP = 10**6
+
+
 def ising_sample_exact(
     g: Graph,
     eta: float,
     k: int,
     seed_or_rng: int | np.random.Generator,
-    cap: int = 10**6,
 ) -> InfectionVector:
     """Sample a k-subset with probability proportional to exp(eta * edges inside).
 
-    Exact enumeration over all C(n, k) subsets (guarded by cap); no
+    Exact enumeration over all C(n, k) subsets (guarded by _EXACT_CAP); no
     Markov chain approximation. Weights are computed relative to the
     maximum exponent so large eta cannot overflow.
     """
@@ -454,9 +457,9 @@ def ising_sample_exact(
     if not 0 < k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     total = comb(n, k)
-    if total > cap:
+    if total > _EXACT_CAP:
         raise GuardExceededError(
-            f"exact sampling needs C({n},{k}) = {total} subset weights, cap is {cap}"
+            f"exact sampling needs C({n},{k}) = {total} subset weights, cap is {_EXACT_CAP}"
         )
     rng = as_generator(seed_or_rng)
     subsets = list(itertools.combinations(range(n), k))
@@ -532,17 +535,17 @@ def align_to_graph(g: Graph, labels: Sequence[str], codes: np.ndarray) -> Infect
     return InfectionVector(status)
 
 
-def infection_law_exact(g: Graph, eta: float, k: int, cap: int = 10**6):
+def infection_law_exact(g: Graph, eta: float, k: int):
     """Exact snapshot law: dict mapping infected-set tuple -> probability.
 
     Sums path probabilities over all k! orderings of each k-subset.
-    Guarded by cap on the total number of paths.
+    Guarded by _EXACT_CAP on the total number of paths.
     """
     n = g.n
     n_paths = comb(n, k) * factorial(k)
-    if n_paths > cap:
+    if n_paths > _EXACT_CAP:
         raise GuardExceededError(
-            f"exact law needs {n_paths} path evaluations, cap is {cap}"
+            f"exact law needs {n_paths} path evaluations, cap is {_EXACT_CAP}"
         )
     law: dict[tuple[int, ...], float] = {}
     for sub in itertools.combinations(range(n), k):

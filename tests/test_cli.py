@@ -563,6 +563,19 @@ def test_risk_mc_censor_fixed_stdout(tmp_path, capsys, statistic, expected):
     assert run(capsys, "risk", "--config", cfg) == (0, expected, "")
 
 
+def test_risk_mc_type_ii_is_the_correctly_rounded_miss_rate(tmp_path, capsys):
+    # 2 misses in 3 replicates at eta 2: (3 - 1) / 3, not 1 - 1 / 3 = 0.6666666666666667
+    doc = {
+        "schema": 1, "kind": "mc", "alt_graph": "torus:6x6", "null_graph": "empty:36",
+        "etas": [0.5, 1, 2], "k": 6, "alpha": 0.2, "B": 40, "replicates": 3, "seed": 1,
+    }
+    cfg = write_config(tmp_path, "m.json", doc)
+    code, stdout, _ = run(capsys, "risk", "--config", cfg)
+    assert code == 0
+    assert json.loads(stdout)["results"]["type_ii"] == {"0.5": 1.0, "1": 1.0, "2": 2 / 3}
+    assert '"2": 0.6666666666666666\n' in stdout
+
+
 def test_risk_unknown_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "mystery"})
     code, _, err = run(capsys, "risk", "--config", cfg)

@@ -213,13 +213,9 @@ def test_conditional_test_keeps_censored_fixed():
     g = cycle_graph(8)
     iv = infection_from_infected(8, [0, 1], censored=[4, 5])
     spec = StatisticSpec.edges_within(g)
-    seen: list[np.ndarray] = []
-
-    def watch(b, permuted):
-        seen.append(permuted.copy())
-
     cfg = TestConfig(alpha=0.1, B=50, seed=2, mode="censor-fixing")
-    res = conditional_mc_test(spec, iv, cfg, on_resample=watch)
+    res = conditional_mc_test(spec, iv, cfg)
+    seen = list(permtest._resampled(iv.status[None], cfg))
     assert res.mode == "censor-fixing"
     assert len(seen) == 50
     for arr in seen:
@@ -242,8 +238,8 @@ def test_mc_test_follows_cfg_mode():
     iv = infection_from_infected(8, [0, 1], censored=[4, 5])
     spec = StatisticSpec.edges_within(g)
     cfg = TestConfig(alpha=0.1, B=50, seed=2, mode="censor-fixing")
-    seen: list[np.ndarray] = []
-    res = mc_test(spec, iv, cfg, on_resample=lambda b, permuted: seen.append(permuted.copy()))
+    res = mc_test(spec, iv, cfg)
+    seen = list(permtest._resampled(iv.status[None], cfg))
     assert res.mode == "censor-fixing"
     assert all(arr[4] == CENSORED and arr[5] == CENSORED for arr in seen)
     assert res == conditional_mc_test(spec, iv, cfg)
@@ -269,13 +265,8 @@ def test_mc_test_and_conditional_mc_test_do_not_call_each_other(monkeypatch):
 
 def test_full_mode_shuffles_censored_too():
     iv = infection_from_infected(6, [0], censored=[1])
-    spec = StatisticSpec.center_indicator(0)
-    positions: set[int] = set()
-
-    def watch(b, permuted):
-        positions.update(int(v) for v in np.flatnonzero(permuted == CENSORED))
-
-    mc_test(spec, iv, TestConfig(alpha=0.1, B=200, seed=4), on_resample=watch)
+    cfg = TestConfig(alpha=0.1, B=200, seed=4)
+    positions = {int(v) for row in permtest._resampled(iv.status[None], cfg) for v in np.flatnonzero(row == CENSORED)}
     # the censored mark moves around under full permutation
     assert len(positions) > 1
 

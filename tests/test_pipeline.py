@@ -354,10 +354,9 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     runs = []
     for size in (permtest._BLOCK_STATUSES, 60, 1):
         monkeypatch.setattr(permtest, "_BLOCK_STATUSES", size)
-        seen = []
-        res = mc_test(_SPECS["W"], _IV, cfg, on_resample=lambda b, row: seen.append((b, row.tobytes())))
+        seen = [(b, row.tobytes()) for b, row in enumerate(permtest._resampled(_IV.status[None], cfg))]
         runs.append((
-            res,
+            mc_test(_SPECS["W"], _IV, cfg),
             seen,
             conditional_mc_test(_SPECS["R"], _IV, cond),
             multi_spread_mc_test(_SPECS["W"], _IVS, cfg),
@@ -409,8 +408,14 @@ def _assert_blocks_equal_oracle(stack, B, seed_rng, positions, first_rows, block
     assert infected.dtype == bool
     assert np.array_equal(infected, want == 1)
     assert np.array_equal(np.concatenate([status for _, status in blocks]), want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert _position(got_rng) == _position(want_rng)
     return blocks
+
+
+def _position(rng):
+    """How far a generator has drawn: a _TiedStream's key count and its inner
+    generator's state, or a generator's state."""
+    return getattr(rng, "drawn", None), getattr(rng, "inner", rng).bit_generator.state
 
 
 @settings(max_examples=200)
@@ -437,19 +442,11 @@ class _TiedStream:
     """A generator whose uint32 keys are np.random.default_rng(seed)'s,
     except that key vector i of the stream (keys i*p .. i*p + p - 1,
     counted from its start, redraws included) is vectors[i] where given.
-    Its state covers both, so a rewind replays the same keys."""
+    It has no bit_generator, so a draw that read or rewound the state of
+    its generator fails here."""
 
     def __init__(self, seed, p, vectors):
         self.inner, self.p, self.vectors, self.drawn = np.random.default_rng(seed), p, vectors, 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.drawn, self.inner.bit_generator.state
-
-    @state.setter
-    def state(self, value):
-        self.drawn, self.inner.bit_generator.state = value
 
     def integers(self, low, high, size, dtype):
         keys = self.inner.integers(low, high, size=size, dtype=dtype)
@@ -497,17 +494,44 @@ def test_tied_keys_are_redrawn_whatever_the_block_size(stack, positions):
 
 
 def test_hooked_and_unhooked_runs_agree():
+    # mc_test scores exactly the masks _mc_draws yields from its generator,
+    # and both leave that generator at one place
     for mode, p in (("full-permute", 25), ("censor-fixing", 23)):
         cfg = TestConfig(alpha=0.1, B=30, seed=2, mode=mode)
         tied = lambda: _TiedStream(3, p, {2: [5] * p, 3: [5] * p})  # noqa: E731
         for rng in (lambda: None, lambda: substream(8), tied):
-            seen = []
-            hooked_rng, plain_rng = rng(), rng()
-            hooked = mc_test(_SPECS["R"], _IV, cfg, rng=hooked_rng, on_resample=lambda b, row: seen.append(row))
-            assert hooked == mc_test(_SPECS["R"], _IV, cfg, rng=plain_rng)
-            assert len(seen) == 30
-            if hooked_rng is not None:
-                assert hooked_rng.bit_generator.state == plain_rng.bit_generator.state
+            drawn_rng, test_rng = rng(), rng()
+            masks = np.concatenate(list(permtest._mc_draws(_IV.status[None], cfg, drawn_rng)))
+            res = mc_test(_SPECS["R"], _IV, cfg, rng=test_rng)
+            scores = _SPECS["R"].score_batch(masks)
+            assert res.histogram == tuple(sorted(Counter(scores.tolist()).items()))
+            assert res.raw_ge_count == np.count_nonzero(scores >= res.observed)
+            assert len(masks) == 30
+            if drawn_rng is not None:
+                assert _position(drawn_rng) == _position(test_rng)
+
+
+@pytest.mark.parametrize("mode", ["full-permute", "censor-fixing"])
+@pytest.mark.parametrize("tie", [False, True])
+def test_resampled_rows_hold_the_drawn_masks(monkeypatch, mode, tie):
+    # the --debug-dump replay draws what the test draws, in both modes,
+    # for two snapshots, and through tied keys
+    stack = np.array([_IV.status, infection_from_infected(25, [2, 7, 8, 13], censored=[3, 24]).status])
+    cfg = TestConfig(alpha=0.1, B=12, seed=3, mode=mode)
+    p = 25 if mode == "full-permute" else 23
+    tied = [_TiedStream(3, p, {1: [5] * p, 2: [5] * p, 7: [9] * p}) for _ in range(2)]
+    if tie:
+        streams = iter(tied)
+        monkeypatch.setattr(permtest, "substream", lambda seed: next(streams))
+    masks = np.concatenate(list(permtest._mc_draws(stack, cfg)))
+    rows = np.array(list(permtest._resampled(stack, cfg)))
+    if tie:
+        # both drew past their 12 * 2 * p keys: the tied vectors were redrawn
+        assert all(stream.drawn > 12 * 2 * p for stream in tied)
+    assert rows.shape == (12, 2 * 25)
+    assert np.array_equal(rows.reshape(-1, 25) == 1, masks)
+    counts = [np.count_nonzero(rows.reshape(12, 2, 25) == code, axis=2) for code in (0, 1, 2)]
+    assert all((c == np.count_nonzero(stack == code, axis=1)).all() for code, c in enumerate(counts))
 
 
 # -- the law of the draw ------------------------------------------------------------
@@ -555,14 +579,10 @@ def test_hooked_draws_follow_the_exact_law(stack, mode):
     stack = np.array(stack, dtype=np.int8)
     cells = _exact_cells(stack, mode)
     seen = Counter()
-
-    def watch(_b, row):
+    cfg = TestConfig(alpha=0.1, B=60 * len(cells), seed=21, mode=mode)
+    for row in permtest._resampled(stack, cfg):
         snaps = row.reshape(stack.shape)
         seen[tuple((frozenset(np.flatnonzero(s == 1).tolist()), frozenset(np.flatnonzero(s == 2).tolist())) for s in snaps)] += 1
-
-    cfg = TestConfig(alpha=0.1, B=60 * len(cells), seed=21, mode=mode)
-    for _ in permtest._mc_draws([], stack, cfg, on_resample=watch):
-        pass
     assert set(seen) == set(cells)
     assert chisquare([seen[cell] for cell in cells]).pvalue > CP_TAIL
 
@@ -633,11 +653,10 @@ def test_edge_case_draws(stack, mode, B, first_rows):
     )
     infected = np.concatenate([mask for mask, _ in blocks])
     assert (np.count_nonzero(infected, axis=2) == np.count_nonzero(stack == 1, axis=1)).all()
-    seen = []
-    stat = StatisticSpec.center_indicator(0)
-    draws = permtest._mc_draws([stat], stack, cfg, None, first_rows, lambda b, row: seen.append(row.copy()))
-    scores = np.concatenate([block for [block] in draws])
-    statuses = np.array(seen).reshape(B, *stack.shape)
+    masks = np.concatenate(list(permtest._mc_draws(stack, cfg, None, first_rows)))
+    statuses = np.array(list(permtest._resampled(stack, cfg))).reshape(B, *stack.shape)
+    assert np.array_equal(masks.reshape(statuses.shape), statuses == 1)
+    scores = StatisticSpec.center_indicator(0).score_batch(masks).reshape(B, -1).mean(axis=1)
     assert scores.tolist() == (statuses[:, :, 0] == 1).mean(axis=1).tolist()
     for code in (0, 1, 2):
         assert (np.count_nonzero(statuses == code, axis=2) == np.count_nonzero(stack == code, axis=1)).all()
@@ -771,7 +790,7 @@ def _curve_of_full_tests(g0, g1, eta0, etas, k, c, cfg, reps, stat):
     return RiskCurve(
         type_i=sum(res.reject for res in null) / reps,
         mean_threshold=sum(res.raw_scale()[1] for res in null) / reps,
-        type_ii={eta: 1.0 - sum(res.reject for res in col) / reps for eta, col in alts.items()},
+        type_ii={eta: (reps - sum(res.reject for res in col)) / reps for eta, col in alts.items()},
         reps=reps,
         alt_values={eta: [res.raw_scale()[0] for res in col] for eta, col in alts.items()},
     )
