@@ -48,6 +48,7 @@ from .risk import (
 )
 from .rng import substream
 from .spreading import (
+    _STATUS_BYTES,
     SpreadParams,
     align_to_graph,
     censor_fixed,
@@ -250,9 +251,8 @@ def _cmd_test(args: argparse.Namespace) -> None:
     with _outputs([args.debug_dump]) as (dump,):
         result = mc_test(stat, iv, cfg, null_graph=null_graph)
         if dump is not None:
-            chars = {0: "0", 1: "1", 2: "*"}
             for permuted in _resampled(iv.status[None], cfg):
-                dump.write("".join(chars[int(s)] for s in permuted) + "\n")
+                dump.write(_STATUS_BYTES[permuted].tobytes().decode() + "\n")
 
     observed, threshold, direction = result.raw_scale()
     validity = result.validity_warning or "valid"
@@ -592,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--mode", choices=tuple(_MODES), default="full")
     test.add_argument("--seed", type=int, default=0)
     test.add_argument("--json", action="store_true")
-    test.add_argument("--center", help="center vertex label for the C statistic")
-    test.add_argument("--orbit-vertex", help="orbit seed vertex label for the orbit statistic")
+    test.add_argument("--center", help="center vertex label for C (default: vertex 0)")
+    test.add_argument("--orbit-vertex", help="orbit seed vertex label for orbit (default: vertex 0)")
     test.add_argument("--debug-dump", help="write every resampled status vector to this file")
     test.set_defaults(func=_cmd_test)
 

@@ -122,9 +122,7 @@ def _censored_norm(g: Graph, eta: float, k: int, c: int) -> float:
     return fsum(total_terms)
 
 
-def likelihood_censored(
-    g: Graph, eta: float, iv: InfectionVector, c: int | None = None
-) -> LikelihoodReport:
+def likelihood_censored(g: Graph, eta: float, iv: InfectionVector) -> LikelihoodReport:
     """Probability of a censored snapshot.
 
     Averages the uncensored law over all 2^c infected/uninfected
@@ -132,8 +130,6 @@ def likelihood_censored(
     uniform), then normalizes over every snapshot with the same (k, c).
     Reduces to likelihood_exact when c = 0.
     """
-    if c is not None and c != iv.c:
-        raise ValueError(f"snapshot has c={iv.c}, caller claimed {c}")
     if g.n != iv.n:
         raise ValueError("graph and snapshot sizes differ")
     if iv.k == 0:

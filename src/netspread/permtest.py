@@ -181,9 +181,14 @@ def _calibrate(
     )
 
 
-def _validity_warning(stat: StatisticSpec, null_graph: Graph | None) -> str | None:
+def _validity_warning(stat: StatisticSpec, null_graph: Graph | None, n: int) -> str | None:
+    """Why the test of stat on n-vertex snapshots may not hold its level
+    under null_graph, None when it does; a null graph of another size is
+    refused."""
     if null_graph is None:
         return "unverifiable: no null graph provided"
+    if null_graph.n != n:
+        raise ValueError(f"null and alternative graphs differ in size: n={null_graph.n} and n={n}")
     if stat.graph is None:
         # only a null with Aut = S_n (empty or complete) validates a
         # statistic that carries no alternative graph
@@ -391,6 +396,7 @@ def exact_test(
         raise GuardExceededError(
             f"exact test costs {n}! = {factorial(n)} evaluations; guard is n <= {_EXACT_N_GUARD}"
         )
+    warning = _validity_warning(stat, null_graph, n)
     scores = np.concatenate([stat.score_batch(block) for block in _enumerated_blocks(iv.status)])
     return _calibrate(
         stat.score(iv),
@@ -400,7 +406,7 @@ def exact_test(
         statistic=stat.name,
         tail=stat.tail,
         mode="exact",
-        validity_warning=_validity_warning(stat, null_graph),
+        validity_warning=warning,
     )
 
 
@@ -457,6 +463,7 @@ def _mc_result(
     the body of mc_test, conditional_mc_test and multi_spread_mc_test."""
     own = [stat.score(iv) for iv in ivs]
     stack = np.array([iv.status for iv in ivs])
+    warning = _validity_warning(stat, null_graph, stack.shape[1])
     scores = np.concatenate([stat.score_batch(block) for block in _mc_draws(stack, cfg, rng)])
     # scores are integers or infinite, so the sums are exact in any order
     mean = scores if len(ivs) == 1 else scores.reshape(-1, len(ivs)).sum(axis=1) / len(ivs)
@@ -467,7 +474,7 @@ def _mc_result(
         statistic=statistic,
         tail=stat.tail,
         mode=mode,
-        validity_warning=_validity_warning(stat, null_graph),
+        validity_warning=warning,
     )
 
 
@@ -563,16 +570,16 @@ def composite_mc_test(
     cfg.mode; the validity warning is the first one of the two statistics.
     """
     stats = (stat_first, stat_second)
-    blocks = _mc_draws(iv.status[None], cfg, rng)
-    s1, s2 = map(np.concatenate, zip(*([stat.score_batch(b) for stat in stats] for b in blocks)))
-    half = cfg.alpha / 2.0
-    warnings = (_validity_warning(stat, null_graph) for stat in stats)
+    warnings = (_validity_warning(stat, null_graph, iv.n) for stat in stats)
     labels = dict(
         statistic=f"{stat_first.name}+{stat_second.name}",
         tail=f"{stat_first.tail}+{stat_second.tail}",
         mode="composite",
         validity_warning=next(filter(None, warnings), None),
     )
+    blocks = _mc_draws(iv.status[None], cfg, rng)
+    s1, s2 = map(np.concatenate, zip(*([stat.score_batch(b) for stat in stats] for b in blocks)))
+    half = cfg.alpha / 2.0
     first = _calibrate(stat_first.score(iv), s1, half, **labels)
     # a saturated first threshold equals max(s1), so the mask is then all-true;
     # stage two fires only where stage one did not, so reject is either stage

@@ -184,27 +184,37 @@ def min_cascade_count(g: Graph, k: int) -> int:
 # -- closed-form bounds ----------------------------------------------------------
 
 
-def star_null_risk_bound(
-    inputs: RiskInputs, c_k: float, d: int | None = None, nt_min: float = 2.0
-) -> BoundValue:
+def _bound(alpha: float, bracket: float, tail: float) -> BoundValue:
+    """alpha + tail, or the vacuous alpha + 1 when the formula's bracket is
+    not positive."""
+    if bracket <= 0:
+        return BoundValue(alpha + 1.0, vacuous=True)
+    return BoundValue(alpha + tail)
+
+
+def _edges_bound(inputs: RiskInputs, c_k: float, nt_min: float, m: int) -> BoundValue:
+    """The edges-within risk bound averaged over m spreads on an alternative
+    of degree inputs.D; star_null_risk_bound is its m = 1 case."""
+    n, k, eta, alpha, d = inputs.n, inputs.k, inputs.eta, inputs.alpha, inputs.D
+    if n < 2:
+        raise ValueError("bound needs n >= 2")
+    bracket = (
+        (d / 2.0) * c_k * h_eta(n, k, eta, nt_min)
+        - d * k * (k - 1) / (2.0 * (n - 1))
+        - sqrt((k * d * d / (2.0 * m)) * log(1.0 / alpha))
+    )
+    return _bound(alpha, bracket, exp(-(2.0 * m / (k * d * d)) * bracket * bracket))
+
+
+def star_null_risk_bound(inputs: RiskInputs, c_k: float, nt_min: float = 2.0) -> BoundValue:
     """Risk bound for the edges-within test against a star-free null on a
-    connected vertex-transitive degree-d alternative.
+    connected vertex-transitive alternative of degree inputs.D, from one
+    spread (inputs.m is not read).
 
     c_k is the minimum cascade count over edges; nt_min the boundary
     lower bound entering h_eta (2 for the cycle).
     """
-    n, k, eta, alpha = inputs.n, inputs.k, inputs.eta, inputs.alpha
-    dd = inputs.D if d is None else d
-    if n < 2:
-        raise ValueError("bound needs n >= 2")
-    bracket = (
-        (dd / 2.0) * c_k * h_eta(n, k, eta, nt_min)
-        - dd * k * (k - 1) / (2.0 * (n - 1))
-        - sqrt((k * dd * dd / 2.0) * log(1.0 / alpha))
-    )
-    if bracket <= 0:
-        return BoundValue(alpha + 1.0, vacuous=True)
-    return BoundValue(alpha + exp(-(2.0 / (k * dd * dd)) * bracket * bracket))
+    return _edges_bound(inputs, c_k, nt_min, 1)
 
 
 def center_test_risk_bounds(inputs: RiskInputs) -> tuple[float, float]:
@@ -233,34 +243,19 @@ def infection_reach_probability(inputs: RiskInputs) -> float:
     return 1.0 - exp(-strength / n)
 
 
-def multi_spread_bounds(
-    inputs: RiskInputs, c_k: float, d: int | None = None, nt_min: float = 2.0
-) -> MultiSpreadBounds:
+def multi_spread_bounds(inputs: RiskInputs, c_k: float, nt_min: float = 2.0) -> MultiSpreadBounds:
     """Risk bounds for the averaged statistics over m independent spreads.
 
     The averaged edges-within bound reduces exactly to
     star_null_risk_bound at m = 1; the averaged center bound uses the
     center-infection probability with the same eta branches.
     """
-    n, k, eta, alpha, m = inputs.n, inputs.k, inputs.eta, inputs.alpha, inputs.m
-    dd = inputs.D if d is None else d
-    bracket = (
-        (dd / 2.0) * c_k * h_eta(n, k, eta, nt_min)
-        - dd * k * (k - 1) / (2.0 * (n - 1))
-        - sqrt((k * dd * dd / (2.0 * m)) * log(1.0 / alpha))
-    )
-    if bracket <= 0:
-        avg_edges = BoundValue(alpha + 1.0, vacuous=True)
-    else:
-        avg_edges = BoundValue(
-            alpha + exp(-(2.0 * m / (k * dd * dd)) * bracket * bracket)
-        )
+    k, n, alpha, m = inputs.k, inputs.n, inputs.alpha, inputs.m
     gap = infection_reach_probability(inputs) - k / n - sqrt(log(1.0 / alpha) / (2.0 * m))
-    if gap <= 0:
-        avg_center = BoundValue(alpha + 1.0, vacuous=True)
-    else:
-        avg_center = BoundValue(alpha + exp(-2.0 * m * gap * gap))
-    return MultiSpreadBounds(avg_edges=avg_edges, avg_center=avg_center)
+    return MultiSpreadBounds(
+        avg_edges=_edges_bound(inputs, c_k, nt_min, m),
+        avg_center=_bound(alpha, gap, exp(-2.0 * m * gap * gap)),
+    )
 
 
 def line_cycle_bound(inputs: RiskInputs) -> BoundValue:
@@ -276,9 +271,7 @@ def line_cycle_bound(inputs: RiskInputs) -> BoundValue:
     prefactor = (n - c) * (n - c - 1) / (n * n * (n - 1.0))
     lead = prefactor * (k - 1) * (1 << (k - 1)) * ((n - k + 1) / n) * h_eta(n, k, eta, 2.0)
     bracket = lead - k * (k - 1) / (n - 1.0) - sqrt(2.0 * k * log(1.0 / alpha))
-    if bracket <= 0:
-        return BoundValue(alpha + 1.0, vacuous=True)
-    return BoundValue(alpha + exp(-bracket * bracket / (2.0 * k)))
+    return _bound(alpha, bracket, exp(-bracket * bracket / (2.0 * k)))
 
 
 # -- baseline thresholds -----------------------------------------------------------

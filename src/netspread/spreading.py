@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from fractions import Fraction
 from math import comb, factorial, fsum, isfinite, isqrt
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -41,6 +42,7 @@ __all__ = [
 
 UNINFECTED, INFECTED, CENSORED = 0, 1, 2
 _STATUS_TO_CHAR = {UNINFECTED: "0", INFECTED: "1", CENSORED: "*"}
+_STATUS_BYTES = np.frombuffer(b"01*", np.uint8)  # indexed by status code: its character's byte
 _CHAR_TO_STATUS = {"0": UNINFECTED, "1": INFECTED, "*": CENSORED}
 
 
@@ -94,7 +96,7 @@ class InfectionVector:
         return hash(self.status.tobytes())
 
     def __repr__(self) -> str:
-        body = "".join(_STATUS_TO_CHAR[int(s)] for s in self.status)
+        body = _STATUS_BYTES[self.status].tobytes().decode()
         return f"InfectionVector({body!r})"
 
 
@@ -160,12 +162,14 @@ def simulate_spread(
     drawn again. The k uniforms are one rng.random(k) call, the same
     values and end state as k scalar draws. On a graph with edges,
     n + 2|E| eta bounds the total weight and must be finite in float64.
+    The walk runs at eta rounded onto the grid of _scale, on which every
+    sum is exact; any eta in practical dyadic use (0, 0.5, 1, 10, 1000)
+    is its own value there.
     """
     _check_spread(g, params)
-    eta = float(params.eta)
     draws = as_generator(seed_or_rng).random(params.k).tolist()
-    walk = _blocked_path if _sums_exact(g, eta) else _sequential_path
-    return InfectionPath(tuple(walk(g, eta, draws)))
+    p, d = _scale(g, params.eta)
+    return InfectionPath(tuple(_blocked_path(g, p / d, draws)))
 
 
 def _check_spread(g: Graph, params: SpreadParams) -> None:
@@ -179,21 +183,34 @@ def _check_spread(g: Graph, params: SpreadParams) -> None:
         raise ValueError(f"eta={eta} overflows the spread weights: n + 2|E| eta is not finite")
 
 
-def _sums_exact(g: Graph, eta: float) -> bool:
-    """Whether every spread weight and every sum of them is exact in float64.
+def _scale(g: Graph, eta: float) -> tuple[int, int]:
+    """eta as p/d on the finest grid of 1/d on which every spread sum on g
+    is exact: d a power of two and n d + 2|E| p < 2^53.
 
-    With eta = p/d in lowest terms (d a power of two), each weight
-    1 + eta*m is a multiple of 1/d, and all weights together never pass
-    n + 2|E| eta. Below 2^53 / d every partial sum, in any grouping, is
-    exact, so a blocked walk meets the same boundaries as one sequential
-    cumulative sum. Without edges every weight stays 1, whatever eta.
+    Every weight 1 + eta*m is then a multiple of 1/d, and all weights
+    together never pass n + 2|E| eta, so every partial sum, in any
+    grouping, is exact. That is eta's own ratio (in lowest terms) when
+    it fits; otherwise the largest d that fits, with p = round(eta d),
+    within 1/(2d) of eta; at d = 1, p is capped at (2^53 - 1 - n) // 2|E|.
+    Without edges every weight stays 1, whatever eta: (0, 1).
     """
     if not g.num_edges:
-        return True
-    if not isfinite(eta):
-        return False
-    p, d = eta.as_integer_ratio()
-    return g.n * d + 2 * g.num_edges * p < 2**53
+        return 0, 1
+    n, edges = g.n, 2 * g.num_edges
+    eta = float(eta)
+    if isfinite(eta):
+        p, d = eta.as_integer_ratio()
+        if n * d + edges * p < 2**53:
+            return p, d
+        # n 2^j + 2|E| eta 2^j is below 2^53 at j = top and at least 2^53 at
+        # top + 1; rounding eta 2^j moves the left side by at most |E|, so the
+        # largest j that fits is top + 1, top or top - 1 (below d's exponent)
+        top = d.bit_length() + 52 - (n * d + edges * p).bit_length()
+        for j in range(top + 1, max(top - 2, -1), -1):
+            q = round(Fraction(p, d) * 2**j)
+            if n * 2**j + edges * q < 2**53:
+                return q, 2**j
+    return (2**53 - 1 - n) // edges, 1
 
 
 def _blocked_path(g: Graph, eta: float, draws: list[float]) -> list[int]:
@@ -202,8 +219,8 @@ def _blocked_path(g: Graph, eta: float, draws: list[float]) -> list[int]:
     Weights sit in blocks of isqrt(n) vertices whose sums, and their
     total, are kept up to date as infections change weights. A step
     runs the cumulative sum over the block sums up to the first one
-    past u, then on into that block's weights. Exact only under
-    _sums_exact.
+    past u, then on into that block's weights. Exact, and so the same
+    pick as one sequential cumulative sum, when eta = p/d from _scale.
     """
     n = g.n
     size = isqrt(n)
@@ -261,11 +278,12 @@ _STACK_BYTES = 2 << 20
 
 
 def _stackable(g: Graph, eta: float) -> bool:
-    """Whether spreads on g at eta may join a lockstep walk: eta is a valid
-    SpreadParams eta under _sums_exact, and no degree passes the block
-    size, so the padded neighbour table costs no more per step than the
-    block walk."""
-    return eta >= 0 and _sums_exact(g, eta) and max(g.degrees, default=0) <= isqrt(g.n)
+    """Whether spreads on g at eta may join a lockstep walk: simulate_spread
+    accepts eta on g (SpreadParams and _check_spread), and no degree passes
+    the block size, so the padded neighbour table costs no more per step
+    than the block walk."""
+    accepted = eta >= 0 and (not g.num_edges or isfinite(g.n + 2 * g.num_edges * float(eta)))
+    return accepted and max(g.degrees, default=0) <= isqrt(g.n)
 
 
 def _spread_paths(
@@ -300,14 +318,14 @@ def _stacked_paths(rows: Sequence[tuple[Graph, float]], draws: np.ndarray) -> np
     """The _blocked_path of every row (graph, eta) for the uniforms in its
     row of draws, walked in lockstep: one infection per step for every row.
 
-    Every graph must have the same n and every row must be under
-    _sums_exact. A row's weights are then multiples of 1/d, for eta = p/d
-    in lowest terms, and the walk keeps them as the integers d + p * hits,
-    whose block sums and cumulative sums are exact, as are the float sums
-    of _blocked_path. Its step picks the first vertex whose running sum
-    exceeds u = r * total; in units of 1/d, that is the first whose
-    integer running sum exceeds floor(r * d * total), and r * d * total is
-    the float u scaled by a power of two, so the paths are bit-identical.
+    Every graph must have the same n. A row's weights are multiples of 1/d,
+    for (p, d) = _scale(g, eta), and the walk keeps them as the integers
+    d + p * hits, whose block sums and cumulative sums are exact, as are
+    the float sums of _blocked_path at p/d. Its step picks the first
+    vertex whose running sum exceeds u = r * total; in units of 1/d, that
+    is the first whose integer running sum exceeds floor(r * d * total),
+    and r * d * total is the float u scaled by a power of two, so the
+    paths are bit-identical.
     Neighbour updates read one table padded to the largest degree; the
     padding names a vertex of weight 0 in a last, empty block of each row.
     Returns the (rows, k) array of infected vertices in order.
@@ -329,8 +347,7 @@ def _stacked_paths(rows: Sequence[tuple[Graph, float]], draws: np.ndarray) -> np
         table[slab_of[id(g)] + np.repeat(np.arange(n), degree), slot] = indices
     table[:, dmax:] = table[:, :dmax] // size
     slab = np.array([slab_of[id(g)] for g, _ in rows], dtype=np.intp)
-    # without edges every weight stays 1, whatever eta
-    p, d = np.array([float(eta).as_integer_ratio() if g.num_edges else (0, 1) for g, eta in rows]).T
+    p, d = np.array([_scale(g, eta) for g, eta in rows]).T
     block_base = np.arange(count) * (nblocks + 1)
     base = block_base * size
     weights = np.zeros((count, nblocks + 1, size), dtype=np.int64)
@@ -367,24 +384,6 @@ def _stacked_paths(rows: Sequence[tuple[Graph, float]], draws: np.ndarray) -> np
             weights[cols] = old + step
             np.add.at(flat_blocks, near[:, dmax:].ravel(), step.ravel())
     return order.T
-
-
-def _sequential_path(g: Graph, eta: float, draws: list[float]) -> list[int]:
-    """The spread path for the given uniforms, one full cumulative sum per step."""
-    n = g.n
-    inf_neighbors = np.zeros(n, dtype=np.float64)
-    weights = np.ones(n, dtype=np.float64)
-    order: list[int] = []
-    for r in draws:
-        cum = np.cumsum(weights)
-        v = int(np.searchsorted(cum, r * cum[-1], side="right"))
-        order.append(v)
-        weights[v] = 0.0
-        for w in g.adjacency[v]:
-            inf_neighbors[w] += 1.0
-            if weights[w] > 0.0:
-                weights[w] = 1.0 + eta * inf_neighbors[w]
-    return order
 
 
 def path_probability(g: Graph, eta: float, path: InfectionPath) -> float:

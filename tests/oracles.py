@@ -7,14 +7,17 @@ enumeration, subset search, permutation filtering), through networkx's
 isomorphism matcher and shortest paths, or through the per-snapshot
 implementations of W, R, T, C and orbit that the package's batched
 kernels replaced, so agreement with the package is evidence, not
-tautology. relabeled_rows is the per-draw loop of the key draw that
-the package's blocked subset draw must reproduce.
+tautology. spread_path_float_reference is the float walk of the spread
+sampler before it rounded eta onto a dyadic grid. relabeled_rows is the
+per-draw loop of the key draw that the package's blocked subset draw
+must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 from math import comb, fsum, inf
 
 import networkx as nx
@@ -205,10 +208,55 @@ def path_law_probability(g, eta: float, order: tuple[int, ...]) -> float:
     return prob
 
 
+def spread_scale(g, eta: float) -> tuple[int, int]:
+    """eta as p/d on the finest dyadic grid whose spread sums stay exact:
+    d = 1, 2, 4, ... with p = round(eta d), doubling d while
+    n d + 2|E| p < 2^53 still holds and p/d is not yet eta. At d = 1, p is
+    at most (2^53 - 1 - n) // 2|E|; without edges the answer is (0, 1)."""
+    n, edges = g.n, 2 * g.num_edges
+    if not edges:
+        return 0, 1
+    cap = (2**53 - 1 - n) // edges
+    if eta == inf:
+        return cap, 1
+    exact = Fraction(eta)
+    p, d = min(round(exact), cap), 1
+    while Fraction(p, d) != exact:
+        q = round(exact * 2 * d)
+        if n * 2 * d + edges * q >= 2**53:
+            break
+        p, d = q, 2 * d
+    return p, d
+
+
 def spread_path_reference(g, eta: float, k: int, rng) -> tuple[int, ...]:
-    """One sequential spread path: one rng.random() per step, walked against
-    the running sum of the weights in vertex order, taking the first vertex
-    whose running sum exceeds the uniform times the total."""
+    """One sequential spread path at eta on the grid of spread_scale, in exact
+    integer sums: weights d + p * (infected neighbours) in units of 1/d, one
+    rng.random() r per step, and the first vertex in vertex order whose
+    running sum exceeds u = r * total, that product rounded to float64."""
+    p, d = spread_scale(g, eta)
+    adj = [g.neighbors(v) for v in range(g.n)]
+    weights = [d] * g.n
+    hits = [0] * g.n
+    order = []
+    for _ in range(k):
+        u = rng.random() * sum(weights)
+        v = next(i for i, s in enumerate(itertools.accumulate(weights)) if s > u)
+        order.append(v)
+        weights[v] = 0
+        for x in adj[v]:
+            hits[x] += 1
+            if weights[x]:
+                weights[x] = d + p * hits[x]
+    return tuple(order)
+
+
+def spread_path_float_reference(g, eta: float, k: int, rng) -> tuple[int, ...]:
+    """One sequential spread path at eta itself, in float64: the walk the
+    sampler took for every eta before it rounded eta onto the grid of
+    spread_scale. One rng.random() per step, walked against the running
+    sum of the weights in vertex order, taking the first vertex whose
+    running sum exceeds the uniform times the total."""
     n = g.n
     adj = [g.neighbors(v) for v in range(n)]
     weights = [1.0] * n
@@ -216,12 +264,8 @@ def spread_path_reference(g, eta: float, k: int, rng) -> tuple[int, ...]:
     order = []
     for _ in range(k):
         r = rng.random()
-        running = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            running.append(acc)
-        u = r * acc
+        running = list(itertools.accumulate(weights))
+        u = r * running[-1]
         v = next(i for i, s in enumerate(running) if s > u)
         order.append(v)
         weights[v] = 0.0

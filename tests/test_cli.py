@@ -327,6 +327,20 @@ def test_test_invalid_pair_warns(tmp_path, capsys):
     assert "invalid" in json.loads(stdout)["validity"]
 
 
+@pytest.mark.parametrize("statistic", ["W", "C", "orbit"])
+@pytest.mark.parametrize("null", ["empty:10", "cycle:10"])
+def test_test_null_graph_of_another_size_is_refused(tmp_path, capsys, statistic, null):
+    # the snapshot has the alternative's 12 vertices; C and orbit carry no graph
+    snap = simulate_snapshot(tmp_path, capsys, k="3")
+    code, stdout, err = run(
+        capsys,
+        "test", "--null-graph", null, "--alt-graph", "cycle:12",
+        "--statistic", statistic, "--infection", snap, "--B", "100",
+    )
+    assert (code, stdout) == (2, "")
+    assert "invalid parameters: null and alternative graphs differ in size: n=10 and n=12" in err
+
+
 # -- check-aut --------------------------------------------------------------------
 
 
@@ -380,8 +394,11 @@ def test_check_aut_stdout(capsys, null, alt, expected):
 
 
 def test_check_aut_size_mismatch(capsys):
-    code, _, err = run(capsys, "check-aut", "cycle:5", "cycle:6")
-    assert code == 3
+    code, stdout, err = run(capsys, "check-aut", "cycle:5", "cycle:6")
+    assert (code, stdout) == (3, "")
+    assert "graphs must share a vertex set: null has 5, alt has 6" in err
+    code, _, err = run(capsys, "check-aut", "empty:10", "torus:6x6")
+    assert code == 3 and "graphs must share a vertex set: null has 10, alt has 36" in err
 
 
 # -- baseline ---------------------------------------------------------------------

@@ -107,9 +107,6 @@ def test_censored_total_mass_is_one():
 
 def test_censored_validation_and_guards():
     g = cycle_graph(5)
-    iv = iv_of(5, [0], censored=[1])
-    with pytest.raises(ValueError):
-        likelihood_censored(g, 1.0, iv, c=2)
     with pytest.raises(ValueError):
         likelihood_censored(g, 1.0, InfectionVector((0, 0, 2, 0, 0)))
     big = cycle_graph(12)

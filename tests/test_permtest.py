@@ -522,6 +522,28 @@ def test_validity_warning_threading():
     assert no_alt.validity_warning is not None
 
 
+@pytest.mark.parametrize(
+    "spec", [StatisticSpec.edges_within(cycle_graph(6)), StatisticSpec.center_indicator(0)]
+)
+def test_null_graph_of_another_size_is_refused(spec):
+    # every test refuses a null graph whose n is not the snapshot's, even
+    # an empty one, which validates any alternative of its own size
+    iv = infection_from_infected(6, [0, 1])
+    cfg = TestConfig(alpha=0.1, B=20, seed=0)
+    calls = [
+        lambda null: mc_test(spec, iv, cfg, null_graph=null),
+        lambda null: conditional_mc_test(spec, iv, cfg, null_graph=null),
+        lambda null: composite_mc_test(spec, spec, iv, cfg, null_graph=null),
+        lambda null: multi_spread_mc_test(spec, [iv, iv], cfg, null_graph=null),
+        lambda null: exact_test(spec, iv, 0.1, null_graph=null),
+    ]
+    for call in calls:
+        for null in (empty_graph(5), cycle_graph(7)):
+            with pytest.raises(ValueError, match=f"differ in size: n={null.n} and n=6"):
+                call(null)
+        call(empty_graph(6))
+
+
 def test_validity_without_alternative_graph_needs_symmetric_null():
     # C and orbit carry no graph: an empty or complete null (Aut = S_n)
     # settles validity, any other null leaves it unverifiable

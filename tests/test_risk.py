@@ -129,13 +129,13 @@ def test_min_cascade_count():
 
 def test_star_null_bound_vacuous_at_weak_signal():
     inputs = RiskInputs(n=500, k=6, eta=0.5, alpha=0.05)
-    b = star_null_risk_bound(inputs, c_k=cascade_count_cycle(6), d=2)
+    b = star_null_risk_bound(inputs, c_k=cascade_count_cycle(6))
     assert b.vacuous and b.value == inputs.alpha + 1.0
 
 
 def test_star_null_bound_informative_at_strong_signal():
     inputs = RiskInputs(n=10_000, k=20, eta=1e6, alpha=0.05)
-    b = star_null_risk_bound(inputs, c_k=cascade_count_cycle(20), d=2)
+    b = star_null_risk_bound(inputs, c_k=cascade_count_cycle(20))
     assert not b.vacuous
     assert inputs.alpha < b.value < 1.0
     assert float(b) == b.value
@@ -145,7 +145,7 @@ def test_star_null_bound_monotone_in_eta():
     values = []
     for eta in (1.0, 10.0, 100.0, 1e4, 1e6):
         inputs = RiskInputs(n=10_000, k=20, eta=eta, alpha=0.05)
-        values.append(star_null_risk_bound(inputs, c_k=cascade_count_cycle(20), d=2).value)
+        values.append(star_null_risk_bound(inputs, c_k=cascade_count_cycle(20)).value)
     for a, b in zip(values, values[1:]):
         assert b <= a
 
@@ -180,9 +180,16 @@ def test_infection_reach_probability():
 def test_multi_spread_reduces_to_single_at_m_one():
     inputs = RiskInputs(n=10_000, k=20, eta=1e5, alpha=0.05, m=1)
     c_k = cascade_count_cycle(20)
-    ms = multi_spread_bounds(inputs, c_k=c_k, d=2)
-    single = star_null_risk_bound(inputs, c_k=c_k, d=2)
+    ms = multi_spread_bounds(inputs, c_k=c_k)
+    single = star_null_risk_bound(inputs, c_k=c_k)
     assert ms.avg_edges == single
+
+
+def test_edges_bounds_need_two_vertices():
+    # both divide by n - 1
+    for bound in (star_null_risk_bound, multi_spread_bounds):
+        with pytest.raises(ValueError, match="bound needs n >= 2"):
+            bound(RiskInputs(n=1, k=1, eta=1.0), c_k=1)
 
 
 def test_multi_spread_improves_with_m():
@@ -191,7 +198,7 @@ def test_multi_spread_improves_with_m():
     center_vals = []
     for m in (1, 10, 100):
         inputs = RiskInputs(n=1000, k=30, eta=2.0, alpha=0.05, m=m)
-        ms = multi_spread_bounds(inputs, c_k=c_k, d=2)
+        ms = multi_spread_bounds(inputs, c_k=c_k)
         edge_vals.append(ms.avg_edges.value)
         center_vals.append(ms.avg_center.value)
     assert edge_vals == sorted(edge_vals, reverse=True)
@@ -213,7 +220,7 @@ def test_line_cycle_bound_dominates_cycle_bound():
     for n, k, eta in [(10_000, 20, 1e6), (10_000, 20, 1e3), (500, 6, 2.0)]:
         inputs = RiskInputs(n=n, k=k, eta=eta, alpha=0.05)
         line = line_cycle_bound(inputs)
-        cyc = star_null_risk_bound(inputs, c_k=cascade_count_cycle(k), d=2)
+        cyc = star_null_risk_bound(inputs, c_k=cascade_count_cycle(k))
         assert float(line) >= float(cyc)
 
 

@@ -1,6 +1,7 @@
 import io
 from itertools import combinations, permutations
-from math import fsum, isclose
+from fractions import Fraction
+from math import fsum, inf, isclose, isfinite
 
 import numpy as np
 import pytest
@@ -38,7 +39,14 @@ from netspread import (
     torus_grid,
     write_status_file,
 )
-from oracles import path_law_probability, spread_law, spread_path_reference, total_variation
+from oracles import (
+    path_law_probability,
+    spread_law,
+    spread_path_float_reference,
+    spread_path_reference,
+    spread_scale,
+    total_variation,
+)
 
 
 def test_status_constants():
@@ -244,31 +252,75 @@ def test_spread_pick_at_exact_block_boundaries(monkeypatch):
 
 
 def test_spread_sums_exact_condition():
+    # _scale keeps eta's own ratio p/d exactly when n d + 2|E| p < 2^53
     torus = torus_grid((50, 50))
     for eta in (0, 0.5, 1.0, 2.0, 8.0, 10.0, 100.0, 1000.0, 0.25, 1e6):
-        assert spreading._sums_exact(torus, eta)
-    for eta in (0.3, 1 / 3, 0.1, float("inf"), float("nan")):
-        assert not spreading._sums_exact(torus, eta)
-    # weights never sum past n + 2|E| eta; in units of 1/d that must stay below 2^53
-    assert spreading._sums_exact(path_graph(2), 2.0**-51)
-    assert not spreading._sums_exact(path_graph(2), 2.0**-52)
-    assert spreading._sums_exact(complete_graph(3), 2.0**50)
-    assert not spreading._sums_exact(complete_graph(3), 2.0**51)
+        assert spreading._scale(torus, eta) == eta.as_integer_ratio()
+    # and otherwise rounds it onto the finest grid of 1/d that fits
+    for eta, want in ((0.3, 2**40), (1 / 3, 2**40), (0.1, 2**41)):
+        p, d = spreading._scale(torus, eta)
+        assert d == want and abs(Fraction(p, d) - Fraction(eta)) <= Fraction(1, 2 * d)
+    assert spreading._scale(path_graph(2), 2.0**-51) == (1, 2**51)
+    assert spreading._scale(path_graph(2), 2.0**-52) == (0, 2**51)  # a tie rounds to even
+    assert spreading._scale(complete_graph(3), 2.0**50) == (2**50, 1)
+    # at d = 1 the weights are capped: n + 2|E| p stays below 2^53
+    for eta in (2.0**51, inf):
+        assert spreading._scale(complete_graph(3), eta) == ((2**53 - 4) // 6, 1)
     # with no edges the weights stay 1 whatever eta is
-    for eta in (0.3, float("inf")):
-        assert spreading._sums_exact(empty_graph(2500), eta)
+    for eta in (0.3, inf):
+        assert spreading._scale(empty_graph(2500), eta) == (0, 1)
+
+
+_SCALE_GRAPHS = [
+    empty_graph(5), path_graph(2), complete_graph(3), cycle_graph(50), star_graph(30), torus_grid((50, 50))
+]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_SCALE_GRAPHS), st.floats(min_value=0.0, allow_nan=False))
+@example(empty_graph(5), inf)
+@example(empty_graph(5), 1e306)
+@example(cycle_graph(50), inf)
+@example(cycle_graph(50), 1e306)
+@example(torus_grid((50, 50)), 0.3)
+def test_scale_rule(g, eta):
+    p, d = spreading._scale(g, eta)
+    n, edges = g.n, 2 * g.num_edges
+    cap = (2**53 - 1 - n) // edges if edges else 0
+    assert d >= 1 and d & (d - 1) == 0
+    assert 0 <= p and n * d + edges * p < 2**53
+    if not edges:
+        assert (p, d) == (0, 1)
+    elif isfinite(eta) and n * Fraction(eta).denominator + edges * Fraction(eta).numerator < 2**53:
+        assert (p, d) == eta.as_integer_ratio()
+    elif not isfinite(eta) or abs(Fraction(p, d) - Fraction(eta)) > Fraction(1, 2 * d):
+        assert (p, d) == (cap, 1) and eta > cap
+    assert (p, d) == spread_scale(g, eta)
 
 
 def test_spread_inexact_eta_follows_the_sequential_sum(monkeypatch):
-    # eta = 0.1 makes the block sums round differently from the sequential
-    # cumulative sum; this last uniform falls between the two roundings
+    # eta = 0.1 makes the block sums at 0.1 itself round differently from
+    # the sequential cumulative sum, and this last uniform falls between
+    # the two roundings; the walk at 0.1 rounded by _scale sums exactly
+    # and picks as the sequential float sum does
     g = cycle_graph(9)
     uniforms = [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
                 0.016527635528529094, 0.2037037037037037]
     want = spread_path_reference(g, 0.1, 5, FixedUniforms(uniforms))
-    assert want == (5, 2, 0, 1, 4)
+    assert want == (5, 2, 0, 1, 4) == spread_path_float_reference(g, 0.1, 5, FixedUniforms(uniforms))
     assert _path_for(monkeypatch, g, 0.1, uniforms) == want
     assert tuple(spreading._blocked_path(g, 0.1, uniforms)) != want
+
+
+def test_rounded_etas_walk_the_float_sequential_paths():
+    # rounding eta onto _scale's grid moves it by at most 1/(2d); on these
+    # 1,080 spreads at non-dyadic etas no step lands between the two sums
+    graphs = [torus_grid((10, 10)), cycle_graph(50), erdos_renyi(60, 0.1, 3), star_graph(30)]
+    etas = [0.3, 1 / 3, 0.1, 0.7, 1.3, 2.9, 0.01, 123.456, 1e-7]
+    jobs = [(g, eta, i) for g in graphs for eta in etas for i in range(30)]
+    paths = spreading._spread_paths(((g, eta, substream(11, i)) for g, eta, i in jobs), 20)
+    for (g, eta, i), path in zip(jobs, paths):
+        assert tuple(path) == spread_path_float_reference(g, eta, 20, substream(11, i))
 
 
 _SPREAD_ETAS = [0.0, 0.25, 0.5, 1.0, 10.0, 1e6, 0.3, 1 / 3]
@@ -325,15 +377,12 @@ def test_simulate_spread_matches_reference_at_benchmark_scale(g, eta):
         _assert_matches_reference(g, eta, 500, seed)
 
 
-_DYADIC_ETAS = [0.0, 0.25, 0.5, 1.0, 10.0, 1e6]
-
-
 @st.composite
 def stack_cases(draw):
     """Rows of one lockstep walk: two graphs on the same 1..40 vertices
     (random ones, often with isolated vertices, or the empty, star, cycle,
-    path or complete graph), and per row one of them, a dyadic eta and its
-    own substream; one k in 1..n for all rows."""
+    path or complete graph), and per row one of them, an eta and its own
+    substream; one k in 1..n for all rows."""
     n = draw(st.integers(1, 40))
 
     def graph():
@@ -346,7 +395,7 @@ def stack_cases(draw):
         return draw(st.sampled_from(families))(n)
 
     graphs = (graph(), graph())
-    rows = draw(st.lists(st.tuples(st.sampled_from(graphs), st.sampled_from(_DYADIC_ETAS)), min_size=1, max_size=30))
+    rows = draw(st.lists(st.tuples(st.sampled_from(graphs), st.sampled_from(_SPREAD_ETAS)), min_size=1, max_size=30))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     return rows, k, draw(st.integers(0, 2**32))
 
@@ -356,7 +405,7 @@ def stack_cases(draw):
 @example(([(build_graph(1, []), 0.0)], 1, 0))
 @example(([(star_graph(17), 10.0), (empty_graph(17), 0.0)] * 13, 17, 1))
 @example(([(build_graph(12, [(0, 1), (2, 3), (5, 11)]), 1e6), (complete_graph(12), 1e6)], 12, 3))
-@example(([(torus_grid((5, 5)), eta) for eta in _DYADIC_ETAS] * 5, 25, 4))
+@example(([(torus_grid((5, 5)), eta) for eta in _SPREAD_ETAS] * 5, 25, 4))
 def test_stacked_paths_equal_per_row_walks(case):
     rows, k, seed = case
     draws = np.array([substream(seed, i).random(k) for i in range(len(rows))])
@@ -378,10 +427,15 @@ def test_stacked_pick_at_zero_and_at_exact_block_boundaries():
 
 def test_stackable_rows():
     torus = torus_grid((6, 6))
-    assert spreading._stackable(torus, 10.0) and spreading._stackable(empty_graph(36), float("inf"))
-    # a row whose walk is not exact in blocks, or whose eta SpreadParams refuses
-    for eta in (0.3, -1.0, float("nan"), float("inf")):
+    # every eta simulate_spread accepts, on the grid of _scale or off it
+    for g, eta in ((torus, 10.0), (torus, 0.3), (torus, 1e306), (empty_graph(36), inf)):
+        assert spreading._stackable(g, eta)
+        simulate_spread(g, SpreadParams(eta=eta, k=36), 0)
+    # and none it refuses: SpreadParams, or weights that overflow
+    for eta in (-1.0, float("nan"), inf, 1e307):
         assert not spreading._stackable(torus, eta)
+        with pytest.raises(ValueError):
+            simulate_spread(torus, SpreadParams(eta=eta, k=1), 0)
     # a hub pads every row of the neighbour table past the block size
     assert spreading._stackable(cycle_graph(36), 1.0) and not spreading._stackable(star_graph(36), 1.0)
 
@@ -391,18 +445,17 @@ def test_spread_paths_equal_one_spread_per_job(monkeypatch):
     torus, cycle = torus_grid((6, 6)), cycle_graph(20)
     # a chunk led by an n=36 job reads 40 jobs, one led by an n=20 job 42
     monkeypatch.setattr(spreading, "_STACK_BYTES", 40 * (2048 + 8 * (36 + 6 + 2 * k)))
-    exact = [(torus, 1.0), (torus, 10.0), (empty_graph(36), 0.0)]
-    # not stackable on n=36: an eta whose sums are not exact, a hub past
-    # the block size, another n
-    others = [(torus, 0.3), (star_graph(36), 1.0), (cycle, 1.0)]
+    stackable = [(torus, 1.0), (torus, 0.3), (empty_graph(36), 0.0)]
+    # not stackable on n=36: a hub past the block size, at either eta, or another n
+    others = [(star_graph(36), 0.3), (star_graph(36), 1.0), (cycle, 1.0)]
 
     def chunk(lead, rest):
         return [lead] + [rest[i] for i in np.random.default_rng(len(rest)).permutation(len(rest))]
 
     specs = (
-        chunk((torus, 1.0), [exact[i % 3] for i in range(22)] + [others[i % 3] for i in range(17)])  # 23 stack: none walks
-        + chunk((torus, 1.0), [exact[i % 3] for i in range(29)] + [others[i % 3] for i in range(10)])  # 30 walk
-        + chunk((cycle, 1.0), [(cycle, 0.5)] * 24 + [(torus, 1.0)] * 5)  # the last, short chunk: 25 walk
+        chunk((torus, 1.0), [stackable[i % 3] for i in range(22)] + [others[i % 3] for i in range(17)])  # 23 stack: none walks
+        + chunk((torus, 1.0), [stackable[i % 3] for i in range(29)] + [others[i % 3] for i in range(10)])  # 30 walk
+        + chunk((cycle, 1.0), [(cycle, 0.5), (cycle, 0.3)] * 12 + [(torus, 1.0)] * 5)  # the last, short chunk: 25 walk
     )
     ends = [40, 80, 110]
     read = []
@@ -433,6 +486,24 @@ def test_spread_paths_equal_one_spread_per_job(monkeypatch):
     assert walks == [30, 25] and len(spreads) == 110 - 55
     want = [list(simulate_spread(g, SpreadParams(eta=eta, k=k), substream(7, i)).order) for i, (g, eta) in enumerate(specs)]
     assert got == want
+
+
+def test_spread_paths_walk_non_dyadic_etas_in_lockstep(monkeypatch):
+    # 24 jobs at eta 0.3 on one n walk in one lockstep call; a star walks alone
+    torus, star = torus_grid((6, 6)), star_graph(36)
+    specs = [(torus, 0.3)] * 12 + [(star, 0.3)] + [(torus, 0.3)] * 12
+    walks, walk = [], spreading._stacked_paths
+
+    def counting_rows(rows, draws):
+        walks.append(len(rows))
+        return walk(rows, draws)
+
+    monkeypatch.setattr(spreading, "_stacked_paths", counting_rows)
+    jobs = ((g, eta, substream(5, i)) for i, (g, eta) in enumerate(specs))
+    got = [tuple(order) for order in spreading._spread_paths(jobs, 9)]
+    assert walks == [24]
+    for i, (g, eta) in enumerate(specs):
+        assert got[i] == simulate_spread(g, SpreadParams(eta=eta, k=9), substream(5, i)).order
 
 
 @pytest.mark.parametrize("k, message", [(37, "cannot infect k=37 of n=36"), (0, "k must be >= 1, got 0")])
