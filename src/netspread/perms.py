@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected
+from .spreading import InfectionVector
 
 __all__ = [
     "Permutation",
@@ -84,13 +85,11 @@ class Permutation:
 
 def apply_to_infection(pi: Permutation, iv):
     """Relabel an infection snapshot: vertex pi(v) gets v's old status."""
-    from .spreading import InfectionVector
-
     if pi.n != iv.n:
         raise ValueError("permutation size does not match snapshot size")
     new = np.empty(iv.n, dtype=np.int8)
     new[pi.as_array] = iv.status
-    return InfectionVector(new)
+    return InfectionVector._trusted(new)
 
 
 def apply_to_graph(pi: Permutation, g: Graph) -> Graph:

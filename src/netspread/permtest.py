@@ -317,7 +317,7 @@ def _infected_blocks(
     (_draw_keys). Blocks hold up to _BLOCK_STATUSES statuses; with
     first_rows the first block holds that many rows and each later one
     twice as many as the last. The draws do not depend on the block
-    sizes.
+    sizes. A suspended iterator holds no block.
     """
     m, n = stack.shape
     p = n if positions is None else positions.size
@@ -327,14 +327,18 @@ def _infected_blocks(
     lo = 0
     while lo < B:
         rows = min(rows, B - lo)
-        keys, infected = _draw_keys(rng, ks, rows, p)
-        if positions is not None:
-            scattered = np.zeros((rows, m, n), dtype=bool)
-            scattered[..., positions] = infected
-            infected = scattered
-        yield infected, keys
+        yield _on_vertices(_draw_keys(rng, ks, rows, p), positions, n)
         lo += rows
         rows = min(2 * rows, step)
+
+
+def _on_vertices(drawn, positions: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_draw_keys's (keys, masks over the p positions) as (masks over n vertices, keys)."""
+    keys, infected = drawn
+    if positions is not None:
+        infected, on_positions = np.zeros((*infected.shape[:-1], n), dtype=bool), infected
+        infected[..., positions] = on_positions
+    return infected, keys
 
 
 def _statuses(
@@ -434,11 +438,12 @@ def _mc_draws(
     (drawn from rng, else substream(cfg.seed)), the (rows * m, n) infected
     masks of the drawn stacks (_infected_blocks), m rows per draw. Every
     Monte-Carlo test draws here and scores the masks itself; stopping the
-    iteration stops the drawing."""
+    iteration stops the drawing. A suspended iterator holds no block, so
+    _mc_rejects keeps one per test at no cost."""
     positions = _shuffled(stack, cfg)
     gen = substream(cfg.seed) if rng is None else rng
-    for infected, _ in _infected_blocks(stack, cfg.B, gen, positions, first_rows):
-        yield infected.reshape(-1, stack.shape[1])
+    blocks = _infected_blocks(stack, cfg.B, gen, positions, first_rows)
+    return map(lambda block: block[0].reshape(-1, stack.shape[1]), blocks)
 
 
 def _resampled(stack: np.ndarray, cfg: TestConfig) -> Iterator[np.ndarray]:
@@ -515,40 +520,66 @@ def conditional_mc_test(
 _FIRST_ROWS = 16
 
 
-def _mc_reject(
-    stats: Sequence[StatisticSpec], iv: InfectionVector, cfg: TestConfig, rng: np.random.Generator
-) -> tuple[list[bool], list[float]]:
-    """Per statistic, the reject and the raw observed value of mc_test,
-    drawing only until every reject is settled.
+def _mc_rejects(
+    stats: Sequence[StatisticSpec],
+    statuses: np.ndarray,
+    cfg: TestConfig,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per statistic and per row t of a (tests, n) status block, the reject
+    of mc_test drawing from rngs[t], and the raw observed value; each test
+    draws only until its rejects are settled (Besag & Clifford 1991).
 
-    The draws come from rng in growing blocks, one stream for all
-    statistics. Once more than the tail budget of them score at or above
-    a statistic's observed score, its test cannot reject: an observation
+    Test t draws through _mc_draws from rngs[t], one stream for all
+    statistics, in blocks of _FIRST_ROWS rows, then each twice the last.
+    Once more than the tail budget of its draws score at or above a
+    statistic's observed score, it cannot reject with it: an observation
     above a threshold has every score at or above it above the threshold
     too, and those number at most the budget; a saturated threshold is
-    the top draw. Later blocks are not scored with it, and once every
-    statistic is settled the remaining rows are not drawn. A statistic
-    scored on all B rows calibrates exactly as mc_test, so each result
-    is the one a call with that statistic alone gives.
+    the top draw. Later blocks are not scored with that statistic, and a
+    test with all settled draws no more. A statistic scored on all B
+    rows calibrates as mc_test, so each result is mc_test's.
+
+    The tests advance together in passes: each unsettled test draws its
+    next block, the blocks are packed in test order into batches of at
+    most _BLOCK_STATUSES statuses (or one block), and a batch is scored
+    once per statistic, over the rows of the tests where it is unsettled.
+    Returns (len(stats), tests) rejects and float64 raw values.
     """
-    observed = [stat.score(iv) for stat in stats]
+    observed = np.array([stat.score_batch(statuses) for stat in stats])
     budget = _tail_budget(cfg.alpha, cfg.B)
-    live = list(range(len(stats)))  # the unsettled statistics
-    ge = [0] * len(stats)
-    parts: list[list[np.ndarray]] = [[] for _ in stats]
-    for block in _mc_draws(iv.status[None], cfg, rng, _FIRST_ROWS):
-        for i in live:
-            scores = stats[i].score_batch(block)
-            ge[i] += int(np.count_nonzero(scores >= observed[i]))
-            parts[i].append(scores)
-        live = [i for i in live if ge[i] <= budget]
-        if not live:
-            break
-    reject = [False] * len(stats)
-    for i in live:
-        threshold, _ = _threshold_rule(np.concatenate(parts[i]), cfg.alpha, cfg.B)
-        reject[i] = observed[i] > threshold
-    return reject, [_raw_scale(score, score, stat.tail)[0] for stat, score in zip(stats, observed)]
+    live = np.ones(observed.shape, dtype=bool)  # (statistic, test): reject not yet settled
+    ge = np.zeros(observed.shape, dtype=np.int64)
+    scores: list[list[list[np.ndarray]]] = [[[] for _ in statuses] for _ in stats]
+    draws = [_mc_draws(row[None], cfg, rng, _FIRST_ROWS) for row, rng in zip(statuses, rngs)]
+
+    def score(batch: list[tuple[int, np.ndarray]]) -> None:
+        for s, stat in enumerate(stats):
+            mine = [(t, block) for t, block in batch if live[s, t]]
+            if mine:
+                got = stat.score_batch(np.concatenate([block for _, block in mine]))
+                ends = np.cumsum([len(block) for _, block in mine])
+                for (t, _), part in zip(mine, np.split(got, ends[:-1])):
+                    ge[s, t] += np.count_nonzero(part >= observed[s, t])
+                    scores[s][t].append(part)
+        tests = [t for t, _ in batch]
+        live[:, tests] &= ge[:, tests] <= budget
+
+    drawn = 0  # rows each unsettled test has drawn: every pass draws blocks of one size
+    while drawn < cfg.B and live.any():
+        batch = []
+        for t in np.flatnonzero(live.any(axis=0)).tolist():
+            batch.append((t, block := next(draws[t])))
+            if (len(batch) + 1) * block.size > _BLOCK_STATUSES:
+                score(batch)
+                batch = []
+        score(batch)
+        drawn += len(block)
+    reject = np.zeros(observed.shape, dtype=bool)
+    for s, t in zip(*np.nonzero(live)):
+        threshold, _ = _threshold_rule(np.concatenate(scores[s][t]), cfg.alpha, cfg.B)
+        reject[s, t] = observed[s, t] > threshold
+    return reject, np.array([_raw_scale(row, row, stat.tail)[0] for stat, row in zip(stats, observed)])
 
 
 def composite_mc_test(

@@ -13,21 +13,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, log, nan, sqrt
-from typing import Callable, Sequence
+from math import exp, log, sqrt
+from typing import Sequence
+
+import numpy as np
 
 from .errors import GuardExceededError
 from .graphs import Graph, eccentricity, empty_graph
-from .permtest import TestConfig, _mc_reject, mc_test
+from .permtest import TestConfig, _mc_rejects, mc_test
 from .rng import substream
-from .spreading import (
-    InfectionVector,
-    SpreadParams,
-    _check_spread,
-    _spread_paths,
-    censor_uniform,
-    infection_from_infected,
-)
+from .spreading import CENSORED, INFECTED, InfectionVector, SpreadParams, _check_spread, _spread_paths
 from .stats import StatisticSpec
 
 __all__ = [
@@ -365,12 +360,15 @@ class RiskCurve:
 
 def _check_run(g: Graph, etas: list[float], k: int, reps: int) -> None:
     """Raise, before anything is simulated, the ValueError that reps
-    replicates of k infections spread on g at each eta would raise."""
+    replicates of k infections spread on g at each eta would raise; a
+    repeated eta would key two Type II entries as one."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not etas:
         raise ValueError("need at least one alternative eta")
-    for eta in etas:
+    for i, eta in enumerate(etas):
+        if eta in etas[:i]:
+            raise ValueError(f"etas[{i}]={eta} repeats an earlier eta")
         _check_spread(g, SpreadParams(eta=eta, k=k))
 
 
@@ -383,47 +381,31 @@ def _replicates(
     c: int,
     seed: int,
     reps: int,
-    decide: Callable[[InfectionVector, int, int], list[tuple[bool, float, float]]],
-) -> list[tuple[int, float, list[int], dict[float, list[float]]]]:
-    """Tally decision rules over simulated null and alternative snapshots.
+) -> np.ndarray:
+    """The (reps, 1 + len(etas), n) int8 statuses of simulated null and
+    alternative snapshots.
 
     g0 and g1 must have the same n. Replicate rep spreads k infections
-    on g0 at eta0 from substream (seed, 0, rep) and on g1 at etas[i]
-    from (seed, 10 * (i + 1), rep), then censors c uniform vertices from
-    the substream one tag above, so each snapshot depends only on its
-    own substreams. Each snapshot is spread once, through
-    spreading._spread_paths, and censored once. decide(iv, tag, rep)
-    returns one (reject, raw threshold, raw statistic value) per rule;
-    only the null replicates' (tag 0) thresholds are read. Returns per
-    rule the null rejections, the sum of the null thresholds, and per
-    eta the rejections and the values in replicate order.
+    on g0 at eta0 from substream (seed, 0, rep) into snapshot 0 and on
+    g1 at etas[i] from (seed, 10 * (i + 1), rep) into snapshot i + 1,
+    each once, through spreading._spread_paths. It censors the first c
+    vertices of a permutation drawn from the substream one tag above, as
+    censor_uniform does, so each snapshot reads only its own substreams.
     """
     if g0.n != g1.n:
         raise ValueError(f"null and alternative graphs differ in size: n={g0.n} and n={g1.n}")
     _check_run(g1, etas, k, reps)
+    n = g1.n
+    if not 0 <= c <= n:
+        raise ValueError(f"c={c} out of range for n={n}")
     snapshots = [(g0, eta0, 0), *((g1, eta, 10 * (i + 1)) for i, eta in enumerate(etas))]
     jobs = ((g, eta, substream(seed, tag, rep)) for rep in range(reps) for g, eta, tag in snapshots)
-    paths = _spread_paths(jobs, k)
-    rows = []
-    for rep in range(reps):
-        row = []
-        for (g, _, tag), order in zip(snapshots, paths):
-            iv = infection_from_infected(g.n, order)
-            if c:
-                iv = censor_uniform(iv, c, substream(seed, tag + 1, rep))
-            row.append(decide(iv, tag, rep))
-        rows.append(row)
-    tallies = []
-    for rule in range(len(rows[0][0])):
-        # rows[rep][snapshot][rule]: each snapshot's decisions in replicate order
-        null, *alts = ([row[snap][rule] for row in rows] for snap in range(1 + len(etas)))
-        tallies.append((
-            sum(reject for reject, _, _ in null),
-            sum(threshold for _, threshold, _ in null),
-            [sum(reject for reject, _, _ in col) for col in alts],
-            {eta: [value for _, _, value in col] for eta, col in zip(etas, alts)},
-        ))
-    return tallies
+    status = np.zeros((reps, len(snapshots), n), dtype=np.int8)
+    for (rep, j), order in zip(np.ndindex(status.shape[:2]), _spread_paths(jobs, k)):
+        status[rep, j, order] = INFECTED
+        if c:
+            status[rep, j, substream(seed, snapshots[j][2] + 1, rep).permutation(n)[:c]] = CENSORED
+    return status
 
 
 def mc_risk_curve(
@@ -447,9 +429,10 @@ def mc_risk_curve(
     replicates' thresholds on the raw statistic scale, and alt_values
     holds every alternative replicate's raw statistic. An alternative
     replicate needs only reject, so it stops drawing once the test can
-    no longer reject (permtest._mc_reject); every output is the same as
-    with all B draws. stat defaults to W on g1; this is mc_risk_curves
-    with one statistic.
+    no longer reject, and all alternatives draw and score together, in
+    passes (permtest._mc_rejects); every output is the same as with all
+    B draws of one mc_test per snapshot. stat defaults to W on g1; this
+    is mc_risk_curves with one statistic.
     """
     the_stat = StatisticSpec.edges_within(g1) if stat is None else stat
     [curve] = mc_risk_curves(g0, g1, eta0, etas, k, c, cfg, reps, [the_stat])
@@ -474,36 +457,34 @@ def mc_risk_curves(
     each from its own substream (seed, 2, replicate). An alternative
     replicate draws one stream (seed, tag + 2, replicate) for all of
     them, scores each block only with the statistics whose reject is
-    not yet settled, and stops once all are. So curve i equals
-    mc_risk_curve(..., stat=stats[i]) field for field, at the cost of
-    one set of spreads and one alternative draw stream. g0 and g1 must
-    have the same n; see _replicates for the spreads and their
+    not yet settled, and stops once all are; the blocks of all
+    alternatives are scored together (permtest._mc_rejects). So curve i
+    equals mc_risk_curve(..., stat=stats[i]) field for field, at the
+    cost of one set of spreads and one alternative draw stream. g0 and
+    g1 must have the same n; see _replicates for the spreads and their
     substreams.
     """
     if not stats:
         raise ValueError("need at least one statistic")
-
-    def decide(iv: InfectionVector, tag: int, rep: int) -> list[tuple[bool, float, float]]:
-        if tag:
-            rejects, values = _mc_reject(stats, iv, cfg, substream(cfg.seed, tag + 2, rep))
-            return [(reject, nan, value) for reject, value in zip(rejects, values)]
-        out = []
-        for stat in stats:
-            res = mc_test(stat, iv, cfg, null_graph=g0, rng=substream(cfg.seed, 2, rep))
-            value, threshold, _ = res.raw_scale()
-            out.append((res.reject, threshold, value))
-        return out
-
-    tallies = _replicates(g0, g1, eta0, etas, k, c, cfg.seed, reps, decide)
+    status = _replicates(g0, g1, eta0, etas, k, c, cfg.seed, reps)
+    nulls = [
+        [mc_test(stat, iv, cfg, null_graph=g0, rng=substream(cfg.seed, 2, rep)) for stat in stats]
+        for rep, iv in enumerate(map(InfectionVector._trusted, status[:, 0]))
+    ]
+    # replicate by replicate, and within one its etas in order
+    rngs = [substream(cfg.seed, 10 * (i + 1) + 2, rep) for rep in range(reps) for i in range(len(etas))]
+    rejects, values = _mc_rejects(stats, status[:, 1:].reshape(-1, g1.n), cfg, rngs)
+    hits = rejects.reshape(len(stats), reps, -1).sum(axis=1).tolist()
+    by_eta = values.reshape(len(stats), reps, -1).transpose(0, 2, 1).tolist()
     return [
         RiskCurve(
-            type_i=rejects / reps,
-            mean_threshold=thresholds / reps,
-            type_ii={eta: (reps - r) / reps for eta, r in zip(etas, alt_rejects)},
+            type_i=sum(res.reject for res in null) / reps,
+            mean_threshold=sum(res.raw_scale()[1] for res in null) / reps,
+            type_ii={eta: (reps - r) / reps for eta, r in zip(etas, hit)},
             reps=reps,
-            alt_values=values,
+            alt_values=dict(zip(etas, alt)),
         )
-        for rejects, thresholds, alt_rejects, values in tallies
+        for null, hit, alt in zip(zip(*nulls), hits, by_eta)
     ]
 
 
@@ -517,24 +498,21 @@ def baseline_risk_curve(
 ) -> RiskCurve:
     """mc_risk_curve for a baseline rule, against a uniform scatter null.
 
-    The null snapshots spread on the empty graph at eta 0. A rule
-    diagnosed as always or never rejecting simulates nothing, but
-    refuses every run (reps, etas, k) that a simulation would refuse.
+    The null snapshots spread on the empty graph at eta 0, and the
+    statistic's raw values over every snapshot come from one kernel
+    call. A rule diagnosed as always or never rejecting simulates
+    nothing, but refuses every run (reps, etas, k) that a simulation
+    would refuse.
     """
     _check_run(rule.stat.graph, etas, k, reps)
     if rule.diagnosis != "data-dependent":
         fires = rule.diagnosis == "always rejects"
         type_ii = {eta: float(not fires) for eta in etas}
         return RiskCurve(float(fires), rule.threshold, type_ii, reps)
-
-    def decide(iv: InfectionVector, tag: int, rep: int) -> list[tuple[bool, float, float]]:
-        value = float(rule.stat.evaluate(iv))
-        return [(value <= rule.threshold, rule.threshold, value)]
-
     g = rule.stat.graph
-    [(rejects, _, alt_rejects, _)] = _replicates(
-        empty_graph(g.n), g, 0.0, etas, k, c, seed, reps, decide
-    )
+    status = _replicates(empty_graph(g.n), g, 0.0, etas, k, c, seed, reps)
+    fired = rule.stat._values(status.reshape(-1, g.n)) <= rule.threshold
+    rejects, *alt_rejects = fired.reshape(reps, -1).sum(axis=0).tolist()
     # the miss count over reps, the correctly rounded miss rate
     type_ii = {eta: (reps - r) / reps for eta, r in zip(etas, alt_rejects)}
     return RiskCurve(rejects / reps, rule.threshold, type_ii, reps)

@@ -63,6 +63,16 @@ class InfectionVector:
         arr.setflags(write=False)
         object.__setattr__(self, "status", arr)
 
+    @classmethod
+    def _trusted(cls, status: np.ndarray) -> "InfectionVector":
+        """The snapshot of an int8 array of valid codes built in the package, unchecked.
+        It takes ownership: a view is copied, and the array is set read-only."""
+        arr = status if status.base is None else status.copy()
+        arr.setflags(write=False)
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "status", arr)
+        return iv
+
     @property
     def n(self) -> int:
         return int(self.status.size)
@@ -104,6 +114,8 @@ def infection_from_infected(
     n: int, infected: Iterable[int], censored: Iterable[int] = ()
 ) -> InfectionVector:
     """Build a snapshot from index sets (must not overlap)."""
+    if n < 1:
+        raise ValueError("status must be a non-empty 1-d array")
     status = np.zeros(n, dtype=np.int8)
     inf_idx = list(infected)
     cen_idx = list(censored)
@@ -111,7 +123,7 @@ def infection_from_infected(
     status[cen_idx] = CENSORED
     if len(set(inf_idx) & set(cen_idx)) > 0:
         raise ValueError("a vertex cannot be both infected and censored")
-    return InfectionVector(status)
+    return InfectionVector._trusted(status)
 
 
 @dataclass(frozen=True)
@@ -421,7 +433,7 @@ def censor_uniform(
     chosen = rng.permutation(iv.n)[:c]
     status = iv.status.copy()
     status[chosen] = CENSORED
-    return InfectionVector(status)
+    return InfectionVector._trusted(status)
 
 
 def censor_fixed(iv: InfectionVector, censor_set: Iterable[int]) -> InfectionVector:
@@ -433,7 +445,7 @@ def censor_fixed(iv: InfectionVector, censor_set: Iterable[int]) -> InfectionVec
         raise ValueError("censor vertex out of range")
     status = iv.status.copy()
     status[idx] = CENSORED
-    return InfectionVector(status)
+    return InfectionVector._trusted(status)
 
 
 # the most subsets or paths an exact sampler or law enumerates

@@ -37,7 +37,7 @@ from netspread import (
     simulate_spread,
     torus_grid,
 )
-from netspread import permtest, spreading, stats
+from netspread import permtest, risk, spreading, stats
 from netspread.rng import substream
 from netspread.spreading import censor_uniform
 
@@ -823,6 +823,10 @@ _TWO_PATHS = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 @example((empty_graph(6), _TWO_PATHS, 3, 1, TestConfig(alpha=0.29, B=100, seed=2),
           StatisticSpec.infection_radius(_TWO_PATHS), 3))
 def test_mc_risk_curve_equals_full_tests(case):
+    _check_curve_equals_full_tests(case)
+
+
+def _check_curve_equals_full_tests(case):
     g0, g1, k, c, cfg, stat, reps = case
     args = (g0, g1, 0.0, [0.0, 1.0, 10.0], k, c, cfg, reps)
     try:
@@ -833,6 +837,17 @@ def test_mc_risk_curve_equals_full_tests(case):
             mc_risk_curve(*args, stat=stat)
         return
     assert mc_risk_curve(*args, stat=stat) == want
+
+
+# a cap of 1 status makes every block one row and every batch one block; 60
+# statuses split the blocks of one pass over several batches
+@pytest.mark.parametrize("block_cap", [1, 60])
+@settings(max_examples=20)
+@given(curve_cases())
+def test_mc_risk_curve_equals_full_tests_in_split_batches(block_cap, case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permtest, "_BLOCK_STATUSES", block_cap)
+        _check_curve_equals_full_tests(case)
 
 
 @pytest.mark.parametrize("mode", ["full-permute", "censor-fixing"])
@@ -917,8 +932,9 @@ def test_mc_risk_curve_alternatives_stop_early(monkeypatch):
 
     monkeypatch.setattr(StatisticSpec, "score_batch", counting)
     mc_risk_curve(empty_graph(100), g1, 0.0, etas, k, 0, cfg, reps, stat=stat)
-    # the null replicates draw all B rows each
-    alternatives = sum(scored) - reps * cfg.B
+    # the null replicates draw all B rows each, and the observed values of
+    # the alternative snapshots are one row each
+    alternatives = sum(scored) - reps * cfg.B - reps * len(etas)
     assert alternatives == want
     assert alternatives < reps * len(etas) * cfg.B
 
@@ -952,12 +968,63 @@ def shared_curve_cases(draw):
 @example((cycle_graph(8), path_graph(8), 4, 0,
           TestConfig(alpha=0.05, B=10, seed=1, mode="censor-fixing"), 2))
 def test_mc_risk_curves_equal_one_call_per_statistic(case):
+    _check_curves_equal_one_call_per_statistic(case)
+
+
+def _check_curves_equal_one_call_per_statistic(case):
     g0, g1, k, c, cfg, reps = case
     stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1), StatisticSpec.steiner_weight(g1)]
     args = (g0, g1, 0.0, [0.0, 1.0, 10.0], k, c, cfg, reps)
     want = [mc_risk_curve(*args, stat=stat) for stat in stats_]
     assert mc_risk_curves(*args, stats_) == want
     assert mc_risk_curves(*args, stats_[::-1]) == want[::-1]
+
+
+@pytest.mark.parametrize("block_cap", [1, 60])
+@settings(max_examples=8)
+@given(shared_curve_cases())
+def test_mc_risk_curves_equal_one_call_per_statistic_in_split_batches(block_cap, case):
+    # the single-statistic calls run in split batches too; the full tests
+    # of test_mc_risk_curve_equals_full_tests_in_split_batches anchor them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permtest, "_BLOCK_STATUSES", block_cap)
+        _check_curves_equal_one_call_per_statistic(case)
+
+
+def test_mc_risk_curves_score_the_alternatives_once_per_pass(monkeypatch):
+    # 20 replicates x 3 etas = 60 alternative tests of W and R; B=100 draws
+    # in blocks of 16, 32 and 52 rows, and a pass of 60 such blocks on the
+    # 6x6 torus fits one batch
+    g1 = torus_grid((6, 6))
+    stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1)]
+    reps, etas = 20, [1.0, 10.0, 100.0]
+    args = (empty_graph(36), g1, 0.0, etas, 6, 3, TestConfig(alpha=0.01, B=100, seed=3), reps)
+    assert reps * len(etas) * 52 * 36 <= permtest._BLOCK_STATUSES
+    want = [_curve_of_full_tests(*args, stat) for stat in stats_]
+    nulls, outside = Counter(), Counter()
+    inside = []  # non-empty while a null replicate's mc_test runs
+    test_fn, score_batch = risk.mc_test, StatisticSpec.score_batch
+
+    def counting_tests(stat, *rest, **kwargs):
+        nulls[stat.name] += 1
+        inside.append(stat)
+        try:
+            return test_fn(stat, *rest, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_scores(self, block):
+        if not inside:
+            outside[self.name] += 1
+        return score_batch(self, block)
+
+    monkeypatch.setattr(risk, "mc_test", counting_tests)
+    monkeypatch.setattr(StatisticSpec, "score_batch", counting_scores)
+    assert mc_risk_curves(*args, stats_) == want
+    assert nulls == {"W": reps, "R": reps}
+    # per statistic: one call for the observed values, then one per pass,
+    # against 60 tests
+    assert outside == {"W": 1 + 3, "R": 1 + 3}
 
 
 def test_mc_risk_curves_score_each_statistic_only_until_it_settles(monkeypatch):

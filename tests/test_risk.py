@@ -25,6 +25,7 @@ from netspread import (
     infection_reach_probability,
     line_cycle_bound,
     mc_risk_curve,
+    mc_risk_curves,
     min_cascade_count,
     multi_spread_bounds,
     path_graph,
@@ -421,3 +422,30 @@ def test_mc_risk_curve_validation():
         mc_risk_curve(g0, g1, 0.0, [], k=2, c=0, cfg=cfg, reps=5)
     with pytest.raises(ValueError):
         mc_risk_curve(g0, g1, 0.0, [1.0], k=2, c=0, cfg=cfg, reps=0)
+
+
+def test_risk_curves_refuse_a_repeated_eta():
+    # a repeated eta would key two Type II entries, and two alt_values
+    # lists, as one
+    g1, cfg = cycle_graph(12), TestConfig(alpha=0.1, B=20, seed=1)
+    for etas in ([1.0, 1.0], [0.0, 2.0, 0]):
+        with pytest.raises(ValueError, match=r"^etas\[\d\]=\S+ repeats an earlier eta$"):
+            mc_risk_curve(empty_graph(12), g1, 0.0, etas, 3, 0, cfg, 8)
+        with pytest.raises(ValueError, match="repeats an earlier eta"):
+            mc_risk_curves(empty_graph(12), g1, 0.0, etas, 3, 0, cfg, 8, [StatisticSpec.edges_within(g1)])
+
+
+@pytest.mark.parametrize(
+    "algorithm, g, diagnosis",
+    [
+        ("TB", torus_grid((6, 6)), "always rejects"),
+        ("TT", torus_grid((6, 6)), "data-dependent"),
+        ("TT", cycle_graph(10), "never rejects"),
+    ],
+    ids=["always", "data-dependent", "never"],
+)
+def test_baseline_risk_curve_refuses_a_repeated_eta(algorithm, g, diagnosis):
+    rule = baseline_rule(algorithm, g, 5, 0)
+    assert rule.diagnosis == diagnosis
+    with pytest.raises(ValueError, match=r"^etas\[1\]=1.0 repeats an earlier eta$"):
+        baseline_risk_curve(rule, [1.0, 1.0], 5, 0, 4)

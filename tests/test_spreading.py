@@ -95,6 +95,32 @@ def test_infection_from_infected():
         infection_from_infected(5, [1], censored=[1])
 
 
+def test_package_built_snapshots_own_read_only_int8_statuses():
+    # snapshots the package builds itself skip the status check, but still
+    # own a read-only int8 array, as a checked InfectionVector does
+    from netspread import Permutation, apply_to_infection
+
+    iv = infection_from_infected(6, [0, 4], censored=[2])
+    built = [
+        iv,
+        censor_uniform(infection_from_infected(6, [1]), 2, 3),
+        censor_fixed(infection_from_infected(6, [1]), [0, 5]),
+        apply_to_infection(Permutation((1, 2, 3, 4, 5, 0)), iv),
+    ]
+    for snap in built:
+        assert snap.status.dtype == np.int8 and snap.status.base is None
+        with pytest.raises(ValueError):
+            snap.status[0] = 0
+        assert snap == InfectionVector(snap.status.tolist())
+    assert built[3].status.tolist() == [0, 1, 0, 2, 0, 1]
+    rows = np.zeros((2, 4), dtype=np.int8)
+    taken = InfectionVector._trusted(rows[1])  # a view is copied
+    rows[1, 0] = INFECTED
+    assert taken.status.tolist() == [0, 0, 0, 0] and rows.flags.writeable
+    with pytest.raises(ValueError, match="non-empty"):
+        infection_from_infected(0, [])
+
+
 def test_infection_path_to_infection():
     path = InfectionPath((3, 0, 2))
     assert path.k == 3
