@@ -66,7 +66,6 @@ from .risk import (
     MultiSpreadBounds,
     RiskCurve,
     RiskInputs,
-    baseline_diagnosis,
     baseline_risk_curve,
     baseline_rule,
     cascade_count,

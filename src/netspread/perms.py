@@ -1,21 +1,20 @@
 """Vertex permutations, permutation groups, and graph automorphisms.
 
-Groups come in three flavors: explicit element lists (small structured
-groups such as a cycle's rotations/reflections), the automorphism group
-of a graph that keeps only the graph and counts its order without
-listing its elements, and symbolic forms for groups too large to
-materialize (the full symmetric group, the stabilizer of one vertex).
-Every group keeps its exact big-integer order, so validity checks stay
-exact at any n.
+Groups come in three flavors: explicit element lists (a cycle's
+rotations and reflections), the automorphism group of a graph that
+keeps only the graph and counts its order without listing its elements,
+and symbolic forms for groups too large to materialize (the full
+symmetric group, the stabilizer of one vertex). Every group keeps its
+exact big-integer order, so validity checks stay exact at any n; no
+group is ever listed.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, factorial
-from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +37,9 @@ STABILIZER = "stabilizer"
 EXPLICIT = "explicit"
 GRAPH = "graph"
 
+# automorphism_group counts a graph of no recognized structure up to this n
+_N_MAX = 10
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -47,34 +49,15 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.image)
-        seen = [False] * n
-        for w in self.image:
-            if not 0 <= w < n or seen[w]:
-                raise ValueError(f"image {self.image} is not a bijection of 0..{n - 1}")
-            seen[w] = True
+        if sorted(map(operator.index, self.image)) != list(range(n)):
+            raise ValueError(f"image {self.image} is not a bijection of 0..{n - 1}")
 
     @property
     def n(self) -> int:
         return len(self.image)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     def __call__(self, v: int) -> int:
         return self.image[v]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(v) = self(other(v))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self.image[w] for w in other.image))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return Permutation(tuple(inv))
 
     @cached_property
     def as_array(self) -> np.ndarray:
@@ -115,8 +98,7 @@ class PermGroup:
     order is always the exact group order as a Python int.
 
     A graph group keeps only its graph: order, orbit_of and contains are
-    answered from the graph by search, and iter_elements lists the
-    elements only when asked.
+    answered from the graph by search.
     """
 
     n: int
@@ -125,8 +107,6 @@ class PermGroup:
     elements: tuple[Permutation, ...] | None = field(default=None, compare=False)
     fixed_vertex: int | None = None
     graph: Graph | None = field(default=None, compare=False)
-
-    ENUM_CAP = 10**6
 
     def __post_init__(self) -> None:
         if self.kind == EXPLICIT:
@@ -150,7 +130,7 @@ class PermGroup:
 
     @classmethod
     def explicit(cls, n: int, elements) -> "PermGroup":
-        elems = tuple(sorted(elements, key=lambda p: p.image))
+        elems = tuple(elements)
         return cls(n=n, order=len(elems), kind=EXPLICIT, elements=elems)
 
     @classmethod
@@ -185,37 +165,6 @@ class PermGroup:
             return all(pi(v) in adj[pi(u)] for u, v in self.graph.edges)
         return pi.image in self._image_set
 
-    def iter_elements(self, cap: int | None = None) -> Iterator[Permutation]:
-        """Yield every element; raises GuardExceededError above the cap.
-
-        Explicit and graph groups yield in sorted image order.
-        """
-        limit = self.ENUM_CAP if cap is None else cap
-        if self.order > limit:
-            raise GuardExceededError(
-                f"group of order {self.order} exceeds enumeration cap {limit}"
-            )
-        if self.kind == EXPLICIT:
-            yield from self.elements
-        elif self.kind == GRAPH:
-            images: list[tuple[int, ...]] = []
-            same, code = _coloring(self.n, [self.graph])
-            _search(code, range(self.n), same, images.append)
-            for image in images:
-                yield Permutation(image)
-        elif self.kind == SYMMETRIC:
-            for image in itertools.permutations(range(self.n)):
-                yield Permutation(image)
-        else:
-            v = self.fixed_vertex
-            others = [w for w in range(self.n) if w != v]
-            for placed in itertools.permutations(others):
-                image = [0] * self.n
-                image[v] = v
-                for w, target in zip(others, placed):
-                    image[w] = target
-                yield Permutation(tuple(image))
-
     def orbit_of(self, v: int) -> frozenset[int]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
@@ -239,12 +188,12 @@ def orbit(group: PermGroup, v: int) -> frozenset[int]:
 # -- automorphisms ------------------------------------------------------------
 
 
-def automorphism_group(g: Graph, n_max: int = 10) -> PermGroup:
+def automorphism_group(g: Graph) -> PermGroup:
     """The full automorphism group of g.
 
     Structured families (empty, complete, star, cycle) are recognized and
-    returned in closed form at any size. Any other graph, guarded by
-    n_max, becomes a "graph" group whose order is counted, not
+    returned in closed form at any size. Any other graph, guarded at
+    _N_MAX vertices, becomes a "graph" group whose order is counted, not
     enumerated: pinning the base 0, 1, ... in turn, the order is the
     product of each base vertex's orbit under the automorphisms that fix
     the earlier ones, and each orbit member costs at most one
@@ -261,9 +210,9 @@ def automorphism_group(g: Graph, n_max: int = 10) -> PermGroup:
             return PermGroup.vertex_stabilizer(n, hubs[0])
         if all(d == 2 for d in degs) and is_connected(g):
             return _dihedral_group(g)
-    if n > n_max:
+    if n > _N_MAX:
         raise GuardExceededError(
-            f"automorphism search guarded at n_max={n_max}, got n={n} "
+            f"automorphism search guarded at n_max={_N_MAX}, got n={n} "
             "with no recognized structure"
         )
     return PermGroup(n=n, order=_count(*_coloring(n, [g])), kind=GRAPH, graph=g)
@@ -277,14 +226,13 @@ def _dihedral_group(g: Graph) -> PermGroup:
         a, b = order[-2], order[-1]
         nxt = [w for w in g.adjacency[b] if w != a]
         order.append(nxt[0])
-    pos = order
     elems = []
     for s in range(n):
         rot = [0] * n
         ref = [0] * n
         for i in range(n):
-            rot[pos[i]] = pos[(i + s) % n]
-            ref[pos[i]] = pos[(s - i) % n]
+            rot[order[i]] = order[(i + s) % n]
+            ref[order[i]] = order[(s - i) % n]
         elems.append(Permutation(tuple(rot)))
         elems.append(Permutation(tuple(ref)))
     return PermGroup.explicit(n, elems)
@@ -314,15 +262,13 @@ def _coloring(n: int, graphs, fixed=()) -> tuple[list[list[int]], list[list[int]
     return same, code
 
 
-def _search(code, order, cands, visit) -> bool:
-    """Backtrack over the code-preserving permutations sending each
-    order[t] to one of cands[t]; visit(image) is called on each in turn
-    until it returns True, which ends the search and is returned.
+def _search(code, order, cands) -> tuple[int, ...] | None:
+    """The image of the first code-preserving permutation sending each
+    order[t] to one of cands[t], None when there is none.
 
     Vertices are placed in `order`, each trying its candidates in the
     order listed, and an image must keep the vertex's code to every
-    vertex placed before it. Placing 0, 1, ... against ascending
-    candidates meets the images in sorted order.
+    vertex placed before it.
     """
     n = len(order)
     placed = [order[:t] for t in range(n)]
@@ -331,7 +277,7 @@ def _search(code, order, cands, visit) -> bool:
 
     def extend(t: int) -> bool:
         if t == n:
-            return bool(visit(tuple(image)))
+            return True
         v = order[t]
         row_v = code[v]
         for w in cands[t]:
@@ -350,7 +296,7 @@ def _search(code, order, cands, visit) -> bool:
         image[v] = -1
         return False
 
-    return extend(0)
+    return tuple(image) if extend(0) else None
 
 
 def _orbit(same, code, fixed, v: int) -> set[int]:
@@ -365,17 +311,14 @@ def _orbit(same, code, fixed, v: int) -> set[int]:
     order = fixed + [v] + [u for u in range(len(same)) if u != v and u not in fixed]
     cands = [[u] for u in fixed] + [[]] + [same[u] for u in order[len(fixed) + 1 :]]
     found: list[tuple[int, ...]] = []
-
-    def keep_first(image: tuple[int, ...]) -> bool:
-        found.append(image)
-        return True
-
     reached = {v}
     for w in same[v]:
         if w in reached or w in fixed:
             continue
         cands[len(fixed)] = [w]
-        if _search(code, order, cands, keep_first):
+        hit = _search(code, order, cands)
+        if hit is not None:
+            found.append(hit)
             todo = list(reached)
             while todo:
                 x = todo.pop()
@@ -403,7 +346,7 @@ def _count(same, code) -> int:
 
 
 def product_group_is_full(p1: PermGroup, p0: PermGroup) -> bool:
-    """Whether {a.compose(b)} over a in p1, b in p0 is all of S_n.
+    """Whether the products {a b} over a in p1, b in p0 are all of S_n.
 
     Uses |p1 p0| = |p1| |p0| / |p1 ∩ p0| with exact integers; the
     product set is the whole symmetric group iff that count equals n!.

@@ -62,6 +62,8 @@ class TestConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if not isinstance(self.B, (int, np.integer)) or isinstance(self.B, bool):
+            raise ValueError(f"B must be an integer, got {self.B!r}")
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
         if self.mode not in (MODE_FULL, MODE_CENSOR_FIXING):
@@ -520,6 +522,21 @@ def conditional_mc_test(
 _FIRST_ROWS = 16
 
 
+def _count_rejects(ge, below, budget: int):
+    """Whether an observed score exceeds _threshold_rule's threshold over B
+    draws: iff ge == 0 or ge + below <= budget, where ge counts the draws
+    at or above it and below the copies of the largest draw s under it.
+
+    Proof. The threshold is a draw, so if ge == 0 it lies under the
+    observed score. Else a saturated threshold is the top draw, not under
+    it, and an unsaturated one is the least v with #{draws >= v} <= budget,
+    a count falling in v: it lies under the observed score iff s has
+    #{draws >= s} = ge + below <= budget, as no draw lies between. With
+    no s, below = 0 and ge = B > budget.
+    """
+    return (ge == 0) | (ge + below <= budget)
+
+
 def _mc_rejects(
     stats: Sequence[StatisticSpec],
     statuses: np.ndarray,
@@ -532,13 +549,11 @@ def _mc_rejects(
 
     Test t draws through _mc_draws from rngs[t], one stream for all
     statistics, in blocks of _FIRST_ROWS rows, then each twice the last.
-    Once more than the tail budget of its draws score at or above a
-    statistic's observed score, it cannot reject with it: an observation
-    above a threshold has every score at or above it above the threshold
-    too, and those number at most the budget; a saturated threshold is
-    the top draw. Later blocks are not scored with that statistic, and a
-    test with all settled draws no more. A statistic scored on all B
-    rows calibrates as mc_test, so each result is mc_test's.
+    Each statistic of a test keeps _count_rejects' two counts, no score.
+    Once more than the tail budget of its draws score at or above the
+    observed score, it cannot reject (that count only grows), so later
+    blocks are not scored with that statistic, and a test with all
+    settled draws no more. So each reject is mc_test's.
 
     The tests advance together in passes: each unsettled test draws its
     next block, the blocks are packed in test order into batches of at
@@ -548,20 +563,27 @@ def _mc_rejects(
     """
     observed = np.array([stat.score_batch(statuses) for stat in stats])
     budget = _tail_budget(cfg.alpha, cfg.B)
-    live = np.ones(observed.shape, dtype=bool)  # (statistic, test): reject not yet settled
+    # per (statistic, test): live, ge, the largest draw under the score (low), its copies (below)
+    live = np.ones(observed.shape, dtype=bool)
     ge = np.zeros(observed.shape, dtype=np.int64)
-    scores: list[list[list[np.ndarray]]] = [[[] for _ in statuses] for _ in stats]
+    low = np.full(observed.shape, -np.inf)
+    below = np.zeros(observed.shape, dtype=np.int64)
     draws = [_mc_draws(row[None], cfg, rng, _FIRST_ROWS) for row, rng in zip(statuses, rngs)]
 
     def score(batch: list[tuple[int, np.ndarray]]) -> None:
         for s, stat in enumerate(stats):
             mine = [(t, block) for t, block in batch if live[s, t]]
             if mine:
+                tests = [t for t, _ in mine]
+                sizes = [len(block) for _, block in mine]
+                starts = np.cumsum([0] + sizes[:-1])
                 got = stat.score_batch(np.concatenate([block for _, block in mine]))
-                ends = np.cumsum([len(block) for _, block in mine])
-                for (t, _), part in zip(mine, np.split(got, ends[:-1])):
-                    ge[s, t] += np.count_nonzero(part >= observed[s, t])
-                    scores[s][t].append(part)
+                under = got < np.repeat(observed[s, tests], sizes)
+                ge[s, tests] += np.add.reduceat(~under, starts)
+                top = np.maximum(low[s, tests], np.maximum.reduceat(np.where(under, got, -np.inf), starts))
+                hits = np.add.reduceat(under & (got == np.repeat(top, sizes)), starts)
+                below[s, tests] = np.where(top > low[s, tests], 0, below[s, tests]) + hits
+                low[s, tests] = top
         tests = [t for t, _ in batch]
         live[:, tests] &= ge[:, tests] <= budget
 
@@ -575,10 +597,7 @@ def _mc_rejects(
                 batch = []
         score(batch)
         drawn += len(block)
-    reject = np.zeros(observed.shape, dtype=bool)
-    for s, t in zip(*np.nonzero(live)):
-        threshold, _ = _threshold_rule(np.concatenate(scores[s][t]), cfg.alpha, cfg.B)
-        reject[s, t] = observed[s, t] > threshold
+    reject = live & _count_rejects(ge, below, budget)
     return reject, np.array([_raw_scale(row, row, stat.tail)[0] for stat, row in zip(stats, observed)])
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "line_cycle_bound",
     "tb_threshold",
     "tt_threshold",
-    "baseline_diagnosis",
     "BaselineRule",
     "baseline_rule",
     "RiskCurve",
@@ -114,8 +113,12 @@ def h_eta(n: int, k: int, eta: float, nt_min: float) -> float:
 
 # -- cascades ------------------------------------------------------------------
 
+# cascade_count enumerates at most this many vertices and cascade steps
+_CASCADE_N_GUARD = 10
+_CASCADE_K_GUARD = 6
 
-def cascade_count(g: Graph, k: int, u: int, v: int, n_guard: int = 10, k_guard: int = 6) -> int:
+
+def cascade_count(g: Graph, k: int, u: int, v: int) -> int:
     """Number of k-step growth orderings whose vertex set contains u and v.
 
     An ordering qualifies when every vertex after the first is adjacent
@@ -127,9 +130,9 @@ def cascade_count(g: Graph, k: int, u: int, v: int, n_guard: int = 10, k_guard: 
         raise ValueError("u, v must be distinct vertices")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if n > n_guard or k > k_guard:
+    if n > _CASCADE_N_GUARD or k > _CASCADE_K_GUARD:
         raise GuardExceededError(
-            f"cascade enumeration guarded at n <= {n_guard}, k <= {k_guard}"
+            f"cascade enumeration guarded at n <= {_CASCADE_N_GUARD}, k <= {_CASCADE_K_GUARD}"
         )
     if k >= n or k < 2:
         return 0
@@ -298,20 +301,6 @@ def tt_threshold(n: int, k: int, c: int) -> float:
     return k * n * _loglog(n) ** 3 / (n - c)
 
 
-def baseline_diagnosis(threshold: float, floor: float, ceiling: float) -> str:
-    """Classify a reject-if-small rule (statistic <= threshold).
-
-    floor/ceiling bound the attainable statistic values; a threshold at
-    or above the ceiling fires on every snapshot, one below the floor on
-    none.
-    """
-    if threshold >= ceiling:
-        return "always rejects"
-    if threshold < floor:
-        return "never rejects"
-    return "data-dependent"
-
-
 @dataclass(frozen=True)
 class BaselineRule:
     """Reject when stat <= threshold; ceiling is the top of stat's range."""
@@ -336,7 +325,13 @@ def baseline_rule(algorithm: str, g: Graph, k: int, c: int, d: int = 2) -> Basel
         floor, ceiling, stat = float(max(k - 1, 0)), g.n - 1, StatisticSpec.steiner_weight(g)
     else:
         raise ValueError(f"unknown baseline {algorithm!r}; expected TB or TT")
-    return BaselineRule(stat, threshold, baseline_diagnosis(threshold, floor, ceiling), ceiling)
+    if threshold >= ceiling:
+        diagnosis = "always rejects"
+    elif threshold < floor:
+        diagnosis = "never rejects"
+    else:
+        diagnosis = "data-dependent"
+    return BaselineRule(stat, threshold, diagnosis, ceiling)
 
 
 # -- Monte-Carlo risk -----------------------------------------------------------

@@ -30,3 +30,35 @@ def test_bench_workload_traced_run_is_correct(workload):
     assert 9 * record["failed"] <= record["attempted"], record
     if workload != "analyst-session":
         assert record["failed"] == 0, record
+
+
+def _netspread_bindings() -> dict:
+    """Every attribute of every netspread module and of every class they
+    define, keyed by (owner, name): whatever the tracer may patch."""
+    bindings = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "netspread" or modname.startswith("netspread."):
+            for owner in [mod, *(v for v in vars(mod).values() if isinstance(v, type))]:
+                for key, value in list(vars(owner).items()):
+                    bindings[(owner, key)] = value
+    return bindings
+
+
+def test_bench_tracer_installs_and_uninstalls(monkeypatch):
+    # the benchmark's tracer binds traced names with getattr, so a deleted
+    # name fails here, without --runslow, before any traced run
+    import netspread.cli  # noqa: F401  (loads every module the tracer patches)
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    before = _netspread_bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        changed = [key for key, value in _netspread_bindings().items() if before.get(key) is not value]
+        assert changed
+    finally:
+        tracer.uninstall()
+    after = _netspread_bindings()
+    assert [key for key in before if after.get(key) is not before[key]] == []

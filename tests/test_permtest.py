@@ -2,7 +2,7 @@ import gc
 import weakref
 from dataclasses import replace
 from itertools import permutations
-from math import comb, factorial, isclose
+from math import comb, factorial, inf, isclose
 
 import numpy as np
 import pytest
@@ -79,6 +79,42 @@ def test_threshold_rule_exact_tail_budget():
     two_top = np.array([0.0] * 71 + [1.0] * 19 + [2.0] * 10)
     assert _threshold_rule(two_top, 0.29, 100) == (1.0, False)
     assert _threshold_rule(two_top, np.float64(0.29), 100) == (1.0, False)
+
+
+@pytest.mark.parametrize("B", [100.0, True, False, 2.5, "100"])
+def test_config_refuses_a_B_that_is_not_an_integer(B):
+    # a float B used to die inside numpy's draw, and B=True ran one draw
+    with pytest.raises(ValueError, match="B must be an integer"):
+        TestConfig(alpha=0.1, B=B)
+
+
+def test_config_takes_a_numpy_integer_B():
+    cfg = TestConfig(alpha=0.2, B=np.int64(40), seed=3)
+    iv = infection_from_infected(6, [0, 1])
+    spec = StatisticSpec.edges_within(cycle_graph(6))
+    assert mc_test(spec, iv, cfg) == mc_test(spec, iv, replace(cfg, B=40))
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.one_of(st.integers(-3, 3), st.just(-inf)), min_size=1, max_size=60),
+    st.one_of(st.integers(-4, 4), st.just(-inf), st.just(inf)),
+    st.floats(0.001, 0.999),
+)
+@example([0.0] * 90 + [1.0] * 8 + [2.0] * 2, 2, 0.05)
+@example([-inf, -inf, 0.0, 1.0], 0, 0.5)
+@example([-inf] * 5, -inf, 0.5)
+@example([3.0], 4, 0.999)
+def test_count_rejects_matches_threshold_rule(draws, observed, alpha):
+    # _mc_rejects decides from two counts: the draws at or above the
+    # observed score, and the multiplicity of the largest draw under it
+    scores = np.array(draws, dtype=np.float64)
+    under = scores[scores < observed]
+    ge = scores.size - under.size
+    below = int(np.count_nonzero(under == under.max())) if under.size else 0
+    budget = permtest._tail_budget(alpha, scores.size)
+    threshold, _ = _threshold_rule(scores, alpha, scores.size)
+    assert bool(permtest._count_rejects(ge, below, budget)) == (observed > threshold)
 
 
 def test_exact_test_uniform_statistic_never_rejects():
@@ -473,9 +509,9 @@ def test_validity_verdict_is_computed_once_per_graph_pair(monkeypatch):
     searched = []
     real = permtest.automorphism_group
 
-    def counting(g, n_max=10):
+    def counting(g):
         searched.append(g.n)
-        return real(g, n_max=n_max)
+        return real(g)
 
     monkeypatch.setattr(permtest, "automorphism_group", counting)
     null, alt = cycle_graph(6), erdos_renyi(6, 0.5, 2)

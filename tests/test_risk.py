@@ -11,7 +11,6 @@ from netspread import (
     SpreadParams,
     StatisticSpec,
     TestConfig,
-    baseline_diagnosis,
     baseline_risk_curve,
     baseline_rule,
     cascade_count,
@@ -37,6 +36,7 @@ from netspread import (
     torus_grid,
     tt_threshold,
 )
+from netspread import risk
 from oracles import cascade_orderings
 
 
@@ -253,11 +253,24 @@ def test_baseline_threshold_validation():
         tt_threshold(1000, 0, 0)
 
 
-def test_baseline_diagnosis():
-    assert baseline_diagnosis(10.0, 0.0, 5.0) == "always rejects"
-    assert baseline_diagnosis(5.0, 0.0, 5.0) == "always rejects"
-    assert baseline_diagnosis(-1.0, 0.0, 5.0) == "never rejects"
-    assert baseline_diagnosis(3.0, 0.0, 5.0) == "data-dependent"
+def test_baseline_rule_diagnosis(monkeypatch):
+    cases = [
+        # TB: R on path:6 from vertex 0 lies in [0, 5]
+        ("TB", 2, 10.0, "always rejects"),
+        ("TB", 2, 5.0, "always rejects"),
+        ("TB", 2, -1.0, "never rejects"),
+        ("TB", 2, 3.0, "data-dependent"),
+        ("TB", 2, 0.0, "data-dependent"),
+        # TT: T of 3 infected vertices lies in [2, 5]
+        ("TT", 3, 1.5, "never rejects"),
+        ("TT", 3, 2.0, "data-dependent"),
+        ("TT", 3, 5.0, "always rejects"),
+    ]
+    for algorithm, k, threshold, diagnosis in cases:
+        monkeypatch.setattr(risk, "tb_threshold", lambda d, n, k, c: threshold)
+        monkeypatch.setattr(risk, "tt_threshold", lambda n, k, c: threshold)
+        rule = baseline_rule(algorithm, path_graph(6), k, 0)
+        assert (rule.threshold, rule.diagnosis) == (threshold, diagnosis)
 
 
 def test_mc_risk_curve_deterministic_and_thread_invariant():
