@@ -1,9 +1,9 @@
 """Exact small-instance likelihoods and likelihood ratios.
 
 Everything here enumerates: orderings of the infected set, completions
-of censored vertices, relabelings of the graph. Guards raise before any
-enumeration whose cost would explode; the point of this module is exact
-ground truth on small instances, not scale.
+of censored vertices, the infected sets a relabeling can give. Guards
+raise before any enumeration whose cost would explode; the point of this
+module is exact ground truth on small instances, not scale.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from math import comb, factorial, fsum
 
 from .errors import GuardExceededError
 from .graphs import Graph, empty_graph
-from .perms import Permutation, apply_to_graph
 from .spreading import (
     INFECTED,
     InfectionPath,
     InfectionVector,
+    _subset_masks,
     infection_from_infected,
     path_probability,
 )
@@ -38,8 +38,6 @@ __all__ = [
 _K_GUARD = 8
 # the most paths a censored normalization enumerates
 _CENSORED_CAP = 10**6
-# the most vertices whose n! relabelings topology_sup_likelihood tries
-_SUP_N_GUARD = 6
 
 
 @dataclass(frozen=True)
@@ -191,22 +189,18 @@ def topology_sup_likelihood(g: Graph, eta: float, iv: InfectionVector) -> float:
 
     A statistic of the snapshot that ignores which relabeling generated
     it; constant over snapshots with the same (k) when the graph orbit
-    covers them all. Guarded at n <= _SUP_N_GUARD (cost n! likelihood sums).
+    covers them all. Relabeling the graph by pi scores the snapshot as
+    the fixed graph scores its preimage under pi, and every k-subset is
+    one, so this is the max of likelihood_exact over the C(n, k) infected
+    sets on g, refused past _EXACT_CAP paths (k! per set).
     """
-    n = g.n
-    if n > _SUP_N_GUARD:
-        raise GuardExceededError(
-            f"sup over {n}! = {factorial(n)} relabelings; guard is n <= {_SUP_N_GUARD}"
-        )
     if iv.c:
         raise ValueError("topology sup is defined for uncensored snapshots")
+    if g.n != iv.n:
+        raise ValueError("graph and snapshot sizes differ")
     best = 0.0
-    seen: dict[tuple[tuple[int, int], ...], float] = {}
-    for image in itertools.permutations(range(n)):
-        relabeled = apply_to_graph(Permutation(image), g)
-        val = seen.get(relabeled.edges)
-        if val is None:
-            val = likelihood_exact(relabeled, eta, iv).value
-            seen[relabeled.edges] = val
-        best = max(best, val)
+    for block in _subset_masks(g.n, iv.k, factorial(iv.k)):
+        for row in block:
+            infected = InfectionVector._trusted(row.view("int8"))  # True is INFECTED
+            best = max(best, likelihood_exact(g, eta, infected).value)
     return best

@@ -16,7 +16,6 @@ level at alpha; smaller B is degenerate but defined.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .errors import GuardExceededError
 from .graphs import Graph
 from .perms import PermGroup, automorphism_group, product_group_is_full
 from .rng import substream
-from .spreading import CENSORED, INFECTED, UNINFECTED, InfectionVector
+from .spreading import _BLOCK_STATUSES, CENSORED, INFECTED, UNINFECTED, InfectionVector, _subset_masks
 from .stats import StatisticSpec
 
 __all__ = [
@@ -259,11 +258,6 @@ def validity_with_guard(
     return ("valid" if product_group_is_full(g1, g0) else "invalid"), None
 
 
-# statuses per drawn block: bounds a block's keys, and the per-row
-# temporaries its scoring allocates, at any B
-_BLOCK_STATUSES = 1 << 18
-
-
 def _smallest(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Per snapshot j of (rows, m, p) keys, the mask of its keys at or below
     its ks[j]-th smallest: ks[j] keys, or more where keys tie there."""
@@ -369,42 +363,28 @@ def _statuses(
     return status
 
 
-def _enumerated_blocks(status: np.ndarray) -> Iterator[np.ndarray]:
-    """All n! relabelings of a status vector, in itertools.permutations order."""
-    perms = itertools.permutations(range(status.size))
-    step = max(1, _BLOCK_STATUSES // status.size)
-    while chunk := list(itertools.islice(perms, step)):
-        targets = np.array(chunk)
-        block = np.empty(targets.shape, dtype=status.dtype)
-        # row i sends vertex j's status to targets[i, j]
-        block[np.arange(len(chunk))[:, None], targets] = status
-        yield block
-
-
-# the most vertices whose n! relabelings exact_test enumerates
-_EXACT_N_GUARD = 8
-
-
 def exact_test(
     stat: StatisticSpec,
     iv: InfectionVector,
     alpha: float,
     null_graph: Graph | None = None,
 ) -> TestResult:
-    """Enumerate all n! relabelings; no Monte-Carlo error.
+    """The permutation law of all n! relabelings; no Monte-Carlo error.
 
-    Guarded at n <= _EXACT_N_GUARD because the cost is n! score evaluations.
-    p_value is the exact permutation fraction #{score >= observed} / n!.
+    Every statistic reads only the relabeled infected set, and each of
+    the C(n, k) sets is the image of m = k!(n-k)! relabelings, so the
+    sets are scored once each (_subset_masks, refused past _EXACT_CAP
+    sets) and calibrated on their own counts: a tail of cnt sets has
+    cnt m <= floor(alpha C m) iff cnt <= floor(alpha C), so the threshold
+    is the relabelings' one. histogram, raw_ge_count and n_draws count
+    relabelings, as Python ints; p_value is the exact fraction
+    #{score >= observed} / n!.
     """
     TestConfig(alpha=alpha, B=1)  # checks alpha
-    n = iv.n
-    if n > _EXACT_N_GUARD:
-        raise GuardExceededError(
-            f"exact test costs {n}! = {factorial(n)} evaluations; guard is n <= {_EXACT_N_GUARD}"
-        )
+    n, k = iv.n, iv.k
     warning = _validity_warning(stat, null_graph, n)
-    scores = np.concatenate([stat.score_batch(block) for block in _enumerated_blocks(iv.status)])
-    return _calibrate(
+    scores = np.concatenate([stat.score_batch(block) for block in _subset_masks(n, k)])
+    res = _calibrate(
         stat.score(iv),
         scores,
         alpha,
@@ -413,6 +393,13 @@ def exact_test(
         tail=stat.tail,
         mode="exact",
         validity_warning=warning,
+    )
+    m = factorial(k) * factorial(n - k)
+    return replace(
+        res,
+        histogram=tuple((value, count * m) for value, count in res.histogram),
+        raw_ge_count=res.raw_ge_count * m,
+        n_draws=res.n_draws * m,
     )
 
 
@@ -464,7 +451,6 @@ def _mc_result(
     null_graph: Graph | None,
     rng: np.random.Generator | None,
     statistic: str,
-    mode: str,
 ) -> TestResult:
     """The Monte-Carlo test of stat's mean over the snapshots ivs, in cfg.mode;
     the body of mc_test, conditional_mc_test and multi_spread_mc_test."""
@@ -480,7 +466,7 @@ def _mc_result(
         cfg.alpha,
         statistic=statistic,
         tail=stat.tail,
-        mode=mode,
+        mode=cfg.mode,
         validity_warning=warning,
     )
 
@@ -499,7 +485,7 @@ def mc_test(
     threshold rule so level holds for every B. In censor-fixing mode it
     is conditional_mc_test.
     """
-    return _mc_result(stat, [iv], cfg, null_graph, rng, stat.name, cfg.mode)
+    return _mc_result(stat, [iv], cfg, null_graph, rng, stat.name)
 
 
 def conditional_mc_test(
@@ -515,7 +501,7 @@ def conditional_mc_test(
     mark, matching a null where censoring is arbitrary but fixed.
     """
     cfg = replace(cfg, mode=MODE_CENSOR_FIXING)
-    return _mc_result(stat, [iv], cfg, null_graph, rng, stat.name, cfg.mode)
+    return _mc_result(stat, [iv], cfg, null_graph, rng, stat.name)
 
 
 # rows in the first block an early-decided test draws; later blocks double
@@ -624,7 +610,7 @@ def composite_mc_test(
     labels = dict(
         statistic=f"{stat_first.name}+{stat_second.name}",
         tail=f"{stat_first.tail}+{stat_second.tail}",
-        mode="composite",
+        mode=cfg.mode,
         validity_warning=next(filter(None, warnings), None),
     )
     blocks = _mc_draws(iv.status[None], cfg, rng)
@@ -664,4 +650,4 @@ def multi_spread_mc_test(
         raise ValueError("need at least one snapshot")
     if any(iv.n != ivs[0].n for iv in ivs):
         raise ValueError("snapshots must share one vertex set")
-    return _mc_result(stat, ivs, cfg, null_graph, rng, f"avg-{stat.name}", "multi-spread")
+    return _mc_result(stat, ivs, cfg, null_graph, rng, f"avg-{stat.name}")

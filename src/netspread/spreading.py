@@ -119,6 +119,9 @@ def infection_from_infected(
     status = np.zeros(n, dtype=np.int8)
     inf_idx = list(infected)
     cen_idx = list(censored)
+    for v in inf_idx + cen_idx:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
     status[inf_idx] = INFECTED
     status[cen_idx] = CENSORED
     if len(set(inf_idx) & set(cen_idx)) > 0:
@@ -143,8 +146,6 @@ class InfectionPath:
         return len(self.order)
 
     def to_infection(self, n: int) -> InfectionVector:
-        if any(not 0 <= v < n for v in self.order):
-            raise ValueError("path vertex out of range")
         return infection_from_infected(n, self.order)
 
 
@@ -450,6 +451,33 @@ def censor_fixed(iv: InfectionVector, censor_set: Iterable[int]) -> InfectionVec
 
 # the most subsets or paths an exact sampler or law enumerates
 _EXACT_CAP = 10**6
+# statuses per block of masks, drawn (permtest) or enumerated (_subset_masks):
+# bounds a block, its keys and the per-row temporaries its scoring allocates,
+# at any number of rows
+_BLOCK_STATUSES = 1 << 18
+
+
+def _subset_masks(n: int, k: int, per_set: int = 1) -> Iterator[np.ndarray]:
+    """Every k-subset of the n vertices, in itertools.combinations order, as
+    (rows, n) bool masks in blocks of up to _BLOCK_STATUSES entries.
+
+    Refuses with GuardExceededError, in place of the first block, when the
+    C(n, k) sets times the per_set evaluations each costs pass _EXACT_CAP.
+    """
+    total = comb(n, k)
+    if total * per_set > _EXACT_CAP:
+        raise GuardExceededError(
+            f"exact enumeration of C({n},{k}) = {total} sets needs {total * per_set} "
+            f"evaluations, cap is {_EXACT_CAP}"
+        )
+    members = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    step = max(1, _BLOCK_STATUSES // n)
+    for lo in range(0, total, step):
+        rows = min(step, total - lo)
+        block = np.zeros((rows, n), dtype=bool)
+        idx = np.fromiter(members, np.intp, count=rows * k).reshape(rows, k)
+        np.put_along_axis(block, idx, True, axis=1)
+        yield block
 
 
 def ising_sample_exact(
@@ -462,30 +490,20 @@ def ising_sample_exact(
 
     Exact enumeration over all C(n, k) subsets (guarded by _EXACT_CAP); no
     Markov chain approximation. Weights are computed relative to the
-    maximum exponent so large eta cannot overflow.
+    maximum exponent so large eta cannot overflow; eta must be finite.
     """
     n = g.n
     if not 0 < k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    total = comb(n, k)
-    if total > _EXACT_CAP:
-        raise GuardExceededError(
-            f"exact sampling needs C({n},{k}) = {total} subset weights, cap is {_EXACT_CAP}"
-        )
-    rng = as_generator(seed_or_rng)
-    subsets = list(itertools.combinations(range(n), k))
-    eu, ev = g.edge_arrays
-    exponents = np.empty(len(subsets), dtype=np.float64)
-    member = np.zeros(n, dtype=bool)
-    for i, sub in enumerate(subsets):
-        member[list(sub)] = True
-        exponents[i] = eta * int(np.count_nonzero(member[eu] & member[ev]))
-        member[list(sub)] = False
-    weights = np.exp(exponents - exponents.max())
-    cum = np.cumsum(weights)
-    u = rng.random() * cum[-1]
-    pick = subsets[int(np.searchsorted(cum, u, side="left"))]
-    return infection_from_infected(n, pick)
+    if not isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
+    from .stats import _edges_batch  # the W kernel; stats imports this module
+
+    exponents = eta * np.concatenate([_edges_batch(g, b) for b in _subset_masks(n, k)])
+    cum = np.cumsum(np.exp(exponents - exponents.max()))
+    pick = int(np.searchsorted(cum, as_generator(seed_or_rng).random() * cum[-1], side="left"))
+    chosen = itertools.islice(itertools.combinations(range(n), k), pick, None)
+    return infection_from_infected(n, next(chosen))
 
 
 # -- status file IO -------------------------------------------------------------
@@ -552,16 +570,10 @@ def infection_law_exact(g: Graph, eta: float, k: int):
     Sums path probabilities over all k! orderings of each k-subset.
     Guarded by _EXACT_CAP on the total number of paths.
     """
-    n = g.n
-    n_paths = comb(n, k) * factorial(k)
-    if n_paths > _EXACT_CAP:
-        raise GuardExceededError(
-            f"exact law needs {n_paths} path evaluations, cap is {_EXACT_CAP}"
-        )
     law: dict[tuple[int, ...], float] = {}
-    for sub in itertools.combinations(range(n), k):
-        law[sub] = fsum(
-            path_probability(g, eta, InfectionPath(p))
-            for p in itertools.permutations(sub)
-        )
+    for block in _subset_masks(g.n, k, factorial(k)):
+        for row in block:
+            sub = tuple(np.flatnonzero(row).tolist())
+            orders = itertools.permutations(sub)
+            law[sub] = fsum(path_probability(g, eta, InfectionPath(p)) for p in orders)
     return law

@@ -10,15 +10,16 @@ kernels replaced, so agreement with the package is evidence, not
 tautology. spread_path_float_reference is the float walk of the spread
 sampler before it rounded eta onto a dyadic grid. relabeled_rows is the
 per-draw loop of the key draw that the package's blocked subset draw
-must reproduce.
+must reproduce. The exact layer's references enumerate relabelings where
+the package enumerates infected sets.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
-from math import comb, fsum, inf
+from math import comb, floor, fsum, inf
 
 import networkx as nx
 import numpy as np
@@ -519,3 +520,82 @@ def _prune_leaves(tree: dict[int, list[int]], terminals: set[int]) -> int:
                 removable.append(w)
         degree[v] = 0
     return edge_count
+
+
+# -- the exact layer, by relabelings ----------------------------------------------
+# exact_test, topology_sup_likelihood and ising_sample_exact before they
+# enumerated infected sets: the n! relabelings of the snapshot, the n!
+# relabeled graphs and a per-subset loop. Kept as the references the set
+# enumeration must equal field for field, value for value and draw for draw;
+# the last two call the package's likelihood_exact and apply_to_graph, as
+# the loops they replaced did.
+
+
+def relabeled_statuses(status: np.ndarray) -> np.ndarray:
+    """All n! relabelings of a status vector, in itertools.permutations
+    order: row i sends vertex j's status to the i-th permutation's j-th entry."""
+    targets = np.array(list(itertools.permutations(range(status.size))))
+    rows = np.empty(targets.shape, dtype=status.dtype)
+    rows[np.arange(len(targets))[:, None], targets] = status
+    return rows
+
+
+def exact_calibration(observed: float, counts: dict[float, int], alpha: float) -> dict:
+    """The TestResult fields of an exact test from its law, given as
+    score -> count: the least score whose tail count is at most
+    floor(alpha * total), or the top score, saturated, when none is."""
+    total = sum(counts.values())
+    budget = floor(Fraction(repr(alpha)) * total)
+    values = sorted(counts)
+    fits = [v for i, v in enumerate(values) if sum(counts[u] for u in values[i:]) <= budget]
+    threshold = fits[0] if fits else values[-1]
+    ge = sum(c for v, c in counts.items() if v >= observed)
+    return dict(
+        observed=observed,
+        threshold=threshold,
+        p_value=ge / total,
+        reject=observed > threshold,
+        histogram=tuple((v, counts[v]) for v in values),
+        raw_ge_count=ge,
+        n_draws=total,
+        saturated=not fits,
+    )
+
+
+def exact_test_reference(spec, iv: InfectionVector, alpha: float) -> dict:
+    """exact_test's fields but validity_warning, from spec.score_batch over
+    all n! relabelings of iv; raises what that scoring raises."""
+    scores = spec.score_batch(relabeled_statuses(iv.status))
+    fields = exact_calibration(spec.score(iv), Counter(scores.tolist()), alpha)
+    return fields | dict(statistic=spec.name, tail=spec.tail, mode="exact")
+
+
+def topology_sup_reference(g: Graph, eta: float, iv: InfectionVector) -> float:
+    """max over the n! relabelings of g of likelihood_exact on iv, each
+    distinct relabeled graph once."""
+    from netspread.likelihood import likelihood_exact
+    from netspread.perms import Permutation, apply_to_graph
+
+    best = 0.0
+    seen: dict[tuple[tuple[int, int], ...], float] = {}
+    for image in itertools.permutations(range(g.n)):
+        relabeled = apply_to_graph(Permutation(image), g)
+        if relabeled.edges not in seen:
+            seen[relabeled.edges] = likelihood_exact(relabeled, eta, iv).value
+        best = max(best, seen[relabeled.edges])
+    return best
+
+
+def ising_sample_reference(g: Graph, eta: float, k: int, rng) -> tuple[int, ...]:
+    """The k-subset an exp(eta * edges inside) draw picks from rng: each
+    subset's edges counted alone, in itertools.combinations order."""
+    subsets = list(itertools.combinations(range(g.n), k))
+    eu, ev = g.edge_arrays
+    exponents = np.empty(len(subsets), dtype=np.float64)
+    member = np.zeros(g.n, dtype=bool)
+    for i, sub in enumerate(subsets):
+        member[list(sub)] = True
+        exponents[i] = eta * int(np.count_nonzero(member[eu] & member[ev]))
+        member[list(sub)] = False
+    cum = np.cumsum(np.exp(exponents - exponents.max()))
+    return subsets[int(np.searchsorted(cum, rng.random() * cum[-1], side="left"))]

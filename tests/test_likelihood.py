@@ -7,10 +7,12 @@ from netspread import (
     GuardExceededError,
     InfectionVector,
     LikelihoodReport,
+    build_graph,
     complete_graph,
     cycle_graph,
     edges_within,
     empty_graph,
+    erdos_renyi,
     first_order_residual,
     infection_from_infected,
     infection_law_exact,
@@ -21,6 +23,8 @@ from netspread import (
     star_graph,
     topology_sup_likelihood,
 )
+
+import oracles
 
 
 def iv_of(n, infected, censored=()):
@@ -184,10 +188,37 @@ def test_topology_sup_constant_over_same_size_snapshots():
 
 
 def test_topology_sup_guards():
-    with pytest.raises(GuardExceededError):
-        topology_sup_likelihood(cycle_graph(7), 1.0, iv_of(7, [0]))
+    # cycle:7 with k=1 sums 7 paths; the cap refuses paths, not vertices
+    assert topology_sup_likelihood(cycle_graph(7), 1.0, iv_of(7, [0])) == 1 / 7
+    # C(16, 6) * 6! = 5,765,760 paths
+    with pytest.raises(GuardExceededError, match="needs 5765760 evaluations"):
+        topology_sup_likelihood(cycle_graph(16), 1.0, iv_of(16, range(6)))
     with pytest.raises(ValueError):
         topology_sup_likelihood(cycle_graph(5), 1.0, iv_of(5, [0], censored=[1]))
+    with pytest.raises(ValueError, match="sizes differ"):
+        topology_sup_likelihood(cycle_graph(5), 1.0, iv_of(6, [0]))
+
+
+_SUP_GRAPHS = [
+    empty_graph(6), complete_graph(5), cycle_graph(5), path_graph(5), cycle_graph(6), path_graph(6),
+    star_graph(6), build_graph(6, [(0, 1), (1, 2), (3, 4)]), erdos_renyi(6, 0.4, 2),
+]
+
+
+@pytest.mark.parametrize("g", _SUP_GRAPHS, ids=lambda g: f"{g.n}:{g.edges}")
+def test_topology_sup_equals_relabeled_graph_loop(g):
+    # the max over infected sets on the fixed graph is the max over its
+    # n! relabelings, bit for bit
+    # the loop relabels the graph n! times: k stays small on 6 vertices
+    for eta in (0.0, 0.5, 1.0, 3.0, 1e3):
+        for k in range(1, 4 if g.n == 6 else g.n + 1):
+            iv = iv_of(g.n, range(g.n - k, g.n))
+            assert topology_sup_likelihood(g, eta, iv) == oracles.topology_sup_reference(g, eta, iv)
+
+
+def test_topology_sup_keeps_the_empty_graph_closed_form():
+    # the max of infection_law_exact sums 4! paths to 0.0666...65, an ulp under 1/C(6, 4)
+    assert topology_sup_likelihood(empty_graph(6), 2.0, iv_of(6, [0, 1, 2, 3])) == 1 / comb(6, 4)
 
 
 def test_report_fields():

@@ -1,7 +1,8 @@
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, inf, isclose
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from netspread import (
     CENSORED,
+    DisconnectedTerminalsError,
     GuardExceededError,
     InfectionVector,
     StatisticSpec,
     TestConfig,
+    TestResult,
     build_graph,
     check_validity,
     complete_graph,
@@ -24,6 +27,7 @@ from netspread import (
     empty_graph,
     erdos_renyi,
     exact_test,
+    from_spec,
     infection_from_infected,
     mc_test,
     multi_spread_mc_test,
@@ -34,6 +38,8 @@ from netspread import (
 )
 from netspread import permtest
 from netspread.permtest import _threshold_rule
+
+import oracles
 
 
 def test_config_validation():
@@ -164,9 +170,85 @@ def test_exact_test_level_is_respected():
 
 
 def test_exact_test_guard():
-    iv = infection_from_infected(9, [0])
-    with pytest.raises(GuardExceededError):
+    # n=9, k=1 scores 9 sets; the cap refuses sets, not vertices
+    res = exact_test(StatisticSpec.center_indicator(0), infection_from_infected(9, [0]), alpha=0.1)
+    assert (res.n_draws, res.raw_ge_count, res.histogram) == (
+        factorial(9), factorial(8), ((0.0, 8 * factorial(8)), (1.0, factorial(8)))
+    )
+    iv = infection_from_infected(30, range(10))  # C(30, 10) = 30,045,015 sets
+    with pytest.raises(GuardExceededError, match=r"C\(30,10\) = 30045015 sets"):
         exact_test(StatisticSpec.center_indicator(0), iv, alpha=0.1)
+
+
+def test_exact_test_counts_relabelings_past_int64():
+    # 21! passes int64: the relabeling counts are Python ints
+    res = exact_test(StatisticSpec.center_indicator(0), infection_from_infected(21, [0]), 0.1)
+    assert res.n_draws == factorial(21) > np.iinfo(np.int64).max
+    assert res.histogram == ((0.0, 20 * factorial(20)), (1.0, factorial(20)))
+    assert res.raw_ge_count == factorial(20) and res.p_value == 1 / 21
+
+
+@st.composite
+def exact_cases(draw):
+    """A statistic on a random graph of 1..7 vertices, a snapshot (any
+    infected count, censoring allowed), a level that often saturates, and
+    a null graph: none, the empty graph, or one of another size."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    kind = draw(st.sampled_from(["W", "R", "T", "C", "orbit"]))
+    if kind == "C":
+        spec = StatisticSpec.center_indicator(draw(st.integers(0, n)))
+    elif kind == "orbit":
+        spec = StatisticSpec.orbit_count(draw(st.sets(st.integers(0, n), min_size=1)))
+    else:
+        spec = StatisticSpec.from_name(kind, g)
+    iv = InfectionVector(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    alpha = draw(st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.29, 0.3, 0.5, 0.9, 0.999]))
+    null = draw(st.sampled_from([None, empty_graph(n), empty_graph(n + 1)]))
+    return spec, iv, alpha, null
+
+
+@settings(max_examples=120)
+@given(exact_cases())
+@example((  # T raises on the relabelings that split the infected pair
+    StatisticSpec.steiner_weight(build_graph(4, [(0, 1), (2, 3)])), InfectionVector([1, 1, 0, 0]), 0.1, None
+))
+@example((StatisticSpec.infection_radius(cycle_graph(5)), InfectionVector([0, 2, 0, 0, 0]), 0.5, None))
+def test_exact_test_equals_relabeling_enumeration(case):
+    # the infected sets, weighted by the k!(n-k)! relabelings behind each,
+    # give every field the n! relabelings give, and every error
+    spec, iv, alpha, null = case
+    if null is not None and null.n != iv.n:
+        with pytest.raises(ValueError, match=f"differ in size: n={null.n} and n={iv.n}"):
+            exact_test(spec, iv, alpha, null_graph=null)
+        return
+    try:
+        want = oracles.exact_test_reference(spec, iv, alpha)
+    except (ValueError, DisconnectedTerminalsError) as exc:
+        with pytest.raises(type(exc)) as got:
+            exact_test(spec, iv, alpha, null_graph=null)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    warning = None if null is not None else "unverifiable: no null graph provided"
+    assert exact_test(spec, iv, alpha, null_graph=null) == TestResult(**want, validity_warning=warning)
+
+
+@pytest.mark.parametrize("graph, k", [("cycle:10", 4), ("torus:3x4", 5), ("path:10", 4), ("star:10", 4)])
+def test_exact_test_reaches_the_exact_oracle_graphs(graph, k):
+    # the n = 10-12 graphs of the exact risk oracle, against per-set oracle scores
+    g = from_spec(graph)
+    iv = infection_from_infected(g.n, range(0, 2 * k, 2), censored=[1])
+    sets = [infection_from_infected(g.n, s) for s in combinations(range(g.n), k)]
+    m = factorial(k) * factorial(g.n - k)
+    for name in ("W", "R", "T"):
+        spec = StatisticSpec.from_name(name, g)
+        law = Counter(oracles.score(spec, s) for s in sets)
+        want = oracles.exact_calibration(oracles.score(spec, iv), {v: c * m for v, c in law.items()}, 0.05)
+        got = exact_test(spec, iv, 0.05, null_graph=empty_graph(g.n))
+        assert got == TestResult(**want, statistic=name, tail=spec.tail, mode="exact", validity_warning=None)
+        assert got.n_draws == factorial(g.n)
 
 
 def test_exact_test_alpha_validation():
@@ -314,7 +396,8 @@ def test_composite_test_stage_structure():
     r = StatisticSpec.infection_radius(g)
     cfg = TestConfig(alpha=0.1, B=400, seed=7)
     res = composite_mc_test(w, r, iv, cfg)
-    assert res.mode == "composite"
+    assert res.mode == "full-permute"
+    assert composite_mc_test(w, r, iv, replace(cfg, mode="censor-fixing")).mode == "censor-fixing"
     assert res.statistic == "W+R"
     assert isinstance(res.observed, tuple) and isinstance(res.threshold, tuple)
     o1, o2 = res.observed
@@ -463,7 +546,9 @@ def test_multi_spread_aggregates_mean():
     spec = StatisticSpec.edges_within(g)
     res = multi_spread_mc_test(spec, ivs, TestConfig(alpha=0.1, B=100, seed=1))
     assert res.observed == 1.0  # (2 + 0) / 2
-    assert res.mode == "multi-spread"
+    assert res.mode == "full-permute"
+    cfg = TestConfig(alpha=0.1, B=100, seed=1, mode="censor-fixing")
+    assert multi_spread_mc_test(spec, ivs, cfg).mode == "censor-fixing"
     with pytest.raises(ValueError):
         multi_spread_mc_test(spec, [], TestConfig(alpha=0.1, B=10))
     with pytest.raises(ValueError):

@@ -271,7 +271,7 @@ def test_composite_mc_test_canary():
     assert not res.reject
     assert res.histogram == ((0.0, 3), (1.0, 12), (2.0, 22), (3.0, 26), (4.0, 13), (5.0, 3), (6.0, 1))
     assert (res.raw_ge_count, res.n_draws, res.saturated) == (17, 80, (False, True))
-    assert (res.statistic, res.tail, res.mode) == ("W+R", "upper+lower", "composite")
+    assert (res.statistic, res.tail, res.mode) == ("W+R", "upper+lower", "full-permute")
 
 
 _IVS = [
@@ -711,7 +711,7 @@ def _oracle_composite(first, second, iv, cfg):
     s2 = np.array([oracles.score(second, InfectionVector(row)) for row in draws])
     labels = dict(
         statistic=f"{first.name}+{second.name}", tail=f"{first.tail}+{second.tail}",
-        mode="composite", validity_warning="unverifiable: no null graph provided",
+        mode=cfg.mode, validity_warning="unverifiable: no null graph provided",
     )
     one = permtest._calibrate(o1, s1, cfg.alpha / 2, **labels)
     two = permtest._calibrate(o2, s2[s1 <= one.threshold], cfg.alpha / 2, total=cfg.B, **labels)
@@ -740,7 +740,7 @@ def test_composite_and_multi_spread_equal_per_draw_loop(case):
             _oracle_mean(first, stack),
             np.array([_oracle_mean(first, draw) for draw in _oracle_draws(stack, cfg)]),
             cfg.alpha,
-            statistic=f"avg-{first.name}", tail=first.tail, mode="multi-spread",
+            statistic=f"avg-{first.name}", tail=first.tail, mode=cfg.mode,
             validity_warning="unverifiable: no null graph provided",
         )
     except DisconnectedTerminalsError:

@@ -18,6 +18,7 @@ from netspread import (
     InfectionVector,
     ParseError,
     SpreadParams,
+    StatisticSpec,
     align_to_graph,
     build_graph,
     censor_fixed,
@@ -27,6 +28,7 @@ from netspread import (
     edges_within,
     empty_graph,
     erdos_renyi,
+    exact_test,
     infection_from_infected,
     infection_law_exact,
     ising_sample_exact,
@@ -36,10 +38,12 @@ from netspread import (
     simulate_spread,
     star_graph,
     substream,
+    topology_sup_likelihood,
     torus_grid,
     write_status_file,
 )
 from oracles import (
+    ising_sample_reference,
     path_law_probability,
     spread_law,
     spread_path_float_reference,
@@ -93,6 +97,15 @@ def test_infection_from_infected():
     assert iv.status.tolist() == [2, 1, 0, 0, 1]
     with pytest.raises(ValueError):
         infection_from_infected(5, [1], censored=[1])
+
+
+@pytest.mark.parametrize(
+    "infected, censored, bad", [([-1], [], -1), ([0], [-2], -2), ([7], [], 7), ([1], [5], 5)]
+)
+def test_infection_from_infected_refuses_vertices_out_of_range(infected, censored, bad):
+    # a negative vertex used to index from the end, and n or more died in numpy
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
+        infection_from_infected(5, infected, censored)
 
 
 def test_package_built_snapshots_own_read_only_int8_statuses():
@@ -611,6 +624,56 @@ def test_ising_sample_exact_matches_enumeration():
 def test_ising_guard():
     with pytest.raises(GuardExceededError):
         ising_sample_exact(cycle_graph(40), 1.0, 20, substream(0))
+
+
+@pytest.mark.parametrize("eta", [float("nan"), inf, -inf])
+def test_ising_refuses_a_non_finite_eta(eta):
+    # nan weights used to pick the first subset
+    with pytest.raises(ValueError, match="eta must be finite"):
+        ising_sample_exact(cycle_graph(6), eta, 2, substream(0))
+
+
+@pytest.mark.parametrize(
+    "g", [empty_graph(5), cycle_graph(6), star_graph(7), erdos_renyi(8, 0.4, 3), torus_grid((3, 3))]
+)
+def test_ising_sample_equals_per_subset_loop(g):
+    # one edge gather over the mask blocks draws what the per-subset loop draws
+    for eta in (-2.0, 0.0, 0.7, 1.5, 40.0, 3):
+        for k in range(1, g.n + 1):
+            for seed in range(3):
+                got = ising_sample_exact(g, eta, k, substream(seed, k))
+                assert got.infected == ising_sample_reference(g, eta, k, substream(seed, k))
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (5, 0), (5, 2), (6, 6), (7, 3)])
+def test_subset_masks_are_combinations_in_bounded_blocks(monkeypatch, n, k):
+    monkeypatch.setattr(spreading, "_BLOCK_STATUSES", 12)
+    blocks = list(spreading._subset_masks(n, k))
+    assert all(b.dtype == bool and b.shape[1] == n and len(b) <= max(1, 12 // n) for b in blocks)
+    rows = [tuple(np.flatnonzero(row).tolist()) for b in blocks for row in b]
+    assert rows == list(combinations(range(n), k))
+
+
+_C7 = cycle_graph(7)
+_C7_IV = infection_from_infected(7, [0, 1, 3])
+
+
+@pytest.mark.parametrize(
+    "count, call",
+    [
+        (35, lambda: exact_test(StatisticSpec.edges_within(_C7), _C7_IV, 0.1)),  # C(7, 3) sets
+        (35 * 6, lambda: topology_sup_likelihood(_C7, 1.0, _C7_IV)),  # k! paths per set
+        (35, lambda: ising_sample_exact(_C7, 1.0, 3, substream(0))),
+        (35 * 6, lambda: infection_law_exact(_C7, 1.0, 3)),
+    ],
+    ids=["exact_test", "topology_sup", "ising", "law"],
+)
+def test_subset_enumerators_refuse_one_past_the_cap(monkeypatch, count, call):
+    monkeypatch.setattr(spreading, "_EXACT_CAP", count)
+    call()
+    monkeypatch.setattr(spreading, "_EXACT_CAP", count - 1)
+    with pytest.raises(GuardExceededError, match=f"needs {count} evaluations, cap is {count - 1}"):
+        call()
 
 
 def test_status_file_round_trip():
