@@ -269,6 +269,25 @@ def _smallest(keys: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return infected
 
 
+def _uint32_keys(rng: np.random.Generator, count: int) -> np.ndarray:
+    """rng.integers(0, 1 << 32, size=count, dtype=np.uint32), with the state it leaves.
+
+    For PCG64 that call returns each raw 64-bit word's low half, then its
+    high half, and leaves the last high half in the state's uinteger
+    field, marked used. So with an even count and no half word buffered
+    the keys are the raw words read little-endian, with that one field
+    written: one array, where integers on top of the words would copy them.
+    """
+    bits = getattr(rng, "bit_generator", None)
+    if type(bits) is not np.random.PCG64 or count % 2 or not count or bits.state["has_uint32"]:
+        return rng.integers(0, 1 << 32, size=count, dtype=np.uint32)
+    words = bits.random_raw(count // 2)
+    state = bits.state
+    state["uinteger"] = int(words[-1] >> np.uint64(32))
+    bits.state = state
+    return words.astype("<u8", copy=False).view("<u4")
+
+
 def _draw_keys(
     rng: np.random.Generator, ks: np.ndarray, rows: int, p: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +301,7 @@ def _draw_keys(
     p fresh keys are appended: the loop's keys, with its end state.
     """
     m = len(ks)
-    flat = rng.integers(0, 1 << 32, size=rows * m * p, dtype=np.uint32)
+    flat = _uint32_keys(rng, rows * m * p)
     while True:
         keys = flat.reshape(rows, m, p)
         infected = _smallest(keys, ks)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, log, sqrt
+from math import exp, isfinite, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +66,8 @@ class RiskInputs:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 <= self.c <= self.n - self.k:
             raise ValueError(f"need 0 <= c <= n-k, got c={self.c}")
+        if not isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         if self.eta < 0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if not 0.0 < self.alpha < 1.0:

@@ -406,6 +406,8 @@ def path_probability(g: Graph, eta: float, path: InfectionPath) -> float:
     the count of already-infected neighbors of the new vertex and B_t
     the size of the infected/uninfected edge boundary before the step.
     """
+    if not isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     n = g.n

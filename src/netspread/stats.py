@@ -97,11 +97,14 @@ def orbit_count(iv: InfectionVector, vertex_orbit: Iterable[int]) -> int:
 
 
 def _edges_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
-    """edges_within of every row: one gather over the edge arrays."""
+    """edges_within of every row: one gather over the edge arrays, from a
+    vertex-major copy of the block, so that each endpoint's gather copies
+    a row (take's row copy beats fancy indexing at every block size)."""
     eu, ev = g.edge_arrays
-    both = infected[:, eu]
-    both &= infected[:, ev]
-    return np.count_nonzero(both, axis=1)
+    by_vertex = np.ascontiguousarray(infected.T)
+    both = by_vertex.take(eu, axis=0)
+    both &= by_vertex.take(ev, axis=0)
+    return np.count_nonzero(both, axis=0)
 
 
 def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:

@@ -29,6 +29,20 @@ from netspread.errors import DisconnectedTerminalsError
 from netspread.graphs import Graph
 from netspread.spreading import CENSORED, INFECTED, UNINFECTED, InfectionVector
 
+# one-sided tail of the Clopper-Pearson checks: a correct program fails one
+# this rarely
+CP_TAIL = 1e-6
+
+
+def clopper_pearson(x: int, n: int, tail: float = CP_TAIL) -> tuple[float, float]:
+    """The Clopper-Pearson interval of x successes in n trials, each side
+    at the given tail (scipy's beta quantiles)."""
+    from scipy.stats import beta
+
+    lower = beta.ppf(tail, x, n - x + 1) if x else 0.0
+    upper = beta.ppf(1 - tail, x + 1, n - x) if x < n else 1.0
+    return lower, upper
+
 
 def spread_law(g, eta: float, k: int) -> dict[frozenset, float]:
     """Exact law of the infected set after k sequential infections.

@@ -611,6 +611,16 @@ def test_risk_guard_exceeded_exit_code(tmp_path, capsys):
     assert "guard exceeded" in err
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+@pytest.mark.parametrize("etype", ["star-null", "center", "multi-spread", "line-cycle"])
+def test_risk_bounds_refuse_a_non_finite_eta(tmp_path, capsys, etype, eta):
+    # json.loads reads the NaN and Infinity that json.dumps writes
+    entry = {"type": etype, "n": 30, "k": 5, "eta": eta}
+    cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": [entry]})
+    code, stdout, err = run(capsys, "risk", "--config", cfg)
+    assert (code, stdout, err) == (2, "", f"invalid parameters: eta must be finite, got {eta}\n")
+
+
 def test_risk_empty_entries(tmp_path, capsys):
     cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": []})
     code, _, _ = run(capsys, "risk", "--config", cfg)

@@ -84,6 +84,22 @@ def test_likelihood_exact_validation():
         likelihood_exact(complete_graph(12), 1.0, iv_of(12, range(9)))
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda g, eta, iv: likelihood_exact(g, eta, iv),
+        lambda g, eta, iv: infection_law_exact(g, eta, iv.k),
+        lambda g, eta, iv: topology_sup_likelihood(g, eta, iv),
+    ],
+    ids=["likelihood_exact", "infection_law_exact", "topology_sup_likelihood"],
+)
+def test_exact_laws_refuse_a_non_finite_eta(law, eta):
+    # both etas used to give nan likelihoods, and a sup of 0.0 (max(0.0, nan) keeps 0.0)
+    with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
+        law(cycle_graph(6), eta, iv_of(6, [0, 1, 2]))
+
+
 def test_censored_delegates_when_no_censoring():
     g = cycle_graph(5)
     iv = iv_of(5, [0, 1])

@@ -493,6 +493,75 @@ def test_tied_keys_are_redrawn_whatever_the_block_size(stack, positions):
         assert statuses[2, 0].tolist() == [1, 2, 1, 2, 0, 0]
 
 
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def _generator(bit_generator, seed, buffered):
+    """A Generator on a fresh bit generator; with buffered, one uint32 drawn
+    first, which leaves half a word waiting where the bit generator keeps one."""
+    rng = np.random.Generator(bit_generator(seed))
+    if buffered:
+        rng.integers(0, 1 << 32, dtype=np.uint32)
+    return rng
+
+
+def _comparable(state):
+    """A bit generator's state with its arrays as lists, so == compares it."""
+    if isinstance(state, dict):
+        return {key: _comparable(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(_BIT_GENERATORS), st.integers(0, 2**63), st.booleans(),
+    st.integers(1, 5), st.integers(1, 3), st.integers(0, 9),
+)
+@example(np.random.PCG64, 7, False, 1, 1, 0)  # no key
+@example(np.random.PCG64, 7, False, 1, 1, 2)  # one raw word
+@example(np.random.PCG64, 7, True, 1, 2, 4)  # a buffered half word: the integers call
+@example(np.random.PCG64, 7, False, 3, 1, permtest._BLOCK_STATUSES + 1)  # past one block
+def test_draw_keys_are_the_integers_call(bit_generator, seed, buffered, rows, m, p):
+    # every snapshot infects all or none of its p positions, so no key ties
+    # and the block holds the flat key stream: PCG64's raw words where they
+    # are integers' keys, the integers call elsewhere, with one end state
+    ks = np.array([p, 0, p][:m])
+    drawn, called = _generator(bit_generator, seed, buffered), _generator(bit_generator, seed, buffered)
+    keys, infected = permtest._draw_keys(drawn, ks, rows, p)
+    want = called.integers(0, 1 << 32, size=rows * m * p, dtype=np.uint32)
+    assert keys.dtype == np.uint32 and np.array_equal(keys.reshape(-1), want)
+    assert np.array_equal(np.count_nonzero(infected, axis=-1), np.broadcast_to(ks, (rows, m)))
+    assert _comparable(drawn.bit_generator.state) == _comparable(called.bit_generator.state)
+
+
+class _Recording:
+    """A generator that forwards its integers calls to rng and records
+    their sizes; it has rng's bit generator only when exposed."""
+
+    def __init__(self, rng, exposed):
+        self.rng, self.sizes = rng, []
+        if exposed:
+            self.bit_generator = rng.bit_generator
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+def test_substreams_draw_keys_from_raw_words():
+    # the package's generators are PCG64, so a block reads its keys as raw
+    # words and never calls integers; another bit generator would drop
+    # that path and change no value, so this guards the speed
+    assert type(substream(4, 2, 7).bit_generator) is np.random.PCG64
+    cfg = TestConfig(alpha=0.1, B=40, seed=4, mode="censor-fixing")
+    raw, plain = _Recording(substream(4), True), _Recording(substream(4), False)
+    got = list(permtest._mc_draws(_IV.status[None], cfg, raw, first_rows=16))
+    want = list(permtest._mc_draws(_IV.status[None], cfg, plain, first_rows=16))
+    assert raw.sizes == [] and plain.sizes == [16 * 23, 24 * 23]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want) == 2
+    assert raw.rng.bit_generator.state == plain.rng.bit_generator.state
+
+
 def test_hooked_and_unhooked_runs_agree():
     # mc_test scores exactly the masks _mc_draws yields from its generator,
     # and both leave that generator at one place
@@ -535,11 +604,6 @@ def test_resampled_rows_hold_the_drawn_masks(monkeypatch, mode, tie):
 
 
 # -- the law of the draw ------------------------------------------------------------
-
-# one-sided Clopper-Pearson tail of the checks below: a correct draw fails
-# one this rarely
-CP_TAIL = 1e-6
-
 
 def _exact_cells(stack, mode):
     """The equally likely (infected, censored) pairs of a relabeled (m, n)
@@ -584,7 +648,7 @@ def test_hooked_draws_follow_the_exact_law(stack, mode):
         snaps = row.reshape(stack.shape)
         seen[tuple((frozenset(np.flatnonzero(s == 1).tolist()), frozenset(np.flatnonzero(s == 2).tolist())) for s in snaps)] += 1
     assert set(seen) == set(cells)
-    assert chisquare([seen[cell] for cell in cells]).pvalue > CP_TAIL
+    assert chisquare([seen[cell] for cell in cells]).pvalue > oracles.CP_TAIL
 
 
 def _exact_tail(spec, stack, mode):
@@ -615,15 +679,14 @@ def _exact_tail(spec, stack, mode):
     ],
 )
 def test_mc_p_values_agree_with_the_exact_law(spec, stack, mode):
-    beta = pytest.importorskip("scipy.stats").beta
+    pytest.importorskip("scipy.stats")
     stack = np.array(stack, dtype=np.int8)
     ivs = [InfectionVector(snap) for snap in stack]
     exact = _exact_tail(spec, stack, mode)
     cfg = TestConfig(alpha=0.1, B=4000, seed=6, mode=mode)
     res = multi_spread_mc_test(spec, ivs, cfg) if len(ivs) > 1 else mc_test(spec, ivs[0], cfg)
     ge, B = res.raw_ge_count, cfg.B
-    lower = beta.ppf(CP_TAIL, ge, B - ge + 1) if ge else 0.0
-    upper = beta.ppf(1 - CP_TAIL, ge + 1, B - ge) if ge < B else 1.0
+    lower, upper = oracles.clopper_pearson(ge, B)
     assert 0.0 < exact < 1.0 and lower <= exact <= upper
     if mode == "full-permute" and len(ivs) == 1:
         assert exact_test(spec, ivs[0], 0.1).p_value == exact

@@ -37,7 +37,7 @@ from netspread import (
     tt_threshold,
 )
 from netspread import risk
-from oracles import cascade_orderings
+from oracles import cascade_orderings, clopper_pearson
 
 
 def test_risk_inputs_validation():
@@ -56,6 +56,14 @@ def test_risk_inputs_validation():
         RiskInputs(n=10, k=3, D=0)
     with pytest.raises(ValueError):
         RiskInputs(n=10, k=3, m=0)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+def test_risk_inputs_refuse_a_non_finite_eta(eta):
+    # star_null_risk_bound gave BoundValue(nan, vacuous=False) at nan, a nan
+    # passed off as a guarantee, and center_test_risk_bounds a nan upper bound at inf
+    with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
+        RiskInputs(n=30, k=5, eta=eta)
 
 
 def test_h_eta_closed_behavior():
@@ -462,3 +470,23 @@ def test_baseline_risk_curve_refuses_a_repeated_eta(algorithm, g, diagnosis):
     assert rule.diagnosis == diagnosis
     with pytest.raises(ValueError, match=r"^etas\[1\]=1.0 repeats an earlier eta$"):
         baseline_risk_curve(rule, [1.0, 1.0], 5, 0, 4)
+
+
+@pytest.mark.parametrize(
+    "n, k, etas", [(30, 5, [0.5, 4.0]), (100, 10, [0.25, 1.0]), (20, 3, [0.1, 10.0])]
+)
+def test_center_test_risk_meets_the_papers_bounds(n, k, etas):
+    # the paper's center test rejects iff the star's center is infected: risk
+    # k/n (Type I under the empty null) + P(center missed) under the star,
+    # the miss rate read off the C values of simulated alternatives, on both
+    # sides of eta = 1, where the upper bound branches
+    pytest.importorskip("scipy.stats")
+    reps = 1500
+    cfg = TestConfig(alpha=0.5, B=1, seed=3)
+    curve = mc_risk_curve(
+        empty_graph(n), star_graph(n), 0.0, etas, k, 0, cfg, reps, StatisticSpec.center_indicator(0)
+    )
+    for eta in etas:
+        lower, upper = center_test_risk_bounds(RiskInputs(n=n, k=k, eta=eta))
+        cp_lower, cp_upper = clopper_pearson(curve.alt_values[eta].count(0), reps)
+        assert k / n + cp_lower <= upper and lower <= k / n + cp_upper, eta

@@ -34,6 +34,7 @@ from netspread import (
 )
 from netspread import stats as stats_mod
 from networkx.algorithms.isomorphism import GraphMatcher
+from oracles import edges_within as edges_oracle
 from oracles import steiner_optimum
 from oracles import steiner_weight as mehlhorn_oracle
 
@@ -303,6 +304,32 @@ def test_steiner_batch_equals_mehlhorn_oracle(case, chunk_bytes):
         if chunk_bytes is not None:
             mp.setattr(stats_mod, "_T_CHUNK_BYTES", chunk_bytes)
         _assert_batch_matches_oracle(g, block)
+
+
+@st.composite
+def graphs_and_status_blocks(draw):
+    """A random graph on 1..40 vertices (edgeless ones included) and a block
+    of 0..8 independent status rows with censoring."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=8))
+    return g, np.array(rows, dtype=np.int8).reshape(len(rows), n)
+
+
+@settings(max_examples=200)
+@given(graphs_and_status_blocks())
+@example((empty_graph(5), np.ones((3, 5), dtype=np.int8)))
+@example((cycle_graph(6), np.zeros((0, 6), dtype=np.int8)))
+@example((cycle_graph(6), np.array([[1, 1, 2, 1, 1, 1]], dtype=np.int8)))
+def test_edges_batch_equals_per_row_oracle(case):
+    # the vertex-major gather counts what the per-row edge loop counts, on
+    # bool masks and on int8 status blocks alike
+    g, block = case
+    want = [edges_oracle(g, InfectionVector(row)) for row in block]
+    assert stats_mod._edges_batch(g, block == 1).tolist() == want
+    assert StatisticSpec.edges_within(g).score_batch(block).tolist() == [float(w) for w in want]
 
 
 def test_steiner_batch_on_an_analyst_session_block():
