@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial, fsum
 
 from .errors import GuardExceededError
@@ -19,8 +18,8 @@ from .spreading import (
     INFECTED,
     InfectionPath,
     InfectionVector,
+    _nonnegative,
     _subset_masks,
-    infection_from_infected,
     path_probability,
 )
 
@@ -36,8 +35,6 @@ __all__ = [
 # the most infected vertices, censored ones included, whose k! orderings a
 # likelihood sums
 _K_GUARD = 8
-# the most paths a censored normalization enumerates
-_CENSORED_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,7 @@ def likelihood_exact(g: Graph, eta: float, iv: InfectionVector) -> LikelihoodRep
     k = iv.k
     if k == 0:
         raise ValueError("need at least one infected vertex")
+    _nonnegative("eta", eta)
     if g.num_edges == 0:
         return LikelihoodReport(
             value=1.0 / comb(g.n, k), n_paths=factorial(k), eta=eta
@@ -83,49 +81,16 @@ def likelihood_exact(g: Graph, eta: float, iv: InfectionVector) -> LikelihoodRep
     return LikelihoodReport(value=total, n_paths=factorial(k), eta=eta)
 
 
-def _completion_mass(g: Graph, eta: float, iv: InfectionVector) -> tuple[float, int, int]:
-    """Unnormalized censored mass: mean over censored-set draws of the
-    uncensored law, summed over all 2^c completions of this snapshot.
-
-    Returns (mass, paths_summed, completions).
-    """
-    censored = iv.censored
-    base = iv.status.copy()
-    base[list(censored)] = 0
-    n_paths = 0
-    terms = []
-    for bits in itertools.product((0, 1), repeat=len(censored)):
-        status = base.copy()
-        for v, bit in zip(censored, bits):
-            status[v] = INFECTED if bit else 0
-        completed = InfectionVector(status)
-        rep = likelihood_exact(g, eta, completed)
-        n_paths += rep.n_paths
-        terms.append(rep.value)
-    mass = fsum(terms) / comb(iv.n, len(censored))
-    return mass, n_paths, 1 << len(censored)
-
-
-@lru_cache(maxsize=64)
-def _censored_norm(g: Graph, eta: float, k: int, c: int) -> float:
-    """Normalizer over every snapshot with k infected and c censored."""
-    n = g.n
-    total_terms = []
-    for infected in itertools.combinations(range(n), k):
-        rest = [v for v in range(n) if v not in infected]
-        for cens in itertools.combinations(rest, c):
-            snapshot = infection_from_infected(n, infected, cens)
-            mass, _, _ = _completion_mass(g, eta, snapshot)
-            total_terms.append(mass)
-    return fsum(total_terms)
-
-
 def likelihood_censored(g: Graph, eta: float, iv: InfectionVector) -> LikelihoodReport:
-    """Probability of a censored snapshot.
+    """Probability of a censored snapshot: the sum of likelihood_exact(I | S)
+    over the 2^c subsets S of the censored vertices, divided by C(n+1, c).
 
-    Averages the uncensored law over all 2^c infected/uninfected
-    completions of the censored vertices (the censored set itself is
-    uniform), then normalizes over every snapshot with the same (k, c).
+    That sum over every snapshot with the same (k, c) is C(n+1, c) on any
+    graph at any eta, so dividing by it normalizes: a set J of k + s
+    infected vertices completes C(k+s, s) * C(n-k-s, c-s) snapshots
+    (which s of J are censored, and which c - s others), the sets J of
+    one size carry that spread length's law, which sums to one, and
+    sum_s C(k+s, s) C(n-k-s, c-s) = C(n+1, c) (Chu-Vandermonde).
     Reduces to likelihood_exact when c = 0.
     """
     if g.n != iv.n:
@@ -134,39 +99,27 @@ def likelihood_censored(g: Graph, eta: float, iv: InfectionVector) -> Likelihood
         raise ValueError("need at least one infected vertex")
     if iv.c == 0:
         return likelihood_exact(g, eta, iv)
-    k, cc, n = iv.k, iv.c, iv.n
-    if k + cc > _K_GUARD:
+    k, c = iv.k, iv.c
+    if k + c > _K_GUARD:
         raise GuardExceededError(
-            f"censored likelihood needs paths of length up to {k + cc}; guard is {_K_GUARD}"
+            f"censored likelihood needs paths of length up to {k + c}; guard is {_K_GUARD}"
         )
-    # rough enumeration cost: snapshots * completions * orderings
-    cost = comb(n, k) * comb(n - k, cc) * (1 << cc) * factorial(k + cc)
-    if cost > _CENSORED_CAP:
-        raise GuardExceededError(
-            f"censored normalization enumerates ~{cost} paths, cap is {_CENSORED_CAP}"
-        )
-    if g.num_edges == 0:
-        # uniform over snapshots: 1 / (n choose k, c, rest)
-        value = 1.0 / (comb(n, k) * comb(n - k, cc))
-        return LikelihoodReport(
-            value=value, n_paths=factorial(k), eta=eta, censor_terms=1 << cc
-        )
-    mass, n_paths, completions = _completion_mass(g, eta, iv)
-    norm = _censored_norm(g, eta, k, cc)
+    censored = list(iv.censored)
+    terms, n_paths = [], 0
+    for bits in itertools.product((0, INFECTED), repeat=c):
+        status = iv.status.copy()
+        status[censored] = bits
+        rep = likelihood_exact(g, eta, InfectionVector._trusted(status))
+        terms.append(rep.value)
+        n_paths += rep.n_paths
     return LikelihoodReport(
-        value=mass / norm, n_paths=n_paths, eta=eta, censor_terms=completions
+        value=fsum(terms) / comb(iv.n + 1, c), n_paths=n_paths, eta=eta, censor_terms=1 << c
     )
 
 
 def likelihood_ratio(g0: Graph, g1: Graph, eta: float, iv: InfectionVector) -> float:
-    """L(g1) / L(g0) for the same snapshot; censoring handled on both sides."""
-    if iv.c:
-        num = likelihood_censored(g1, eta, iv)
-        den = likelihood_censored(g0, eta, iv)
-    else:
-        num = likelihood_exact(g1, eta, iv)
-        den = likelihood_exact(g0, eta, iv)
-    return num.value / den.value
+    """L(g1) / L(g0) for the same snapshot, censored or not (C(n+1, c) cancels)."""
+    return likelihood_censored(g1, eta, iv).value / likelihood_censored(g0, eta, iv).value
 
 
 def first_order_residual(g1: Graph, eta: float, iv: InfectionVector) -> float:

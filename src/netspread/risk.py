@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, isfinite, log, sqrt
+from math import exp, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import GuardExceededError
 from .graphs import Graph, eccentricity, empty_graph
 from .permtest import TestConfig, _mc_rejects, mc_test
 from .rng import substream
-from .spreading import CENSORED, INFECTED, InfectionVector, SpreadParams, _check_spread, _spread_paths
+from .spreading import CENSORED, INFECTED, InfectionVector, SpreadParams, _check_spread, _nonnegative, _spread_paths
 from .stats import StatisticSpec
 
 __all__ = [
@@ -66,10 +66,7 @@ class RiskInputs:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 <= self.c <= self.n - self.k:
             raise ValueError(f"need 0 <= c <= n-k, got c={self.c}")
-        if not isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        _nonnegative("eta", self.eta)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.D < 1:
@@ -103,10 +100,13 @@ def h_eta(n: int, k: int, eta: float, nt_min: float) -> float:
 
     nt_min lower-bounds the infected/uninfected edge boundary along the
     spread (2 on a cycle). As eta grows the product tends to
-    nt_min^(-(k-1)).
+    nt_min^(-(k-1)). Needs 1 <= k <= n and finite eta, nt_min >= 0, so
+    every denominator is at least 1.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _nonnegative("eta", eta)
+    _nonnegative("nt_min", nt_min)
     out = 1.0
     for t in range(1, k):
         out *= eta / (n - t + eta * nt_min)
@@ -198,6 +198,7 @@ def _edges_bound(inputs: RiskInputs, c_k: float, nt_min: float, m: int) -> Bound
     n, k, eta, alpha, d = inputs.n, inputs.k, inputs.eta, inputs.alpha, inputs.D
     if n < 2:
         raise ValueError("bound needs n >= 2")
+    _nonnegative("c_k", c_k)
     bracket = (
         (d / 2.0) * c_k * h_eta(n, k, eta, nt_min)
         - d * k * (k - 1) / (2.0 * (n - 1))

@@ -163,6 +163,14 @@ class SpreadParams:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
+def _nonnegative(name: str, x: float) -> None:
+    """Raise ValueError unless x is a finite number >= 0."""
+    if not isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    if x < 0:
+        raise ValueError(f"{name} must be >= 0, got {x}")
+
+
 def simulate_spread(
     g: Graph, params: SpreadParams, seed_or_rng: int | np.random.Generator
 ) -> InfectionPath:
@@ -406,10 +414,7 @@ def path_probability(g: Graph, eta: float, path: InfectionPath) -> float:
     the count of already-infected neighbors of the new vertex and B_t
     the size of the infected/uninfected edge boundary before the step.
     """
-    if not isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    _nonnegative("eta", eta)
     n = g.n
     if any(not 0 <= v < n for v in path.order):
         raise ValueError("path vertex out of range")

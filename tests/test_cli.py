@@ -612,13 +612,44 @@ def test_risk_guard_exceeded_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
-@pytest.mark.parametrize("etype", ["star-null", "center", "multi-spread", "line-cycle"])
+@pytest.mark.parametrize("etype", ["star-null", "center", "multi-spread", "line-cycle", "h-eta"])
 def test_risk_bounds_refuse_a_non_finite_eta(tmp_path, capsys, etype, eta):
     # json.loads reads the NaN and Infinity that json.dumps writes
-    entry = {"type": etype, "n": 30, "k": 5, "eta": eta}
+    entry = {"type": etype, "n": 30, "k": 5, "eta": eta, "nt_min": 2.0}
     cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": [entry]})
     code, stdout, err = run(capsys, "risk", "--config", cfg)
     assert (code, stdout, err) == (2, "", f"invalid parameters: eta must be finite, got {eta}\n")
+
+
+# at n=10, eta=9, an nt_min of -1 zeroes h_eta's first denominator
+_BOUND_ENTRIES = [
+    {"type": "h-eta", "n": 10, "k": 3, "eta": 9, "nt_min": 2},
+    {"type": "cascade-cycle", "k": 4},
+    {"type": "star-null", "n": 10, "k": 3, "c": 2, "eta": 9, "alpha": 0.05, "D": 2, "c_k": 8, "nt_min": 2},
+    {"type": "center", "n": 10, "k": 3, "c": 2, "eta": 9, "alpha": 0.05},
+    {"type": "multi-spread", "n": 10, "k": 3, "eta": 9, "alpha": 0.05, "D": 2, "m": 3, "c_k": 8, "nt_min": 2},
+    {"type": "line-cycle", "n": 10, "k": 3, "c": 2, "eta": 9, "alpha": 0.05},
+]
+
+
+def test_risk_bounds_never_raise_on_bad_numbers(tmp_path, capsys):
+    # every numeric field of every bound type, in turn, at each value: a
+    # documented exit code, and no nan or inf in a result it accepts
+    cfg = tmp_path / "r.json"
+    wrong = []
+    for base in _BOUND_ENTRIES:
+        for key in [k for k in base if k != "type"]:
+            for value in (float("nan"), float("inf"), -float("inf"), -1, 0):
+                entry = dict(base, **{key: value})
+                cfg.write_text(json.dumps({"schema": 1, "kind": "bounds", "entries": [entry]}))
+                try:
+                    code, stdout, _ = run(capsys, "risk", "--config", str(cfg))
+                except Exception as exc:  # any traceback is the failure looked for
+                    wrong.append((base["type"], key, value, repr(exc)))
+                    continue
+                if code not in (0, 2, 3, 4) or code == 0 and ("nan" in stdout or "inf" in stdout):
+                    wrong.append((base["type"], key, value, code, stdout))
+    assert wrong == []
 
 
 def test_risk_empty_entries(tmp_path, capsys):

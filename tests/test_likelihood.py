@@ -84,20 +84,24 @@ def test_likelihood_exact_validation():
         likelihood_exact(complete_graph(12), 1.0, iv_of(12, range(9)))
 
 
-@pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), -3.0])
 @pytest.mark.parametrize(
     "law",
     [
         lambda g, eta, iv: likelihood_exact(g, eta, iv),
         lambda g, eta, iv: infection_law_exact(g, eta, iv.k),
         lambda g, eta, iv: topology_sup_likelihood(g, eta, iv),
+        lambda g, eta, iv: likelihood_censored(g, eta, iv_of(g.n, iv.infected, [5])),
     ],
-    ids=["likelihood_exact", "infection_law_exact", "topology_sup_likelihood"],
+    ids=["likelihood_exact", "infection_law_exact", "topology_sup_likelihood", "likelihood_censored"],
 )
 def test_exact_laws_refuse_a_non_finite_eta(law, eta):
-    # both etas used to give nan likelihoods, and a sup of 0.0 (max(0.0, nan) keeps 0.0)
-    with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
-        law(cycle_graph(6), eta, iv_of(6, [0, 1, 2]))
+    # both etas used to give nan likelihoods, and a sup of 0.0 (max(0.0, nan) keeps 0.0);
+    # the edgeless graph's closed form used to take any eta
+    message = f"eta must be finite, got {eta}" if eta != -3.0 else "eta must be >= 0, got -3.0"
+    for g in (cycle_graph(6), empty_graph(6)):
+        with pytest.raises(ValueError, match=message):
+            law(g, eta, iv_of(6, [0, 1, 2]))
 
 
 def test_censored_delegates_when_no_censoring():
@@ -110,19 +114,39 @@ def test_censored_empty_graph_multinomial():
     rep = likelihood_censored(empty_graph(4), 9.0, iv_of(4, [1], censored=[2]))
     assert isclose(rep.value, 1.0 / (comb(4, 1) * comb(3, 1)))
     assert rep.censor_terms == 2
+    # 1! + 2! paths over the two completions, as on a graph with edges
+    assert rep.n_paths == 3
+
+
+_MASS_CASES = [
+    (cycle_graph(4), [(1, 1), (2, 1), (1, 2), (1, 3), (2, 2)]),
+    (star_graph(5), [(1, 1), (2, 2), (1, 4), (2, 3)]),
+    (empty_graph(5), [(1, 2), (3, 2)]),
+    (build_graph(6, [(0, 1), (2, 3)]), [(1, 1), (2, 1), (1, 2), (2, 4)]),
+]
 
 
 def test_censored_total_mass_is_one():
-    g = cycle_graph(4)
-    eta = 3.0
-    for k, c in [(1, 1), (2, 1), (1, 2)]:
-        total = []
-        for infected in combinations(range(4), k):
-            rest = [v for v in range(4) if v not in infected]
-            for cens in combinations(rest, c):
-                rep = likelihood_censored(g, eta, iv_of(4, infected, cens))
-                total.append(rep.value)
-        assert isclose(fsum(total), 1.0, rel_tol=1e-10)
+    # the normalizer C(n+1, c) is exact on any graph at any eta, k + c = n included
+    for g, pairs in _MASS_CASES:
+        for k, c in pairs:
+            for eta in (0.0, 1.0, 1e3):
+                total = []
+                for infected in combinations(range(g.n), k):
+                    rest = [v for v in range(g.n) if v not in infected]
+                    for cens in combinations(rest, c):
+                        total.append(likelihood_censored(g, eta, iv_of(g.n, infected, cens)).value)
+                assert isclose(fsum(total), 1.0, rel_tol=1e-12), (g.n, g.edges, k, c, eta)
+
+
+def test_censored_likelihood_is_its_completion_sum():
+    # C(12, 3) * C(9, 3) * 2^3 * 6! ~ 1.06e8 paths for a normalizing enumeration
+    g = cycle_graph(12)
+    rep = likelihood_censored(g, 2.0, iv_of(12, [0, 1, 2], censored=[5, 6, 7]))
+    completions = [s for r in range(4) for s in combinations([5, 6, 7], r)]
+    terms = [likelihood_exact(g, 2.0, iv_of(12, [0, 1, 2, *s])).value for s in completions]
+    assert rep.value == fsum(terms) / comb(13, 3)
+    assert (rep.n_paths, rep.censor_terms) == (6 + 3 * 24 + 3 * 120 + 720, 8)
 
 
 def test_censored_validation_and_guards():

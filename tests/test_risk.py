@@ -1,3 +1,4 @@
+import re
 from math import exp, isclose, log
 
 import pytest
@@ -74,8 +75,28 @@ def test_h_eta_closed_behavior():
     assert isclose(h_eta(10, 3, 2.0, 2.0), want)
     # eta -> infinity limit is nt_min^-(k-1)
     assert isclose(h_eta(50, 4, 1e12, 2.0), 2.0 ** -3, rel_tol=1e-6)
-    with pytest.raises(ValueError):
-        h_eta(10, 0, 1.0, 2.0)
+    refused = [
+        ((10, 0, 1.0, 2.0), "need 1 <= k <= n, got k=0, n=10"),
+        ((2, 5, 0.0, 2.0), "need 1 <= k <= n, got k=5, n=2"),
+        ((100, 3, -1.0, 2.0), "eta must be >= 0, got -1.0"),
+        ((100, 3, float("nan"), 2.0), "eta must be finite, got nan"),
+        ((100, 3, float("inf"), 2.0), "eta must be finite, got inf"),
+        ((10, 3, 9.0, -1.0), "nt_min must be >= 0, got -1.0"),
+        ((10, 3, 9.0, float("nan")), "nt_min must be finite, got nan"),
+    ]
+    for args, message in refused:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            h_eta(*args)
+
+
+@pytest.mark.parametrize("c_k", [float("nan"), float("inf"), -1.0])
+def test_edges_bounds_refuse_a_bad_cascade_count(c_k):
+    # an infinite c_k used to give BoundValue(alpha, vacuous=False)
+    inputs = RiskInputs(n=30, k=5, eta=4.0)
+    with pytest.raises(ValueError, match="c_k must be "):
+        star_null_risk_bound(inputs, c_k)
+    with pytest.raises(ValueError, match="c_k must be "):
+        multi_spread_bounds(inputs, c_k)
 
 
 def test_h_eta_monotone_in_eta():
