@@ -186,6 +186,18 @@ def _opt(cfg: dict, key: str, kind, path: str, default):
     return _need(cfg, key, kind, path)
 
 
+def _entries(doc: dict, path: str) -> Iterator[tuple[str, dict]]:
+    """(path, entry) for each item of the non-empty list doc["entries"],
+    refusing an item that is not an object when it is reached."""
+    entries = _need(doc, "entries", list, path)
+    if not entries:
+        raise ConfigError(f"{path}.entries: must be non-empty")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}.entries[{i}]: expected object")
+        yield f"{path}.entries[{i}]", entry
+
+
 def _graph_from(cfg: dict, key: str, path: str) -> Graph:
     return from_spec(_need(cfg, key, str, path))
 
@@ -455,14 +467,7 @@ def _cmd_risk(args: argparse.Namespace) -> None:
     doc = _load_config(args.config)
     kind = _need(doc, "kind", str, args.config)
     if kind == "bounds":
-        entries = _need(doc, "entries", list, args.config)
-        if not entries:
-            raise ConfigError(f"{args.config}.entries: must be non-empty")
-        results = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"{args.config}.entries[{i}]: expected object")
-            results.append(_bound_entry(entry, f"{args.config}.entries[{i}]"))
+        results = [_bound_entry(entry, path) for path, entry in _entries(doc, args.config)]
     elif kind == "mc":
         etas = _eta_list(doc, args.config)
         (g0, alt, eta0, k, c, cfg, reps), name = _mc_settings(doc, args.config, from_spec, statistic="W")
@@ -502,19 +507,13 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
     TB/TT row in one baseline_risk_curve call. Rows and long_out files
     keep entry order."""
     doc = _load_config(args.config)
-    entries = _need(doc, "entries", list, args.config)
-    if not entries:
-        raise ConfigError(f"{args.config}.entries: must be non-empty")
     load = cache(from_spec)  # one graph per spec for the whole experiment
     rows = []  # (algorithm, statistic, perm settings or baseline setup, long_out)
     groups: dict[_McSettings, list[str]] = {}  # settings -> its perm rows' statistics
-    grid: list[float] = []
-    for i, entry in enumerate(entries):
-        path = f"{args.config}.entries[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected object")
+    grid: list[float] | None = None
+    for path, entry in _entries(doc, args.config):
         etas = _eta_list(entry, path)
-        if i == 0:
+        if grid is None:
             grid = etas
         elif etas != grid:
             raise ConfigError(f"{path}.etas: all entries must share one eta grid")

@@ -253,37 +253,28 @@ def torus_grid(dims: Sequence[int]) -> Graph:
         raise ValueError("torus needs at least one dimension")
     if any(d < 3 for d in dims):
         raise ValueError(f"torus dims must all be >= 3, got {dims}")
-    n = prod(dims)
-    strides = [prod(dims[a + 1 :]) for a in range(len(dims))]
-
-    def coords(v: int) -> list[int]:
-        out = []
-        for a, d in enumerate(dims):
-            out.append((v // strides[a]) % d)
-        return out
-
-    edges = []
-    for v in range(n):
-        cs = coords(v)
-        for a, d in enumerate(dims):
-            w = v + strides[a] * ((cs[a] + 1) % d - cs[a])
-            edges.append((v, w))
-    return build_graph(n, edges)
+    index = np.arange(prod(dims)).reshape(dims)
+    # each cell with its successor along every axis
+    heads = np.concatenate([np.roll(index, -1, axis).ravel() for axis in range(len(dims))])
+    return build_graph(index.size, zip(np.tile(index.ravel(), len(dims)).tolist(), heads.tolist()))
 
 
 # -- random families --------------------------------------------------------
+
+
+def _pair_draws(n: int, seed: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(u, the vertices above u, one uniform draw for each pair with u) for
+    u = 0..n-2, all drawn in that order from substream(seed)."""
+    rng = substream(seed)
+    for u in range(n - 1):
+        yield u, np.arange(u + 1, n), rng.random(n - 1 - u)
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the C(n,2) pairs is an edge independently."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    rng = substream(seed)
-    edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - u) < p)
-        edges.extend((u, u + 1 + int(h)) for h in hits)
-    return build_graph(n, edges)
+    return build_graph(n, [(u, v) for u, vs, draws in _pair_draws(n, seed) for v in vs[draws < p].tolist()])
 
 
 def two_block(n: int, p_in: float, p_out: float, seed: int) -> Graph:
@@ -292,15 +283,10 @@ def two_block(n: int, p_in: float, p_out: float, seed: int) -> Graph:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {p}")
     half = (n + 1) // 2
-    rng = substream(seed)
-    edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        draws = rng.random(n - 1 - u)
-        vs = np.arange(u + 1, n)
-        same = (vs < half) == (u < half)
-        thresh = np.where(same, p_in, p_out)
-        for h in np.flatnonzero(draws < thresh):
-            edges.append((u, int(vs[h])))
+    edges = []
+    for u, vs, draws in _pair_draws(n, seed):
+        hits = vs[draws < np.where((vs < half) == (u < half), p_in, p_out)]
+        edges.extend((u, v) for v in hits.tolist())
     return build_graph(n, edges)
 
 
@@ -316,22 +302,14 @@ def correlated_pair(n: int, p: float, gamma: float, seed: int) -> tuple[Graph, G
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if p > 0 and gamma < 2.0 - 1.0 / p - 1e-12:
         raise ValueError(f"gamma={gamma} too small for p={p}: pairs with neither edge would have negative probability")
-    rng = substream(seed)
-    edges0: list[tuple[int, int]] = []
-    edges1: list[tuple[int, int]] = []
     both, solo = gamma * p, p - gamma * p
-    for u in range(n - 1):
-        draws = rng.random(n - 1 - u)
-        for h in np.flatnonzero(draws < both + 2 * solo):
-            v = u + 1 + int(h)
-            d = draws[h]
-            if d < both:
-                edges0.append((u, v))
-                edges1.append((u, v))
-            elif d < both + solo:
-                edges0.append((u, v))
-            else:
-                edges1.append((u, v))
+    edges0, edges1 = [], []
+    # a draw below both is an edge of both graphs, the next solo of g0 only,
+    # the solo after that of g1 only
+    for u, vs, draws in _pair_draws(n, seed):
+        edges0.extend((u, v) for v in vs[draws < both + solo].tolist())
+        only1 = (draws >= both + solo) & (draws < both + 2 * solo)
+        edges1.extend((u, v) for v in vs[(draws < both) | only1].tolist())
     return build_graph(n, edges0), build_graph(n, edges1)
 
 

@@ -14,14 +14,7 @@ from math import comb, factorial, fsum
 
 from .errors import GuardExceededError
 from .graphs import Graph, empty_graph
-from .spreading import (
-    INFECTED,
-    InfectionPath,
-    InfectionVector,
-    _nonnegative,
-    _subset_masks,
-    path_probability,
-)
+from .spreading import INFECTED, InfectionVector, _nonnegative, _set_probability, _subset_masks
 
 __all__ = [
     "LikelihoodReport",
@@ -74,11 +67,7 @@ def likelihood_exact(g: Graph, eta: float, iv: InfectionVector) -> LikelihoodRep
         raise GuardExceededError(
             f"exact likelihood sums k! = {factorial(k)} paths; guard is k <= {_K_GUARD}"
         )
-    total = fsum(
-        path_probability(g, eta, InfectionPath(order))
-        for order in itertools.permutations(iv.infected)
-    )
-    return LikelihoodReport(value=total, n_paths=factorial(k), eta=eta)
+    return LikelihoodReport(value=_set_probability(g, eta, iv.infected), n_paths=factorial(k), eta=eta)
 
 
 def likelihood_censored(g: Graph, eta: float, iv: InfectionVector) -> LikelihoodReport:

@@ -65,6 +65,8 @@ class TestConfig:
             raise ValueError(f"B must be an integer, got {self.B!r}")
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.mode not in (MODE_FULL, MODE_CENSOR_FIXING):
             raise ValueError(f"unknown mode {self.mode!r}")
 

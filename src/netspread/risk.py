@@ -10,9 +10,7 @@ into a fake guarantee.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import exp, log, sqrt
 from typing import Sequence
 
@@ -125,7 +123,9 @@ def cascade_count(g: Graph, k: int, u: int, v: int) -> int:
 
     An ordering qualifies when every vertex after the first is adjacent
     to some earlier one, and at least one vertex stays out (k < n).
-    Brute-force enumeration, guarded.
+    Counted over connected vertex sets in one forward pass: every
+    singleton has one ordering, and each set passes its count to every
+    set grown from it by one neighbour. Guarded.
     """
     n = g.n
     if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -138,33 +138,17 @@ def cascade_count(g: Graph, k: int, u: int, v: int) -> int:
         )
     if k >= n or k < 2:
         return 0
-    adj = g.adjacency
-    total = 0
-    for subset in itertools.combinations(range(n), k):
-        ss = set(subset)
-        if u not in ss or v not in ss:
-            continue
-        total += _orderings_with_growth(adj, subset)
-    return total
-
-
-def _orderings_with_growth(adj, subset: tuple[int, ...]) -> int:
-    """Orderings of subset where each later vertex touches an earlier one."""
-    members = frozenset(subset)
-
-    @lru_cache(maxsize=None)
-    def count(placed: frozenset) -> int:
-        if len(placed) == len(members):
-            return 1
-        total = 0
-        for w in members - placed:
-            if not placed or any(x in adj[w] for x in placed):
-                total += count(placed | {w})
-        return total
-
-    result = count(frozenset())
-    count.cache_clear()
-    return result
+    near = [sum(1 << x for x in g.adjacency[w]) for w in range(n)]  # neighbour bit masks
+    counts = {1 << w: 1 for w in range(n)}  # vertex-set bit mask -> its growth orderings
+    for _ in range(k - 1):
+        grown: dict[int, int] = {}
+        for members, count in counts.items():
+            for w, reach in enumerate(near):
+                if reach & members and not members >> w & 1:
+                    grown[members | 1 << w] = grown.get(members | 1 << w, 0) + count
+        counts = grown
+    pair = 1 << u | 1 << v
+    return sum(count for members, count in counts.items() if members & pair == pair)
 
 
 def cascade_count_cycle(k: int) -> int:
@@ -218,30 +202,30 @@ def star_null_risk_bound(inputs: RiskInputs, c_k: float, nt_min: float = 2.0) ->
     return _edges_bound(inputs, c_k, nt_min, 1)
 
 
+def _center_miss(inputs: RiskInputs, scale: float | None = None) -> float:
+    """exp(-(k + eta k (k - 1) / 2) / scale), the printed bound on the chance
+    that a star's center stays uninfected. scale defaults to the printed
+    branch: (n - k + 1) + (k - 1) eta when eta >= 1, else n."""
+    n, k, eta = inputs.n, inputs.k, inputs.eta
+    if scale is None:
+        scale = (n - k + 1) + (k - 1) * eta if eta >= 1.0 else n
+    return exp(-(k + eta * k * (k - 1) / 2.0) / scale)
+
+
 def center_test_risk_bounds(inputs: RiskInputs) -> tuple[float, float]:
     """(lower, upper) risk of the center-indicator test against a star.
 
     The upper bound branches at eta >= 1 exactly as printed.
     """
-    n, k, eta = inputs.n, inputs.k, inputs.eta
+    n, k = inputs.n, inputs.k
     if k >= n:
         raise ValueError("center-test bounds need k < n")
-    strength = k + eta * k * (k - 1) / 2.0
-    lower = k / n + exp(-strength / (n - k))
-    if eta >= 1.0:
-        upper = k / n + exp(-strength / ((n - k + 1) + (k - 1) * eta))
-    else:
-        upper = k / n + exp(-strength / n)
-    return lower, upper
+    return k / n + _center_miss(inputs, n - k), k / n + _center_miss(inputs)
 
 
 def infection_reach_probability(inputs: RiskInputs) -> float:
     """Chance a star's center is infected under the alternative (lower bound)."""
-    n, k, eta = inputs.n, inputs.k, inputs.eta
-    strength = k + eta * k * (k - 1) / 2.0
-    if eta >= 1.0:
-        return 1.0 - exp(-strength / ((n - k + 1) + (k - 1) * eta))
-    return 1.0 - exp(-strength / n)
+    return 1.0 - _center_miss(inputs)
 
 
 def multi_spread_bounds(inputs: RiskInputs, c_k: float, nt_min: float = 2.0) -> MultiSpreadBounds:

@@ -20,10 +20,13 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     Parameters
     ----------
     seed : int
-        Master seed, non-negative.
+        Master seed: a non-negative int or numpy integer, never a bool or float.
     *path : int
-        Optional substream coordinates (replicate index, stage tag, ...).
+        Optional substream coordinates of the same kind (replicate index, stage tag, ...).
     """
+    for key in (seed, *path):
+        if not isinstance(key, (int, np.integer)) or isinstance(key, bool) or key < 0:
+            raise ValueError(f"seed and substream path need non-negative integers, got {key!r}")
     return np.random.default_rng(np.random.SeedSequence((int(seed), *map(int, path))))
 
 
@@ -31,4 +34,4 @@ def as_generator(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
     """Accept either a master seed or an already-built generator."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return substream(int(seed_or_rng))
+    return substream(seed_or_rng)

@@ -577,10 +577,12 @@ def infection_law_exact(g: Graph, eta: float, k: int):
     Sums path probabilities over all k! orderings of each k-subset.
     Guarded by _EXACT_CAP on the total number of paths.
     """
-    law: dict[tuple[int, ...], float] = {}
-    for block in _subset_masks(g.n, k, factorial(k)):
-        for row in block:
-            sub = tuple(np.flatnonzero(row).tolist())
-            orders = itertools.permutations(sub)
-            law[sub] = fsum(path_probability(g, eta, InfectionPath(p)) for p in orders)
-    return law
+    masks = itertools.chain.from_iterable(_subset_masks(g.n, k, factorial(k)))
+    subsets = (tuple(np.flatnonzero(row).tolist()) for row in masks)
+    return {sub: _set_probability(g, eta, sub) for sub in subsets}
+
+
+def _set_probability(g: Graph, eta: float, infected: Sequence[int]) -> float:
+    """Probability that the first len(infected) infections are exactly these
+    vertices: the fsum of path_probability over their orderings."""
+    return fsum(path_probability(g, eta, InfectionPath(p)) for p in itertools.permutations(infected))

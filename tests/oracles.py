@@ -11,7 +11,8 @@ tautology. spread_path_float_reference is the float walk of the spread
 sampler before it rounded eta onto a dyadic grid. relabeled_rows is the
 per-draw loop of the key draw that the package's blocked subset draw
 must reproduce. The exact layer's references enumerate relabelings where
-the package enumerates infected sets.
+the package enumerates infected sets. The graph family references are the
+per-vertex loops of the random families and of the torus.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from fractions import Fraction
-from math import comb, floor, fsum, inf
+from math import comb, floor, fsum, inf, prod
 
 import networkx as nx
 import numpy as np
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from netspread.errors import DisconnectedTerminalsError
-from netspread.graphs import Graph
+from netspread.graphs import Graph, build_graph
 from netspread.spreading import CENSORED, INFECTED, UNINFECTED, InfectionVector
 
 # one-sided tail of the Clopper-Pearson checks: a correct program fails one
@@ -319,6 +320,79 @@ def relabeled_rows(status: np.ndarray, B: int, rng, positions=None) -> np.ndarra
             snap[by_key[k : k + c]] = CENSORED
         rows.append(row)
     return np.array(rows, dtype=status.dtype)
+
+
+# -- graph families, per vertex -----------------------------------------------------
+# The package's constructors before one pair-draw reader served the random
+# families and an index grid the torus, kept as the references they must
+# equal graph for graph. The stream is built here as substream(seed) builds it.
+
+
+def _pair_stream(seed: int):
+    return np.random.default_rng(np.random.SeedSequence((seed,)))
+
+
+def erdos_renyi_reference(n: int, p: float, seed: int) -> Graph:
+    rng = _pair_stream(seed)
+    edges: list[tuple[int, int]] = []
+    for u in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - u) < p)
+        edges.extend((u, u + 1 + int(h)) for h in hits)
+    return build_graph(n, edges)
+
+
+def two_block_reference(n: int, p_in: float, p_out: float, seed: int) -> Graph:
+    half = (n + 1) // 2
+    rng = _pair_stream(seed)
+    edges: list[tuple[int, int]] = []
+    for u in range(n - 1):
+        draws = rng.random(n - 1 - u)
+        vs = np.arange(u + 1, n)
+        same = (vs < half) == (u < half)
+        thresh = np.where(same, p_in, p_out)
+        for h in np.flatnonzero(draws < thresh):
+            edges.append((u, int(vs[h])))
+    return build_graph(n, edges)
+
+
+def correlated_pair_reference(n: int, p: float, gamma: float, seed: int) -> tuple[Graph, Graph]:
+    rng = _pair_stream(seed)
+    edges0: list[tuple[int, int]] = []
+    edges1: list[tuple[int, int]] = []
+    both, solo = gamma * p, p - gamma * p
+    for u in range(n - 1):
+        draws = rng.random(n - 1 - u)
+        for h in np.flatnonzero(draws < both + 2 * solo):
+            v = u + 1 + int(h)
+            d = draws[h]
+            if d < both:
+                edges0.append((u, v))
+                edges1.append((u, v))
+            elif d < both + solo:
+                edges0.append((u, v))
+            else:
+                edges1.append((u, v))
+    return build_graph(n, edges0), build_graph(n, edges1)
+
+
+def torus_grid_reference(dims) -> Graph:
+    dims = [int(d) for d in dims]
+    n = prod(dims)
+    strides = [prod(dims[a + 1 :]) for a in range(len(dims))]
+
+    def coords(v: int) -> list[int]:
+        out = []
+        for a, d in enumerate(dims):
+            out.append((v // strides[a]) % d)
+        return out
+
+    edges = []
+    for v in range(n):
+        cs = coords(v)
+        for a, d in enumerate(dims):
+            w = v + strides[a] * ((cs[a] + 1) % d - cs[a])
+            edges.append((v, w))
+    return build_graph(n, edges)
 
 
 # -- the statistics, per snapshot ---------------------------------------------------

@@ -183,6 +183,17 @@ def test_test_json_lower_tail_raw_scale(tmp_path, capsys):
         assert payload["reject"] == (payload["observed"] < payload["threshold"])
 
 
+def test_test_negative_seed_is_a_labeled_usage_error(tmp_path, capsys):
+    # a labeled message, not numpy's "expected non-negative integer"
+    snap = simulate_snapshot(tmp_path, capsys, graph="cycle:8", eta="1.0", k="3")
+    code, stdout, err = run(
+        capsys,
+        "test", "--null-graph", "empty:8", "--alt-graph", "cycle:8",
+        "--statistic", "W", "--infection", snap, "--B", "50", "--seed", "-1",
+    )
+    assert (code, stdout, err) == (2, "", "invalid parameters: seed must be a non-negative integer, got -1\n")
+
+
 def test_test_orbit_and_center_statistics(tmp_path, capsys):
     snap = simulate_snapshot(tmp_path, capsys, graph="star:8", eta="2.0", k="3")
     code, stdout, _ = run(
@@ -915,6 +926,27 @@ def test_experiment_reads_every_entry_before_any_row_runs(tmp_path, capsys, monk
     code, stdout, err = run(capsys, "experiment", "--config", cfg)
     assert (code, stdout) == (2, "")
     assert err == f"config error: {cfg}.entries[3].algorithm: expected perm, TB, or TT\n"
+
+
+@pytest.mark.parametrize("command", ["risk", "experiment"])
+def test_entries_errors_keep_their_messages_and_order(tmp_path, capsys, command):
+    if command == "risk":
+        head, good = {"kind": "bounds"}, {"type": "cascade-cycle", "k": 4}
+        bad, bad_error = {"type": "center"}, "entries[0].n: missing"
+    else:
+        head, good = {}, experiment_doc()["entries"][0]
+        bad, bad_error = dict(good, algorithm="magic"), "entries[0].algorithm: expected perm, TB, or TT"
+    cases = [
+        ({}, "entries: missing"),
+        ({"entries": {}}, "entries: expected list"),
+        ({"entries": []}, "entries: must be non-empty"),
+        ({"entries": [bad, 5]}, bad_error),  # an entry's own error before a later item's
+        ({"entries": [good, 5]}, "entries[1]: expected object"),
+    ]
+    for doc, error in cases:
+        cfg = write_config(tmp_path, "c.json", {"schema": 1, **head, **doc})
+        code, stdout, err = run(capsys, command, "--config", cfg)
+        assert (code, stdout, err) == (2, "", f"config error: {cfg}.{error}\n"), doc
 
 
 def test_experiment_spreads_each_snapshot_once_for_rows_of_one_setting(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """The export lists: every submodule's __all__ names something that
-exists, and the package re-exports only names its submodules list."""
+exists, the package re-exports only names its submodules list, and its
+runtime imports stay within the standard library and numpy."""
 
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,20 @@ def test_package_reexports_only_listed_names():
         module = importlib.import_module(f"netspread.{node.module}")
         public = [a.name for a in node.names if not a.name.startswith("_")]
         assert [n for n in public if n not in module.__all__] == [], node.module
+
+
+def test_runtime_imports_are_the_standard_library_numpy_and_the_package():
+    # the runtime dependency stays numpy alone
+    root = Path(netspread.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "netspread"}
+    outside = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names if name.partition(".")[0] not in allowed]
+    assert outside == []

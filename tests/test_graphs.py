@@ -29,6 +29,8 @@ from netspread import (
 )
 from netspread import graphs
 
+import oracles
+
 
 @pytest.mark.parametrize(
     "kind,n,count",
@@ -358,6 +360,31 @@ def test_correlated_pair_disjoint_at_gamma_zero():
 def test_correlated_pair_rejects_invalid_gamma():
     with pytest.raises(ValueError):
         correlated_pair(10, 0.8, 0.1, 1)
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 40),
+    p=st.floats(0.0, 1.0),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**63),
+)
+@example(n=101, p=0.5, share=0.5, seed=1)
+def test_random_families_equal_their_per_vertex_loops(n, p, share, seed):
+    assert erdos_renyi(n, p, seed) == oracles.erdos_renyi_reference(n, p, seed)
+    assert two_block(n, p, share, seed) == oracles.two_block_reference(n, p, share, seed)
+    # share maps onto the valid gammas, [max(0, 2 - 1/p), 1]
+    low = max(0.0, 2.0 - 1.0 / p) if p > 0 else 0.0
+    gamma = low + share * (1.0 - low)
+    assert correlated_pair(n, p, gamma, seed) == oracles.correlated_pair_reference(n, p, gamma, seed)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(3, 9), min_size=1, max_size=4))
+@example([50, 50])
+@example([4, 3, 5])
+def test_torus_grid_equals_its_per_vertex_loop(dims):
+    assert torus_grid(dims) == oracles.torus_grid_reference(dims)
 
 
 def test_generate_dispatch():

@@ -1,3 +1,4 @@
+import re
 import gc
 import weakref
 from collections import Counter
@@ -92,6 +93,16 @@ def test_config_refuses_a_B_that_is_not_an_integer(B):
     # a float B used to die inside numpy's draw, and B=True ran one draw
     with pytest.raises(ValueError, match="B must be an integer"):
         TestConfig(alpha=0.1, B=B)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(1.5, "got 1.5"), (True, "got True"), (-1, "got -1"), (np.int64(-2), "got np.int64(-2)")],
+)
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    # no seed is rounded onto another seed's stream, and -1 fails before any draw
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, {message}")):
+        TestConfig(alpha=0.1, seed=seed)
 
 
 def test_config_takes_a_numpy_integer_B():

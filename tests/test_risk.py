@@ -1,7 +1,10 @@
 import re
+from itertools import combinations
 from math import exp, isclose, log
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netspread import (
     BoundValue,
@@ -14,6 +17,7 @@ from netspread import (
     TestConfig,
     baseline_risk_curve,
     baseline_rule,
+    build_graph,
     cascade_count,
     cascade_count_cycle,
     censor_uniform,
@@ -115,6 +119,22 @@ def test_cascade_count_matches_oracle():
     ]
     for g, k, u, v in cases:
         assert cascade_count(g, k, u, v) == cascade_orderings(g, k, u, v)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    )
+)
+@example((7, set()))
+@example((7, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}))
+def test_cascade_count_equals_the_permutation_oracle(case):
+    n, edges = case
+    g = build_graph(n, edges)
+    for k in range(1, min(n, risk._CASCADE_K_GUARD) + 1):
+        for u, v in combinations(range(n), 2):
+            assert cascade_count(g, k, u, v) == cascade_orderings(g, k, u, v), (k, u, v)
 
 
 def test_cascade_count_cycle_closed_form():

@@ -1,4 +1,5 @@
 import io
+import re
 from itertools import combinations, permutations
 from fractions import Fraction
 from math import fsum, inf, isclose, isfinite
@@ -20,6 +21,7 @@ from netspread import (
     SpreadParams,
     StatisticSpec,
     align_to_graph,
+    as_generator,
     build_graph,
     censor_fixed,
     censor_uniform,
@@ -246,6 +248,20 @@ def test_simulate_spread_accepts_plain_seed():
     g = star_graph(6)
     params = SpreadParams(eta=1.0, k=3)
     assert simulate_spread(g, params, 7).order == simulate_spread(g, params, 7).order
+
+
+@pytest.mark.parametrize("key", [1.5, True, -1, np.int64(-2)])
+def test_substream_refuses_a_key_that_is_not_a_non_negative_integer(key):
+    # refused by name, not rounded by int() nor left to numpy's unlabeled error
+    message = f"non-negative integers, got {key!r}"
+    for call in (lambda: substream(key), lambda: substream(3, 0, key), lambda: as_generator(key)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_substream_takes_numpy_integers():
+    a = substream(np.int64(5), np.uint8(2)).random(4)
+    assert a.tolist() == substream(5, 2).random(4).tolist()
 
 
 def test_simulate_spread_k_bounds():
