@@ -33,7 +33,6 @@ __all__ = [
     "generate",
     "from_spec",
     "bfs_distances",
-    "bfs_levels",
     "eccentricity",
     "is_connected",
     "load_edge_list",

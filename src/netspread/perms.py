@@ -1,12 +1,11 @@
 """Vertex permutations, permutation groups, and graph automorphisms.
 
-Groups come in three flavors: explicit element lists (a cycle's
-rotations and reflections), the automorphism group of a graph that
-keeps only the graph and counts its order without listing its elements,
-and symbolic forms for groups too large to materialize (the full
-symmetric group, the stabilizer of one vertex). Every group keeps its
-exact big-integer order, so validity checks stay exact at any n; no
-group is ever listed.
+A group is held by what defines it, never by its elements: the full
+symmetric group and the stabilizer of one vertex in closed form, a
+connected cycle's dihedral group by its cycle, and any other graph's
+automorphism group by its graph, with the order counted by search.
+Every group keeps its exact big-integer order, so validity checks stay
+exact at any n; no group is ever listed.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ __all__ = [
 
 SYMMETRIC = "symmetric"
 STABILIZER = "stabilizer"
-EXPLICIT = "explicit"
+DIHEDRAL = "dihedral"
 GRAPH = "graph"
 
 # automorphism_group counts a graph of no recognized structure up to this n
@@ -92,29 +91,29 @@ def apply_to_graph(pi: Permutation, g: Graph) -> Graph:
 class PermGroup:
     """A permutation group on {0..n-1}.
 
-    kind is "explicit" (elements materialized), "graph" (every
-    permutation preserving the edge set of `graph`), "symmetric" (all of
-    S_n), or "stabilizer" (every permutation fixing one vertex).
-    order is always the exact group order as a Python int.
+    kind is "symmetric" (all of S_n), "stabilizer" (every permutation
+    fixing one vertex), "dihedral" (the 2n rotations and reflections of
+    the connected cycle `graph`), or "graph" (every permutation
+    preserving the edge set of `graph`). order is always the exact group
+    order as a Python int.
 
-    A graph group keeps only its graph: order, orbit_of and contains are
-    answered from the graph by search.
+    A dihedral or graph group keeps only its graph: contains checks the
+    graph's edges, a dihedral group moves every vertex to every other,
+    and a graph group's orbits are found by search.
     """
 
     n: int
     order: int
     kind: str
-    elements: tuple[Permutation, ...] | None = field(default=None, compare=False)
     fixed_vertex: int | None = None
     graph: Graph | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind == EXPLICIT:
-            if self.elements is None or len(self.elements) != self.order:
-                raise ValueError("explicit group must carry exactly `order` elements")
-        elif self.kind == GRAPH:
+        if self.kind in (DIHEDRAL, GRAPH):
             if self.graph is None or self.graph.n != self.n:
-                raise ValueError("graph group needs a graph on its n vertices")
+                raise ValueError(f"{self.kind} group needs a graph on its n vertices")
+            if self.kind == DIHEDRAL and self.order != 2 * self.n:
+                raise ValueError("dihedral group order must be 2n")
         elif self.kind == SYMMETRIC:
             if self.order != factorial(self.n):
                 raise ValueError("symmetric group order must be n!")
@@ -127,11 +126,6 @@ class PermGroup:
             raise ValueError(f"unknown group kind {self.kind!r}")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def explicit(cls, n: int, elements) -> "PermGroup":
-        elems = tuple(elements)
-        return cls(n=n, order=len(elems), kind=EXPLICIT, elements=elems)
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
@@ -147,11 +141,6 @@ class PermGroup:
     def is_full_symmetric(self) -> bool:
         return self.kind == SYMMETRIC or self.order == factorial(self.n)
 
-    @cached_property
-    def _image_set(self) -> frozenset[tuple[int, ...]]:
-        assert self.elements is not None
-        return frozenset(p.image for p in self.elements)
-
     def contains(self, pi: Permutation) -> bool:
         if pi.n != self.n:
             return False
@@ -159,25 +148,25 @@ class PermGroup:
             return True
         if self.kind == STABILIZER:
             return pi(self.fixed_vertex) == self.fixed_vertex
-        if self.kind == GRAPH:
-            # a bijection sending every edge to an edge preserves the edge set
-            adj = self.graph.adjacency
-            return all(pi(v) in adj[pi(u)] for u, v in self.graph.edges)
-        return pi.image in self._image_set
+        return _keeps_edges(self.graph, pi.image)
 
     def orbit_of(self, v: int) -> frozenset[int]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        if self.kind == SYMMETRIC:
+        if self.kind in (SYMMETRIC, DIHEDRAL):
             return frozenset(range(self.n))
         if self.kind == STABILIZER:
             if v == self.fixed_vertex:
                 return frozenset({v})
             return frozenset(w for w in range(self.n) if w != self.fixed_vertex)
-        if self.kind == GRAPH:
-            return frozenset(_orbit(*_coloring(self.n, [self.graph]), (), v))
-        # explicit groups are closed, so one sweep gives the full orbit
-        return frozenset(p(v) for p in self.elements)
+        return frozenset(_orbit(*_coloring(self.n, [self.graph]), (), v))
+
+
+def _keeps_edges(g: Graph, image) -> bool:
+    """Whether the bijection with this image tuple sends every edge of g
+    to an edge, and so preserves g's edge set."""
+    adj = g.adjacency
+    return all(image[v] in adj[image[u]] for u, v in g.edges)
 
 
 def orbit(group: PermGroup, v: int) -> frozenset[int]:
@@ -209,7 +198,7 @@ def automorphism_group(g: Graph) -> PermGroup:
         if len(hubs) == 1 and all(degs[v] == 1 for v in range(n) if v != hubs[0]):
             return PermGroup.vertex_stabilizer(n, hubs[0])
         if all(d == 2 for d in degs) and is_connected(g):
-            return _dihedral_group(g)
+            return PermGroup(n=n, order=2 * n, kind=DIHEDRAL, graph=g)
     if n > _N_MAX:
         raise GuardExceededError(
             f"automorphism search guarded at n_max={_N_MAX}, got n={n} "
@@ -218,34 +207,29 @@ def automorphism_group(g: Graph) -> PermGroup:
     return PermGroup(n=n, order=_count(*_coloring(n, [g])), kind=GRAPH, graph=g)
 
 
-def _dihedral_group(g: Graph) -> PermGroup:
-    """Rotations and reflections of a single cycle, built along its order."""
+def _dihedral_images(g: Graph):
+    """The image tuples of a connected cycle's 2n rotations and
+    reflections, one at a time, walked along the cycle from vertex 0."""
     n = g.n
     order = [0, g.adjacency[0][0]]
     while len(order) < n:
         a, b = order[-2], order[-1]
-        nxt = [w for w in g.adjacency[b] if w != a]
-        order.append(nxt[0])
-    elems = []
+        order.append(next(w for w in g.adjacency[b] if w != a))
     for s in range(n):
-        rot = [0] * n
-        ref = [0] * n
-        for i in range(n):
-            rot[order[i]] = order[(i + s) % n]
-            ref[order[i]] = order[(s - i) % n]
-        elems.append(Permutation(tuple(rot)))
-        elems.append(Permutation(tuple(ref)))
-    return PermGroup.explicit(n, elems)
+        for step in (1, -1):
+            image = [0] * n
+            for i in range(n):
+                image[order[i]] = order[(s + step * i) % n]
+            yield tuple(image)
 
 
-def _coloring(n: int, graphs, fixed=()) -> tuple[list[list[int]], list[list[int]]]:
+def _coloring(n: int, graphs) -> tuple[list[list[int]], list[list[int]]]:
     """Color classes and pair codes whose preservers are the common automorphisms.
 
     Bit i of code[u][v] is set when (u, v) is an edge of graphs[i]. A
-    vertex's color is its degree in each graph, and each vertex in fixed
-    gets a color of its own, so a permutation preserving colors and
-    codes preserves every edge set and fixes every vertex in fixed.
-    same[v] lists the vertices of v's color in increasing order.
+    vertex's color is its degree in each graph, so a permutation
+    preserving colors and codes preserves every edge set. same[v] lists
+    the vertices of v's color in increasing order.
     """
     code = [[0] * n for _ in range(n)]
     for bit, g in enumerate(graphs):
@@ -253,10 +237,7 @@ def _coloring(n: int, graphs, fixed=()) -> tuple[list[list[int]], list[list[int]
             code[u][v] |= 1 << bit
             code[v][u] |= 1 << bit
     classes: dict[tuple, list[int]] = {}
-    same = [
-        classes.setdefault((tuple(g.degrees[v] for g in graphs), v if v in fixed else -1), [])
-        for v in range(n)
-    ]
+    same = [classes.setdefault(tuple(g.degrees[v] for g in graphs), []) for v in range(n)]
     for v in range(n):
         same[v].append(v)
     return same, code
@@ -350,12 +331,19 @@ def product_group_is_full(p1: PermGroup, p0: PermGroup) -> bool:
 
     Uses |p1 p0| = |p1| |p0| / |p1 ∩ p0| with exact integers; the
     product set is the whole symmetric group iff that count equals n!.
+    When one side is the stabilizer A of a vertex v, the intersection is
+    the stabilizer of v in the other side B, so by orbit-stabilizer
+    |A B| = (n-1)! |B| / |B_v| = (n-1)! |v^B|: the product is full
+    exactly when B moves v to every vertex, and only that orbit is found.
     """
     if p1.n != p0.n:
         raise ValueError("groups act on different vertex sets")
     n = p1.n
     if p1.is_full_symmetric or p0.is_full_symmetric:
         return True
+    for a, b in ((p1, p0), (p0, p1)):
+        if a.kind == STABILIZER:
+            return len(b.orbit_of(a.fixed_vertex)) == n
     inter = _intersection_order(p1, p0)
     num = p1.order * p0.order
     if num % inter:
@@ -364,19 +352,11 @@ def product_group_is_full(p1: PermGroup, p0: PermGroup) -> bool:
 
 
 def _intersection_order(a: PermGroup, b: PermGroup) -> int:
-    # symmetric sides were handled by the caller
-    if a.kind == STABILIZER and b.kind == STABILIZER:
-        if a.fixed_vertex == b.fixed_vertex:
-            return factorial(a.n - 1)
-        return factorial(a.n - 2)
-    if EXPLICIT in (a.kind, b.kind):
-        # iterate the explicit side (the smaller, if both) and
-        # membership-test the other
-        if a.kind != EXPLICIT or (b.kind == EXPLICIT and b.order < a.order):
-            a, b = b, a
-        return sum(1 for p in a.elements if b.contains(p))
-    # graph groups and at most one stabilizer: count the permutations
-    # preserving every edge set, with the stabilized vertex pinned
-    graphs = [x.graph for x in (a, b) if x.kind == GRAPH]
-    fixed = [x.fixed_vertex for x in (a, b) if x.kind == STABILIZER]
-    return _count(*_coloring(a.n, graphs, fixed))
+    """|a ∩ b| for two dihedral or graph groups: a dihedral side's 2n
+    images are walked and kept when they preserve the other graph, and
+    two graph groups count the permutations preserving both edge sets."""
+    if b.kind == DIHEDRAL:
+        a, b = b, a
+    if a.kind == DIHEDRAL:
+        return sum(1 for image in _dihedral_images(a.graph) if _keeps_edges(b.graph, image))
+    return _count(*_coloring(a.n, [a.graph, b.graph]))

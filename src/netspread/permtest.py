@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import GuardExceededError
 from .graphs import Graph
-from .perms import PermGroup, automorphism_group, product_group_is_full
+from .perms import automorphism_group, product_group_is_full
 from .rng import substream
 from .spreading import _BLOCK_STATUSES, CENSORED, INFECTED, UNINFECTED, InfectionVector, _subset_masks
 from .stats import StatisticSpec
@@ -221,36 +221,35 @@ def _pair_verdict(null_graph: Graph, alt: Graph) -> str:
     return hit[1]
 
 
-def check_validity(null_graph: Graph, alt: Graph | PermGroup) -> str:
+def check_validity(null_graph: Graph, alt: Graph) -> str:
     """Exchangeability precondition: is Aut(alt) * Aut(null) all of S_n?
 
     Returns "valid", "invalid", or "unverifiable" (groups beyond the
     computation guard). Either group being fully symmetric settles the
     answer without computing the other, so an empty or complete null
-    validates any alternative at any size.
+    validates any alternative at any size. Graphs of different sizes
+    are refused.
     """
     return validity_with_guard(null_graph, alt)[0]
 
 
-def validity_with_guard(
-    null_graph: Graph, alt: Graph | PermGroup
-) -> tuple[str, GuardExceededError | None]:
+def validity_with_guard(null_graph: Graph, alt: Graph) -> tuple[str, GuardExceededError | None]:
     """check_validity's verdict, with the guard error behind "unverifiable".
 
-    The null's group is computed first and the alternative's only when
-    the null's is not fully symmetric.
+    The sizes are compared before any group is computed. The null's
+    group is computed first and the alternative's only when the null's
+    is not fully symmetric.
     """
+    if null_graph.n != alt.n:
+        raise ValueError(f"null and alternative graphs differ in size: n={null_graph.n} and n={alt.n}")
     groups = []
     guard = None
     for g in (null_graph, alt):
-        if isinstance(g, PermGroup):
-            group = g
-        else:
-            try:
-                group = automorphism_group(g)
-            except GuardExceededError as exc:
-                guard = guard or exc
-                continue
+        try:
+            group = automorphism_group(g)
+        except GuardExceededError as exc:
+            guard = guard or exc
+            continue
         if group.is_full_symmetric:
             return "valid", None
         groups.append(group)

@@ -123,13 +123,19 @@ def cascade_count(g: Graph, k: int, u: int, v: int) -> int:
 
     An ordering qualifies when every vertex after the first is adjacent
     to some earlier one, and at least one vertex stays out (k < n).
-    Counted over connected vertex sets in one forward pass: every
-    singleton has one ordering, and each set passes its count to every
-    set grown from it by one neighbour. Guarded.
+    Guarded.
     """
-    n = g.n
-    if not (0 <= u < n and 0 <= v < n) or u == v:
+    if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
         raise ValueError("u, v must be distinct vertices")
+    return _cascade_counts(g, k, [(u, v)])[0]
+
+
+def _cascade_counts(g: Graph, k: int, pairs) -> list[int]:
+    """cascade_count(g, k, u, v) of each pair, from one forward pass over
+    connected vertex sets: every singleton has one ordering, each set
+    passes its count to every set grown from it by one neighbour, and a
+    pair sums the k-sets holding it. Guarded."""
+    n = g.n
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n > _CASCADE_N_GUARD or k > _CASCADE_K_GUARD:
@@ -137,7 +143,7 @@ def cascade_count(g: Graph, k: int, u: int, v: int) -> int:
             f"cascade enumeration guarded at n <= {_CASCADE_N_GUARD}, k <= {_CASCADE_K_GUARD}"
         )
     if k >= n or k < 2:
-        return 0
+        return [0] * len(pairs)
     near = [sum(1 << x for x in g.adjacency[w]) for w in range(n)]  # neighbour bit masks
     counts = {1 << w: 1 for w in range(n)}  # vertex-set bit mask -> its growth orderings
     for _ in range(k - 1):
@@ -147,8 +153,7 @@ def cascade_count(g: Graph, k: int, u: int, v: int) -> int:
                 if reach & members and not members >> w & 1:
                     grown[members | 1 << w] = grown.get(members | 1 << w, 0) + count
         counts = grown
-    pair = 1 << u | 1 << v
-    return sum(count for members, count in counts.items() if members & pair == pair)
+    return [sum(c for members, c in counts.items() if members >> u & members >> v & 1) for u, v in pairs]
 
 
 def cascade_count_cycle(k: int) -> int:
@@ -159,10 +164,10 @@ def cascade_count_cycle(k: int) -> int:
 
 
 def min_cascade_count(g: Graph, k: int) -> int:
-    """min over edges (u, v) of cascade_count(g, k, u, v)."""
+    """min over edges (u, v) of cascade_count(g, k, u, v), from one pass."""
     if g.num_edges == 0:
         raise ValueError("graph has no edges")
-    return min(cascade_count(g, k, u, v) for u, v in g.edges)
+    return min(_cascade_counts(g, k, g.edges))
 
 
 # -- closed-form bounds ----------------------------------------------------------
@@ -483,11 +488,12 @@ def baseline_risk_curve(
     The null snapshots spread on the empty graph at eta 0, and the
     statistic's raw values over every snapshot come from one kernel
     call. A rule diagnosed as always or never rejecting simulates
-    nothing, but refuses every run (reps, etas, k) that a simulation
-    would refuse.
+    nothing, but refuses every run (reps, etas, k, seed) that a
+    simulation would refuse.
     """
     _check_run(rule.stat.graph, etas, k, reps)
     if rule.diagnosis != "data-dependent":
+        substream(seed)  # refuses a seed as the simulation would
         fires = rule.diagnosis == "always rejects"
         type_ii = {eta: float(not fires) for eta in etas}
         return RiskCurve(float(fires), rule.threshold, type_ii, reps)

@@ -850,7 +850,8 @@ def test_experiment_rejects_null_and_alternative_graphs_of_different_sizes(tmp_p
     ({"replicates": 0}, "reps must be >= 1, got 0"),
     ({"replicates": -3}, "reps must be >= 1, got -3"),
     ({"alt_graph": "torus:4x4", "k": 20, "c": 0}, "cannot infect k=20 of n=16 vertices"),
-], ids=["reps-0", "reps-minus-3", "k-above-n"])
+    ({"seed": -1}, "seed and substream path need non-negative integers, got -1"),
+], ids=["reps-0", "reps-minus-3", "k-above-n", "seed-minus-1"])
 @pytest.mark.parametrize("algorithm", ["TB", "TT"])
 def test_experiment_rejects_impossible_runs_on_a_row_that_simulates_nothing(
     tmp_path, capsys, algorithm, change, message

@@ -1,6 +1,7 @@
 """The export lists: every submodule's __all__ names something that
-exists, the package re-exports only names its submodules list, and its
-runtime imports stay within the standard library and numpy."""
+exists, the package re-exports exactly the names its submodules list
+(the CLI's aside), and its runtime imports stay within the standard
+library and numpy."""
 
 import ast
 import importlib
@@ -29,6 +30,12 @@ def test_package_reexports_only_listed_names():
         module = importlib.import_module(f"netspread.{node.module}")
         public = [a.name for a in node.names if not a.name.startswith("_")]
         assert [n for n in public if n not in module.__all__] == [], node.module
+
+
+@pytest.mark.parametrize("name", [name for name in SUBMODULES if name != "cli"])
+def test_package_reexports_every_listed_name(name):
+    module = importlib.import_module(f"netspread.{name}")
+    assert [n for n in module.__all__ if not hasattr(netspread, n)] == []
 
 
 def test_runtime_imports_are_the_standard_library_numpy_and_the_package():

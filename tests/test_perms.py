@@ -124,10 +124,17 @@ def test_complete_bipartite_33():
 
 
 def test_dihedral_group_is_closed_under_composition():
-    group = automorphism_group(cycle_graph(6))
-    assert {p.image for p in group.elements} == brute_automorphisms(cycle_graph(6))
-    for p, q in itertools.product(group.elements, repeat=2):
-        assert group.contains(Permutation(tuple(p(w) for w in q.image)))
+    g = cycle_graph(6)
+    group = automorphism_group(g)
+    assert (group.kind, group.order, group.orbit_of(3)) == ("dihedral", 12, set(range(6)))
+    expected = brute_automorphisms(g)
+    for image in itertools.permutations(range(6)):
+        assert group.contains(Permutation(image)) == (image in expected)
+    # the lazily walked images are the group, and closed under composition
+    images = set(perms._dihedral_images(g))
+    assert images == expected
+    for p, q in itertools.product(images, repeat=2):
+        assert tuple(p[w] for w in q) in images
 
 
 def test_star_group_is_symbolic_stabilizer():
@@ -198,6 +205,13 @@ def test_product_with_symmetric_is_always_full():
     cyc = automorphism_group(cycle_graph(6))
     assert product_group_is_full(sym, cyc)
     assert product_group_is_full(cyc, sym)
+
+
+def test_validity_refuses_graphs_of_different_sizes():
+    # the empty null used to validate it, the star to fail in the product
+    for null in (empty_graph(5), star_graph(5)):
+        with pytest.raises(ValueError, match="graphs differ in size: n=5 and n=6"):
+            check_validity(null, cycle_graph(6))
 
 
 def test_product_size_mismatch():
@@ -275,6 +289,15 @@ def _k33():
     return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
 
 
+def _cycle_through(order):
+    """The cycle visiting the vertices in this order."""
+    return build_graph(len(order), [(order[i - 1], order[i]) for i in range(len(order))])
+
+
+RELABELED_C7 = _cycle_through([0, 2, 4, 6, 1, 3, 5])
+TWO_TRIANGLES = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
 @settings(max_examples=100)
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(graphs_on(n), graphs_on(n))))
 # stabilizer x counted, with the hub at 0 and elsewhere
@@ -287,6 +310,12 @@ def _k33():
 # counted x counted, valid and not
 @example((_k1_plus_clique(6), _k33()))
 @example((path_graph(7), erdos_renyi(7, 0.4, 5)))
+# settled by the orbit rule or by walking dihedral images
+@example((RELABELED_C7, star_graph(7)))
+@example((RELABELED_C7, cycle_graph(7)))
+@example((build_graph(6, [(5, v) for v in range(5)]), star_graph(6)))
+@example((TWO_TRIANGLES, star_graph(6)))
+@example((build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]), star_graph(7)))
 def test_product_and_validity_match_brute_force(pair):
     g1, g0 = pair
     assume(len(brute_automorphisms(g1)) * len(brute_automorphisms(g0)) <= 50_000)
@@ -303,7 +332,10 @@ def test_counted_validity_builds_no_permutation(monkeypatch, capsys):
     assert check_validity(star_graph(10), TWO_K5) == "valid"
     assert cli_main(["check-aut", "star:10", "two-block:10:1:0:1"]) == 0
     assert capsys.readouterr().out == "valid (Aut(alt)*Aut(null) = S_10)\n"
+    # a star null settles a cycle by one orbit at any size
+    assert cli_main(["check-aut", "star:2500", "cycle:2500"]) == 0
+    assert capsys.readouterr().out == "valid (Aut(alt)*Aut(null) = S_2500)\n"
     assert built == []
-    # the stub is live: a cycle's explicit group does build its elements
-    assert automorphism_group(cycle_graph(10)).order == 20
-    assert len(built) == 20
+    # the stub is live
+    Permutation((1, 0, 2))
+    assert len(built) == 1

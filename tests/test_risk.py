@@ -121,20 +121,38 @@ def test_cascade_count_matches_oracle():
         assert cascade_count(g, k, u, v) == cascade_orderings(g, k, u, v)
 
 
-@settings(max_examples=40)
-@given(
-    st.integers(2, 7).flatmap(
-        lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 2)))))
-    )
+# (n, edge set) on 2..7 vertices
+SMALL_GRAPHS = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 2)))))
 )
+TWO_TRIANGLES_AND_A_LONER = (7, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)})
+
+
+@settings(max_examples=40)
+@given(SMALL_GRAPHS)
 @example((7, set()))
-@example((7, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}))
+@example(TWO_TRIANGLES_AND_A_LONER)
 def test_cascade_count_equals_the_permutation_oracle(case):
     n, edges = case
     g = build_graph(n, edges)
     for k in range(1, min(n, risk._CASCADE_K_GUARD) + 1):
         for u, v in combinations(range(n), 2):
             assert cascade_count(g, k, u, v) == cascade_orderings(g, k, u, v), (k, u, v)
+
+
+@settings(max_examples=40)
+@given(SMALL_GRAPHS)
+@example((7, set()))
+@example(TWO_TRIANGLES_AND_A_LONER)
+def test_min_cascade_count_is_the_least_edge_count(case):
+    n, edges = case
+    g = build_graph(n, edges)
+    for k in range(1, min(n, risk._CASCADE_K_GUARD) + 1):
+        if not edges:
+            with pytest.raises(ValueError, match="graph has no edges"):
+                min_cascade_count(g, k)
+        else:
+            assert min_cascade_count(g, k) == min(cascade_count(g, k, u, v) for u, v in g.edges), k
 
 
 def test_cascade_count_cycle_closed_form():
