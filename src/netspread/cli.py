@@ -313,10 +313,11 @@ def _cmd_check_aut(args: argparse.Namespace) -> None:
     elif verdict == "valid":
         print(f"valid (Aut(alt)*Aut(null) = S_{n})")
     else:
-        print(
-            "invalid (automorphism products cover only part of the "
-            f"{factorial(n)} relabelings)"
-        )
+        try:
+            count = str(factorial(n))
+        except ValueError:  # more digits than the interpreter converts
+            count = f"{n}!"
+        print(f"invalid (automorphism products cover only part of the {count} relabelings)")
 
 
 # -- baseline ---------------------------------------------------------------------

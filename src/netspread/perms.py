@@ -354,7 +354,10 @@ def product_group_is_full(p1: PermGroup, p0: PermGroup) -> bool:
 def _intersection_order(a: PermGroup, b: PermGroup) -> int:
     """|a ∩ b| for two dihedral or graph groups: a dihedral side's 2n
     images are walked and kept when they preserve the other graph, and
-    two graph groups count the permutations preserving both edge sets."""
+    two graph groups count the permutations preserving both edge sets.
+    Groups of graphs with one edge set are one group."""
+    if a.graph.edges == b.graph.edges:
+        return a.order
     if b.kind == DIHEDRAL:
         a, b = b, a
     if a.kind == DIHEDRAL:

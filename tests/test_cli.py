@@ -1,5 +1,6 @@
 import json
-from math import log
+import sys
+from math import factorial, log
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,21 @@ def test_check_aut_stdout(capsys, null, alt, expected):
     code, stdout, _ = run(capsys, "check-aut", null, alt)
     assert code == 0
     assert stdout == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_check_aut_names_a_count_past_the_digit_limit(capsys):
+    # 1558! has 4,300 digits, the most the interpreter converts by default;
+    # 1559! and the cycle pair's 2500! are named, not printed
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for spec, count in (("star:1558", factorial(1558)), ("star:1559", "1559!"), ("cycle:2500", "2500!")):
+            code, stdout, _ = run(capsys, "check-aut", spec, spec)
+            assert code == 0
+            assert stdout == f"invalid (automorphism products cover only part of the {count} relabelings)\n"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_check_aut_size_mismatch(capsys):

@@ -16,10 +16,13 @@ from netspread import (
     correlated_pair,
     cycle_graph,
     eccentricity,
+    edges_within,
     empty_graph,
     erdos_renyi,
     from_spec,
     generate,
+    infection_from_infected,
+    infection_radius,
     is_connected,
     load_edge_list,
     path_graph,
@@ -167,6 +170,47 @@ def test_distance_matrix_matches_networkx(g):
     assert np.all(np.diag(mat) == 0)
 
 
+@st.composite
+def covered_graphs(draw):
+    """Graphs on 2..140 vertices of minimum degree 1 or more and mixed
+    degrees: a random cover by cycles and single edges, chords, and an
+    optional hub; n crosses 64-bit word edges and _SLOT_MIN_ROWS."""
+    n = draw(st.one_of(st.integers(2, 140), st.sampled_from([63, 64, 65, 128, 129])))
+    order = draw(st.permutations(range(n)))
+    edges = []
+    while order:
+        size = len(order) if len(order) < 4 else draw(st.integers(2, len(order) - 2))
+        part, order = order[:size], order[size:]
+        edges += zip(part, part[1:] + part[:1]) if size > 2 else [tuple(part)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    if draw(st.booleans()):
+        hub = draw(vertex)
+        edges += [(hub, v) for v in draw(st.lists(vertex, max_size=n))]
+    return build_graph(n, [(u, v) for u, v in edges if u != v])
+
+
+@settings(max_examples=80, deadline=None)
+@given(covered_graphs(), st.sampled_from([None, 1, 64, 1000]), st.sampled_from([None, 0]))
+@example(cycle_graph(65), None, None)
+@example(star_graph(129), 64, None)
+@example(build_graph(3, [(0, 1), (1, 2)]), 1, 0)
+def test_distance_matrix_by_neighbour_slots_matches_networkx(g, step_bytes, slot_min_rows):
+    # every vertex has a neighbour, so above _SLOT_MIN_ROWS vertices (or
+    # with it at 0) the level step gathers slot 0 of every vertex whole;
+    # the default step and chunks of 1, 64 and 1000 bytes give networkx's
+    # matrix
+    assert min(g.degrees) >= 1
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("_STEP_BYTES", step_bytes), ("_SLOT_MIN_ROWS", slot_min_rows)):
+            if value is not None:
+                mp.setattr(graphs, name, value)
+        mat = g.distance_matrix
+    want = _networkx_distances(g)
+    assert mat.dtype == want.dtype
+    assert np.array_equal(mat, want)
+
+
 @pytest.mark.parametrize("step_bytes", [1, 64, 1000])
 def test_distance_matrix_in_small_chunks(monkeypatch, step_bytes):
     # BFS gathers and decode rows split into many chunks give the same matrix
@@ -214,18 +258,32 @@ def test_distance_matrix_rejects_sentinel_sized_graphs():
 
 
 def test_distance_matrix_build_memory():
-    # building the 50x50 torus matrix peaks at no more than twice the
-    # finished matrix
-    g = torus_grid([50, 50])
-    g.csr
-    tracemalloc.start()
-    try:
-        mat = g.distance_matrix
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert mat.nbytes == 2500 * 2500
-    assert peak <= 2 * mat.nbytes, peak
+    # building the 50x50 torus matrix, and the 2500-vertex star's, whose
+    # hub alone has neighbours past slot 0, peaks at no more than twice
+    # the finished matrix
+    for g in (torus_grid([50, 50]), star_graph(2500)):
+        g.csr
+        tracemalloc.start()
+        try:
+            mat = g.distance_matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mat.nbytes == 2500 * 2500
+        assert peak <= 2 * mat.nbytes, peak
+
+
+def test_cached_arrays_are_read_only():
+    g = cycle_graph(8)
+    iv = infection_from_infected(8, [0, 1, 4])
+    assert (edges_within(g, iv), infection_radius(g, iv)) == (1, 2)
+    mat, (eu, ev) = g.distance_matrix, g.edge_arrays
+    for arr, rows in ((mat, [0, 4]), (eu, [0]), (ev, [0])):
+        with pytest.raises(ValueError):
+            arr[rows] = 0
+    assert (edges_within(g, iv), infection_radius(g, iv)) == (1, 2)
+    assert eu.tolist() == [0, 0, 1, 2, 3, 4, 5, 6] and ev.tolist() == [1, 7, 2, 3, 4, 5, 6, 7]
+    assert empty_graph(3).edge_arrays[0].flags.writeable is False
 
 
 @pytest.mark.parametrize("sources", [[1, 3, 1], [0, 0], [0, 5], [-1]])

@@ -137,6 +137,22 @@ def test_dihedral_group_is_closed_under_composition():
         assert tuple(p[w] for w in q) in images
 
 
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(4), cycle_graph(5), cycle_graph(7), two_block(6, 1.0, 0.0, 1), two_block(8, 0.6, 0.3, 2)],
+)
+def test_intersection_of_one_graphs_groups_is_that_group(monkeypatch, g):
+    # two groups of one edge set intersect in the whole group, found
+    # without walking a cycle's 2n images
+    def walk(*args):
+        raise AssertionError("dihedral images walked")
+
+    monkeypatch.setattr(perms, "_dihedral_images", walk)
+    a, b = automorphism_group(g), automorphism_group(build_graph(g.n, g.edges))
+    assert a is not b
+    assert perms._intersection_order(a, b) == len(brute_automorphisms(g))
+
+
 def test_star_group_is_symbolic_stabilizer():
     group = automorphism_group(star_graph(30))
     assert group.order == factorial(29)

@@ -105,12 +105,23 @@ def graphs_and_blocks(draw):
 _TWO_PATHS = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 
 
+def _rows(n, *infected):
+    """A status block with one row per list of infected vertices."""
+    block = np.zeros((len(infected), n), dtype=np.int8)
+    for row, vertices in zip(block, infected):
+        row[vertices] = 1
+    return block
+
+
 # R's knobs: every graph above the distance-matrix limit (one BFS per row), and
 # a gather budget of one byte (one row and one infected rank per gather)
 @settings(max_examples=150)
 @given(graphs_and_blocks(), st.sampled_from([{}, {"_DMAT_LIMIT": 0}, {"_R_GATHER_BYTES": 1}]))
 @example((build_graph(1, []), np.array([[1], [1]], dtype=np.int8), 0, {0}), {})
 @example((build_graph(1, []), np.array([[1], [0], [2]], dtype=np.int8), 0, {0}), {"_DMAT_LIMIT": 0})
+# graphs above _SLOT_MIN_ROWS vertices, whose per-row BFS gathers neighbour slots
+@example((cycle_graph(70), _rows(70, [0, 35], [3, 4, 5, 60], [10]), 0, {0, 1}), {"_DMAT_LIMIT": 0})
+@example((torus_grid((9, 9)), _rows(81, [0, 40, 80], [7], [1, 2, 10, 11]), 40, {40}), {"_DMAT_LIMIT": 0})
 @example((cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}), {"_R_GATHER_BYTES": 1})
 @example((_TWO_PATHS, np.array([[1, 0, 2, 0, 1, 0], [0, 1, 0, 2, 0, 1]], dtype=np.int8), 0, {1, 4}), {})
 @example(
