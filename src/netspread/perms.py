@@ -3,15 +3,15 @@
 A group is held by what defines it, never by its elements: the full
 symmetric group and the stabilizer of one vertex in closed form, a
 connected cycle's dihedral group by its cycle, and any other graph's
-automorphism group by its graph, with the order counted by search.
-Every group keeps its exact big-integer order, so validity checks stay
-exact at any n; no group is ever listed.
+automorphism group by its graph, with the order counted by search when
+it is first read. Every group has its exact big-integer order, so
+validity checks stay exact at any n; no group is ever listed.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial
 
@@ -94,8 +94,8 @@ class PermGroup:
     kind is "symmetric" (all of S_n), "stabilizer" (every permutation
     fixing one vertex), "dihedral" (the 2n rotations and reflections of
     the connected cycle `graph`), or "graph" (every permutation
-    preserving the edge set of `graph`). order is always the exact group
-    order as a Python int.
+    preserving the edge set of `graph`). order is the exact group order
+    as a Python int, found when first read: a graph group's by search.
 
     A dihedral or graph group keeps only its graph: contains checks the
     graph's edges, a dihedral group moves every vertex to every other,
@@ -103,43 +103,45 @@ class PermGroup:
     """
 
     n: int
-    order: int
     kind: str
     fixed_vertex: int | None = None
-    graph: Graph | None = field(default=None, compare=False)
+    graph: Graph | None = None
 
     def __post_init__(self) -> None:
         if self.kind in (DIHEDRAL, GRAPH):
             if self.graph is None or self.graph.n != self.n:
                 raise ValueError(f"{self.kind} group needs a graph on its n vertices")
-            if self.kind == DIHEDRAL and self.order != 2 * self.n:
-                raise ValueError("dihedral group order must be 2n")
-        elif self.kind == SYMMETRIC:
-            if self.order != factorial(self.n):
-                raise ValueError("symmetric group order must be n!")
-        elif self.kind == STABILIZER:
-            if self.fixed_vertex is None or not 0 <= self.fixed_vertex < self.n:
-                raise ValueError("stabilizer needs a fixed vertex in range")
-            if self.order != factorial(self.n - 1):
-                raise ValueError("stabilizer order must be (n-1)!")
-        else:
+        elif self.kind not in (SYMMETRIC, STABILIZER):
             raise ValueError(f"unknown group kind {self.kind!r}")
+        elif self.graph is not None:
+            raise ValueError(f"{self.kind} group takes no graph")
+        elif self.kind == STABILIZER and (self.fixed_vertex is None or not 0 <= self.fixed_vertex < self.n):
+            raise ValueError("stabilizer needs a fixed vertex in range")
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
-        return cls(n=n, order=factorial(n), kind=SYMMETRIC)
+        return cls(n=n, kind=SYMMETRIC)
 
     @classmethod
     def vertex_stabilizer(cls, n: int, v: int) -> "PermGroup":
-        return cls(n=n, order=factorial(n - 1), kind=STABILIZER, fixed_vertex=v)
+        return cls(n=n, kind=STABILIZER, fixed_vertex=v)
 
     # -- queries -----------------------------------------------------------
 
+    @cached_property
+    def order(self) -> int:
+        if self.kind == GRAPH:
+            return _count(*_coloring(self.n, [self.graph]))
+        return {SYMMETRIC: factorial(self.n), STABILIZER: factorial(self.n - 1), DIHEDRAL: 2 * self.n}[self.kind]
+
     @property
     def is_full_symmetric(self) -> bool:
-        return self.kind == SYMMETRIC or self.order == factorial(self.n)
+        """Whether the group is S_n: a graph's iff it is empty or complete."""
+        if self.kind in (DIHEDRAL, GRAPH):
+            return self.graph.num_edges in (0, comb(self.n, 2))
+        return self.kind == SYMMETRIC or self.n == 1
 
     def contains(self, pi: Permutation) -> bool:
         if pi.n != self.n:
@@ -182,12 +184,12 @@ def automorphism_group(g: Graph) -> PermGroup:
 
     Structured families (empty, complete, star, cycle) are recognized and
     returned in closed form at any size. Any other graph, guarded at
-    _N_MAX vertices, becomes a "graph" group whose order is counted, not
-    enumerated: pinning the base 0, 1, ... in turn, the order is the
-    product of each base vertex's orbit under the automorphisms that fix
-    the earlier ones, and each orbit member costs at most one
-    backtracking search, which stops at the first automorphism sending
-    the vertex there.
+    _N_MAX vertices, becomes a "graph" group whose order is counted when
+    first read, not enumerated: pinning the base 0, 1, ... in turn, the
+    order is the product of each base vertex's orbit under the
+    automorphisms that fix the earlier ones, and each orbit member costs
+    at most one backtracking search, which stops at the first
+    automorphism sending the vertex there.
     """
     n, m = g.n, g.num_edges
     if m == 0 or m == comb(n, 2):
@@ -198,13 +200,13 @@ def automorphism_group(g: Graph) -> PermGroup:
         if len(hubs) == 1 and all(degs[v] == 1 for v in range(n) if v != hubs[0]):
             return PermGroup.vertex_stabilizer(n, hubs[0])
         if all(d == 2 for d in degs) and is_connected(g):
-            return PermGroup(n=n, order=2 * n, kind=DIHEDRAL, graph=g)
+            return PermGroup(n=n, kind=DIHEDRAL, graph=g)
     if n > _N_MAX:
         raise GuardExceededError(
             f"automorphism search guarded at n_max={_N_MAX}, got n={n} "
             "with no recognized structure"
         )
-    return PermGroup(n=n, order=_count(*_coloring(n, [g])), kind=GRAPH, graph=g)
+    return PermGroup(n=n, kind=GRAPH, graph=g)
 
 
 def _dihedral_images(g: Graph):

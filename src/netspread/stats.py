@@ -16,7 +16,7 @@ the infected set can score differently (see steiner_weight).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import gcd, inf
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -42,6 +42,18 @@ _DMAT_LIMIT = 4096
 
 # bytes of the distance-matrix rows one batched R gather reads at once
 _R_GATHER_BYTES = 1 << 20
+
+# R's ball tables (_ball_radii): bytes kept per graph (two 50x50-torus tables
+# of 800 KB, 93 20x20 ones), bytes a build compares or an AND gathers at once,
+# and radii stepped above the guess, a block's first radius. Relabelings of
+# the 20x20 and 50x50 tori fall on 2-3 adjacent radii. In alternating pairs
+# of `bench/run.py` runs (2-CPU host), no step up cut grid-risk tests/s by
+# 10% (1/10 pairs higher) and large-torus by 4-7% (7/20 higher); the gallop
+# down, against reading every passing row off its centers, raised grid-risk
+# by 22% (10/10) and cut its peak RSS by 1.2 MB.
+_BALL_BYTES = 1 << 21
+_BALL_CHUNK = 1 << 18
+_BALL_UP = 2
 
 # bytes of the (rows, n) BFS state one batched T chunk keeps at once
 _T_CHUNK_BYTES = 1 << 18
@@ -112,11 +124,13 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
 
     Rows may differ in infected count: then each row's infected vertices
     are padded to the largest count by repeating its last one, which
-    leaves its max unchanged. The distance-matrix rows of those vertices are
-    gathered for chunks of rows and ranks whose gather takes about
-    _R_GATHER_BYTES, maxed over the ranks and minimized over the
-    centers; a minimum at the matrix dtype's maximum means no covering
-    center. Graphs above _DMAT_LIMIT run one packed BFS per row
+    leaves its max and its AND unchanged. A block's first row gathers
+    (_gathered_radii) and its R is the guess from which ball tables
+    (_ball_radii) settle what they can of the other rows; the rest,
+    single rows and blocks whose first row has no finite R gather. On
+    100-row blocks of relabelings (2-CPU Xeon) that takes 2.6 us a row at
+    n = 400, k = 80 and 45 us at n = 2500, k = 500, against 5-8 and
+    160 us gathered. Graphs above _DMAT_LIMIT run one packed BFS per row
     instead. Raises ValueError when a row has no infected vertex.
     """
     rows, n = infected.shape
@@ -139,7 +153,22 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     else:
         ranks = np.minimum(np.arange(kmax), k[:, None] - 1) + (np.cumsum(k) - k)[:, None]
         idx = flat[ranks]
-    per_rank = n * dmat.itemsize
+    if rows < 2:
+        return _gathered_radii(dmat, idx)
+    radii = np.full(rows, np.nan)
+    radii[0] = _gathered_radii(dmat, idx[:1])[0]  # the guess
+    if radii[0] < inf:
+        _ball_radii(g, idx[1:], int(radii[0]), radii[1:])
+    todo = np.isnan(radii)
+    radii[todo] = _gathered_radii(dmat, idx[todo])
+    return radii
+
+
+def _gathered_radii(dmat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """R of each row of (rows, k) vertex indices from their distance rows,
+    gathered about _R_GATHER_BYTES at a time; the dtype's maximum is inf."""
+    rows, kmax = idx.shape
+    per_rank = len(dmat) * dmat.itemsize
     width = max(1, min(kmax, _R_GATHER_BYTES // per_rank))
     step = max(1, _R_GATHER_BYTES // (width * per_rank))
     hops = np.empty(rows, dtype=dmat.dtype)
@@ -150,6 +179,98 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             np.maximum(worst, dmat[cols[:, j : j + width]].max(axis=1), out=worst)
         worst.min(axis=1, out=hops[lo : lo + step])
     return np.where(hops == np.iinfo(hops.dtype).max, inf, hops)
+
+
+def _ball_table(g: Graph, r: int) -> np.ndarray:
+    """B_r, whose row u is np.packbits(D[u] <= r) in '<u8' words: built
+    _BALL_CHUNK bytes of comparisons at a time and cached per graph, the
+    least recently used going first, before the build, once the cache
+    would pass _BALL_BYTES."""
+    cache = g.__dict__.setdefault("_ball_tables", {})
+    table = cache.pop(r, None)
+    if table is None:
+        n = g.n
+        while cache and sum(t.nbytes for t in cache.values()) + 8 * n * -(-n // 64) > _BALL_BYTES:
+            del cache[next(iter(cache))]
+        table = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
+        step = max(1, _BALL_CHUNK // (2 * n))  # a row's n bools, packed bytes and packbits' buffers
+        for lo in range(0, n, step):
+            table[lo : lo + step, : -(-n // 8)] = np.packbits(g.distance_matrix[lo : lo + step] <= r, axis=1)
+        table = table.view("<u8")
+    cache[r] = table
+    return table
+
+
+def _ball_radii(g: Graph, idx: np.ndarray, guess: int, radii: np.ndarray) -> None:
+    """Fill the radii of the rows of (rows, k) vertex indices that ball
+    tables settle: R(I) <= r iff the B_r rows of I's vertices AND to
+    non-zero. From the guess, failing rows step up at most _BALL_UP radii
+    and passing rows down while _BALL_BYTES holds the tables; rows still
+    passing read R off their centers (_center_radii). The rest stay nan."""
+    dmat = g.distance_matrix
+    n, kmax = dmat.shape[0], idx.shape[1]
+    tables = _BALL_BYTES // (8 * n * -(-n // 64))
+    if not tables:
+        return
+    # the ranks in a golden-ratio stride, so that a failing row's AND empties early
+    stride = round(kmax * 0.618) or 1
+    while gcd(stride, kmax) > 1:
+        stride += 1
+    cols = np.ascontiguousarray(idx[:, np.arange(kmax) * stride % kmax].T, dtype=np.uint16)
+    acc = _ball_and(_ball_table(g, guess), cols)
+    passed = acc.any(axis=1)
+    low, low_cols, acc = np.flatnonzero(passed), cols[:, passed], acc[passed]
+    todo, cols = np.flatnonzero(~passed), cols[:, ~passed]
+    up = min(tables - 1, _BALL_UP, np.iinfo(dmat.dtype).max - 1 - guess)  # no table at the no-path mark
+    for r in range(guess + 1, guess + 1 + up):
+        if not todo.size:
+            break
+        passed = _ball_and(_ball_table(g, r), cols).any(axis=1)
+        radii[todo[passed]] = r
+        todo, cols = todo[~passed], cols[:, ~passed]
+    r = guess
+    while low.size and r > 0 and tables > 1 + up + guess - r:
+        below = _ball_and(_ball_table(g, r - 1), low_cols)
+        passed = below.any(axis=1)
+        radii[low[~passed]] = r
+        low, low_cols, acc, r = low[passed], low_cols[:, passed], below[passed], r - 1
+    if low.size:
+        radii[low] = _center_radii(dmat, acc, idx[low])
+
+
+def _ball_and(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The AND of the table rows of each column of (k, rows) vertex indices,
+    over gathers of about _BALL_CHUNK bytes, left once every AND is empty."""
+    acc = table.take(cols[0], axis=0)
+    step = max(1, _BALL_CHUNK // max(1, acc.nbytes))
+    for j in range(1, len(cols), step):
+        acc &= np.bitwise_and.reduce(table.take(cols[j : j + step], axis=0), axis=0)
+        if not acc.any():
+            break
+    return acc
+
+
+def _center_radii(dmat: np.ndarray, acc: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """R of each row of (rows, k) vertex indices whose B_a AND is acc's row and
+    R <= a: the least, over the centers the AND marks, of their largest
+    distance to the row's vertices, as every center of radius R is marked.
+    nan where over an eighth of the vertices are marked: so many centers
+    cost about what the gather does."""
+    n, kmax = dmat.shape[0], idx.shape[1]
+    wr, wc = np.nonzero(acc)
+    bits = np.unpackbits(acc[wr, wc].view(np.uint8).reshape(-1, 8), axis=1)
+    few = (np.bincount(wr, np.count_nonzero(bits, axis=1), len(acc)) <= max(1, n >> 3))[wr]
+    pr, pb = np.nonzero(bits[few])
+    row, center = wr[few][pr], wc[few][pr] * 64 + pb
+    ecc = np.empty(center.size, dtype=dmat.dtype)
+    step = max(1, _BALL_CHUNK // (8 * kmax))
+    for lo in range(0, center.size, step):
+        flat = idx[row[lo : lo + step]] + n * center[lo : lo + step, None]
+        ecc[lo : lo + step] = dmat.reshape(-1).take(flat).max(axis=1)
+    out = np.full(len(acc), np.nan)
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    out[row[starts]] = np.minimum.reduceat(ecc, starts) if row.size else []
+    return out
 
 
 def _count_in(infected: np.ndarray, vertices: Iterable[int], what: str) -> np.ndarray:

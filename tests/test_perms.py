@@ -355,3 +355,45 @@ def test_counted_validity_builds_no_permutation(monkeypatch, capsys):
     # the stub is live
     Permutation((1, 0, 2))
     assert len(built) == 1
+
+
+def test_graph_group_order_is_counted_only_when_read(monkeypatch):
+    # an orbit, the stabilizer rule of a star null and a full-symmetry check
+    # never count a graph group's order; the first read of order counts it once
+    counts = []
+    real = perms._count
+    monkeypatch.setattr(perms, "_count", lambda *a: counts.append(1) or real(*a))
+    tb, pg = two_block(10, 1.0, 0.0, 1), path_graph(10)
+    assert orbit(automorphism_group(pg), 0) == {0, 9}
+    assert orbit(automorphism_group(tb), 0) == set(range(10))
+    assert check_validity(star_graph(10), tb) == "valid"
+    assert check_validity(star_graph(10), pg) == "invalid"
+    assert counts == []
+    group = automorphism_group(tb)
+    assert (group.order, group.order, counts) == (2 * factorial(5) ** 2, 2 * factorial(5) ** 2, [1])
+
+
+@pytest.mark.parametrize(
+    "group, full",
+    [
+        (PermGroup(n=4, kind="graph", graph=empty_graph(4)), True),
+        (PermGroup(n=4, kind="graph", graph=complete_graph(4)), True),
+        (PermGroup(n=4, kind="graph", graph=path_graph(4)), False),
+        (PermGroup(n=3, kind="dihedral", graph=cycle_graph(3)), True),
+        (PermGroup(n=5, kind="dihedral", graph=cycle_graph(5)), False),
+        (PermGroup.vertex_stabilizer(1, 0), True),
+        (PermGroup.vertex_stabilizer(2, 0), False),
+        (PermGroup.symmetric(6), True),
+    ],
+)
+def test_full_symmetry_is_read_off_the_kind_and_graph(group, full):
+    # the same verdict as comparing the counted order with n!
+    assert group.is_full_symmetric is full
+    assert (group.order == factorial(group.n)) is full
+
+
+@pytest.mark.parametrize("kind, fixed", [("symmetric", None), ("stabilizer", 0)])
+def test_closed_form_groups_take_no_graph(kind, fixed):
+    # a graph there would be ignored by order yet read by is_full_symmetric and equality
+    with pytest.raises(ValueError, match=f"{kind} group takes no graph"):
+        PermGroup(n=4, kind=kind, fixed_vertex=fixed, graph=empty_graph(4))

@@ -702,3 +702,33 @@ def test_mc_level_on_exchangeable_null():
         res = mc_test(spec, iv, TestConfig(alpha=alpha, B=120, seed=i))
         rejections += res.reject
     assert rejections / reps <= alpha + 0.07
+
+
+@pytest.mark.parametrize("mode", [permtest.MODE_FULL, permtest.MODE_CENSOR_FIXING])
+def test_mc_test_tail_counts_follow_the_exact_counting_laws(mode):
+    # the draw -> score path at production scale: a relabeling of a
+    # 400-vertex snapshot (k = 80, c = 40) infects a uniform 80-subset of
+    # all vertices (full-permute) or of the 360 uncensored ones
+    # (censor-fixing). So C at an infected, uncensored center draws 1 with
+    # probability 80/400 or 80/360, and the infected count in a 40-vertex
+    # uncensored orbit is hypergeometric. Over 30 seeds of B = 1000 each,
+    # the summed tail counts fall in their Clopper-Pearson intervals.
+    n, B, seeds = 400, 1000, 30
+    orbit = range(0, n, 10)
+    infected = [*range(0, 100, 10), *range(3, 353, 10), *range(7, 357, 10)]
+    censored = range(1, n, 10)
+    iv = infection_from_infected(n, infected, censored)
+    assert (len(iv.infected), len(censored)) == (80, 40) and 0 in iv.infected
+    pool = n - (len(censored) if mode == permtest.MODE_CENSOR_FIXING else 0)
+    laws = {
+        StatisticSpec.center_indicator(0): 80 / pool,
+        StatisticSpec.orbit_count(orbit): sum(oracles.hypergeometric_pmf(pool, 40, 80, x) for x in range(10, 41)),
+    }
+    for spec, p in laws.items():
+        ge = 0
+        for seed in range(seeds):
+            res = mc_test(spec, iv, TestConfig(alpha=0.05, B=B, seed=seed, mode=mode))
+            assert res.n_draws == B
+            ge += res.raw_ge_count
+        lower, upper = oracles.clopper_pearson(ge, seeds * B)
+        assert lower <= p <= upper, (spec.name, ge, p)

@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import Counter
 from itertools import combinations, islice
 from math import inf
 
@@ -35,6 +37,7 @@ from netspread import (
 from netspread import stats as stats_mod
 from networkx.algorithms.isomorphism import GraphMatcher
 from oracles import edges_within as edges_oracle
+from oracles import infection_radius as radius_oracle
 from oracles import steiner_optimum
 from oracles import steiner_weight as mehlhorn_oracle
 
@@ -143,6 +146,161 @@ def test_infection_radius_packed_bfs_disconnected_is_inf(monkeypatch):
     assert infection_radius(g, iv_of(6, [0, 2])) == 1
     assert infection_radius(g, iv_of(6, [0, 4])) == inf
     assert infection_radius(g, iv_of(6, [5])) == 0
+
+
+def _table_bytes(n):
+    return 8 * n * -(-n // 64)
+
+
+def _radius_with_guess(g, mask, guess, **knobs):
+    """_radius_batch on a (rows, n) mask with the ball kernel's guess forced
+    (where the first row's R is finite) and the given module knobs; the
+    cache stays within its byte budget (it is emptied first where the knobs
+    change that budget)."""
+    ball_radii = stats_mod._ball_radii
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in knobs.items():
+            mp.setattr(stats_mod, name, value)
+        mp.setattr(stats_mod, "_ball_radii", lambda g, idx, _, radii: ball_radii(g, idx, guess, radii))
+        if "_BALL_BYTES" in knobs:
+            g.__dict__.pop("_ball_tables", None)
+        got = stats_mod._radius_batch(g, mask)
+        assert sum(t.nbytes for t in g.__dict__.get("_ball_tables", {}).values()) <= stats_mod._BALL_BYTES
+    return got.tolist()
+
+
+def _masks(n, rows):
+    mask = np.zeros((len(rows), n), dtype=bool)
+    for row, vertices in zip(mask, rows):
+        row[list(vertices)] = True
+    return mask
+
+
+@st.composite
+def graphs_and_radius_blocks(draw):
+    """A random graph on 1..70 vertices (often disconnected, isolated
+    vertices included), rows of 1..n infected vertices each, and a guess
+    from 0 to past every distance."""
+    n = draw(st.integers(1, 70))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    g = build_graph(n, [(u, v) for u, v in pairs if u != v])
+    rows = draw(st.lists(st.sets(vertex, min_size=1), min_size=2, max_size=10))
+    if draw(st.booleans()):
+        rows.append(set(range(n)))
+    return g, _masks(n, rows), draw(st.integers(0, n + 2))
+
+
+# the ball kernel's budgets: the default (tables to gallop down and step up
+# two radii), one table (the center read-out alone), two tables (one step
+# up), and one-byte chunks (one row per table build chunk, one rank per AND
+# gather and a look for empty ANDs after each, one pair per read-out gather)
+_KERNEL_KNOBS = [
+    lambda n: {},
+    lambda n: {"_BALL_BYTES": _table_bytes(n)},
+    lambda n: {"_BALL_BYTES": 2 * _table_bytes(n)},
+    lambda n: {"_BALL_CHUNK": 1},
+]
+
+
+@settings(max_examples=150)
+@given(graphs_and_radius_blocks(), st.sampled_from(range(len(_KERNEL_KNOBS))))
+@example((build_graph(1, []), np.ones((3, 1), dtype=bool), 0), 0)
+@example((build_graph(1, []), np.ones((2, 1), dtype=bool), 2), 1)
+@example((build_graph(4, [(0, 1), (2, 3)]), _masks(4, [[0, 1], [0, 2], [3], [0, 1, 2, 3]]), 1), 0)
+@example((cycle_graph(9), _masks(9, [[0], [0, 4], [0, 3, 6], range(9), [2, 3]]), 0), 3)
+def test_radius_kernel_equals_oracle_and_gather(case, knobs):
+    # k = 1, k = n, unequal k (padding), inf rows, n = 1, guesses below the
+    # least radius and above the largest
+    g, mask, guess = case
+    want = [float(radius_oracle(g, InfectionVector(row.astype(np.int8)))) for row in mask]
+    assert _radius_with_guess(build_graph(g.n, g.edges), mask, guess, _BALL_BYTES=0) == want
+    assert _radius_with_guess(g, mask, guess, **_KERNEL_KNOBS[knobs](g.n)) == want
+
+
+def test_radius_kernel_runs_every_branch(monkeypatch):
+    # 20x20 torus relabelings with k = 80 fall on radii 15-17; forced
+    # guesses send them down the gallop, through the read-out (with and
+    # without centers few enough), up the window and past it into the gather
+    g = torus_grid((20, 20))
+    rng = np.random.default_rng(0)
+    mask = _masks(400, [rng.choice(400, 80, replace=False) for _ in range(40)])
+    want = stats_mod._radius_batch(build_graph(400, g.edges), mask).tolist()
+    assert set(want) == {15, 16, 17}
+    rows = Counter()  # rows each helper is given
+    for name in ("_gathered_radii", "_center_radii"):
+        real = getattr(stats_mod, name)
+        monkeypatch.setattr(stats_mod, name, lambda *a, real=real, name=name: rows.update({name: len(a[-1])}) or real(*a))
+    one = _table_bytes(400)
+    # the first row always gathers: it gives the guess
+    for guess, knobs, read_out, gathered in [
+        (20, {}, False, 1),  # gallop down 20 -> 14
+        (15, {}, False, 1),  # 15 one down, up 16 and 17
+        (17, {"_BALL_BYTES": one}, True, 1),  # read-out alone
+        (30, {"_BALL_BYTES": one}, True, 40),  # every vertex marked
+        (15, {"_BALL_BYTES": 2 * one}, True, 1 + want[1:].count(17)),  # 16 one up, 17 gathered
+        (13, {}, False, 1 + want[1:].count(16) + want[1:].count(17)),  # up 14, 15 and the rest gathered
+    ]:
+        rows.clear()
+        assert _radius_with_guess(g, mask, guess, **knobs) == want
+        assert (rows["_center_radii"] > 0, rows["_gathered_radii"]) == (read_out, gathered), guess
+
+
+def test_radius_kernel_on_uint16_distances_and_near_the_sentinel():
+    # a 300-vertex path has uint16 distances; a 255-vertex path plus an
+    # isolated vertex has uint8 ones up to 254, so a guess of 253 may step
+    # up to 254 only: a table at 255 would count the unreachable pairs
+    path = path_graph(300)
+    mask = _masks(300, [[0, 299], [0, 150], [7, 8], [3, 200, 299], range(300)])
+    for guess in (0, 74, 148, 150, 299, 302):
+        assert _radius_with_guess(path, mask, guess) == [150, 75, 1, 148, 150]
+        assert _radius_with_guess(path, mask, guess, _BALL_BYTES=_table_bytes(300)) == [150, 75, 1, 148, 150]
+    g = build_graph(256, [(v, v + 1) for v in range(254)])
+    assert g.distance_matrix.dtype == np.uint8 and g.distance_matrix[0, 254] == 254
+    mask = _masks(256, [[0, 254], [0, 255], [255]])
+    assert _radius_with_guess(g, mask, 253) == [127, inf, 0]
+
+
+def test_ball_tables_build_in_chunks_and_keep_to_their_budget():
+    g = torus_grid((50, 50))
+    g.distance_matrix
+    tracemalloc.start()
+    try:
+        table = stats_mod._ball_table(g, 45)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one table and one chunk of comparisons: never an (n, n) temporary
+    assert table.nbytes == _table_bytes(2500) == 800_000
+    assert peak <= table.nbytes + stats_mod._BALL_CHUNK, peak
+    # a build with the cache full evicts first, so the tables and one chunk
+    # never pass the budget (two tables of 800 KB fit in 2 MiB, three do not)
+    tracemalloc.start()
+    try:
+        for r in (44, 46, 47):
+            stats_mod._ball_table(g, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(g.__dict__["_ball_tables"]) == [46, 47]
+    assert peak <= stats_mod._BALL_BYTES + stats_mod._BALL_CHUNK, peak
+    # blocks of 10, 100 and 500 infected vertices land on radii far apart,
+    # more tables than the 2 MB budget holds
+    rng = np.random.default_rng(1)
+    cache = g.__dict__["_ball_tables"]
+    for k in (500, 10, 100, 500):
+        mask = _masks(2500, [rng.choice(2500, k, replace=False) for _ in range(20)])
+        tracemalloc.start()
+        try:
+            got = stats_mod._radius_batch(g, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.distance_matrix.nbytes, peak
+        assert sum(t.nbytes for t in cache.values()) <= stats_mod._BALL_BYTES
+        assert len(cache) <= 2
+        # single rows always gather
+        assert got.tolist() == [stats_mod._radius_batch(g, row[None])[0] for row in mask]
 
 
 @pytest.mark.slow
