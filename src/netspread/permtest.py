@@ -126,22 +126,16 @@ def _tail_budget(alpha_mass: float, total: int) -> int:
     return floor(Fraction(repr(float(alpha_mass))) * total)
 
 
-def _threshold_rule(
-    scores: np.ndarray, alpha_mass: float, total: int
+def _threshold_of(
+    values: np.ndarray, counts: np.ndarray, alpha_mass: float, total: int
 ) -> tuple[float, bool]:
-    """Minimal distinct score v with #{scores >= v} <= _tail_budget(alpha_mass, total).
+    """Minimal distinct score v with #{scores >= v} <= _tail_budget(alpha_mass, total),
+    from the distinct scores (values, ascending) and their counts.
 
     Returns (threshold, saturated); saturated means no such v exists and
     the threshold falls back to the maximum score, rejectable only by a
     value strictly above every score.
     """
-    return _threshold_of(*np.unique(scores, return_counts=True), alpha_mass, total)
-
-
-def _threshold_of(
-    values: np.ndarray, counts: np.ndarray, alpha_mass: float, total: int
-) -> tuple[float, bool]:
-    """_threshold_rule on the distinct scores and their counts, ascending."""
     budget = _tail_budget(alpha_mass, total)
     tail_counts = counts[::-1].cumsum()[::-1]
     ok = np.flatnonzero(tail_counts <= budget)
@@ -529,7 +523,7 @@ _FIRST_ROWS = 16
 
 
 def _count_rejects(ge, below, budget: int):
-    """Whether an observed score exceeds _threshold_rule's threshold over B
+    """Whether an observed score exceeds _threshold_of's threshold over B
     draws: iff ge == 0 or ge + below <= budget, where ge counts the draws
     at or above it and below the copies of the largest draw s under it.
 

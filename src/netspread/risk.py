@@ -307,8 +307,10 @@ def baseline_rule(algorithm: str, g: Graph, k: int, c: int, d: int = 2) -> Basel
     """The TB (ball-radius, dimension d) or TT (tree-weight) rule on g.
 
     TB thresholds R in [0, eccentricity(g, 0)], TT thresholds T in
-    [k - 1, n - 1].
+    [k - 1, n - 1]. No snapshot has k past n, so neither rule takes it.
     """
+    if k > g.n:
+        raise ValueError(f"cannot infect k={k} of n={g.n} vertices")
     if algorithm == "TB":
         threshold = tb_threshold(d, g.n, k, c)
         floor, ceiling, stat = 0.0, eccentricity(g, 0), StatisticSpec.infection_radius(g)

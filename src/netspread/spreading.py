@@ -298,15 +298,6 @@ _STACK_MIN_ROWS = 24
 _STACK_BYTES = 2 << 20
 
 
-def _stackable(g: Graph, eta: float) -> bool:
-    """Whether spreads on g at eta may join a lockstep walk: simulate_spread
-    accepts eta on g (SpreadParams and _check_spread), and no degree passes
-    the block size, so the padded neighbour table costs no more per step
-    than the block walk."""
-    accepted = eta >= 0 and (not g.num_edges or isfinite(g.n + 2 * g.num_edges * float(eta)))
-    return accepted and max(g.degrees, default=0) <= isqrt(g.n)
-
-
 def _spread_paths(
     jobs: Iterable[tuple[Graph, float, np.random.Generator]], k: int
 ) -> Iterator[Sequence[int]]:
@@ -315,24 +306,23 @@ def _spread_paths(
 
     Jobs are read one chunk at a time: as many as fit _STACK_BYTES as
     rows on the n of the chunk's first job, and never fewer than
-    _STACK_MIN_ROWS. When at least _STACK_MIN_ROWS of a chunk's jobs are
-    _stackable with that n, they walk in lockstep (_stacked_paths), each
-    row on the k uniforms of its own rng; every other job is one
-    simulate_spread call.
+    _STACK_MIN_ROWS. A chunk of at least _STACK_MIN_ROWS jobs, all on
+    that n, walks in lockstep (_stacked_paths), each row on the k
+    uniforms of its own rng, once _check_spread accepts each distinct
+    (g, eta) in it; any other chunk is one simulate_spread call per job.
     """
     jobs = iter(jobs)
     for first in jobs:
         n = first[0].n
         rows = max(_STACK_MIN_ROWS, _STACK_BYTES // (2048 + 8 * (n + isqrt(n) + 2 * k)))
         chunk = [first, *itertools.islice(jobs, rows - 1)]
-        stack = [i for i, (g, eta, _) in enumerate(chunk) if g.n == n and _stackable(g, eta)]
-        walked = {}
-        if 1 <= k <= n and len(stack) >= _STACK_MIN_ROWS:
-            draws = np.array([chunk[i][2].random(k) for i in stack])
-            paths = _stacked_paths([chunk[i][:2] for i in stack], draws)
-            walked = dict(zip(stack, paths.tolist()))
-        for i, (g, eta, rng) in enumerate(chunk):
-            yield walked[i] if i in walked else simulate_spread(g, SpreadParams(eta=eta, k=k), rng).order
+        if len(chunk) < _STACK_MIN_ROWS or any(g.n != n for g, _, _ in chunk):
+            yield from (simulate_spread(g, SpreadParams(eta=eta, k=k), rng).order for g, eta, rng in chunk)
+            continue
+        for g, eta in {(id(g), eta): (g, eta) for g, eta, _ in chunk}.values():
+            _check_spread(g, SpreadParams(eta=eta, k=k))
+        draws = np.array([rng.random(k) for _, _, rng in chunk])
+        yield from _stacked_paths([(g, eta) for g, eta, _ in chunk], draws).tolist()
 
 
 def _stacked_paths(rows: Sequence[tuple[Graph, float]], draws: np.ndarray) -> np.ndarray:
@@ -347,63 +337,57 @@ def _stacked_paths(rows: Sequence[tuple[Graph, float]], draws: np.ndarray) -> np
     is the first whose integer running sum exceeds floor(r * d * total),
     and r * d * total is the float u scaled by a power of two, so the
     paths are bit-identical.
-    Neighbour updates read one table padded to the largest degree; the
-    padding names a vertex of weight 0 in a last, empty block of each row.
+    Neighbour updates read one CSR of every distinct graph, end to end,
+    so a hub costs its own degree and no more.
     Returns the (rows, k) array of infected vertices in order.
     """
     count, k = draws.shape
     n = rows[0][0].n
     size = isqrt(n)
     nblocks = -(-n // size)
-    dummy = nblocks * size  # first column of each row's empty last block
     graphs = list({id(g): g for g, _ in rows}.values())
-    slab_of = {id(g): i * n for i, g in enumerate(graphs)}  # its rows of the neighbour table
-    dmax = max(max(g.degrees, default=0) for g in graphs)
-    # per vertex: its neighbours' columns, then their blocks
-    table = np.full((len(graphs) * n, 2 * dmax), dummy, dtype=np.intp)
-    for g in graphs:
-        indptr, indices = g.csr
-        degree = np.diff(indptr)
-        slot = np.arange(indices.size) - np.repeat(indptr[:-1], degree)
-        table[slab_of[id(g)] + np.repeat(np.arange(n), degree), slot] = indices
-    table[:, dmax:] = table[:, :dmax] // size
-    slab = np.array([slab_of[id(g)] for g, _ in rows], dtype=np.intp)
+    slab_of = {id(g): i * n for i, g in enumerate(graphs)}  # its first vertex in the joint CSR
+    degrees = np.concatenate([np.diff(g.csr[0]) for g in graphs])
+    ends = degrees.cumsum()  # of each vertex's neighbours in the joint indices
+    indices = np.concatenate([g.csr[1] for g in graphs])
     p, d = np.array([_scale(g, eta) for g, eta in rows]).T
-    block_base = np.arange(count) * (nblocks + 1)
+    block_base = np.arange(count) * nblocks
     base = block_base * size
-    weights = np.zeros((count, nblocks + 1, size), dtype=np.int64)
+    slab = np.array([slab_of[id(g)] for g, _ in rows]) - base  # flat index -> vertex of the joint CSR
+    weights = np.zeros((count, nblocks, size), dtype=np.int64)
     weights.reshape(count, -1)[:, :n] = d[:, None]
     blocks = weights.sum(axis=2)
     by_block = weights.reshape(-1, size)
     weights = weights.ravel()
     flat_blocks = blocks.ravel()
-    cum = np.zeros((count, nblocks + 2), dtype=np.int64)  # a leading 0, then running block sums
+    cum = np.zeros((count, nblocks + 1), dtype=np.int64)  # a leading 0, then running block sums
     flat_cum = cum.ravel()
     rows_at = np.arange(count)  # cum has one more column a row: block b of row r sums at b + r
-    draws_by_step = np.ascontiguousarray(draws.T)
-    p = p[:, None]
     order = np.empty((k, count), dtype=np.intp)
-    shift = np.repeat(np.stack([base, block_base], axis=1), dmax, axis=1)  # table cell -> flat index
     for t in range(k):
-        np.cumsum(blocks, axis=1, out=cum[:, 1:])
+        blocks.cumsum(axis=1, out=cum[:, 1:])
         # r * total in units of 1/d, floored: truncation, as it is never negative
-        u = (draws_by_step[t] * cum[:, -1]).astype(np.int64)[:, None]
+        u = (draws[:, t] * cum[:, -1]).astype(np.int64)[:, None]
         b = block_base + (cum > u).argmax(axis=1) - 1  # cum[:, 0] = 0 is never past u
         inside = by_block[b]
-        np.cumsum(inside, axis=1, out=inside)
+        inside.cumsum(axis=1, out=inside)
         at = b * size + (inside > u - flat_cum[b + rows_at][:, None]).argmax(axis=1)
-        v = at - base
-        order[t] = v
+        np.subtract(at, base, out=order[t])
         flat_blocks[b] -= weights[at]
         weights[at] = 0
-        if dmax:
-            near = table[slab + v]
-            near += shift
-            cols = near[:, :dmax]
-            old = weights[cols]
-            step = (old > 0) * p  # one more infected neighbour
-            weights[cols] = old + step
-            np.add.at(flat_blocks, near[:, dmax:].ravel(), step.ravel())
+        # the picked vertices' neighbours, one CSR slice a row, as in stats._steiner_batch
+        vertex = at + slab
+        deg = degrees[vertex]
+        upto = deg.cumsum()
+        near = indices[(ends[vertex] - upto).repeat(deg) + np.arange(upto[-1])]
+        near += base.repeat(deg)
+        old = weights[near]
+        step = p.repeat(deg)
+        step *= old > 0  # one more infected neighbour
+        old += step
+        weights[near] = old
+        near //= size
+        np.add.at(flat_blocks, near, step)
     return order.T
 
 

@@ -422,10 +422,10 @@ def test_check_aut_names_a_count_past_the_digit_limit(capsys):
 
 def test_check_aut_size_mismatch(capsys):
     code, stdout, err = run(capsys, "check-aut", "cycle:5", "cycle:6")
-    assert (code, stdout) == (3, "")
-    assert "graphs must share a vertex set: null has 5, alt has 6" in err
+    assert (code, stdout) == (2, "")
+    assert "invalid parameters: null and alternative graphs differ in size: n=5 and n=6" in err
     code, _, err = run(capsys, "check-aut", "empty:10", "torus:6x6")
-    assert code == 3 and "graphs must share a vertex set: null has 10, alt has 36" in err
+    assert code == 2 and "null and alternative graphs differ in size: n=10 and n=36" in err
 
 
 # -- baseline ---------------------------------------------------------------------
@@ -464,6 +464,14 @@ def test_baseline_text_flags_always_rejecting_rule(tmp_path, capsys):
     assert code == 0
     assert "always rejects" in stdout
     assert "never rejects" in stdout  # the tree rule's threshold is below k-1
+
+
+def test_baseline_refuses_k_past_n(tmp_path, capsys):
+    # the experiment's TB and TT rows refuse this k with the same message
+    cfg = write_config(tmp_path, "b.json", {"schema": 1, "graph": "path:3", "k": 5})
+    code, stdout, err = run(capsys, "baseline", "--config", cfg)
+    assert (code, stdout) == (2, "")
+    assert "invalid parameters: cannot infect k=5 of n=3 vertices" in err
 
 
 def test_baseline_schema_violations(tmp_path, capsys):
@@ -1325,6 +1333,6 @@ def test_main_parses_with_one_parser(tmp_path, capsys, monkeypatch):
 
     assert cli._parser() is cli._parser()
     reused = session()
-    assert [code for code, _, _ in reused[:8]] == [0, 0, 0, 0, 2, ("exit", 2), 3, 3]
+    assert [code for code, _, _ in reused[:8]] == [0, 0, 0, 0, 2, ("exit", 2), 2, 3]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert session() == reused

@@ -38,7 +38,7 @@ from netspread import (
     torus_grid,
 )
 from netspread import permtest
-from netspread.permtest import _threshold_rule
+from netspread.permtest import _threshold_of
 
 import oracles
 
@@ -57,35 +57,35 @@ def test_config_validation():
 
 def test_threshold_rule_basic():
     scores = np.array([0.0] * 90 + [1.0] * 8 + [2.0] * 2)
-    t, sat = _threshold_rule(scores, 0.05, 100)
+    t, sat = _threshold_of(*np.unique(scores, return_counts=True), 0.05, 100)
     assert (t, sat) == (2.0, False)
-    t, sat = _threshold_rule(scores, 0.10, 100)
+    t, sat = _threshold_of(*np.unique(scores, return_counts=True), 0.10, 100)
     assert (t, sat) == (1.0, False)
     # nothing has tail mass <= 1%: saturated, threshold pinned at the max
-    t, sat = _threshold_rule(scores, 0.01, 100)
+    t, sat = _threshold_of(*np.unique(scores, return_counts=True), 0.01, 100)
     assert (t, sat) == (2.0, True)
 
 
 def test_threshold_rule_edge_cases():
     one = np.array([3.0])
-    assert _threshold_rule(one, 0.999, 1) == (3.0, True)
+    assert _threshold_of(*np.unique(one, return_counts=True), 0.999, 1) == (3.0, True)
     many = np.arange(10, dtype=np.float64)
-    t, sat = _threshold_rule(many, 0.999, 10)
+    t, sat = _threshold_of(*np.unique(many, return_counts=True), 0.999, 10)
     assert not sat and t == 1.0
-    t, sat = _threshold_rule(many, 0.10, 10)
+    t, sat = _threshold_of(*np.unique(many, return_counts=True), 0.10, 10)
     assert (t, sat) == (9.0, False)
     # all ties: the single value carries all the mass
     ties = np.zeros(50)
-    assert _threshold_rule(ties, 0.05, 50) == (0.0, True)
+    assert _threshold_of(*np.unique(ties, return_counts=True), 0.05, 50) == (0.0, True)
 
 
 def test_threshold_rule_exact_tail_budget():
     # 0.29 * 100 is 28.999999999999996 in floats; the budget is 29 draws
     top = np.array([0.0] * 50 + [1.0] * 21 + [2.0] * 29)
-    assert _threshold_rule(top, 0.29, 100) == (2.0, False)
+    assert _threshold_of(*np.unique(top, return_counts=True), 0.29, 100) == (2.0, False)
     two_top = np.array([0.0] * 71 + [1.0] * 19 + [2.0] * 10)
-    assert _threshold_rule(two_top, 0.29, 100) == (1.0, False)
-    assert _threshold_rule(two_top, np.float64(0.29), 100) == (1.0, False)
+    assert _threshold_of(*np.unique(two_top, return_counts=True), 0.29, 100) == (1.0, False)
+    assert _threshold_of(*np.unique(two_top, return_counts=True), np.float64(0.29), 100) == (1.0, False)
 
 
 @pytest.mark.parametrize("B", [100.0, True, False, 2.5, "100"])
@@ -130,7 +130,7 @@ def test_count_rejects_matches_threshold_rule(draws, observed, alpha):
     ge = scores.size - under.size
     below = int(np.count_nonzero(under == under.max())) if under.size else 0
     budget = permtest._tail_budget(alpha, scores.size)
-    threshold, _ = _threshold_rule(scores, alpha, scores.size)
+    threshold, _ = _threshold_of(*np.unique(scores, return_counts=True), alpha, scores.size)
     assert bool(permtest._count_rejects(ge, below, budget)) == (observed > threshold)
 
 

@@ -411,6 +411,14 @@ def test_baseline_rule_thresholds_and_ranges():
 
 
 @pytest.mark.parametrize("algorithm", ["TB", "TT"])
+def test_baseline_rule_refuses_k_past_n(algorithm):
+    # no snapshot infects 5 of 3 vertices, as an experiment row refuses too
+    with pytest.raises(ValueError, match="cannot infect k=5 of n=3 vertices"):
+        baseline_rule(algorithm, path_graph(3), 5, 0)
+    assert baseline_rule(algorithm, path_graph(3), 3, 0).stat.graph.n == 3
+
+
+@pytest.mark.parametrize("algorithm", ["TB", "TT"])
 def test_baseline_risk_curve_matches_a_replicate_loop(algorithm):
     g = torus_grid((20, 20))
     rule = baseline_rule(algorithm, g, 5, 10, d=1)
@@ -437,7 +445,8 @@ def test_baseline_risk_curve_skips_rules_that_ignore_the_data():
 
 
 def test_baseline_risk_curve_shortcut_refuses_what_a_simulation_refuses():
-    always = baseline_rule("TT", torus_grid((4, 4)), 20, 0)
+    # the rule takes k <= n; the curve's own k is checked again
+    always = baseline_rule("TT", torus_grid((4, 4)), 16, 0)
     assert always.diagnosis == "always rejects"
     with pytest.raises(ValueError, match="cannot infect k=20 of n=16"):
         baseline_risk_curve(always, [1.0], 20, 0, 3)

@@ -1,8 +1,9 @@
 import io
 import re
+import tracemalloc
 from itertools import combinations, permutations
 from fractions import Fraction
-from math import fsum, inf, isclose, isfinite
+from math import fsum, inf, isclose, isfinite, isqrt
 
 import numpy as np
 import pytest
@@ -432,18 +433,26 @@ def test_simulate_spread_matches_reference_at_benchmark_scale(g, eta):
         _assert_matches_reference(g, eta, 500, seed)
 
 
+_STAR_CHORDS = build_graph(30, [(0, v) for v in range(1, 30)] + [(3, 7), (7, 20), (1, 29)])
+
+
 @st.composite
 def stack_cases(draw):
     """Rows of one lockstep walk: two graphs on the same 1..40 vertices
-    (random ones, often with isolated vertices, or the empty, star, cycle,
-    path or complete graph), and per row one of them, an eta and its own
-    substream; one k in 1..n for all rows."""
+    (random ones, often with isolated vertices; a hub joined to more than
+    isqrt(n) vertices, up to a star, plus random chords; or the empty,
+    star, cycle, path or complete graph), and per row one of them, an eta
+    and its own substream; one k in 1..n for all rows."""
     n = draw(st.integers(1, 40))
 
     def graph():
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["random", "hub", "family"]))
+        if kind != "family":
             vertex = st.integers(0, n - 1)
             pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+            if kind == "hub":
+                reach = draw(st.integers(min(isqrt(n) + 1, n - 1), n - 1))
+                pairs += [(0, v) for v in range(1, reach + 1)]
             return build_graph(n, [(u, v) for u, v in pairs if u != v])
         families = [empty_graph, path_graph, complete_graph]
         families += [star_graph] * (n >= 2) + [cycle_graph] * (n >= 3)
@@ -461,6 +470,7 @@ def stack_cases(draw):
 @example(([(star_graph(17), 10.0), (empty_graph(17), 0.0)] * 13, 17, 1))
 @example(([(build_graph(12, [(0, 1), (2, 3), (5, 11)]), 1e6), (complete_graph(12), 1e6)], 12, 3))
 @example(([(torus_grid((5, 5)), eta) for eta in _SPREAD_ETAS] * 5, 25, 4))
+@example(([(_STAR_CHORDS, eta) for eta in _SPREAD_ETAS] * 3 + [(cycle_graph(30), 1.0)], 30, 5))
 def test_stacked_paths_equal_per_row_walks(case):
     rows, k, seed = case
     draws = np.array([substream(seed, i).random(k) for i in range(len(rows))])
@@ -480,39 +490,24 @@ def test_stacked_pick_at_zero_and_at_exact_block_boundaries():
     assert spreading._stacked_paths(rows, draws).tolist() == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5, 9, 8]]
 
 
-def test_stackable_rows():
-    torus = torus_grid((6, 6))
-    # every eta simulate_spread accepts, on the grid of _scale or off it
-    for g, eta in ((torus, 10.0), (torus, 0.3), (torus, 1e306), (empty_graph(36), inf)):
-        assert spreading._stackable(g, eta)
-        simulate_spread(g, SpreadParams(eta=eta, k=36), 0)
-    # and none it refuses: SpreadParams, or weights that overflow
-    for eta in (-1.0, float("nan"), inf, 1e307):
-        assert not spreading._stackable(torus, eta)
-        with pytest.raises(ValueError):
-            simulate_spread(torus, SpreadParams(eta=eta, k=1), 0)
-    # a hub pads every row of the neighbour table past the block size
-    assert spreading._stackable(cycle_graph(36), 1.0) and not spreading._stackable(star_graph(36), 1.0)
-
-
 def test_spread_paths_equal_one_spread_per_job(monkeypatch):
     k = 5
-    torus, cycle = torus_grid((6, 6)), cycle_graph(20)
+    torus, star, cycle = torus_grid((6, 6)), star_graph(36), cycle_graph(20)
     # a chunk led by an n=36 job reads 40 jobs, one led by an n=20 job 42
     monkeypatch.setattr(spreading, "_STACK_BYTES", 40 * (2048 + 8 * (36 + 6 + 2 * k)))
-    stackable = [(torus, 1.0), (torus, 0.3), (empty_graph(36), 0.0)]
-    # not stackable on n=36: a hub past the block size, at either eta, or another n
-    others = [(star_graph(36), 0.3), (star_graph(36), 1.0), (cycle, 1.0)]
+    # on n=36, hubs past the block size among them
+    same_n = [(torus, 1.0), (torus, 0.3), (empty_graph(36), 0.0), (star, 0.3), (star, 1.0)]
 
     def chunk(lead, rest):
         return [lead] + [rest[i] for i in np.random.default_rng(len(rest)).permutation(len(rest))]
 
     specs = (
-        chunk((torus, 1.0), [stackable[i % 3] for i in range(22)] + [others[i % 3] for i in range(17)])  # 23 stack: none walks
-        + chunk((torus, 1.0), [stackable[i % 3] for i in range(29)] + [others[i % 3] for i in range(10)])  # 30 walk
-        + chunk((cycle, 1.0), [(cycle, 0.5), (cycle, 0.3)] * 12 + [(torus, 1.0)] * 5)  # the last, short chunk: 25 walk
+        chunk((torus, 1.0), [same_n[i % 5] for i in range(39)])  # 40 walk
+        + chunk((torus, 1.0), [same_n[i % 5] for i in range(38)] + [(cycle, 1.0)])  # two n: none walks
+        + chunk((cycle, 1.0), [(cycle, 0.5), (cycle, 0.3)] * 20 + [(cycle, 0.0)])  # 42 walk
+        + [(torus, 1.0)] * 23  # the last, short chunk: none walks
     )
-    ends = [40, 80, 110]
+    ends = [40, 80, 122, 145]
     read = []
 
     def jobs():
@@ -538,13 +533,13 @@ def test_spread_paths_equal_one_spread_per_job(monkeypatch):
         # at most the chunk that holds job i has been read
         assert len(read) <= next(end for end in ends if end > i)
         got.append(list(order))
-    assert walks == [30, 25] and len(spreads) == 110 - 55
+    assert walks == [40, 42] and len(spreads) == 40 + 23
     want = [list(simulate_spread(g, SpreadParams(eta=eta, k=k), substream(7, i)).order) for i, (g, eta) in enumerate(specs)]
     assert got == want
 
 
 def test_spread_paths_walk_non_dyadic_etas_in_lockstep(monkeypatch):
-    # 24 jobs at eta 0.3 on one n walk in one lockstep call; a star walks alone
+    # 25 jobs at eta 0.3 on one n, a star among them, walk in one lockstep call
     torus, star = torus_grid((6, 6)), star_graph(36)
     specs = [(torus, 0.3)] * 12 + [(star, 0.3)] + [(torus, 0.3)] * 12
     walks, walk = [], spreading._stacked_paths
@@ -556,17 +551,74 @@ def test_spread_paths_walk_non_dyadic_etas_in_lockstep(monkeypatch):
     monkeypatch.setattr(spreading, "_stacked_paths", counting_rows)
     jobs = ((g, eta, substream(5, i)) for i, (g, eta) in enumerate(specs))
     got = [tuple(order) for order in spreading._spread_paths(jobs, 9)]
-    assert walks == [24]
+    assert walks == [25]
     for i, (g, eta) in enumerate(specs):
         assert got[i] == simulate_spread(g, SpreadParams(eta=eta, k=9), substream(5, i)).order
 
 
-@pytest.mark.parametrize("k, message", [(37, "cannot infect k=37 of n=36"), (0, "k must be >= 1, got 0")])
-def test_spread_paths_refuse_what_simulate_spread_refuses(k, message):
-    # 30 stackable jobs, but no lockstep walk for a k that cannot spread
-    jobs = ((torus_grid((6, 6)), 1.0, substream(7, i)) for i in range(30))
+_TORUS_6 = torus_grid((6, 6))
+
+
+@pytest.mark.parametrize(
+    "g, eta, k, message",
+    [
+        pytest.param(_TORUS_6, 1.0, 37, "cannot infect k=37 of n=36", id="37-cannot infect k=37 of n=36"),
+        pytest.param(_TORUS_6, 1.0, 0, "k must be >= 1, got 0", id="0-k must be >= 1, got 0"),
+        # SpreadParams refuses these etas, _check_spread the ones that overflow
+        (_TORUS_6, -1.0, 5, "eta must be >= 0, got -1.0"),
+        (_TORUS_6, float("nan"), 5, "eta must be >= 0, got nan"),
+        (_TORUS_6, inf, 5, "eta=inf overflows"),
+        (_TORUS_6, 1e307, 5, "eta=1e\\+307 overflows"),
+        # accepted, on the grid of _scale or off it
+        (_TORUS_6, 1e306, 36, None),
+        (_TORUS_6, 0.3, 36, None),
+        (empty_graph(36), inf, 36, None),
+    ],
+)
+def test_spread_paths_refuse_what_simulate_spread_refuses(monkeypatch, g, eta, k, message):
+    # 30 jobs on one n, the one at eta among jobs on g at 0.5: a lockstep
+    # chunk, unless k or that eta cannot spread
+    walks, walk = [], spreading._stacked_paths
+
+    def counting_rows(rows, draws):
+        walks.append(len(rows))
+        return walk(rows, draws)
+
+    monkeypatch.setattr(spreading, "_stacked_paths", counting_rows)
+    etas = [0.5] * 14 + [eta] + [0.5] * 15
+    jobs = ((g, e, substream(7, i)) for i, e in enumerate(etas))
+    if message is None:
+        got = [tuple(order) for order in spreading._spread_paths(jobs, k)]
+        assert walks == [30]
+        assert got == [simulate_spread(g, SpreadParams(eta=e, k=k), substream(7, i)).order for i, e in enumerate(etas)]
+        return
     with pytest.raises(ValueError, match=message):
         next(spreading._spread_paths(jobs, k))
+    with pytest.raises(ValueError, match=message):
+        simulate_spread(g, SpreadParams(eta=eta, k=k), 0)
+    assert walks == []
+
+
+def test_stacked_paths_memory():
+    # a lockstep chunk of 24 star:2500 and 24 torus:50x50 rows at k = 50
+    # holds its weight rows, the joint CSR of its two graphs and, per step,
+    # three arrays of one int64 a neighbour of the picked vertices: at eta
+    # 1e6 every star row infects the hub at step 2, all in the same step.
+    # A neighbour table padded to the hub's degree would hold
+    # (2 x 2500, 2 x 2499) int64, about 200 MB.
+    star, torus = star_graph(2500), torus_grid((50, 50))
+    rows = [(star, 1e6), (torus, 10.0)] * 24
+    draws = np.array([substream(1, i).random(50) for i in range(48)])
+    joint = sum(2 * 8 * g.n + g.csr[1].nbytes for g in (star, torus))  # ends, degrees, indices
+    tracemalloc.start()
+    try:
+        paths = spreading._stacked_paths(rows, draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (paths[::2, 1] == 0).all()
+    weights, step = 48 * 2500 * 8, 3 * 24 * (2499 + 4) * 8
+    assert peak <= weights + joint + step + (1 << 20), peak
 
 
 def test_simulate_spread_frequencies_match_law():
