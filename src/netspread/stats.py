@@ -43,14 +43,15 @@ _DMAT_LIMIT = 4096
 # bytes of the distance-matrix rows one batched R gather reads at once
 _R_GATHER_BYTES = 1 << 20
 
-# R's ball tables (_ball_radii): bytes kept per graph (two 50x50-torus tables
-# of 800 KB, 93 20x20 ones), bytes a build compares or an AND gathers at once,
-# and radii stepped above the guess, a block's first radius. Relabelings of
-# the 20x20 and 50x50 tori fall on 2-3 adjacent radii. In alternating pairs
-# of `bench/run.py` runs (2-CPU host), no step up cut grid-risk tests/s by
-# 10% (1/10 pairs higher) and large-torus by 4-7% (7/20 higher); the gallop
-# down, against reading every passing row off its centers, raised grid-risk
-# by 22% (10/10) and cut its peak RSS by 1.2 MB.
+# R's ball tables (_ball_radii): bytes kept per graph, never fewer tables
+# than the guess (a block's first radius) and _BALL_UP radii either side
+# (_tables_kept: 93 20x20-torus tables, five 50x50 ones of 800 KB), bytes a
+# build compares or an AND gathers at once, and radii stepped either side of
+# the guess. Relabelings of the 20x20 and 50x50 tori fall on 2-3 adjacent
+# radii. In alternating pairs of `bench/run.py` runs (2-CPU host), no step
+# up cut grid-risk tests/s by 10% (1/10 pairs higher) and large-torus by
+# 4-7% (7/20 higher). A gallop down past that window evicted the tables
+# above the guess (60 builds, not 5, in 12 large-torus R curves; 8/10 lower).
 _BALL_BYTES = 1 << 21
 _BALL_CHUNK = 1 << 18
 _BALL_UP = 2
@@ -70,7 +71,8 @@ def infection_radius(g: Graph, iv: InfectionVector) -> int | float:
     min over all centers v (any status) of max over infected u of
     d(u, v). Censored vertices never enter the inner max. Returns inf
     when no single component contains a center within reach of every
-    infected vertex. Requires at least one infected vertex.
+    infected vertex, and 0 when no vertex is infected: every ball covers
+    the empty set.
     """
     return StatisticSpec.infection_radius(g).evaluate(iv)
 
@@ -88,8 +90,9 @@ def steiner_weight(g: Graph, iv: InfectionVector) -> int:
     non-terminal vertex on the paths. Guarantees weight <= 2 * optimum.
     The ties follow vertex numbers, so T is not invariant under graph
     automorphisms: on the 4x4 torus it is 3 on {0, 2, 5} and 4 on the
-    image {0, 5, 8}. Raises DisconnectedTerminalsError when the
-    infected set spans components.
+    image {0, 5, 8}. 0 when no vertex is infected (the empty tree).
+    Raises DisconnectedTerminalsError when the infected set spans
+    components.
     """
     return StatisticSpec.steiner_weight(g).evaluate(iv)
 
@@ -122,21 +125,25 @@ def _edges_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
 def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     """infection_radius of every row, as float64.
 
-    Rows may differ in infected count: then each row's infected vertices
-    are padded to the largest count by repeating its last one, which
-    leaves its max and its AND unchanged. A block's first row gathers
-    (_gathered_radii) and its R is the guess from which ball tables
-    (_ball_radii) settle what they can of the other rows; the rest,
-    single rows and blocks whose first row has no finite R gather. On
-    100-row blocks of relabelings (2-CPU Xeon) that takes 2.6 us a row at
-    n = 400, k = 80 and 45 us at n = 2500, k = 500, against 5-8 and
-    160 us gathered. Graphs above _DMAT_LIMIT run one packed BFS per row
-    instead. Raises ValueError when a row has no infected vertex.
+    Rows with no infected vertex score 0. Rows may differ in infected
+    count: then each row's infected vertices are padded to the largest
+    count by repeating its last one, which leaves its max and its AND
+    unchanged. The distance matrix is read two ways: a block's first row
+    gathers its distance rows (_gathered_radii), and its R is the guess
+    from which ball tables (_ball_radii) settle what they can of the
+    other rows. The rest, single rows and blocks whose first row has no
+    finite R gather too. On 100-row blocks of relabelings (2-CPU Xeon)
+    that takes 2.6 us a row at n = 400, k = 80 and 45 us at n = 2500,
+    k = 500, against 5-8 and 160 us gathered. Graphs above _DMAT_LIMIT
+    run one packed BFS per row instead.
     """
     rows, n = infected.shape
     k = infected.sum(axis=1)
-    if not k.all():
-        raise ValueError("infection radius needs at least one infected vertex")
+    if not k.all():  # every ball covers the empty set: R is 0
+        radii = np.zeros(rows)
+        if k.any():
+            radii[k > 0] = _radius_batch(g, infected[k > 0])
+        return radii
     if n > _DMAT_LIMIT:
         radii = np.empty(rows)
         for r, row in enumerate(infected):
@@ -181,16 +188,22 @@ def _gathered_radii(dmat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.where(hops == np.iinfo(hops.dtype).max, inf, hops)
 
 
+def _tables_kept(n: int) -> int:
+    """Ball tables a graph of n vertices keeps: as many as _BALL_BYTES holds,
+    and never fewer than the guess and _BALL_UP radii either side."""
+    return max(2 * _BALL_UP + 1, _BALL_BYTES // (8 * n * -(-n // 64)))
+
+
 def _ball_table(g: Graph, r: int) -> np.ndarray:
     """B_r, whose row u is np.packbits(D[u] <= r) in '<u8' words: built
     _BALL_CHUNK bytes of comparisons at a time and cached per graph, the
     least recently used going first, before the build, once the cache
-    would pass _BALL_BYTES."""
+    holds _tables_kept tables."""
     cache = g.__dict__.setdefault("_ball_tables", {})
     table = cache.pop(r, None)
     if table is None:
         n = g.n
-        while cache and sum(t.nbytes for t in cache.values()) + 8 * n * -(-n // 64) > _BALL_BYTES:
+        while len(cache) >= _tables_kept(n):
             del cache[next(iter(cache))]
         table = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
         step = max(1, _BALL_CHUNK // (2 * n))  # a row's n bools, packed bytes and packbits' buffers
@@ -205,72 +218,42 @@ def _ball_radii(g: Graph, idx: np.ndarray, guess: int, radii: np.ndarray) -> Non
     """Fill the radii of the rows of (rows, k) vertex indices that ball
     tables settle: R(I) <= r iff the B_r rows of I's vertices AND to
     non-zero. From the guess, failing rows step up at most _BALL_UP radii
-    and passing rows down while _BALL_BYTES holds the tables; rows still
-    passing read R off their centers (_center_radii). The rest stay nan."""
-    dmat = g.distance_matrix
-    n, kmax = dmat.shape[0], idx.shape[1]
-    tables = _BALL_BYTES // (8 * n * -(-n // 64))
-    if not tables:
-        return
+    and passing rows down while the cache keeps every table of the window
+    (_tables_kept), so a steady guess builds none. The rest stay nan."""
+    kmax = idx.shape[1]
     # the ranks in a golden-ratio stride, so that a failing row's AND empties early
     stride = round(kmax * 0.618) or 1
     while gcd(stride, kmax) > 1:
         stride += 1
     cols = np.ascontiguousarray(idx[:, np.arange(kmax) * stride % kmax].T, dtype=np.uint16)
-    acc = _ball_and(_ball_table(g, guess), cols)
-    passed = acc.any(axis=1)
-    low, low_cols, acc = np.flatnonzero(passed), cols[:, passed], acc[passed]
+    passed = _in_ball(_ball_table(g, guess), cols)
+    low, low_cols = np.flatnonzero(passed), cols[:, passed]
     todo, cols = np.flatnonzero(~passed), cols[:, ~passed]
-    up = min(tables - 1, _BALL_UP, np.iinfo(dmat.dtype).max - 1 - guess)  # no table at the no-path mark
-    for r in range(guess + 1, guess + 1 + up):
-        if not todo.size:
-            break
-        passed = _ball_and(_ball_table(g, r), cols).any(axis=1)
+    top = min(guess + _BALL_UP, np.iinfo(g.distance_matrix.dtype).max - 1)  # no table at the no-path mark
+    r = guess
+    while todo.size and r < top:
+        r += 1
+        passed = _in_ball(_ball_table(g, r), cols)
         radii[todo[passed]] = r
         todo, cols = todo[~passed], cols[:, ~passed]
     r = guess
-    while low.size and r > 0 and tables > 1 + up + guess - r:
-        below = _ball_and(_ball_table(g, r - 1), low_cols)
-        passed = below.any(axis=1)
+    while low.size and r > 0 and _tables_kept(g.n) > 1 + top - r:  # the window top .. r - 1
+        passed = _in_ball(_ball_table(g, r - 1), low_cols)
         radii[low[~passed]] = r
-        low, low_cols, acc, r = low[passed], low_cols[:, passed], below[passed], r - 1
-    if low.size:
-        radii[low] = _center_radii(dmat, acc, idx[low])
+        low, low_cols, r = low[passed], low_cols[:, passed], r - 1
 
 
-def _ball_and(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The AND of the table rows of each column of (k, rows) vertex indices,
-    over gathers of about _BALL_CHUNK bytes, left once every AND is empty."""
+def _in_ball(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether the AND of the table rows of each column of (k, rows) vertex
+    indices is non-zero: over gathers of about _BALL_CHUNK bytes, left once
+    every AND is empty."""
     acc = table.take(cols[0], axis=0)
     step = max(1, _BALL_CHUNK // max(1, acc.nbytes))
     for j in range(1, len(cols), step):
         acc &= np.bitwise_and.reduce(table.take(cols[j : j + step], axis=0), axis=0)
         if not acc.any():
             break
-    return acc
-
-
-def _center_radii(dmat: np.ndarray, acc: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """R of each row of (rows, k) vertex indices whose B_a AND is acc's row and
-    R <= a: the least, over the centers the AND marks, of their largest
-    distance to the row's vertices, as every center of radius R is marked.
-    nan where over an eighth of the vertices are marked: so many centers
-    cost about what the gather does."""
-    n, kmax = dmat.shape[0], idx.shape[1]
-    wr, wc = np.nonzero(acc)
-    bits = np.unpackbits(acc[wr, wc].view(np.uint8).reshape(-1, 8), axis=1)
-    few = (np.bincount(wr, np.count_nonzero(bits, axis=1), len(acc)) <= max(1, n >> 3))[wr]
-    pr, pb = np.nonzero(bits[few])
-    row, center = wr[few][pr], wc[few][pr] * 64 + pb
-    ecc = np.empty(center.size, dtype=dmat.dtype)
-    step = max(1, _BALL_CHUNK // (8 * kmax))
-    for lo in range(0, center.size, step):
-        flat = idx[row[lo : lo + step]] + n * center[lo : lo + step, None]
-        ecc[lo : lo + step] = dmat.reshape(-1).take(flat).max(axis=1)
-    out = np.full(len(acc), np.nan)
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
-    out[row[starts]] = np.minimum.reduceat(ecc, starts) if row.size else []
-    return out
+    return acc.any(axis=1)
 
 
 def _count_in(infected: np.ndarray, vertices: Iterable[int], what: str) -> np.ndarray:
@@ -312,11 +295,11 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
         while front.size:
             v = front % n
             deg = indptr[v + 1] - indptr[v]
-            ends = np.cumsum(deg)
-            cand = np.repeat(indptr[v] - ends + deg, deg)
+            ends = deg.cumsum()
+            cand = (indptr[v] - ends + deg).repeat(deg)
             cand += np.arange(cand.size)
             cand = indices[cand]
-            cand += np.repeat(front - v, deg)
+            cand += (front - v).repeat(deg)
             fresh = np.flatnonzero(dist[cand] < 0)
             reached = cand[fresh]
             np.minimum.at(claim, reached, fresh)
@@ -362,11 +345,8 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             ca, cb = link[ca], link[cb]
             joins = ca != cb
             ca, cb, key = ca[joins], cb[joins], key[joins]
-        k = np.count_nonzero(mask, axis=1)
-        bad = np.bincount(a[bridge] // n, minlength=k.size) != k - 1
-        if bad.any():
-            if k[np.argmax(bad)] == 0:
-                raise ValueError("steiner weight needs at least one infected vertex")
+        bridges = np.maximum(np.count_nonzero(mask, axis=1) - 1, 0)  # the empty tree has none
+        if (np.bincount(a[bridge] // n, minlength=bridges.size) != bridges).any():
             raise DisconnectedTerminalsError(
                 "infected vertices do not lie in one connected component"
             )
@@ -379,7 +359,7 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             x = x[x >= 0]
             x = x[~on[x]]
         on &= dist > 0
-        out[lo : lo + step] = k - 1 + np.count_nonzero(on.reshape(mask.shape), axis=1)
+        out[lo : lo + step] = bridges + np.count_nonzero(on.reshape(mask.shape), axis=1)
     return out
 
 

@@ -411,12 +411,12 @@ def edges_within(g: Graph, iv: InfectionVector) -> int:
 
 def infection_radius(g: Graph, iv: InfectionVector) -> int | float:
     """min over centers v of max over infected u of d(u, v); inf when no
-    vertex is reachable from every infected one."""
+    vertex is reachable from every infected one, 0 when none is infected."""
     if g.n != iv.n:
         raise ValueError("graph and snapshot sizes differ")
     infected = [int(u) for u in np.flatnonzero(iv.status == INFECTED)]
     if not infected:
-        raise ValueError("infection radius needs at least one infected vertex")
+        return 0
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges)
@@ -479,9 +479,7 @@ def steiner_weight(g: Graph, iv: InfectionVector) -> int:
     if g.n != iv.n:
         raise ValueError("graph and snapshot sizes differ")
     terminals = [int(v) for v in np.flatnonzero(iv.status == INFECTED)]
-    if not terminals:
-        raise ValueError("steiner weight needs at least one infected vertex")
-    if len(terminals) == 1:
+    if len(terminals) <= 1:
         return 0
 
     dist, src, parent = _voronoi(g, terminals)

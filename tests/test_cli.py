@@ -870,6 +870,36 @@ def test_experiment_rejects_null_and_alternative_graphs_of_different_sizes(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row, line", [
+    ({"algorithm": "perm", "statistic": "R", "alpha": 0.1, "B": 19}, "perm,R,0,data-dependent,0,1"),
+    ({"algorithm": "perm", "statistic": "T", "alpha": 0.1, "B": 19}, "perm,T,0,data-dependent,0,1"),
+    ({"algorithm": "TB"}, "TB,R,8.32597,data-dependent,1,0"),
+], ids=["R", "T", "TB"])
+def test_experiment_scores_snapshots_whose_infected_vertex_is_censored(tmp_path, capsys, row, line):
+    # one infected vertex among 200 censored of 400: some replicates show no
+    # infected vertex, and R and T score them 0, as W does
+    entry = dict(row, alt_graph="torus:20x20", k=1, c=200, etas=[1], replicates=10)
+    cfg = write_config(tmp_path, "e.json", {"schema": 1, "entries": [entry]})
+    code, stdout, err = run(capsys, "experiment", "--config", cfg)
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[1] == line
+
+
+@pytest.mark.parametrize("statistic", ["R", "T"])
+def test_test_scores_a_snapshot_whose_infected_vertices_are_censored(tmp_path, capsys, statistic):
+    status = tmp_path / "s.txt"
+    status.write_text("0 *\n1 0\n2 *\n3 0\n4 0\n5 0\n")
+    code, stdout, err = run(
+        capsys,
+        "test", "--null-graph", "empty:6", "--alt-graph", "cycle:6", "--statistic", statistic,
+        "--infection", str(status), "--B", "19", "--json",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(stdout)
+    # every relabeling ties at 0, so the test cannot reject
+    assert (payload["observed"], payload["threshold"], payload["p_value"], payload["reject"]) == (0, 0, 1, False)
+
+
 @pytest.mark.parametrize("change, message", [
     ({"replicates": 0}, "reps must be >= 1, got 0"),
     ({"replicates": -3}, "reps must be >= 1, got -3"),

@@ -115,11 +115,13 @@ def _rows(n, *infected):
 
 # R's knobs: every graph above the distance-matrix limit (one BFS per row), a
 # gather budget of one byte (one row and one infected rank per gather), and
-# that with no ball table, so that every row gathers
+# that with one ball table (the guess's), so that every other row gathers
 @settings(max_examples=150)
 @given(
     graphs_and_blocks(),
-    st.sampled_from([{}, {"_DMAT_LIMIT": 0}, {"_R_GATHER_BYTES": 1}, {"_R_GATHER_BYTES": 1, "_BALL_BYTES": 0}]),
+    st.sampled_from(
+        [{}, {"_DMAT_LIMIT": 0}, {"_R_GATHER_BYTES": 1}, {"_R_GATHER_BYTES": 1, "_BALL_BYTES": 0, "_BALL_UP": 0}]
+    ),
 )
 @example((build_graph(1, []), np.array([[1], [1]], dtype=np.int8), 0, {0}), {})
 @example((build_graph(1, []), np.array([[1], [0], [2]], dtype=np.int8), 0, {0}), {"_DMAT_LIMIT": 0})
@@ -127,7 +129,9 @@ def _rows(n, *infected):
 @example((cycle_graph(70), _rows(70, [0, 35], [3, 4, 5, 60], [10]), 0, {0, 1}), {"_DMAT_LIMIT": 0})
 @example((torus_grid((9, 9)), _rows(81, [0, 40, 80], [7], [1, 2, 10, 11]), 40, {40}), {"_DMAT_LIMIT": 0})
 @example((cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}), {"_R_GATHER_BYTES": 1})
-@example((cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}), {"_R_GATHER_BYTES": 1, "_BALL_BYTES": 0})
+@example(
+    (cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}), {"_R_GATHER_BYTES": 1, "_BALL_BYTES": 0, "_BALL_UP": 0}
+)
 @example((_TWO_PATHS, np.array([[1, 0, 2, 0, 1, 0], [0, 1, 0, 2, 0, 1]], dtype=np.int8), 0, {1, 4}), {})
 @example(
     (_TWO_PATHS, np.array([[1, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0], [0, 0, 2, 1, 1, 1]], dtype=np.int8), 3, {2}),
@@ -160,10 +164,11 @@ def test_score_batch_radius_chunks_and_bfs_path(monkeypatch):
     block = np.array([status[rng.permutation(36)] for _ in range(23)])
     spec = StatisticSpec.infection_radius(g)
     want = spec.score_batch(block)
-    # one row per gather chunk, after the ball tables and without them
+    # one row per gather chunk, after the ball tables and after the guess's alone
     monkeypatch.setattr(stats, "_R_GATHER_BYTES", 1)
     assert spec.score_batch(block).tolist() == want.tolist()
     monkeypatch.setattr(stats, "_BALL_BYTES", 0)
+    monkeypatch.setattr(stats, "_BALL_UP", 0)
     assert spec.score_batch(block).tolist() == want.tolist()
     # above the distance-matrix limit: per-row BFS
     monkeypatch.setattr(stats, "_DMAT_LIMIT", 0)
@@ -196,7 +201,13 @@ def test_score_batch_radius_rows_of_equal_and_unequal_counts():
     ],
 )
 @pytest.mark.parametrize(
-    "knobs", [{}, {"_R_GATHER_BYTES": 1}, {"_BALL_BYTES": 0}, {"_R_GATHER_BYTES": 1, "_BALL_BYTES": 0}]
+    "knobs",
+    [
+        {},
+        {"_R_GATHER_BYTES": 1},
+        {"_BALL_BYTES": 0, "_BALL_UP": 0},
+        {"_R_GATHER_BYTES": 1, "_BALL_BYTES": 0, "_BALL_UP": 0},
+    ],
 )
 def test_score_batch_radius_at_either_distance_width(monkeypatch, g, dtype, infected, want, knobs):
     assert g.distance_matrix.dtype == dtype
@@ -912,14 +923,7 @@ def test_mc_risk_curve_equals_full_tests(case):
 def _check_curve_equals_full_tests(case):
     g0, g1, k, c, cfg, stat, reps = case
     args = (g0, g1, 0.0, [0.0, 1.0, 10.0], k, c, cfg, reps)
-    try:
-        want = _curve_of_full_tests(*args, stat)
-    except ValueError:
-        # R of a snapshot whose infected vertices were all censored
-        with pytest.raises(ValueError, match="at least one infected"):
-            mc_risk_curve(*args, stat=stat)
-        return
-    assert mc_risk_curve(*args, stat=stat) == want
+    assert mc_risk_curve(*args, stat=stat) == _curve_of_full_tests(*args, stat)
 
 
 # a cap of 1 status makes every block one row and every batch one block; 60

@@ -35,6 +35,7 @@ from netspread import (
     torus_grid,
 )
 from netspread import stats as stats_mod
+from netspread.graphs import from_spec
 from networkx.algorithms.isomorphism import GraphMatcher
 from oracles import edges_within as edges_oracle
 from oracles import infection_radius as radius_oracle
@@ -93,9 +94,10 @@ def test_infection_radius_disconnected_is_inf():
     assert infection_radius(g, iv_of(4, [0, 1])) == 1
 
 
-def test_infection_radius_needs_infected():
-    with pytest.raises(ValueError):
-        infection_radius(cycle_graph(4), InfectionVector((0, 0, 0, 0)))
+def test_infection_radius_of_no_visible_infected_is_zero():
+    # every ball covers the empty set
+    assert infection_radius(cycle_graph(4), InfectionVector((0, 0, 0, 0))) == 0
+    assert infection_radius(cycle_graph(4), InfectionVector((2, 0, 2, 0))) == 0
 
 
 def test_infection_radius_large_graph_bfs_fallback():
@@ -155,17 +157,17 @@ def _table_bytes(n):
 def _radius_with_guess(g, mask, guess, **knobs):
     """_radius_batch on a (rows, n) mask with the ball kernel's guess forced
     (where the first row's R is finite) and the given module knobs; the
-    cache stays within its byte budget (it is emptied first where the knobs
-    change that budget)."""
+    cache keeps to its table count (it is emptied first where the knobs
+    change that count)."""
     ball_radii = stats_mod._ball_radii
     with pytest.MonkeyPatch.context() as mp:
         for name, value in knobs.items():
             mp.setattr(stats_mod, name, value)
         mp.setattr(stats_mod, "_ball_radii", lambda g, idx, _, radii: ball_radii(g, idx, guess, radii))
-        if "_BALL_BYTES" in knobs:
+        if knobs.keys() & {"_BALL_BYTES", "_BALL_UP"}:
             g.__dict__.pop("_ball_tables", None)
         got = stats_mod._radius_batch(g, mask)
-        assert sum(t.nbytes for t in g.__dict__.get("_ball_tables", {}).values()) <= stats_mod._BALL_BYTES
+        assert len(g.__dict__.get("_ball_tables", {})) <= stats_mod._tables_kept(g.n)
     return got.tolist()
 
 
@@ -192,14 +194,16 @@ def graphs_and_radius_blocks(draw):
 
 
 # the ball kernel's budgets: the default (tables to gallop down and step up
-# two radii), one table (the center read-out alone), two tables (one step
-# up), and one-byte chunks (one row per table build chunk, one rank per AND
-# gather and a look for empty ANDs after each, one pair per read-out gather)
+# two radii); no byte budget, so that the floor of 2 * _BALL_UP + 1 tables
+# binds: one table (the guess's, so every other row gathers), three and
+# five (the 50x50 torus's); and one-byte chunks (one row per table build
+# chunk, one rank per AND gather and a look for empty ANDs after each)
 _KERNEL_KNOBS = [
-    lambda n: {},
-    lambda n: {"_BALL_BYTES": _table_bytes(n)},
-    lambda n: {"_BALL_BYTES": 2 * _table_bytes(n)},
-    lambda n: {"_BALL_CHUNK": 1},
+    {},
+    {"_BALL_BYTES": 0, "_BALL_UP": 0},
+    {"_BALL_BYTES": 0, "_BALL_UP": 1},
+    {"_BALL_BYTES": 0, "_BALL_UP": 2},
+    {"_BALL_CHUNK": 1},
 ]
 
 
@@ -208,42 +212,59 @@ _KERNEL_KNOBS = [
 @example((build_graph(1, []), np.ones((3, 1), dtype=bool), 0), 0)
 @example((build_graph(1, []), np.ones((2, 1), dtype=bool), 2), 1)
 @example((build_graph(4, [(0, 1), (2, 3)]), _masks(4, [[0, 1], [0, 2], [3], [0, 1, 2, 3]]), 1), 0)
-@example((cycle_graph(9), _masks(9, [[0], [0, 4], [0, 3, 6], range(9), [2, 3]]), 0), 3)
+@example((cycle_graph(9), _masks(9, [[0], [0, 4], [0, 3, 6], range(9), [2, 3]]), 0), 4)
+@example((path_graph(12), _masks(12, [[0, 11], [0, 5], [3, 4], [6], [0, 8], [2, 9]]), 4), 2)
 def test_radius_kernel_equals_oracle_and_gather(case, knobs):
     # k = 1, k = n, unequal k (padding), inf rows, n = 1, guesses below the
-    # least radius and above the largest
+    # least radius and above the largest; one row always gathers
     g, mask, guess = case
     want = [float(radius_oracle(g, InfectionVector(row.astype(np.int8)))) for row in mask]
-    assert _radius_with_guess(build_graph(g.n, g.edges), mask, guess, _BALL_BYTES=0) == want
-    assert _radius_with_guess(g, mask, guess, **_KERNEL_KNOBS[knobs](g.n)) == want
+    assert [stats_mod._radius_batch(g, row[None])[0] for row in mask] == want
+    assert _radius_with_guess(g, mask, guess, **_KERNEL_KNOBS[knobs]) == want
 
 
 def test_radius_kernel_runs_every_branch(monkeypatch):
     # 20x20 torus relabelings with k = 80 fall on radii 15-17; forced
-    # guesses send them down the gallop, through the read-out (with and
-    # without centers few enough), up the window and past it into the gather
+    # guesses send them down the gallop, up the window and past either end
+    # of it into the gather, with 93 tables and with floors of one and three
     g = torus_grid((20, 20))
     rng = np.random.default_rng(0)
     mask = _masks(400, [rng.choice(400, 80, replace=False) for _ in range(40)])
     want = stats_mod._radius_batch(build_graph(400, g.edges), mask).tolist()
     assert set(want) == {15, 16, 17}
-    rows = Counter()  # rows each helper is given
-    for name in ("_gathered_radii", "_center_radii"):
-        real = getattr(stats_mod, name)
-        monkeypatch.setattr(stats_mod, name, lambda *a, real=real, name=name: rows.update({name: len(a[-1])}) or real(*a))
-    one = _table_bytes(400)
+    at = Counter(want[1:])
+    gathered = []  # rows each gather is given
+    real = stats_mod._gathered_radii
+    monkeypatch.setattr(stats_mod, "_gathered_radii", lambda dmat, idx: gathered.append(len(idx)) or real(dmat, idx))
+    one, three = {"_BALL_BYTES": 0, "_BALL_UP": 0}, {"_BALL_BYTES": 0, "_BALL_UP": 1}
     # the first row always gathers: it gives the guess
-    for guess, knobs, read_out, gathered in [
-        (20, {}, False, 1),  # gallop down 20 -> 14
-        (15, {}, False, 1),  # 15 one down, up 16 and 17
-        (17, {"_BALL_BYTES": one}, True, 1),  # read-out alone
-        (30, {"_BALL_BYTES": one}, True, 40),  # every vertex marked
-        (15, {"_BALL_BYTES": 2 * one}, True, 1 + want[1:].count(17)),  # 16 one up, 17 gathered
-        (13, {}, False, 1 + want[1:].count(16) + want[1:].count(17)),  # up 14, 15 and the rest gathered
+    for guess, knobs, rows in [
+        (20, {}, 1),  # gallop down 20 -> 14
+        (15, {}, 1),  # 15 one down, up 16 and 17
+        (13, {}, 1 + at[16] + at[17]),  # up 14, 15 and the rest gathered
+        (17, one, 40),  # the guess's table alone
+        (15, three, 1 + at[17]),  # 16 one up, 15 one down, 17 gathered
+        (17, three, 1 + at[15] + at[16]),  # one down, 16 and 15 still pass
     ]:
-        rows.clear()
+        gathered.clear()
         assert _radius_with_guess(g, mask, guess, **knobs) == want
-        assert (rows["_center_radii"] > 0, rows["_gathered_radii"]) == (read_out, gathered), guess
+        assert sum(gathered) == rows, (guess, knobs)
+    # 50x50 relabelings with k = 500 at the guess and one radius under it
+    # gallop down two of the five tables the floor keeps, so none reaches
+    # the gather; two radii under, they pass the lowest table and gather
+    big = torus_grid((50, 50))
+    rng = np.random.default_rng(1)
+    mask = _masks(2500, [rng.choice(2500, 500, replace=False) for _ in range(24)])
+    want = [stats_mod._radius_batch(big, row[None])[0] for row in mask]
+    mask = mask[np.isin(want, [45, 46])]
+    want = [value for value in want if value in (45, 46)]
+    at = Counter(want[1:])
+    assert at.keys() == {45, 46}
+    for guess, rows in [(46, 1), (47, 1 + at[45])]:
+        gathered.clear()
+        assert _radius_with_guess(big, mask, guess) == want
+        assert sum(gathered) == rows, guess
+    assert list(big.__dict__["_ball_tables"]) == [44, 47, 46, 45]  # least recently used first
 
 
 def test_radius_kernel_on_uint16_distances_and_near_the_sentinel():
@@ -254,7 +275,8 @@ def test_radius_kernel_on_uint16_distances_and_near_the_sentinel():
     mask = _masks(300, [[0, 299], [0, 150], [7, 8], [3, 200, 299], range(300)])
     for guess in (0, 74, 148, 150, 299, 302):
         assert _radius_with_guess(path, mask, guess) == [150, 75, 1, 148, 150]
-        assert _radius_with_guess(path, mask, guess, _BALL_BYTES=_table_bytes(300)) == [150, 75, 1, 148, 150]
+        for knobs in _KERNEL_KNOBS[1:4]:
+            assert _radius_with_guess(path, mask, guess, **knobs) == [150, 75, 1, 148, 150]
     g = build_graph(256, [(v, v + 1) for v in range(254)])
     assert g.distance_matrix.dtype == np.uint8 and g.distance_matrix[0, 254] == 254
     mask = _masks(256, [[0, 254], [0, 255], [255]])
@@ -264,6 +286,10 @@ def test_radius_kernel_on_uint16_distances_and_near_the_sentinel():
 def test_ball_tables_build_in_chunks_and_keep_to_their_budget():
     g = torus_grid((50, 50))
     g.distance_matrix
+    # 2 MB holds two tables of 800 KB, so the floor binds: the guess and two
+    # radii either side
+    kept = stats_mod._tables_kept(2500)
+    assert kept == 2 * stats_mod._BALL_UP + 1 == 5
     tracemalloc.start()
     try:
         table = stats_mod._ball_table(g, 45)
@@ -273,19 +299,20 @@ def test_ball_tables_build_in_chunks_and_keep_to_their_budget():
     # one table and one chunk of comparisons: never an (n, n) temporary
     assert table.nbytes == _table_bytes(2500) == 800_000
     assert peak <= table.nbytes + stats_mod._BALL_CHUNK, peak
-    # a build with the cache full evicts first, so the tables and one chunk
-    # never pass the budget (two tables of 800 KB fit in 2 MiB, three do not)
+    # a build with the cache full evicts the least recently used first, so
+    # the tables and one chunk never pass five tables
     tracemalloc.start()
     try:
-        for r in (44, 46, 47):
+        for r in (44, 46, 47, 45, 48, 49):
             stats_mod._ball_table(g, r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert list(g.__dict__["_ball_tables"]) == [46, 47]
-    assert peak <= stats_mod._BALL_BYTES + stats_mod._BALL_CHUNK, peak
+    assert list(g.__dict__["_ball_tables"]) == [46, 47, 45, 48, 49]
+    assert peak <= kept * table.nbytes + stats_mod._BALL_CHUNK, peak
     # blocks of 10, 100 and 500 infected vertices land on radii far apart,
-    # more tables than the 2 MB budget holds
+    # more tables than the floor keeps; the tables, a chunk of comparisons
+    # and a row block's gathers stay below one (n, n) matrix
     rng = np.random.default_rng(1)
     cache = g.__dict__["_ball_tables"]
     for k in (500, 10, 100, 500):
@@ -296,11 +323,38 @@ def test_ball_tables_build_in_chunks_and_keep_to_their_budget():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < g.distance_matrix.nbytes, peak
-        assert sum(t.nbytes for t in cache.values()) <= stats_mod._BALL_BYTES
-        assert len(cache) <= 2
+        assert len(cache) == kept
+        assert peak <= kept * table.nbytes + 2 * stats_mod._BALL_CHUNK < g.distance_matrix.nbytes, peak
         # single rows always gather
         assert got.tolist() == [stats_mod._radius_batch(g, row[None])[0] for row in mask]
+
+
+def _two_tori():
+    torus = torus_grid((35, 35))
+    return build_graph(2 * torus.n, list(torus.edges) + [(u + torus.n, v + torus.n) for u, v in torus.edges])
+
+
+# the sizes where the floor of five tables binds (n above about 1,800) or
+# distances need uint16 (cycle and path), which the hypothesis cases never
+# reach; an Erdos-Renyi graph below its connectivity threshold and the two
+# tori have rows of infinite R
+@pytest.mark.parametrize("make", [
+    lambda: torus_grid((50, 50)),
+    lambda: star_graph(2500),
+    lambda: cycle_graph(1000),
+    lambda: path_graph(300),
+    lambda: from_spec("er:2500:0.002:1"),
+    lambda: from_spec("two-block:2000:0.01:0.001:1"),
+    _two_tori,
+], ids=["torus", "star", "cycle", "path", "er", "two-block", "two-tori"])
+def test_radius_blocks_on_large_graphs_equal_one_row_scores(make):
+    g = make()
+    n = g.n
+    rng = np.random.default_rng(n)
+    for ks in ([1] * 8, [2] * 8, [n // 10] * 16, [n // 5] * 16, rng.integers(1, n // 5, 16)):
+        mask = _masks(n, [rng.choice(n, k, replace=False) for k in ks])
+        want = [stats_mod._radius_batch(g, row[None])[0] for row in mask]
+        assert stats_mod._radius_batch(g, mask).tolist() == want
 
 
 @pytest.mark.slow
@@ -365,9 +419,22 @@ def test_steiner_weight_disconnected():
         steiner_weight(g, iv_of(5, [0, 2]))
 
 
-def test_steiner_weight_needs_infected():
-    with pytest.raises(ValueError):
-        steiner_weight(cycle_graph(4), InfectionVector((0, 0, 2, 0)))
+def test_steiner_weight_of_no_visible_infected_is_zero():
+    # the empty tree weighs 0
+    assert steiner_weight(cycle_graph(4), InfectionVector((0, 0, 2, 0))) == 0
+    assert steiner_weight(build_graph(4, [(0, 1)]), InfectionVector((0, 0, 0, 0))) == 0
+
+
+@pytest.mark.parametrize("kernel", [stats_mod._radius_batch, stats_mod._steiner_batch])
+def test_rows_with_no_visible_infected_score_zero_in_a_block(kernel):
+    # k = 0 rows first, between and last leave the other rows as scored alone
+    g = torus_grid((8, 8))
+    rng = np.random.default_rng(4)
+    mask = _masks(64, [rng.choice(64, 12, replace=False) for _ in range(6)])
+    alone = [kernel(g, row[None])[0] for row in mask]
+    mixed = np.insert(mask, [0, 3, 6], False, axis=0)
+    assert kernel(g, mixed).tolist() == [0] + alone[:3] + [0] + alone[3:] + [0]
+    assert kernel(g, mixed[[0, 4]]).tolist() == [0, 0]
 
 
 def test_steiner_weight_within_factor_two_of_optimum():
