@@ -514,18 +514,18 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         elif etas != grid:
             raise ConfigError(f"{path}.etas: all entries must share one eta grid")
         algorithm = _need(entry, "algorithm", str, path)
+        if algorithm not in ("perm", "TB", "TT"):
+            raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
+        long_out = _opt(entry, "long_out", str, path, None)
         if algorithm == "perm":
-            long_out = _opt(entry, "long_out", str, path, None)
             settings, name = _mc_settings(entry, path, load)
             names = groups.setdefault(settings, [])
             if name not in names:
                 names.append(name)
             rows.append((algorithm, name, settings, long_out))
-        elif algorithm in ("TB", "TT"):
-            setup = _baseline_setup(entry, path, algorithm, load)
-            rows.append((algorithm, setup[0].stat.name, setup, None))
         else:
-            raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
+            setup = _baseline_setup(entry, path, algorithm, load)
+            rows.append((algorithm, setup[0].stat.name, setup, long_out))
 
     long_outs = [long_out for *_, long_out in rows if long_out is not None]
     curves: dict[_McSettings, dict[str, RiskCurve]] = {}

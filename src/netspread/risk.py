@@ -307,7 +307,8 @@ def baseline_rule(algorithm: str, g: Graph, k: int, c: int, d: int = 2) -> Basel
     """The TB (ball-radius, dimension d) or TT (tree-weight) rule on g.
 
     TB thresholds R in [0, eccentricity(g, 0)], TT thresholds T in
-    [k - 1, n - 1]. No snapshot has k past n, so neither rule takes it.
+    [max(k - c - 1, 0), n - 1]: censored infected vertices leave T's
+    terminal set. No snapshot has k past n, so neither rule takes it.
     """
     if k > g.n:
         raise ValueError(f"cannot infect k={k} of n={g.n} vertices")
@@ -316,7 +317,7 @@ def baseline_rule(algorithm: str, g: Graph, k: int, c: int, d: int = 2) -> Basel
         floor, ceiling, stat = 0.0, eccentricity(g, 0), StatisticSpec.infection_radius(g)
     elif algorithm == "TT":
         threshold = tt_threshold(g.n, k, c)
-        floor, ceiling, stat = float(max(k - 1, 0)), g.n - 1, StatisticSpec.steiner_weight(g)
+        floor, ceiling, stat = float(max(k - c - 1, 0)), g.n - 1, StatisticSpec.steiner_weight(g)
     else:
         raise ValueError(f"unknown baseline {algorithm!r}; expected TB or TT")
     if threshold >= ceiling:
@@ -336,29 +337,14 @@ class RiskCurve:
     """Type I once, Type II per eta, from shared null replicates.
 
     alt_values carries the raw statistic value of every alternative
-    snapshot of mc_risk_curve, keyed by eta (boxplot-ready data);
-    baseline_risk_curve leaves it None.
+    snapshot, keyed by eta (boxplot-ready data).
     """
 
     type_i: float
     mean_threshold: float
     type_ii: dict[float, float]
     reps: int
-    alt_values: dict[float, list[float]] | None = None
-
-
-def _check_run(g: Graph, etas: list[float], k: int, reps: int) -> None:
-    """Raise, before anything is simulated, the ValueError that reps
-    replicates of k infections spread on g at each eta would raise; a
-    repeated eta would key two Type II entries as one."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if not etas:
-        raise ValueError("need at least one alternative eta")
-    for i, eta in enumerate(etas):
-        if eta in etas[:i]:
-            raise ValueError(f"etas[{i}]={eta} repeats an earlier eta")
-        _check_spread(g, SpreadParams(eta=eta, k=k))
+    alt_values: dict[float, list[float]]
 
 
 def _replicates(
@@ -380,10 +366,18 @@ def _replicates(
     each once, through spreading._spread_paths. It censors the first c
     vertices of a permutation drawn from the substream one tag above, as
     censor_uniform does, so each snapshot reads only its own substreams.
+    A run that no spread could make raises before any spread.
     """
     if g0.n != g1.n:
         raise ValueError(f"null and alternative graphs differ in size: n={g0.n} and n={g1.n}")
-    _check_run(g1, etas, k, reps)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not etas:
+        raise ValueError("need at least one alternative eta")
+    for i, eta in enumerate(etas):
+        if eta in etas[:i]:  # it would key two Type II entries as one
+            raise ValueError(f"etas[{i}]={eta} repeats an earlier eta")
+        _check_spread(g1, SpreadParams(eta=eta, k=k))
     n = g1.n
     if not 0 <= c <= n:
         raise ValueError(f"c={c} out of range for n={n}")
@@ -489,20 +483,13 @@ def baseline_risk_curve(
 
     The null snapshots spread on the empty graph at eta 0, and the
     statistic's raw values over every snapshot come from one kernel
-    call. A rule diagnosed as always or never rejecting simulates
-    nothing, but refuses every run (reps, etas, k, seed) that a
-    simulation would refuse.
+    call; alt_values holds the alternative snapshots' values.
     """
-    _check_run(rule.stat.graph, etas, k, reps)
-    if rule.diagnosis != "data-dependent":
-        substream(seed)  # refuses a seed as the simulation would
-        fires = rule.diagnosis == "always rejects"
-        type_ii = {eta: float(not fires) for eta in etas}
-        return RiskCurve(float(fires), rule.threshold, type_ii, reps)
     g = rule.stat.graph
     status = _replicates(empty_graph(g.n), g, 0.0, etas, k, c, seed, reps)
-    fired = rule.stat._values(status.reshape(-1, g.n)) <= rule.threshold
-    rejects, *alt_rejects = fired.reshape(reps, -1).sum(axis=0).tolist()
+    values = rule.stat._values(status.reshape(-1, g.n)).astype(np.float64).reshape(reps, -1)
+    rejects, *alt_rejects = (values <= rule.threshold).sum(axis=0).tolist()
     # the miss count over reps, the correctly rounded miss rate
     type_ii = {eta: (reps - r) / reps for eta, r in zip(etas, alt_rejects)}
-    return RiskCurve(rejects / reps, rule.threshold, type_ii, reps)
+    alt_values = dict(zip(etas, values[:, 1:].T.tolist()))
+    return RiskCurve(rejects / reps, rule.threshold, type_ii, reps, alt_values)

@@ -781,14 +781,44 @@ def test_experiment_data_dependent_baselines_stdout(tmp_path, capsys, monkeypatc
 
 def test_experiment_long_out(tmp_path, capsys):
     doc = experiment_doc()
-    long_path = tmp_path / "values.csv"
+    long_path, tb_path = tmp_path / "values.csv", tmp_path / "tb.csv"
     doc["entries"][0]["long_out"] = str(long_path)
+    doc["entries"][1]["long_out"] = str(tb_path)
     cfg = write_config(tmp_path, "e.json", doc)
     code, _, _ = run(capsys, "experiment", "--config", cfg)
     assert code == 0
     lines = long_path.read_text().strip().splitlines()
     assert lines[0] == "eta,replicate,W"
     assert len(lines) == 1 + 2 * 8
+    # the TB row writes the radius of each alternative snapshot it scored
+    lines = tb_path.read_text().strip().splitlines()
+    assert lines[0] == "eta,replicate,R"
+    assert [line.split(",")[:2] for line in lines[1:]] == [[eta, str(rep)] for eta in "02" for rep in range(8)]
+    assert all(0 <= int(line.split(",")[2]) <= 5 for line in lines[1:])
+
+
+def test_experiment_tt_row_counts_censored_vertices_in_its_floor(tmp_path, capsys):
+    # with c = 2 of k = 5 infected vertices censored, T can fall to 2, below
+    # the threshold 3.626, so the rule is data-dependent and fires on some
+    # snapshots
+    entry = {"algorithm": "TT", "alt_graph": "cycle:10", "k": 5, "c": 2, "etas": [1, 10], "replicates": 200}
+    cfg = write_config(tmp_path, "e.json", {"schema": 1, "entries": [entry]})
+    assert run(capsys, "experiment", "--config", cfg) == (
+        0, "algorithm,statistic,threshold,diagnosis,typeI,typeII@eta=1,typeII@eta=10\n"
+        "TT,T,3.62601,data-dependent,0.09,0.865,0.755\n", "",
+    )
+
+
+def test_experiment_tt_row_on_a_graph_that_splits_its_terminals_exits_3(tmp_path, capsys):
+    # TT never rejects on two triangles with k = 3, but the row still scores
+    # its null snapshots, which scatter the infected vertices over both
+    graph = tmp_path / "two.txt"
+    graph.write_text("a b\nb c\nc a\nx y\ny z\nz x\n")
+    entry = {"algorithm": "TT", "alt_graph": f"file:{graph}", "k": 3, "etas": [1], "replicates": 5}
+    cfg = write_config(tmp_path, "e.json", {"schema": 1, "entries": [entry]})
+    code, stdout, err = run(capsys, "experiment", "--config", cfg)
+    assert (code, stdout) == (3, "")
+    assert "connected component" in err
 
 
 def test_experiment_mismatched_eta_grids(tmp_path, capsys):
@@ -840,8 +870,8 @@ def test_risk_and_experiment_reject_non_finite_or_overflowing_etas(tmp_path, cap
         assert not out.exists(), command
 
 
-def test_experiment_rejects_nan_eta_on_a_row_that_simulates_nothing(tmp_path, capsys):
-    # TB on cycle:10 always rejects, so no spread would check the eta
+def test_experiment_rejects_nan_eta_on_a_baseline_row(tmp_path, capsys):
+    # TB on cycle:10 always rejects; the config check refuses the eta
     doc = {"schema": 1, "entries": [dict(experiment_doc()["entries"][1], etas=[float("nan")])]}
     code, stdout, err = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
     assert (code, stdout) == (2, "")
@@ -850,8 +880,9 @@ def test_experiment_rejects_nan_eta_on_a_row_that_simulates_nothing(tmp_path, ca
 
 @pytest.mark.parametrize("row", [1, 2])
 @pytest.mark.parametrize("eta, text", [(float("inf"), "inf"), (1e308, "1e+308")])
-def test_experiment_rejects_overflowing_eta_on_a_row_that_simulates_nothing(tmp_path, capsys, row, eta, text):
-    # TB on cycle:10 always rejects and TT never does, so no spread would check the eta
+def test_experiment_rejects_overflowing_eta_on_a_baseline_row(tmp_path, capsys, row, eta, text):
+    # TB on cycle:10 always rejects and TT never does; the run is refused
+    # before any spread
     doc = {"schema": 1, "entries": [dict(experiment_doc()["entries"][row], etas=[1, eta])]}
     code, stdout, err = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))
     assert (code, stdout) == (2, "")
@@ -910,7 +941,7 @@ def test_test_scores_a_snapshot_whose_infected_vertices_are_censored(tmp_path, c
 def test_experiment_rejects_impossible_runs_on_a_row_that_simulates_nothing(
     tmp_path, capsys, algorithm, change, message
 ):
-    # both rules always reject on these rows, so no spread would check the run
+    # both rules always reject on these rows; the run is refused before any spread
     entry = {"algorithm": algorithm, "alt_graph": "torus:20x20", "etas": [1, 10], "k": 80, "c": 80, "replicates": 5}
     doc = {"schema": 1, "entries": [dict(entry, **change)]}
     code, stdout, err = run(capsys, "experiment", "--config", write_config(tmp_path, "e.json", doc))

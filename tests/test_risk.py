@@ -25,6 +25,7 @@ from netspread import (
     cycle_graph,
     eccentricity,
     empty_graph,
+    from_spec,
     h_eta,
     infection_reach_probability,
     line_cycle_bound,
@@ -323,21 +324,43 @@ def test_baseline_threshold_validation():
 def test_baseline_rule_diagnosis(monkeypatch):
     cases = [
         # TB: R on path:6 from vertex 0 lies in [0, 5]
-        ("TB", 2, 10.0, "always rejects"),
-        ("TB", 2, 5.0, "always rejects"),
-        ("TB", 2, -1.0, "never rejects"),
-        ("TB", 2, 3.0, "data-dependent"),
-        ("TB", 2, 0.0, "data-dependent"),
+        ("TB", 2, 0, 10.0, "always rejects"),
+        ("TB", 2, 0, 5.0, "always rejects"),
+        ("TB", 2, 0, -1.0, "never rejects"),
+        ("TB", 2, 0, 3.0, "data-dependent"),
+        ("TB", 2, 0, 0.0, "data-dependent"),
         # TT: T of 3 infected vertices lies in [2, 5]
-        ("TT", 3, 1.5, "never rejects"),
-        ("TT", 3, 2.0, "data-dependent"),
-        ("TT", 3, 5.0, "always rejects"),
+        ("TT", 3, 0, 1.5, "never rejects"),
+        ("TT", 3, 0, 2.0, "data-dependent"),
+        ("TT", 3, 0, 5.0, "always rejects"),
+        # censored infected vertices leave T's terminals: T lies in
+        # [max(k - c - 1, 0), 5]
+        ("TT", 3, 1, 1.5, "data-dependent"),
+        ("TT", 3, 1, 0.5, "never rejects"),
+        ("TT", 3, 3, 0.0, "data-dependent"),
+        ("TT", 3, 3, -0.5, "never rejects"),
     ]
-    for algorithm, k, threshold, diagnosis in cases:
+    for algorithm, k, c, threshold, diagnosis in cases:
         monkeypatch.setattr(risk, "tb_threshold", lambda d, n, k, c: threshold)
         monkeypatch.setattr(risk, "tt_threshold", lambda n, k, c: threshold)
-        rule = baseline_rule(algorithm, path_graph(6), k, 0)
+        rule = baseline_rule(algorithm, path_graph(6), k, c)
         assert (rule.threshold, rule.diagnosis) == (threshold, diagnosis)
+
+
+@pytest.mark.parametrize("k, c", [(2, 0), (3, 0), (3, 2), (5, 0), (5, 2), (8, 1), (10, 0)])
+@pytest.mark.parametrize("spec", ["cycle:10", "path:10", "torus:3x4", "star:10"])
+def test_baseline_diagnosis_agrees_with_the_simulated_snapshots(spec, k, c):
+    # a rule said to always (never) reject fires on every (no) null and
+    # alternative snapshot that baseline_risk_curve scores
+    g = from_spec(spec)
+    status = risk._replicates(empty_graph(g.n), g, 0.0, [0.0, 1.0, 100.0], k, c, 1, 40)
+    for algorithm in ("TB", "TT"):
+        rule = baseline_rule(algorithm, g, k, c)
+        fired = rule.stat._values(status.reshape(-1, g.n)) <= rule.threshold
+        if rule.diagnosis == "always rejects":
+            assert fired.all(), algorithm
+        elif rule.diagnosis == "never rejects":
+            assert not fired.any(), algorithm
 
 
 def test_mc_risk_curve_deterministic_and_thread_invariant():
@@ -431,12 +454,13 @@ def test_baseline_risk_curve_matches_a_replicate_loop(algorithm):
     hits = sum(value(empty_graph(400), 0.0, 0, rep) <= rule.threshold for rep in range(reps))
     assert curve.type_i == hits / reps
     for i, eta in enumerate(etas):
-        misses = sum(value(g, eta, 10 * (i + 1), rep) > rule.threshold for rep in range(reps))
-        assert curve.type_ii[eta] == misses / reps
+        values = [value(g, eta, 10 * (i + 1), rep) for rep in range(reps)]
+        assert curve.alt_values[eta] == values
+        assert curve.type_ii[eta] == sum(v > rule.threshold for v in values) / reps
     assert (curve.mean_threshold, curve.reps) == (rule.threshold, reps)
 
 
-def test_baseline_risk_curve_skips_rules_that_ignore_the_data():
+def test_baseline_risk_curve_of_rules_that_ignore_the_data():
     etas = [0.0, 2.0]
     always = baseline_risk_curve(baseline_rule("TB", cycle_graph(10), 5, 0), etas, 5, 0, 8)
     assert (always.type_i, always.type_ii) == (1.0, {0.0: 0.0, 2.0: 0.0})
@@ -444,7 +468,7 @@ def test_baseline_risk_curve_skips_rules_that_ignore_the_data():
     assert (never.type_i, never.type_ii) == (0.0, {0.0: 1.0, 2.0: 1.0})
 
 
-def test_baseline_risk_curve_shortcut_refuses_what_a_simulation_refuses():
+def test_baseline_risk_curve_refuses_impossible_runs_of_every_diagnosis():
     # the rule takes k <= n; the curve's own k is checked again
     always = baseline_rule("TT", torus_grid((4, 4)), 16, 0)
     assert always.diagnosis == "always rejects"
