@@ -164,7 +164,7 @@ class Graph:
         uint8 when no finite hop count exceeds 254, else uint16; pairs
         with no path hold the dtype's maximum (255 or 65535). Cached and
         read-only; built by one packed BFS from every vertex at once
-        (bfs_levels), whose level numbers are kept as bit planes and
+        (bfs_levels), whose hop counts are kept as bit planes and
         decoded in row chunks, each packed byte through a 256-row table
         of the 8 entries it adds. The 50x50 torus builds in about 40 ms.
         Meant for graphs up to a few thousand vertices; raises
@@ -175,14 +175,14 @@ class Graph:
         limit = int(np.iinfo(np.uint16).max)
         if n >= limit:
             raise ValueError(f"distance matrix needs n < {limit}, got n={n}")
-        # planes[b] holds bit b of the level at which each source reaches each vertex
+        # planes[b] holds bit b of each hop count d, the parity of the multiples of 2^b
+        # in 1..d: d > level where unreached (pairs with no path take the sentinel table)
         planes: list[np.ndarray] = []
         for level, frontier, unreached in bfs_levels(self, range(n)):
-            for b in range(level.bit_length()):
+            for b in range((level + 1 & -(level + 1)).bit_length()):
                 if b == len(planes):
-                    planes.append(np.zeros_like(frontier))
-                if level >> b & 1:
-                    planes[b] |= frontier
+                    planes.append(np.zeros_like(unreached))
+                planes[b] ^= unreached
         del frontier  # only the planes and unreached outlive the search
         # level is now the largest finite hop count
         dtype = np.uint8 if level < np.iinfo(np.uint8).max else np.uint16

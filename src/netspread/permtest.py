@@ -343,7 +343,9 @@ def _infected_blocks(
 
 
 def _on_vertices(drawn, positions: np.ndarray | None, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_draw_keys's (keys, masks over the p positions) as (masks over n vertices, keys)."""
+    """_draw_keys's (keys, masks over the p positions) as (masks over n vertices, keys).
+    Kept out of _infected_blocks so that no local there holds a block across
+    a yield: _mc_rejects keeps one suspended iterator per test."""
     keys, infected = drawn
     if positions is not None:
         infected, on_positions = np.zeros((*infected.shape[:-1], n), dtype=bool), infected
@@ -358,20 +360,17 @@ def _statuses(
 
     In censor-fixing mode (positions given) the censored vertices keep
     their mark. In full-permute mode a snapshot with c censored vertices
-    has them at its c keys next after the infected ones; a tie at that
-    boundary goes to the lower vertex numbers. Only these statuses see
-    that tie: no score reads the censored set.
+    has them at its c keys next after its k infected ones in one stable
+    argsort, which gives a tie at that boundary to the lower vertex
+    numbers (there is none at the k-th key: _draw_keys). Only these
+    statuses see that tie: no score reads the censored set.
     """
     censored = np.broadcast_to(stack == CENSORED, infected.shape)
     if positions is None:
-        ks = np.count_nonzero(stack == INFECTED, axis=1)
-        cs = np.count_nonzero(stack == CENSORED, axis=1)
-        censored = _smallest(keys, ks + cs) & ~infected
-        extra = np.count_nonzero(censored, axis=-1) - cs
-        for r, j in zip(*np.nonzero(extra)):
-            # the tied keys are the largest marked ones; the highest vertices lose the mark
-            tied = np.flatnonzero(keys[r, j] == keys[r, j][censored[r, j]].max())
-            censored[r, j, tied[tied.size - extra[r, j] :]] = False
+        ranks = np.arange(stack.shape[1]) - np.count_nonzero(stack == INFECTED, axis=1)[:, None]
+        marks = (0 <= ranks) & (ranks < np.count_nonzero(stack == CENSORED, axis=1)[:, None])
+        censored = np.empty(infected.shape, dtype=bool)
+        np.put_along_axis(censored, np.argsort(keys, axis=-1, kind="stable"), marks, axis=-1)
     status = np.where(censored, CENSORED, UNINFECTED).astype(stack.dtype)
     status[infected] = INFECTED
     return status
@@ -555,11 +554,12 @@ def _mc_rejects(
     blocks are not scored with that statistic, and a test with all
     settled draws no more. So each reject is mc_test's.
 
-    The tests advance together in passes: each unsettled test draws its
-    next block, the blocks are packed in test order into batches of at
-    most _BLOCK_STATUSES statuses (or one block), and a batch is scored
-    once per statistic, over the rows of the tests where it is unsettled.
-    Returns (len(stats), tests) rejects and float64 raw values.
+    The tests advance together in passes. All share n, B and the block
+    schedule, so a pass draws blocks of one size: the next blocks of up
+    to max(1, _BLOCK_STATUSES // block size) unsettled tests at a time,
+    in test order, are stacked into one (tests, rows, n) batch, scored
+    once per statistic over the tests where it is unsettled. Returns
+    (len(stats), tests) rejects and float64 raw values.
     """
     observed = np.array([stat.score_batch(statuses) for stat in stats])
     budget = _tail_budget(cfg.alpha, cfg.B)
@@ -569,36 +569,28 @@ def _mc_rejects(
     low = np.full(observed.shape, -np.inf)
     below = np.zeros(observed.shape, dtype=np.int64)
     draws = [_mc_draws(row[None], cfg, rng, _FIRST_ROWS) for row, rng in zip(statuses, rngs)]
-
-    def score(batch: list[tuple[int, np.ndarray]]) -> None:
-        for s, stat in enumerate(stats):
-            mine = [(t, block) for t, block in batch if live[s, t]]
-            if mine:
-                tests = [t for t, _ in mine]
-                sizes = [len(block) for _, block in mine]
-                starts = np.cumsum([0] + sizes[:-1])
-                got = stat.score_batch(np.concatenate([block for _, block in mine]))
-                under = got < np.repeat(observed[s, tests], sizes)
-                ge[s, tests] += np.add.reduceat(~under, starts)
-                top = np.maximum(low[s, tests], np.maximum.reduceat(np.where(under, got, -np.inf), starts))
-                hits = np.add.reduceat(under & (got == np.repeat(top, sizes)), starts)
-                below[s, tests] = np.where(top > low[s, tests], 0, below[s, tests]) + hits
-                low[s, tests] = top
-        tests = [t for t, _ in batch]
-        live[:, tests] &= ge[:, tests] <= budget
-
-    drawn = 0  # rows each unsettled test has drawn: every pass draws blocks of one size
+    drawn = 0  # rows each unsettled test has drawn
     while drawn < cfg.B and live.any():
-        batch = []
-        for t in np.flatnonzero(live.any(axis=0)).tolist():
-            batch.append((t, block := next(draws[t])))
-            if (len(batch) + 1) * block.size > _BLOCK_STATUSES:
-                score(batch)
-                batch = []
-        score(batch)
-        drawn += len(block)
+        pending = np.flatnonzero(live.any(axis=0))
+        while pending.size:
+            first = next(draws[pending[0]])
+            tests, pending = np.split(pending, [max(1, _BLOCK_STATUSES // first.size)])
+            batch = np.stack([first, *(next(draws[t]) for t in tests[1:])])
+            for s, stat in enumerate(stats):
+                mine = live[s, tests]
+                if mine.any():
+                    t = tests[mine]
+                    got = stat.score_batch(batch[mine].reshape(-1, batch.shape[-1])).reshape(t.size, -1)
+                    under = got < observed[s, t, None]
+                    ge[s, t] += np.count_nonzero(~under, axis=1)
+                    top = np.maximum(low[s, t], np.where(under, got, -np.inf).max(axis=1))
+                    hits = np.count_nonzero(under & (got == top[:, None]), axis=1)
+                    below[s, t] = np.where(top > low[s, t], 0, below[s, t]) + hits
+                    low[s, t] = top
+            live[:, tests] &= ge[:, tests] <= budget
+        drawn += batch.shape[1]
     reject = live & _count_rejects(ge, below, budget)
-    return reject, np.array([_raw_scale(row, row, stat.tail)[0] for stat, row in zip(stats, observed)])
+    return reject, np.where([[stat.tail == "lower"] for stat in stats], -observed, observed)
 
 
 def composite_mc_test(

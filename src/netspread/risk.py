@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardExceededError
-from .graphs import Graph, eccentricity, empty_graph
+from .graphs import Graph, empty_graph
 from .permtest import TestConfig, _mc_rejects, mc_test
 from .rng import substream
 from .spreading import CENSORED, INFECTED, InfectionVector, SpreadParams, _check_spread, _nonnegative, _spread_paths
@@ -306,15 +306,17 @@ class BaselineRule:
 def baseline_rule(algorithm: str, g: Graph, k: int, c: int, d: int = 2) -> BaselineRule:
     """The TB (ball-radius, dimension d) or TT (tree-weight) rule on g.
 
-    TB thresholds R in [0, eccentricity(g, 0)], TT thresholds T in
-    [max(k - c - 1, 0), n - 1]: censored infected vertices leave T's
-    terminal set. No snapshot has k past n, so neither rule takes it.
+    TB thresholds R in [0, R(V)], g's radius (inf when g is disconnected),
+    which no infected set exceeds. TT thresholds T in [max(k - c - 1, 0),
+    n - 1]: censored infected vertices leave T's terminal set. No
+    snapshot has k past n, so neither rule takes it.
     """
     if k > g.n:
         raise ValueError(f"cannot infect k={k} of n={g.n} vertices")
     if algorithm == "TB":
         threshold = tb_threshold(d, g.n, k, c)
-        floor, ceiling, stat = 0.0, eccentricity(g, 0), StatisticSpec.infection_radius(g)
+        stat = StatisticSpec.infection_radius(g)
+        floor, ceiling = 0.0, stat.evaluate(InfectionVector(np.full(g.n, INFECTED)))
     elif algorithm == "TT":
         threshold = tt_threshold(g.n, k, c)
         floor, ceiling, stat = float(max(k - c - 1, 0)), g.n - 1, StatisticSpec.steiner_weight(g)

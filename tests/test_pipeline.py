@@ -5,6 +5,7 @@ included), mc_risk_curve's early-decided
 alternatives against full tests, and mc_risk_curves against one
 mc_risk_curve call per statistic."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from dataclasses import replace
@@ -593,6 +594,25 @@ def test_substreams_draw_keys_from_raw_words():
     assert raw.rng.bit_generator.state == plain.rng.bit_generator.state
 
 
+def test_suspended_draw_iterators_hold_no_block():
+    # _mc_rejects keeps one suspended _mc_draws iterator per test: 16 of them
+    # on n = 2500, k = 500, each past its first 16-row block (a 40,000-byte
+    # mask and 160,000 bytes of keys), together hold less than one mask each
+    stack = infection_from_infected(2500, range(500)).status[None]
+    cfg = TestConfig(alpha=0.05, B=100)
+    next(permtest._mc_draws(stack, cfg, substream(1), 16))  # lazy imports load before tracing
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        draws = [permtest._mc_draws(stack, cfg, substream(0, i), 16) for i in range(16)]
+        for it in draws:
+            next(it)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 16 * 16 * 2500, after - before
+
+
 def test_hooked_and_unhooked_runs_agree():
     # mc_test scores exactly the masks _mc_draws yields from its generator,
     # and both leave that generator at one place
@@ -1112,6 +1132,41 @@ def test_mc_risk_curves_score_the_alternatives_once_per_pass(monkeypatch):
     # per statistic: one call for the observed values, then one per pass,
     # against 60 tests
     assert outside == {"W": 1 + 3, "R": 1 + 3}
+
+
+@pytest.mark.parametrize("block_cap", [1, 100, 3 * 16 * 36])
+def test_mc_risk_curves_keep_each_batch_within_the_block_bound(monkeypatch, block_cap):
+    # no score_batch call of a pass holds more than the cap, or one block
+    # where a block holds more; the caps make blocks of 1, 2 and up to 48
+    # rows on the 6x6 torus, and at the last a pass splits over batches
+    g1 = torus_grid((6, 6))
+    stats_ = [StatisticSpec.edges_within(g1), StatisticSpec.infection_radius(g1)]
+    args = (empty_graph(36), g1, 0.0, [1.0, 10.0, 100.0], 6, 3, TestConfig(alpha=0.05, B=100, seed=4), 20)
+    want = [_curve_of_full_tests(*args, stat) for stat in stats_]
+    monkeypatch.setattr(permtest, "_BLOCK_STATUSES", block_cap)
+    passes = []  # statuses of every score_batch call outside a null replicate's mc_test
+    inside = []
+    test_fn, score_batch = risk.mc_test, StatisticSpec.score_batch
+
+    def counting_tests(*args, **kwargs):
+        inside.append(1)
+        try:
+            return test_fn(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_scores(self, block):
+        if not inside and block.dtype == bool:  # not the observed statuses
+            passes.append(block.size)
+        return score_batch(self, block)
+
+    monkeypatch.setattr(risk, "mc_test", counting_tests)
+    monkeypatch.setattr(StatisticSpec, "score_batch", counting_scores)
+    assert mc_risk_curves(*args, stats_) == want
+    assert passes and max(passes) <= max(block_cap, 36 * max(1, block_cap // 36))
+    if block_cap == 3 * 16 * 36:
+        # the first pass scores its 60 tests' 16-row blocks in 20 batches of three
+        assert passes[:40] == [block_cap] * 40
 
 
 def test_mc_risk_curves_score_each_statistic_only_until_it_settles(monkeypatch):

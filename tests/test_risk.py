@@ -322,12 +322,17 @@ def test_baseline_threshold_validation():
 
 
 def test_baseline_rule_diagnosis(monkeypatch):
+    # R never tops the graph's radius, 5 on path:10, below the threshold
+    # 6.96 and the eccentricity 9 of vertex 0
+    rule = baseline_rule("TB", path_graph(10), 3, 0)
+    assert (rule.diagnosis, rule.ceiling) == ("always rejects", 5) and rule.threshold < 9
     cases = [
-        # TB: R on path:6 from vertex 0 lies in [0, 5]
+        # TB: R on path:6 lies in [0, 3], the path's radius
         ("TB", 2, 0, 10.0, "always rejects"),
         ("TB", 2, 0, 5.0, "always rejects"),
+        ("TB", 2, 0, 3.0, "always rejects"),
         ("TB", 2, 0, -1.0, "never rejects"),
-        ("TB", 2, 0, 3.0, "data-dependent"),
+        ("TB", 2, 0, 2.5, "data-dependent"),
         ("TB", 2, 0, 0.0, "data-dependent"),
         # TT: T of 3 infected vertices lies in [2, 5]
         ("TT", 3, 0, 1.5, "never rejects"),
