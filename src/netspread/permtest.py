@@ -30,7 +30,7 @@ from .graphs import Graph
 from .perms import automorphism_group, product_group_is_full
 from .rng import substream
 from .spreading import _BLOCK_STATUSES, CENSORED, INFECTED, UNINFECTED, InfectionVector, _subset_masks
-from .stats import StatisticSpec
+from .stats import StatisticSpec, _count_true
 
 __all__ = [
     "TestConfig",
@@ -582,9 +582,9 @@ def _mc_rejects(
                     t = tests[mine]
                     got = stat.score_batch(batch[mine].reshape(-1, batch.shape[-1])).reshape(t.size, -1)
                     under = got < observed[s, t, None]
-                    ge[s, t] += np.count_nonzero(~under, axis=1)
+                    ge[s, t] += _count_true(~under, 1)
                     top = np.maximum(low[s, t], np.where(under, got, -np.inf).max(axis=1))
-                    hits = np.count_nonzero(under & (got == top[:, None]), axis=1)
+                    hits = _count_true(under & (got == top[:, None]), 1)
                     below[s, t] = np.where(top > low[s, t], 0, below[s, t]) + hits
                     low[s, t] = top
             live[:, tests] &= ge[:, tests] <= budget

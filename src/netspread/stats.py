@@ -111,15 +111,24 @@ def orbit_count(iv: InfectionVector, vertex_orbit: Iterable[int]) -> int:
 # -- kernels over a (rows, n) infected mask ---------------------------------------
 
 
+def _count_true(block: np.ndarray, axis: int) -> np.ndarray:
+    """The True entries of a bool block along axis, as int64, by a byte sum: count_nonzero
+    along an axis widens every bool to an intp before it adds them, and a uint16
+    accumulator is exact below 65,536 entries (longer axes sum in uint32)."""
+    wide = np.uint16 if block.shape[axis] < 1 << 16 else np.uint32
+    return np.add.reduce(block.view(np.uint8), axis, dtype=wide).astype(np.int64)
+
+
 def _edges_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     """edges_within of every row: one gather over the edge arrays, from a
     vertex-major copy of the block, so that each endpoint's gather copies
-    a row (take's row copy beats fancy indexing at every block size)."""
+    a row (take's row copy beats fancy indexing at every block size), and
+    one byte sum of the (edges, rows) AND down its columns (_count_true)."""
     eu, ev = g.edge_arrays
     by_vertex = np.ascontiguousarray(infected.T)
     both = by_vertex.take(eu, axis=0)
     both &= by_vertex.take(ev, axis=0)
-    return np.count_nonzero(both, axis=0)
+    return _count_true(both, 0)
 
 
 def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
@@ -138,7 +147,7 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     run one packed BFS per row instead.
     """
     rows, n = infected.shape
-    k = infected.sum(axis=1)
+    k = _count_true(infected, 1)
     if not k.all():  # every ball covers the empty set: R is 0
         radii = np.zeros(rows)
         if k.any():
@@ -153,13 +162,14 @@ def _radius_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             radii[r] = next(covered, inf)
         return radii
     dmat = g.distance_matrix
-    flat = np.flatnonzero(infected) % n
+    flat = np.flatnonzero(infected)  # row r's vertex v at r * n + v
     kmax = int(k.max(initial=0))
     if flat.size == rows * kmax:  # every row has kmax infected vertices
         idx = flat.reshape(rows, kmax)
     else:
         ranks = np.minimum(np.arange(kmax), k[:, None] - 1) + (np.cumsum(k) - k)[:, None]
         idx = flat[ranks]
+    idx -= np.arange(0, rows * n, n)[:, None]
     if rows < 2:
         return _gathered_radii(dmat, idx)
     radii = np.full(rows, np.nan)
@@ -261,7 +271,7 @@ def _count_in(infected: np.ndarray, vertices: Iterable[int], what: str) -> np.nd
     idx = list(vertices)
     if any(not 0 <= v < infected.shape[1] for v in idx):
         raise ValueError(f"{what} out of range")
-    return np.count_nonzero(infected[:, idx], axis=1)
+    return _count_true(infected[:, idx], 1)
 
 
 def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
@@ -345,7 +355,7 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             ca, cb = link[ca], link[cb]
             joins = ca != cb
             ca, cb, key = ca[joins], cb[joins], key[joins]
-        bridges = np.maximum(np.count_nonzero(mask, axis=1) - 1, 0)  # the empty tree has none
+        bridges = np.maximum(_count_true(mask, 1) - 1, 0)  # the empty tree has none
         if (np.bincount(a[bridge] // n, minlength=bridges.size) != bridges).any():
             raise DisconnectedTerminalsError(
                 "infected vertices do not lie in one connected component"
@@ -359,7 +369,7 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             x = x[x >= 0]
             x = x[~on[x]]
         on &= dist > 0
-        out[lo : lo + step] = bridges + np.count_nonzero(on.reshape(mask.shape), axis=1)
+        out[lo : lo + step] = bridges + _count_true(on.reshape(mask.shape), 1)
     return out
 
 

@@ -43,7 +43,7 @@ from netspread import (
     tt_threshold,
 )
 from netspread import risk
-from oracles import cascade_orderings, clopper_pearson
+from oracles import CP_TAIL, cascade_orderings, clopper_pearson
 
 
 def test_risk_inputs_validation():
@@ -217,6 +217,22 @@ def test_star_null_bound_monotone_in_eta():
         values.append(star_null_risk_bound(inputs, c_k=cascade_count_cycle(20)).value)
     for a, b in zip(values, values[1:]):
         assert b <= a
+
+
+@pytest.mark.parametrize("n, alpha", [(200, 0.05), (1000, 0.1)])
+def test_star_null_bound_holds_for_the_simulated_w_risk(n, alpha):
+    # where the bound is informative (k = 20, eta = 1e6 on a cycle against a
+    # star null), the simulated risk Type I + Type II of the W test lies below
+    # it: the sum of the upper Clopper-Pearson limits of both error counts,
+    # each at half the tail, bounds the risk with the tail's confidence
+    pytest.importorskip("scipy.stats")
+    k, eta, reps = 20, 1e6, 400
+    bound = star_null_risk_bound(RiskInputs(n=n, k=k, eta=eta, alpha=alpha), c_k=cascade_count_cycle(k))
+    assert not bound.vacuous and bound.value < 1.0
+    cfg = TestConfig(alpha=alpha, B=99, seed=7)
+    curve = mc_risk_curve(star_graph(n), cycle_graph(n), eta, [eta], k, 0, cfg, reps)
+    errors = [round(curve.type_i * reps), round(curve.type_ii[eta] * reps)]
+    assert sum(clopper_pearson(x, reps, CP_TAIL / 2)[1] for x in errors) <= bound.value
 
 
 def test_center_test_bounds_bracket_and_branches():

@@ -557,6 +557,49 @@ def test_edges_batch_equals_per_row_oracle(case):
     assert StatisticSpec.edges_within(g).score_batch(block).tolist() == [float(w) for w in want]
 
 
+def test_edges_within_counts_past_the_narrow_accumulator():
+    # K_363 has 65,703 edges, past the 65,535 a uint16 byte sum holds: W
+    # sums that column in uint32 (a uint16 sum would give 167)
+    g = complete_graph(363)
+    w = StatisticSpec.edges_within(g)
+    assert g.num_edges == 65_703
+    assert w.evaluate(iv_of(363, range(363))) == 65_703
+    assert w.score_batch(np.ones((2, 363), dtype=bool)).tolist() == [65_703.0, 65_703.0]
+
+
+@pytest.mark.parametrize("shape, axis", [((1 << 16, 2), 0), ((2, 1 << 16), 1)])
+def test_count_true_is_exact_at_65536_entries(shape, axis):
+    counts = stats_mod._count_true(np.ones(shape, dtype=bool), axis)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [1 << 16, 1 << 16]
+
+
+@st.composite
+def bool_blocks_and_views(draw):
+    """A random (0..9, 0..70) bool block, read as is, transposed, sliced
+    with steps (reversed included) or through a fancy column list, as
+    _count_in reads infected[:, idx]."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 70))
+    bits = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    mask = np.array(bits, dtype=bool).reshape(rows, cols)
+    view = draw(st.sampled_from(["as is", "transposed", "sliced", "fancy columns"]))
+    if view == "transposed":
+        return mask.T
+    if view == "sliced":
+        row_step, col_step = draw(st.sampled_from([1, 2, -1])), draw(st.sampled_from([1, 3, -2]))
+        return mask[::row_step, draw(st.integers(0, 3)) :: col_step]
+    if view == "fancy columns":
+        return mask[:, draw(st.lists(st.integers(0, cols - 1), max_size=20))] if cols else mask[:, []]
+    return mask
+
+
+@given(bool_blocks_and_views(), st.sampled_from([0, 1]))
+def test_count_true_equals_count_nonzero(mask, axis):
+    counts = stats_mod._count_true(mask, axis)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.count_nonzero(mask, axis=axis))
+
+
 def test_steiner_batch_on_an_analyst_session_block():
     # the shape of a T test on a simulated torus snapshot: k about 35 of 400
     # vertices after 40 uniform censorings, 200 relabelings over several chunks
