@@ -174,10 +174,21 @@ def _need(cfg: dict, key: str, kind, path: str):
         raise ConfigError(f"{path}.{key}: missing")
     value = cfg[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}.{key}: too large for a float") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {getattr(kind, '__name__', kind)}")
     return value
+
+
+def _only(cfg: dict, keys: str, path: str) -> None:
+    """Refuse a key of cfg that is not among the space-separated keys its
+    reader reads, so a misspelled key is an error, not a default."""
+    for key in cfg:
+        if key not in keys.split():
+            raise ConfigError(f"{path}.{key}: unknown key")
 
 
 def _opt(cfg: dict, key: str, kind, path: str, default):
@@ -320,6 +331,7 @@ def _cmd_check_aut(args: argparse.Namespace) -> None:
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
     doc = _load_config(args.config)
+    _only(doc, "schema graph k c d", args.config)
     g = _graph_from(doc, "graph", args.config)
     k = _need(doc, "k", int, args.config)
     c = _opt(doc, "c", int, args.config, 0)
@@ -355,17 +367,32 @@ def _cmd_baseline(args: argparse.Namespace) -> None:
 # -- risk --------------------------------------------------------------------------
 
 
-def _c_k(entry: dict, path: str, k: int) -> float:
-    """c_k as given, else the minimum cascade count of "graph", else the cycle's."""
+# the keys each bound type's formula reads
+_BOUND_KEYS = {
+    "h-eta": "type n k eta nt_min", "cascade-cycle": "type k", "cascade-min": "type graph k",
+    "star-null": "type n k eta alpha D c_k graph nt_min", "center": "type n k eta",
+    "multi-spread": "type n k eta alpha D m c_k graph nt_min", "line-cycle": "type n k c eta alpha",
+}
+
+
+def _c_k(entry: dict, path: str, k: int) -> float | int:
+    """c_k as given, else the minimum cascade count of "graph", else the
+    cycle's; a count is a float where it fits one, else the exact int."""
     if "c_k" in entry:
+        if "graph" in entry:
+            raise ConfigError(f"{path}.graph: not read when c_k is given")
         return _need(entry, "c_k", float, path)
-    if "graph" in entry:
-        return float(min_cascade_count(_graph_from(entry, "graph", path), k))
-    return float(cascade_count_cycle(k))
+    count = min_cascade_count(_graph_from(entry, "graph", path), k) if "graph" in entry else cascade_count_cycle(k)
+    with suppress(OverflowError):
+        return float(count)
+    return count
 
 
 def _bound_entry(entry: dict, path: str) -> dict[str, Any]:
     etype = _need(entry, "type", str, path)
+    if etype not in _BOUND_KEYS:
+        raise ConfigError(f"{path}.type: unknown bound type {etype!r}")
+    _only(entry, _BOUND_KEYS[etype], path)
     out: dict[str, Any] = {"type": etype}
     if etype == "h-eta":
         out["value"] = h_eta(
@@ -412,15 +439,15 @@ def _bound_entry(entry: dict, path: str) -> dict[str, Any]:
             avg_center=bounds.avg_center.value,
             avg_center_vacuous=bounds.avg_center.vacuous,
         )
-    elif etype == "line-cycle":
+    else:
         bound = line_cycle_bound(inputs)
         out.update(value=bound.value, vacuous=bound.vacuous)
-    else:
-        raise ConfigError(f"{path}.type: unknown bound type {etype!r}")
     return out
 
 
 _McSettings = tuple[Graph, Graph, float, int, int, TestConfig, int]
+# the keys _mc_settings reads
+_MC_KEYS = "alt_graph null_graph statistic mode alpha B seed eta0 k c replicates"
 
 
 def _mc_settings(
@@ -463,8 +490,10 @@ def _cmd_risk(args: argparse.Namespace) -> None:
     doc = _load_config(args.config)
     kind = _need(doc, "kind", str, args.config)
     if kind == "bounds":
+        _only(doc, "schema kind entries", args.config)
         results = [_bound_entry(entry, path) for path, entry in _entries(doc, args.config)]
     elif kind == "mc":
+        _only(doc, f"schema kind etas {_MC_KEYS}", args.config)
         etas = _eta_list(doc, args.config)
         (g0, alt, eta0, k, c, cfg, reps), name = _mc_settings(doc, args.config, from_spec, statistic="W")
         stat = StatisticSpec.from_name(name, alt)
@@ -497,12 +526,17 @@ def _baseline_setup(
     return baseline_rule(algorithm, alt, k, c, d), k, c, reps, seed
 
 
+# the keys an entry of each algorithm reads, besides etas, algorithm and long_out
+_ENTRY_KEYS = {"perm": _MC_KEYS, "TB": "alt_graph k c seed replicates d", "TT": "alt_graph k c seed replicates"}
+
+
 def _cmd_experiment(args: argparse.Namespace) -> None:
     """Read every entry, then run the rows: perm rows with equal settings
     in one mc_risk_curves call when the first of them is reached, each
     TB/TT row in one baseline_risk_curve call. Rows and long_out files
     keep entry order."""
     doc = _load_config(args.config)
+    _only(doc, "schema entries", args.config)
     load = cache(from_spec)  # one graph per spec for the whole experiment
     rows = []  # (algorithm, statistic, perm settings or baseline setup, long_out)
     groups: dict[_McSettings, list[str]] = {}  # settings -> its perm rows' statistics
@@ -514,8 +548,9 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
         elif etas != grid:
             raise ConfigError(f"{path}.etas: all entries must share one eta grid")
         algorithm = _need(entry, "algorithm", str, path)
-        if algorithm not in ("perm", "TB", "TT"):
+        if algorithm not in _ENTRY_KEYS:
             raise ConfigError(f"{path}.algorithm: expected perm, TB, or TT")
+        _only(entry, f"etas algorithm long_out {_ENTRY_KEYS[algorithm]}", path)
         long_out = _opt(entry, "long_out", str, path, None)
         if algorithm == "perm":
             settings, name = _mc_settings(entry, path, load)

@@ -41,8 +41,6 @@ __all__ = [
 # bytes of the neighbour gather one packed BFS level step holds at once;
 # one distance-matrix decode step fills rows of an eighth as many entries
 _STEP_BYTES = 1 << 21
-# graphs of at most this many vertices step by reduceat alone (_step_plan)
-_SLOT_MIN_ROWS = 64
 # _BYTE_TABLES[dtype][b, x]: the 8 distance-matrix entries that bit b of
 # their hop counts adds for packed byte x, as itemsize uint64 words; the
 # last table adds the dtype's maximum, the mark of pairs with no path
@@ -443,15 +441,15 @@ def _step_plan(g: Graph, words: int):
     budget rows (about _STEP_BYTES) at a time, past slot 0 into the rows
     gathered. chunks holds (vertices, neighbours, reduceat offsets) for
     the neighbours past slot d, each gather again about _STEP_BYTES:
-    slices of indices when d is 0, else the plan's one copy of them. d
-    is 0 on _SLOT_MIN_ROWS vertices or fewer, where reduceat costs less.
+    slices of indices when d is 0 (some vertex is isolated), else the
+    plan's one copy of them.
     gathered has budget rows even where n would do: freed, a block that
     size lifts glibc's mmap threshold, which keeps the process's later
     1-2 MB temporaries (permutation keys) off fresh pages.
     """
     indptr, indices = g.csr
     degree = np.diff(indptr)
-    d = int(degree.min()) if g.n > _SLOT_MIN_ROWS else 0
+    d = int(degree.min())
     budget = max(1, _STEP_BYTES // (8 * words))
     verts = np.flatnonzero(degree > d)
     extra = degree[verts] - d

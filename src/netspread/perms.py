@@ -209,22 +209,6 @@ def automorphism_group(g: Graph) -> PermGroup:
     return PermGroup(n=n, kind=GRAPH, graph=g)
 
 
-def _dihedral_images(g: Graph):
-    """The image tuples of a connected cycle's 2n rotations and
-    reflections, one at a time, walked along the cycle from vertex 0."""
-    n = g.n
-    order = [0, g.adjacency[0][0]]
-    while len(order) < n:
-        a, b = order[-2], order[-1]
-        order.append(next(w for w in g.adjacency[b] if w != a))
-    for s in range(n):
-        for step in (1, -1):
-            image = [0] * n
-            for i in range(n):
-                image[order[i]] = order[(s + step * i) % n]
-            yield tuple(image)
-
-
 def _coloring(n: int, graphs) -> tuple[list[list[int]], list[list[int]]]:
     """Color classes and pair codes whose preservers are the common automorphisms.
 
@@ -329,14 +313,15 @@ def _count(same, code) -> int:
 
 
 def product_group_is_full(p1: PermGroup, p0: PermGroup) -> bool:
-    """Whether the products {a b} over a in p1, b in p0 are all of S_n.
+    """Whether the products {a b} over a in p1, b in p0 are all of S_n,
+    that is whether |p1 p0| = |p1| |p0| / |p1 ∩ p0| is n! (exact integers).
 
-    Uses |p1 p0| = |p1| |p0| / |p1 ∩ p0| with exact integers; the
-    product set is the whole symmetric group iff that count equals n!.
-    When one side is the stabilizer A of a vertex v, the intersection is
-    the stabilizer of v in the other side B, so by orbit-stabilizer
-    |A B| = (n-1)! |B| / |B_v| = (n-1)! |v^B|: the product is full
-    exactly when B moves v to every vertex, and only that orbit is found.
+    A stabilizer A of a vertex v meets the other side B in B_v, so by
+    orbit-stabilizer |A B| = (n-1)! |v^B|: only the orbit of v is found.
+    Two dihedral or graph groups of one edge set multiply to that group,
+    not S_n; a pair with |p1| |p0| < n! falls short of it (two dihedral
+    groups do from n = 5 on, as 4n^2 < n!); any other pair counts
+    |p1 ∩ p0| as the permutations preserving both graphs' edge sets.
     """
     if p1.n != p0.n:
         raise ValueError("groups act on different vertex sets")
@@ -346,22 +331,9 @@ def product_group_is_full(p1: PermGroup, p0: PermGroup) -> bool:
     for a, b in ((p1, p0), (p0, p1)):
         if a.kind == STABILIZER:
             return len(b.orbit_of(a.fixed_vertex)) == n
-    inter = _intersection_order(p1, p0)
-    num = p1.order * p0.order
+    if p1.graph.edges == p0.graph.edges or p1.order * p0.order < factorial(n):
+        return False
+    num, inter = p1.order * p0.order, _count(*_coloring(n, [p1.graph, p0.graph]))
     if num % inter:
         raise RuntimeError("intersection does not divide product order")
     return num // inter == factorial(n)
-
-
-def _intersection_order(a: PermGroup, b: PermGroup) -> int:
-    """|a ∩ b| for two dihedral or graph groups: a dihedral side's 2n
-    images are walked and kept when they preserve the other graph, and
-    two graph groups count the permutations preserving both edge sets.
-    Groups of graphs with one edge set are one group."""
-    if a.graph.edges == b.graph.edges:
-        return a.order
-    if b.kind == DIHEDRAL:
-        a, b = b, a
-    if a.kind == DIHEDRAL:
-        return sum(1 for image in _dihedral_images(a.graph) if _keeps_edges(b.graph, image))
-    return _count(*_coloring(a.n, [a.graph, b.graph]))

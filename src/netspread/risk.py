@@ -10,8 +10,9 @@ into a fake guarantee.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, fsum, inf, isfinite, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -181,6 +182,23 @@ def _bound(alpha: float, bracket: float, tail: float) -> BoundValue:
     return BoundValue(alpha + tail)
 
 
+def _times_h_eta(scale: float, count: float, n: int, k: int, eta: float, nt_min: float) -> float:
+    """scale * count * h_eta(n, k, eta, nt_min), multiplied in that order
+    while it stays finite, else in log space: an exact cascade count is
+    past a float from k = 1016 on, but math.log takes it, and the product
+    itself is moderate."""
+    h = h_eta(n, k, eta, nt_min)
+    with suppress(OverflowError):
+        if isfinite(value := scale * count * h):
+            return value
+    terms = [eta / (n - t + eta * nt_min) for t in range(1, k)]
+    if not (scale and count and all(terms)):
+        return 0.0
+    with suppress(OverflowError):
+        return scale * exp(log(count) + fsum(map(log, terms)))
+    return inf
+
+
 def _edges_bound(inputs: RiskInputs, c_k: float, nt_min: float, m: int) -> BoundValue:
     """The edges-within risk bound averaged over m spreads on an alternative
     of degree inputs.D; star_null_risk_bound is its m = 1 case."""
@@ -189,7 +207,7 @@ def _edges_bound(inputs: RiskInputs, c_k: float, nt_min: float, m: int) -> Bound
         raise ValueError("bound needs n >= 2")
     _nonnegative("c_k", c_k)
     bracket = (
-        (d / 2.0) * c_k * h_eta(n, k, eta, nt_min)
+        _times_h_eta(d / 2.0, c_k, n, k, eta, nt_min)
         - d * k * (k - 1) / (2.0 * (n - 1))
         - sqrt((k * d * d / (2.0 * m)) * log(1.0 / alpha))
     )
@@ -259,7 +277,8 @@ def line_cycle_bound(inputs: RiskInputs) -> BoundValue:
     if not k < n / 2.0:
         raise ValueError(f"bound needs k < n/2, got k={k}, n={n}")
     prefactor = (n - c) * (n - c - 1) / (n * n * (n - 1.0))
-    lead = prefactor * (k - 1) * (1 << (k - 1)) * ((n - k + 1) / n) * h_eta(n, k, eta, 2.0)
+    # 2^(k-1) multiplies after (n-k+1)/n: scaling by a power of two is exact, so the order keeps the value
+    lead = _times_h_eta(prefactor * (k - 1) * ((n - k + 1) / n), 1 << (k - 1), n, k, eta, 2.0)
     bracket = lead - k * (k - 1) / (n - 1.0) - sqrt(2.0 * k * log(1.0 / alpha))
     return _bound(alpha, bracket, exp(-bracket * bracket / (2.0 * k)))
 

@@ -164,8 +164,8 @@ class SpreadParams:
 
 
 def _nonnegative(name: str, x: float) -> None:
-    """Raise ValueError unless x is a finite number >= 0."""
-    if not isfinite(x):
+    """Raise ValueError unless x is a finite number >= 0 (any int is finite)."""
+    if not isinstance(x, int) and not isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     if x < 0:
         raise ValueError(f"{name} must be >= 0, got {x}")

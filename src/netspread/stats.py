@@ -45,19 +45,19 @@ _R_GATHER_BYTES = 1 << 20
 
 # R's ball tables (_ball_radii): bytes kept per graph, never fewer tables
 # than the guess (a block's first radius) and _BALL_UP radii either side
-# (_tables_kept: 93 20x20-torus tables, five 50x50 ones of 800 KB), bytes a
-# build compares or an AND gathers at once, and radii stepped either side of
-# the guess. Relabelings of the 20x20 and 50x50 tori fall on 2-3 adjacent
-# radii. In alternating pairs of `bench/run.py` runs (2-CPU host), no step
-# up cut grid-risk tests/s by 10% (1/10 pairs higher) and large-torus by
-# 4-7% (7/20 higher). A gallop down past that window evicted the tables
-# above the guess (60 builds, not 5, in 12 large-torus R curves; 8/10 lower).
+# (_tables_kept: 93 20x20-torus tables, five 50x50 ones of 800 KB), and
+# radii stepped either side of the guess. Relabelings of the 20x20 and
+# 50x50 tori fall on 2-3 adjacent radii. In alternating pairs of
+# `bench/run.py` runs (2-CPU host), no step up cut grid-risk tests/s by
+# 10% (1/10 pairs higher) and large-torus by 4-7% (7/20 higher). A
+# gallop down past that window evicted the tables above the guess (60
+# builds, not 5, in 12 large-torus R curves; 8/10 lower).
 _BALL_BYTES = 1 << 21
-_BALL_CHUNK = 1 << 18
 _BALL_UP = 2
 
-# bytes of the (rows, n) BFS state one batched T chunk keeps at once
-_T_CHUNK_BYTES = 1 << 18
+# bytes of temporaries one kernel chunk holds: a ball-table build's
+# comparisons, an AND's gathers, or the (rows, n) BFS state of a T chunk
+_CHUNK_BYTES = 1 << 18
 
 
 def edges_within(g: Graph, iv: InfectionVector) -> int:
@@ -206,7 +206,7 @@ def _tables_kept(n: int) -> int:
 
 def _ball_table(g: Graph, r: int) -> np.ndarray:
     """B_r, whose row u is np.packbits(D[u] <= r) in '<u8' words: built
-    _BALL_CHUNK bytes of comparisons at a time and cached per graph, the
+    _CHUNK_BYTES bytes of comparisons at a time and cached per graph, the
     least recently used going first, before the build, once the cache
     holds _tables_kept tables."""
     cache = g.__dict__.setdefault("_ball_tables", {})
@@ -216,7 +216,7 @@ def _ball_table(g: Graph, r: int) -> np.ndarray:
         while len(cache) >= _tables_kept(n):
             del cache[next(iter(cache))]
         table = np.zeros((n, 8 * -(-n // 64)), dtype=np.uint8)
-        step = max(1, _BALL_CHUNK // (2 * n))  # a row's n bools, packed bytes and packbits' buffers
+        step = max(1, _CHUNK_BYTES // (2 * n))  # a row's n bools, packed bytes and packbits' buffers
         for lo in range(0, n, step):
             table[lo : lo + step, : -(-n // 8)] = np.packbits(g.distance_matrix[lo : lo + step] <= r, axis=1)
         table = table.view("<u8")
@@ -255,10 +255,10 @@ def _ball_radii(g: Graph, idx: np.ndarray, guess: int, radii: np.ndarray) -> Non
 
 def _in_ball(table: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Whether the AND of the table rows of each column of (k, rows) vertex
-    indices is non-zero: over gathers of about _BALL_CHUNK bytes, left once
+    indices is non-zero: over gathers of about _CHUNK_BYTES bytes, left once
     every AND is empty."""
     acc = table.take(cols[0], axis=0)
-    step = max(1, _BALL_CHUNK // max(1, acc.nbytes))
+    step = max(1, _CHUNK_BYTES // max(1, acc.nbytes))
     for j in range(1, len(cols), step):
         acc &= np.bitwise_and.reduce(table.take(cols[j : j + step], axis=0), axis=0)
         if not acc.any():
@@ -277,7 +277,7 @@ def _count_in(infected: np.ndarray, vertices: Iterable[int], what: str) -> np.nd
 def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     """steiner_weight of every row, as int64.
 
-    Scores chunks of rows whose BFS state takes about _T_CHUNK_BYTES,
+    Scores chunks of rows whose BFS state takes about _CHUNK_BYTES,
     vertex v of row r standing at r * n + v in one flat range. Ties
     break as a deque BFS and a Kruskal over (weight, u, v) break them,
     so every row equals steiner_weight of that row alone. Raises what
@@ -288,7 +288,7 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     eu, ev = g.edge_arrays
     out = np.empty(rows, dtype=np.int64)
     unclaimed = np.iinfo(np.int64).max
-    step = max(1, _T_CHUNK_BYTES // (32 * n))  # four int64 entries per vertex
+    step = max(1, _CHUNK_BYTES // (32 * n))  # four int64 entries per vertex
     for lo in range(0, rows, step):
         mask = infected[lo : lo + step]
         size = mask.size

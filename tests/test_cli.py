@@ -4,6 +4,8 @@ from math import factorial, log
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netspread import (
     cascade_count_cycle,
@@ -650,7 +652,9 @@ def test_risk_guard_exceeded_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("etype", ["star-null", "center", "multi-spread", "line-cycle", "h-eta"])
 def test_risk_bounds_refuse_a_non_finite_eta(tmp_path, capsys, etype, eta):
     # json.loads reads the NaN and Infinity that json.dumps writes
-    entry = {"type": etype, "n": 30, "k": 5, "eta": eta, "nt_min": 2.0}
+    entry = {"type": etype, "n": 30, "k": 5, "eta": eta}
+    if etype not in ("center", "line-cycle"):  # the types whose formula reads nt_min
+        entry["nt_min"] = 2.0
     cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": [entry]})
     code, stdout, err = run(capsys, "risk", "--config", cfg)
     assert (code, stdout, err) == (2, "", f"invalid parameters: eta must be finite, got {eta}\n")
@@ -660,8 +664,8 @@ def test_risk_bounds_refuse_a_non_finite_eta(tmp_path, capsys, etype, eta):
 _BOUND_ENTRIES = [
     {"type": "h-eta", "n": 10, "k": 3, "eta": 9, "nt_min": 2},
     {"type": "cascade-cycle", "k": 4},
-    {"type": "star-null", "n": 10, "k": 3, "c": 2, "eta": 9, "alpha": 0.05, "D": 2, "c_k": 8, "nt_min": 2},
-    {"type": "center", "n": 10, "k": 3, "c": 2, "eta": 9, "alpha": 0.05},
+    {"type": "star-null", "n": 10, "k": 3, "eta": 9, "alpha": 0.05, "D": 2, "c_k": 8, "nt_min": 2},
+    {"type": "center", "n": 10, "k": 3, "eta": 9},
     {"type": "multi-spread", "n": 10, "k": 3, "eta": 9, "alpha": 0.05, "D": 2, "m": 3, "c_k": 8, "nt_min": 2},
     {"type": "line-cycle", "n": 10, "k": 3, "c": 2, "eta": 9, "alpha": 0.05},
 ]
@@ -673,6 +677,8 @@ def test_risk_bounds_never_raise_on_bad_numbers(tmp_path, capsys):
     cfg = tmp_path / "r.json"
     wrong = []
     for base in _BOUND_ENTRIES:
+        cfg.write_text(json.dumps({"schema": 1, "kind": "bounds", "entries": [base]}))
+        assert run(capsys, "risk", "--config", str(cfg))[0] == 0, base
         for key in [k for k in base if k != "type"]:
             for value in (float("nan"), float("inf"), -float("inf"), -1, 0):
                 entry = dict(base, **{key: value})
@@ -685,6 +691,149 @@ def test_risk_bounds_never_raise_on_bad_numbers(tmp_path, capsys):
                 if code not in (0, 2, 3, 4) or code == 0 and ("nan" in stdout or "inf" in stdout):
                     wrong.append((base["type"], key, value, code, stdout))
     assert wrong == []
+
+
+# the fields each bound type needs, and those it reads when given
+_BOUND_NEEDS = {
+    "h-eta": ("n", "k", "eta", "nt_min"),
+    "cascade-cycle": ("k",),
+    "cascade-min": ("graph", "k"),
+    "star-null": ("n", "k", "eta"),
+    "center": ("n", "k", "eta"),
+    "multi-spread": ("n", "k", "eta"),
+    "line-cycle": ("n", "k", "eta"),
+}
+_BOUND_OPTIONS = {
+    "star-null": ("alpha", "D", "c_k", "graph", "nt_min"),
+    "multi-spread": ("alpha", "D", "m", "c_k", "graph", "nt_min"),
+    "line-cycle": ("c", "alpha"),
+}
+
+
+@st.composite
+def bound_entries(draw):
+    """A bound entry of any type on n = 1..5,000 and k = 0..n+1, with each
+    optional field its type reads given or left out."""
+    etype = draw(st.sampled_from(sorted(_BOUND_NEEDS)))
+    n = draw(st.integers(1, 5000))
+    fields = {
+        "n": n,
+        "k": draw(st.integers(0, n + 1)),
+        "eta": draw(st.sampled_from([0, 0.5, 1, 10, 1e6, 1e300])),
+        "nt_min": draw(st.sampled_from([0, 0.5, 2, 1e6])),
+        "alpha": draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        "D": draw(st.integers(1, 8)),
+        "m": draw(st.integers(1, 50)),
+        "c": draw(st.integers(0, n)),
+        "c_k": draw(st.floats(0, 1e300)),
+        "graph": draw(st.sampled_from(["cycle:6", "path:5", "star:7", "empty:4", "cycle:12"])),
+    }
+    keys = _BOUND_NEEDS[etype] + tuple(key for key in _BOUND_OPTIONS.get(etype, ()) if draw(st.booleans()))
+    return {"type": etype, **{key: fields[key] for key in keys}}
+
+
+@settings(max_examples=150)
+@given(bound_entries())
+@example({"type": "line-cycle", "n": 5000, "k": 1100, "eta": 10})
+@example({"type": "star-null", "n": 5000, "k": 1016, "eta": 10})
+@example({"type": "multi-spread", "n": 5000, "k": 1016, "eta": 10, "m": 3})
+def test_random_bound_entries_end_in_a_documented_exit_code(tmp_path_factory, entry):
+    cfg = tmp_path_factory.mktemp("bounds") / "r.json"
+    cfg.write_text(json.dumps({"schema": 1, "kind": "bounds", "entries": [entry]}))
+    assert main(["risk", "--config", str(cfg)]) in (0, 2, 3, 4)
+
+
+def test_large_k_bounds_are_returned_with_an_exact_c_k(tmp_path, capsys):
+    # (k-1) 2^(k-1) is past a float from k = 1016 on; c_k h_eta is near k - 1
+    entries = [
+        {"type": "line-cycle", "n": 5000, "k": 1100, "eta": 10},
+        {"type": "star-null", "n": 2000, "k": 1100, "eta": 1e300},
+        {"type": "star-null", "n": 2000, "k": 1015, "eta": 1e300},
+    ]
+    cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": entries})
+    code, stdout, _ = run(capsys, "risk", "--config", cfg)
+    results = json.loads(stdout)["results"]
+    assert code == 0
+    assert results[0] == {"type": "line-cycle", "value": 1.05, "vacuous": True}
+    assert results[1]["c_k"] == cascade_count_cycle(1100)
+    assert f'"c_k": {cascade_count_cycle(1100)},' in stdout
+    assert (results[1]["value"], results[1]["vacuous"]) == (0.05, False)
+    # below k = 1016, c_k prints as the float it fits
+    assert results[2]["c_k"] == float(cascade_count_cycle(1015))
+    assert f'"c_k": {float(cascade_count_cycle(1015))!r},' in stdout
+
+
+@pytest.mark.parametrize(
+    "command, doc, error",
+    [
+        # a typo of null_graph would run against empty:30
+        (
+            "experiment",
+            {"entries": [{"algorithm": "perm", "statistic": "W", "alt_graph": "cycle:30", "null_graph": "star:30",
+                          "etas": [1], "k": 5, "alpha": 0.2, "B": 20, "replicates": 2, "long_out": "w.csv"},
+                         {"algorithm": "perm", "statistic": "W", "alt_graph": "cycle:30", "null_grpah": "star:30",
+                          "etas": [1], "k": 5, "alpha": 0.2, "B": 20, "replicates": 2}]},
+            "entries[1].null_grpah",
+        ),
+        # a TT row reads no degree bound
+        (
+            "experiment",
+            {"entries": [{"algorithm": "TT", "alt_graph": "cycle:30", "etas": [1], "k": 5, "replicates": 2, "d": 3}]},
+            "entries[0].d",
+        ),
+        (
+            "experiment",
+            {"entries": [{"algorithm": "TT", "alt_graph": "cycle:30", "etas": [1], "k": 5, "replicates": 2}], "seed": 3},
+            "seed",
+        ),
+        # C for c would run with c = 0
+        ("baseline", {"graph": "cycle:30", "k": 5, "C": 3}, "C"),
+        # sead for seed would run with seed 0
+        (
+            "risk",
+            {"kind": "mc", "alt_graph": "cycle:12", "etas": [1], "k": 3, "alpha": 0.2, "B": 20,
+             "replicates": 2, "sead": 4},
+            "sead",
+        ),
+        ("risk", {"kind": "bounds", "entries": [{"type": "cascade-cycle", "k": 4}], "seed": 1}, "seed"),
+        # the star-null formula reads no m, and center no alpha or c
+        ("risk", {"kind": "bounds", "entries": [{"type": "star-null", "n": 30, "k": 5, "eta": 1, "m": 50}]},
+         "entries[0].m"),
+        ("risk", {"kind": "bounds", "entries": [{"type": "star-null", "n": 30, "k": 5, "eta": 1, "bogus": 3}]},
+         "entries[0].bogus"),
+        ("risk", {"kind": "bounds", "entries": [{"type": "center", "n": 30, "k": 5, "eta": 1, "alpha": 0.1}]},
+         "entries[0].alpha"),
+        ("risk", {"kind": "bounds", "entries": [{"type": "line-cycle", "n": 30, "k": 5, "eta": 1, "D": 3}]},
+         "entries[0].D"),
+    ],
+)
+def test_unknown_config_keys_are_refused_before_any_row_runs(tmp_path, capsys, monkeypatch, command, doc, error):
+    import netspread.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a row ran")
+
+    for name in ("mc_risk_curves", "mc_risk_curve", "baseline_risk_curve", "baseline_rule", "star_null_risk_bound"):
+        monkeypatch.setattr(netspread.cli, name, no_run)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "c.json", {"schema": 1, **doc})
+    code, stdout, err = run(capsys, command, "--config", cfg)
+    assert (code, stdout, err) == (2, "", f"config error: {cfg}.{error}: unknown key\n")
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_c_k_and_graph_are_not_both_read(tmp_path, capsys):
+    entry = {"type": "star-null", "n": 30, "k": 5, "eta": 1, "c_k": 8, "graph": "cycle:6"}
+    cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": [entry]})
+    code, stdout, err = run(capsys, "risk", "--config", cfg)
+    assert (code, stdout, err) == (2, "", f"config error: {cfg}.entries[0].graph: not read when c_k is given\n")
+
+
+def test_a_number_past_a_float_is_a_config_error(tmp_path, capsys):
+    entry = {"type": "star-null", "n": 30, "k": 5, "eta": 1, "c_k": 10**400}
+    cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": [entry]})
+    code, stdout, err = run(capsys, "risk", "--config", cfg)
+    assert (code, stdout, err) == (2, "", f"config error: {cfg}.entries[0].c_k: too large for a float\n")
 
 
 def test_risk_empty_entries(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_distance_matrix_matches_networkx(g):
 def covered_graphs(draw):
     """Graphs on 2..140 vertices of minimum degree 1 or more and mixed
     degrees: a random cover by cycles and single edges, chords, and an
-    optional hub; n crosses 64-bit word edges and _SLOT_MIN_ROWS."""
+    optional hub; n crosses 64-bit word edges."""
     n = draw(st.one_of(st.integers(2, 140), st.sampled_from([63, 64, 65, 128, 129])))
     order = draw(st.permutations(range(n)))
     edges = []
@@ -191,20 +191,18 @@ def covered_graphs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(covered_graphs(), st.sampled_from([None, 1, 64, 1000]), st.sampled_from([None, 0]))
-@example(cycle_graph(65), None, None)
-@example(star_graph(129), 64, None)
-@example(build_graph(3, [(0, 1), (1, 2)]), 1, 0)
-def test_distance_matrix_by_neighbour_slots_matches_networkx(g, step_bytes, slot_min_rows):
-    # every vertex has a neighbour, so above _SLOT_MIN_ROWS vertices (or
-    # with it at 0) the level step gathers slot 0 of every vertex whole;
-    # the default step and chunks of 1, 64 and 1000 bytes give networkx's
-    # matrix
+@given(covered_graphs(), st.sampled_from([None, 1, 64, 1000]))
+@example(cycle_graph(65), None)
+@example(star_graph(129), 64)
+@example(build_graph(3, [(0, 1), (1, 2)]), 1)
+def test_distance_matrix_by_neighbour_slots_matches_networkx(g, step_bytes):
+    # every vertex has a neighbour, so the level step gathers slot 0 of
+    # every vertex whole; the default step and chunks of 1, 64 and 1000
+    # bytes give networkx's matrix
     assert min(g.degrees) >= 1
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in (("_STEP_BYTES", step_bytes), ("_SLOT_MIN_ROWS", slot_min_rows)):
-            if value is not None:
-                mp.setattr(graphs, name, value)
+        if step_bytes is not None:
+            mp.setattr(graphs, "_STEP_BYTES", step_bytes)
         mat = g.distance_matrix
     want = _networkx_distances(g)
     assert mat.dtype == want.dtype
@@ -213,13 +211,13 @@ def test_distance_matrix_by_neighbour_slots_matches_networkx(g, step_bytes, slot
 
 @pytest.mark.parametrize("step_bytes", [1, 64, 1000])
 def test_distance_matrix_in_small_chunks(monkeypatch, step_bytes):
-    # BFS gathers and decode rows split into many chunks give the same matrix
+    # BFS gathers and decode rows split into many chunks give the same matrix;
+    # the 70- and 130-vertex graphs have isolated vertices, so their level
+    # step is a reduceat over every neighbour (no whole-slot gather)
     monkeypatch.setattr(graphs, "_STEP_BYTES", step_bytes)
-    for g in (
-        torus_grid([5, 7]),
-        build_graph(70, [(0, 1), (1, 2), (5, 69), (30, 31), (31, 40)]),
-        erdos_renyi(130, 0.02, 4),
-    ):
+    isolated = (build_graph(70, [(0, 1), (1, 2), (5, 69), (30, 31), (31, 40)]), erdos_renyi(130, 0.02, 4))
+    assert all(min(g.degrees) == 0 for g in isolated)
+    for g in (torus_grid([5, 7]), *isolated):
         assert np.array_equal(g.distance_matrix, _networkx_distances(g))
 
 

@@ -130,11 +130,6 @@ def test_dihedral_group_is_closed_under_composition():
     expected = brute_automorphisms(g)
     for image in itertools.permutations(range(6)):
         assert group.contains(Permutation(image)) == (image in expected)
-    # the lazily walked images are the group, and closed under composition
-    images = set(perms._dihedral_images(g))
-    assert images == expected
-    for p, q in itertools.product(images, repeat=2):
-        assert tuple(p[w] for w in q) in images
 
 
 @pytest.mark.parametrize(
@@ -142,15 +137,41 @@ def test_dihedral_group_is_closed_under_composition():
     [cycle_graph(4), cycle_graph(5), cycle_graph(7), two_block(6, 1.0, 0.0, 1), two_block(8, 0.6, 0.3, 2)],
 )
 def test_intersection_of_one_graphs_groups_is_that_group(monkeypatch, g):
-    # two groups of one edge set intersect in the whole group, found
-    # without walking a cycle's 2n images
-    def walk(*args):
-        raise AssertionError("dihedral images walked")
+    # two groups of one edge set intersect in the whole group, so their
+    # product is that group, not S_n: decided with no search and no count
+    def stop(*args):
+        raise AssertionError("searched")
 
-    monkeypatch.setattr(perms, "_dihedral_images", walk)
+    monkeypatch.setattr(perms, "_count", stop)
+    monkeypatch.setattr(perms, "_search", stop)
     a, b = automorphism_group(g), automorphism_group(build_graph(g.n, g.edges))
     assert a is not b
-    assert perms._intersection_order(a, b) == len(brute_automorphisms(g))
+    assert product_group_is_full(a, b) is False
+    assert product_group_is_full(b, a) is False
+
+
+def test_two_relabelled_large_cycles_stop_at_the_order_bound(monkeypatch):
+    # 2n * 2n < n!, so no common automorphism is counted or walked
+    n = 2000
+    relabelled = _cycle_through([(7 * i) % n for i in range(n)])
+
+    def stop(*args):
+        raise AssertionError("searched")
+
+    for name in ("_keeps_edges", "_count", "_search"):
+        monkeypatch.setattr(perms, name, stop)
+    assert automorphism_group(relabelled).kind == "dihedral"
+    assert check_validity(cycle_graph(n), relabelled) == "invalid"
+
+
+def test_cycle_against_clique_plus_vertex_counts_the_pair():
+    # 20 * 9! / 2 = 10!: the pair passes the order bound and its two
+    # common automorphisms are counted
+    g1, g0 = cycle_graph(10), _k1_plus_clique(10)
+    p1, p0 = automorphism_group(g1), automorphism_group(g0)
+    assert (p1.kind, p0.kind) == ("dihedral", "graph")
+    assert product_group_is_full(p1, p0) and product_group_is_full(p0, p1)
+    assert check_validity(g0, g1) == check_validity(g1, g0) == "valid"
 
 
 def test_star_group_is_symbolic_stabilizer():

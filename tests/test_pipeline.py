@@ -126,7 +126,7 @@ def _rows(n, *infected):
 )
 @example((build_graph(1, []), np.array([[1], [1]], dtype=np.int8), 0, {0}), {})
 @example((build_graph(1, []), np.array([[1], [0], [2]], dtype=np.int8), 0, {0}), {"_DMAT_LIMIT": 0})
-# graphs above _SLOT_MIN_ROWS vertices, whose per-row BFS gathers neighbour slots
+# graphs with no isolated vertex, whose per-row BFS gathers neighbour slots
 @example((cycle_graph(70), _rows(70, [0, 35], [3, 4, 5, 60], [10]), 0, {0, 1}), {"_DMAT_LIMIT": 0})
 @example((torus_grid((9, 9)), _rows(81, [0, 40, 80], [7], [1, 2, 10, 11]), 40, {40}), {"_DMAT_LIMIT": 0})
 @example((cycle_graph(5), np.ones((3, 5), dtype=np.int8), 2, {0, 3}), {"_R_GATHER_BYTES": 1})

@@ -33,6 +33,7 @@ from netspread import (
     mc_risk_curves,
     min_cascade_count,
     multi_spread_bounds,
+    multi_spread_mc_test,
     path_graph,
     simulate_spread,
     star_graph,
@@ -232,6 +233,26 @@ def test_star_null_bound_holds_for_the_simulated_w_risk(n, alpha):
     cfg = TestConfig(alpha=alpha, B=99, seed=7)
     curve = mc_risk_curve(star_graph(n), cycle_graph(n), eta, [eta], k, 0, cfg, reps)
     errors = [round(curve.type_i * reps), round(curve.type_ii[eta] * reps)]
+    assert sum(clopper_pearson(x, reps, CP_TAIL / 2)[1] for x in errors) <= bound.value
+
+
+def test_multi_spread_edges_bound_holds_for_the_simulated_w_risk():
+    # the same check for the edges bound averaged over m = 3 spreads (0.379
+    # here): each test scores W on the cycle over three snapshots, each
+    # snapshot and each test's draws from a substream of their own
+    pytest.importorskip("scipy.stats")
+    n, k, m, eta, alpha, reps = 100, 8, 3, 1e6, 0.05, 400
+    bound = multi_spread_bounds(RiskInputs(n=n, k=k, eta=eta, alpha=alpha, m=m), c_k=cascade_count_cycle(k)).avg_edges
+    assert not bound.vacuous and bound.value < 0.38
+    star, cycle = star_graph(n), cycle_graph(n)
+    stat, params = StatisticSpec.edges_within(cycle), SpreadParams(eta=eta, k=k)
+    cfg = TestConfig(alpha=alpha, B=99, seed=7)
+    errors = [0, 0]  # Type I (star spreads rejected), Type II (cycle spreads kept)
+    for rep in range(reps):
+        for truth, g in enumerate((star, cycle)):
+            ivs = [simulate_spread(g, params, substream(7, rep, truth, j)).to_infection(n) for j in range(m)]
+            reject = multi_spread_mc_test(stat, ivs, cfg, null_graph=star, rng=substream(7, rep, truth, m)).reject
+            errors[truth] += reject != truth
     assert sum(clopper_pearson(x, reps, CP_TAIL / 2)[1] for x in errors) <= bound.value
 
 

@@ -203,7 +203,7 @@ _KERNEL_KNOBS = [
     {"_BALL_BYTES": 0, "_BALL_UP": 0},
     {"_BALL_BYTES": 0, "_BALL_UP": 1},
     {"_BALL_BYTES": 0, "_BALL_UP": 2},
-    {"_BALL_CHUNK": 1},
+    {"_CHUNK_BYTES": 1},
 ]
 
 
@@ -298,7 +298,7 @@ def test_ball_tables_build_in_chunks_and_keep_to_their_budget():
         tracemalloc.stop()
     # one table and one chunk of comparisons: never an (n, n) temporary
     assert table.nbytes == _table_bytes(2500) == 800_000
-    assert peak <= table.nbytes + stats_mod._BALL_CHUNK, peak
+    assert peak <= table.nbytes + stats_mod._CHUNK_BYTES, peak
     # a build with the cache full evicts the least recently used first, so
     # the tables and one chunk never pass five tables
     tracemalloc.start()
@@ -309,7 +309,7 @@ def test_ball_tables_build_in_chunks_and_keep_to_their_budget():
     finally:
         tracemalloc.stop()
     assert list(g.__dict__["_ball_tables"]) == [46, 47, 45, 48, 49]
-    assert peak <= kept * table.nbytes + stats_mod._BALL_CHUNK, peak
+    assert peak <= kept * table.nbytes + stats_mod._CHUNK_BYTES, peak
     # blocks of 10, 100 and 500 infected vertices land on radii far apart,
     # more tables than the floor keeps; the tables, a chunk of comparisons
     # and a row block's gathers stay below one (n, n) matrix
@@ -324,7 +324,7 @@ def test_ball_tables_build_in_chunks_and_keep_to_their_budget():
         finally:
             tracemalloc.stop()
         assert len(cache) == kept
-        assert peak <= kept * table.nbytes + 2 * stats_mod._BALL_CHUNK < g.distance_matrix.nbytes, peak
+        assert peak <= kept * table.nbytes + 2 * stats_mod._CHUNK_BYTES < g.distance_matrix.nbytes, peak
         # single rows always gather
         assert got.tolist() == [stats_mod._radius_batch(g, row[None])[0] for row in mask]
 
@@ -527,7 +527,7 @@ def test_steiner_batch_equals_mehlhorn_oracle(case, chunk_bytes):
     g, block = case
     with pytest.MonkeyPatch.context() as mp:
         if chunk_bytes is not None:
-            mp.setattr(stats_mod, "_T_CHUNK_BYTES", chunk_bytes)
+            mp.setattr(stats_mod, "_CHUNK_BYTES", chunk_bytes)
         _assert_batch_matches_oracle(g, block)
 
 
