@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from decimal import Context
 from functools import cache
 from math import factorial, isfinite
 from typing import Any, Callable, Iterator, Sequence, TextIO
@@ -74,11 +75,15 @@ def _fmt(x: float) -> str:
 
 
 def _dumps(payload) -> str:
-    """Strict JSON text; inf, -inf and nan become the strings _fmt prints."""
+    """Strict JSON text; inf, -inf and nan become the strings _fmt prints, and
+    an int too long for str() its 6 significant digits and exponent."""
 
     def strict(x):
         if isinstance(x, float) and not isfinite(x):
             return _fmt(x)
+        if isinstance(x, int) and x.bit_length() > 3 * (digits := sys.get_int_max_str_digits()) > 0:
+            if abs(x) >= 10**digits:  # past str()'s limit
+                return f"{Context(prec=6).create_decimal(x).normalize():e}"
         if isinstance(x, dict):
             return {key: strict(v) for key, v in x.items()}
         if isinstance(x, (list, tuple)):
@@ -254,7 +259,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         iv = censor_fixed(iv, [_vertex(g, lab, ParseError, args.censor_file) for lab in labels])
     elif args.c:
         iv = censor_uniform(iv, args.c, substream(args.seed, 1))
-    write_status_file(args.out_file, iv, labels=[g.label_of(v) for v in range(g.n)])
+    write_status_file(args.out_file, iv, labels=g.labels)
 
 
 # -- test -----------------------------------------------------------------------

@@ -8,6 +8,7 @@ display metadata only and never affect structural equality.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, prod
@@ -130,6 +131,19 @@ class Graph:
         indices.setflags(write=False)
         return indptr, indices
 
+    @cached_property
+    def _components(self) -> np.ndarray:
+        """Each vertex's component, named by its smallest vertex: across each edge the
+        larger name hooks onto the smaller, then names jump to their name's name."""
+        name = np.arange(self.n)
+        eu, ev = self.edge_arrays
+        while (name[eu] != name[ev]).any():
+            a, b = name[eu], name[ev]
+            np.minimum.at(name, np.maximum(a, b), np.minimum(a, b))
+            while (name[name] != name).any():
+                name = name[name]
+        return name
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
@@ -145,7 +159,7 @@ class Graph:
 
     @cached_property
     def label_index(self) -> dict[str, int]:
-        return {self.label_of(v): v for v in range(self.n)}
+        return dict(zip(self.labels or map(str, range(self.n)), range(self.n)))
 
     def index_of(self, label: str) -> int:
         try:
@@ -209,18 +223,35 @@ def build_graph(
     """Construct a Graph, normalizing the edge list.
 
     Self-loops are rejected; duplicate edges (in either orientation)
-    collapse to one.
+    collapse to one: one sort of the u * n + v keys of the (u < v) pairs.
+    Edges that are no integer (m, 2) array, or fail a check, take a loop
+    that int()s them in order and raises at the first bad one.
     """
-    canon: set[tuple[int, int]] = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        canon.add((u, v) if u < v else (v, u))
-    lab = tuple(labels) if labels is not None else None
-    return Graph(n=n, edges=tuple(sorted(canon)), labels=lab)
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    pairs = np.zeros((2, 1), dtype=np.int64)  # a self-loop: sends what is no integer (m, 2) array to the loop
+    with suppress(ValueError):  # ragged rows
+        if (arr := np.asarray(rows)).dtype.kind in "biu" and arr.shape[1:] == (2,):
+            pairs = arr.T.astype(np.int64, copy=False)
+    lo, hi = np.minimum(*pairs), np.maximum(*pairs)
+    if ((lo == hi) | (lo < 0) | (hi >= n)).any():
+        canon = []
+        for u, v in rows:
+            u, v = int(u), int(v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            canon.append((min(u, v), max(u, v)))
+        lo, hi = np.array(canon, dtype=np.int64).reshape(-1, 2).T
+    keys = np.sort(lo.astype(np.int64 if n < 3037000499 else object) * n + hi)  # from that n on, n * n wraps int64
+    keys = keys[keys != np.append(-1, keys[:-1])]
+    ends = np.stack([keys // n, keys % n]).astype(np.int64, copy=False)
+    ends.setflags(write=False)
+    # Graph() checks n and the labels; its edges, canonical here, are set unchecked
+    g = Graph(n, (), tuple(labels) if labels is not None else None)
+    object.__setattr__(g, "edges", tuple(zip(*ends.tolist())))
+    g.__dict__["edge_arrays"] = tuple(ends)
+    return g
 
 
 # -- deterministic families ------------------------------------------------
@@ -266,7 +297,7 @@ def torus_grid(dims: Sequence[int]) -> Graph:
     index = np.arange(prod(dims)).reshape(dims)
     # each cell with its successor along every axis
     heads = np.concatenate([np.roll(index, -1, axis).ravel() for axis in range(len(dims))])
-    return build_graph(index.size, zip(np.tile(index.ravel(), len(dims)).tolist(), heads.tolist()))
+    return build_graph(index.size, np.stack([np.tile(index.ravel(), len(dims)), heads], axis=1))
 
 
 # -- random families --------------------------------------------------------
@@ -494,10 +525,19 @@ def eccentricity(g: Graph, v: int) -> float:
 
 
 def is_connected(g: Graph) -> bool:
-    return eccentricity(g, 0) < inf
+    return not g._components.any()
 
 
 # -- IO ----------------------------------------------------------------------
+
+
+def _pairs(text: str) -> list[str] | None:
+    """The tokens of text's lines that are not '#' comments, end to end, if each holds two or
+    none, else None. No per-line list outlives its count, which keeps the cyclic GC idle."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    return " ".join(lines).split() if {*map(len, map(str.split, lines))} <= {0, 2} else None
 
 
 def load_edge_list(text: str) -> Graph:
@@ -505,26 +545,19 @@ def load_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are skipped. Vertices are
     numbered by first appearance; duplicate edges collapse. Self-loops
-    and lines without exactly two tokens raise ParseError with the line
-    number.
+    and lines without exactly two tokens raise ParseError with the number
+    of the first bad line, walked to only when a whole-list check fails.
     """
-    index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected two labels, got {len(parts)}")
-        a, b = parts
-        if a == b:
-            raise ParseError(f"line {lineno}: self-loop on {a!r} not allowed")
-        for lab in (a, b):
-            if lab not in index:
-                index[lab] = len(index)
-        edges.append((index[a], index[b]))
+    flat = _pairs(text)
+    if flat is None or any(map(str.__eq__, flat[0::2], flat[1::2])):
+        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+            if parts and parts[0][0] != "#":
+                if len(parts) != 2:
+                    raise ParseError(f"line {lineno}: expected two labels, got {len(parts)}")
+                if parts[0] == parts[1]:
+                    raise ParseError(f"line {lineno}: self-loop on {parts[0]!r} not allowed")
+    index = dict(zip(dict.fromkeys(flat), range(len(flat))))
     if not index:
         raise ParseError("edge list has no edges")
-    labels = tuple(sorted(index, key=index.__getitem__))
-    return build_graph(len(index), edges, labels=labels)
+    ids = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat))
+    return build_graph(len(index), ids.reshape(-1, 2), labels=tuple(index))

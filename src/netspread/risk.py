@@ -176,8 +176,8 @@ def min_cascade_count(g: Graph, k: int) -> int:
 
 def _bound(alpha: float, bracket: float, tail: float) -> BoundValue:
     """alpha + tail, or the vacuous alpha + 1 when the formula's bracket is
-    not positive."""
-    if bracket <= 0:
+    not positive (or nan)."""
+    if not bracket > 0:
         return BoundValue(alpha + 1.0, vacuous=True)
     return BoundValue(alpha + tail)
 

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GuardExceededError, ParseError
-from .graphs import Graph
+from .graphs import Graph, _pairs
 from .rng import as_generator
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 UNINFECTED, INFECTED, CENSORED = 0, 1, 2
-_STATUS_TO_CHAR = {UNINFECTED: "0", INFECTED: "1", CENSORED: "*"}
 _STATUS_BYTES = np.frombuffer(b"01*", np.uint8)  # indexed by status code: its character's byte
 _CHAR_TO_STATUS = {"0": UNINFECTED, "1": INFECTED, "*": CENSORED}
 
@@ -501,12 +500,11 @@ def ising_sample_exact(
 
 
 def write_status_file(fh: IO[str], iv: InfectionVector, labels: Sequence[str] | None = None) -> None:
-    """Write one ``label status`` line per vertex (status in {0, 1, *})."""
+    """Write one ``label status`` line per vertex (status in {0, 1, *}), in one write."""
     if labels is not None and len(labels) != iv.n:
         raise ValueError("labels length must equal n")
-    for v in range(iv.n):
-        lab = labels[v] if labels is not None else str(v)
-        fh.write(f"{lab} {_STATUS_TO_CHAR[int(iv.status[v])]}\n")
+    chars = _STATUS_BYTES[iv.status].tobytes().decode()
+    fh.write("".join([f"{lab} {ch}\n" for lab, ch in zip(range(iv.n) if labels is None else labels, chars)]))
 
 
 def read_status_file(text: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -514,29 +512,25 @@ def read_status_file(text: str) -> tuple[tuple[str, ...], np.ndarray]:
 
     Blank lines and '#' comments are skipped; anything else must be a
     ``label status`` pair with status in {0, 1, *}. Duplicate labels and
-    malformed lines raise ParseError with the line number.
+    malformed lines raise ParseError with the number of the first bad
+    line, which a walk runs only when the whole-list checks fail.
     """
-    labels: list[str] = []
-    codes: list[int] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'label status', got {len(parts)} tokens")
-        lab, code = parts
-        if code not in _CHAR_TO_STATUS:
-            raise ParseError(f"line {lineno}: status must be 0, 1 or *, got {code!r}")
-        if lab in seen:
-            raise ParseError(f"line {lineno}: duplicate label {lab!r}")
-        seen.add(lab)
-        labels.append(lab)
-        codes.append(_CHAR_TO_STATUS[code])
+    flat = _pairs(text)
+    labels, chars = (tuple(flat[0::2]), flat[1::2]) if flat is not None else ((), [])
+    if flat is None or {*chars} - _CHAR_TO_STATUS.keys() or len({*labels}) < len(labels):
+        seen: set[str] = set()
+        for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+            if parts and parts[0][0] != "#":
+                if len(parts) != 2:
+                    raise ParseError(f"line {lineno}: expected 'label status', got {len(parts)} tokens")
+                if parts[1] not in _CHAR_TO_STATUS:
+                    raise ParseError(f"line {lineno}: status must be 0, 1 or *, got {parts[1]!r}")
+                if parts[0] in seen:
+                    raise ParseError(f"line {lineno}: duplicate label {parts[0]!r}")
+                seen.add(parts[0])
     if not labels:
         raise ParseError("status file has no entries")
-    return tuple(labels), np.asarray(codes, dtype=np.int8)
+    return labels, np.array([*map(_CHAR_TO_STATUS.__getitem__, chars)], dtype=np.int8)
 
 
 def align_to_graph(g: Graph, labels: Sequence[str], codes: np.ndarray) -> InfectionVector:
@@ -547,11 +541,10 @@ def align_to_graph(g: Graph, labels: Sequence[str], codes: np.ndarray) -> Infect
     if len(labels) != g.n:
         raise ParseError(f"status file has {len(labels)} vertices, graph has {g.n}")
     status = np.zeros(g.n, dtype=np.int8)
-    for lab, code in zip(labels, codes):
-        try:
-            status[g.index_of(lab)] = code
-        except KeyError:
-            raise ParseError(f"status file label {lab!r} not in graph") from None
+    try:  # the labels and codes zip would pair
+        status[[*map(g.label_index.__getitem__, labels[: len(codes)])]] = codes[: len(labels)]
+    except KeyError as exc:
+        raise ParseError(f"status file label {exc.args[0]!r} not in graph") from None
     return InfectionVector(status)
 
 

@@ -280,10 +280,13 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
     Scores chunks of rows whose BFS state takes about _CHUNK_BYTES,
     vertex v of row r standing at r * n + v in one flat range. Ties
     break as a deque BFS and a Kruskal over (weight, u, v) break them,
-    so every row equals steiner_weight of that row alone. Raises what
-    steiner_weight raises for the first row that fails.
+    so every row equals steiner_weight of that row alone. Refuses the
+    block before any BFS when a row's terminals span two g._components.
     """
     rows, n = infected.shape
+    name = g._components
+    if name.any() and (infected & (name != name[infected.argmax(axis=1)][:, None])).any():
+        raise DisconnectedTerminalsError("infected vertices do not lie in one connected component")
     indptr, indices = g.csr
     eu, ev = g.edge_arrays
     out = np.empty(rows, dtype=np.int64)
@@ -356,10 +359,6 @@ def _steiner_batch(g: Graph, infected: np.ndarray) -> np.ndarray:
             joins = ca != cb
             ca, cb, key = ca[joins], cb[joins], key[joins]
         bridges = np.maximum(_count_true(mask, 1) - 1, 0)  # the empty tree has none
-        if (np.bincount(a[bridge] // n, minlength=bridges.size) != bridges).any():
-            raise DisconnectedTerminalsError(
-                "infected vertices do not lie in one connected component"
-            )
         # 4. mark the BFS paths from every bridge endpoint back to its terminal
         on = np.zeros(size, dtype=bool)
         x = np.concatenate([a[bridge], b[bridge]])

@@ -12,7 +12,9 @@ sampler before it rounded eta onto a dyadic grid. relabeled_rows is the
 per-draw loop of the key draw that the package's blocked subset draw
 must reproduce. The exact layer's references enumerate relabelings where
 the package enumerates infected sets. The graph family references are the
-per-vertex loops of the random families and of the torus.
+per-vertex loops of the random families and of the torus. The set-up
+references are the per-edge and per-line loops of graph construction,
+edge-list and status-file IO that whole-list code replaced.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import networkx as nx
 import numpy as np
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
-from netspread.errors import DisconnectedTerminalsError
+from netspread.errors import DisconnectedTerminalsError, ParseError
 from netspread.graphs import Graph, build_graph
 from netspread.spreading import CENSORED, INFECTED, UNINFECTED, InfectionVector
 
@@ -393,6 +395,94 @@ def torus_grid_reference(dims) -> Graph:
             w = v + strides[a] * ((cs[a] + 1) % d - cs[a])
             edges.append((v, w))
     return build_graph(n, edges)
+
+
+# -- graph construction and status files, per edge and per line ------------------
+# The package's loops before whole-array set-up replaced them, kept as the
+# references its results, exception types and messages must equal.
+
+_CHAR_TO_STATUS = {"0": UNINFECTED, "1": INFECTED, "*": CENSORED}
+_STATUS_TO_CHAR = {code: char for char, code in _CHAR_TO_STATUS.items()}
+
+
+def build_graph_reference(n, edges, labels=None) -> Graph:
+    canon: set[tuple[int, int]] = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u} not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        canon.add((u, v) if u < v else (v, u))
+    lab = tuple(labels) if labels is not None else None
+    return Graph(n=n, edges=tuple(sorted(canon)), labels=lab)
+
+
+def load_edge_list_reference(text: str) -> Graph:
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two labels, got {len(parts)}")
+        a, b = parts
+        if a == b:
+            raise ParseError(f"line {lineno}: self-loop on {a!r} not allowed")
+        for lab in (a, b):
+            if lab not in index:
+                index[lab] = len(index)
+        edges.append((index[a], index[b]))
+    if not index:
+        raise ParseError("edge list has no edges")
+    labels = tuple(sorted(index, key=index.__getitem__))
+    return build_graph_reference(len(index), edges, labels=labels)
+
+
+def read_status_file_reference(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    labels: list[str] = []
+    codes: list[int] = []
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 'label status', got {len(parts)} tokens")
+        lab, code = parts
+        if code not in _CHAR_TO_STATUS:
+            raise ParseError(f"line {lineno}: status must be 0, 1 or *, got {code!r}")
+        if lab in seen:
+            raise ParseError(f"line {lineno}: duplicate label {lab!r}")
+        seen.add(lab)
+        labels.append(lab)
+        codes.append(_CHAR_TO_STATUS[code])
+    if not labels:
+        raise ParseError("status file has no entries")
+    return tuple(labels), np.asarray(codes, dtype=np.int8)
+
+
+def align_to_graph_reference(g: Graph, labels, codes) -> InfectionVector:
+    if len(labels) != g.n:
+        raise ParseError(f"status file has {len(labels)} vertices, graph has {g.n}")
+    status = np.zeros(g.n, dtype=np.int8)
+    for lab, code in zip(labels, codes):
+        try:
+            status[g.index_of(lab)] = code
+        except KeyError:
+            raise ParseError(f"status file label {lab!r} not in graph") from None
+    return InfectionVector(status)
+
+
+def write_status_file_reference(fh, iv: InfectionVector, labels=None) -> None:
+    if labels is not None and len(labels) != iv.n:
+        raise ValueError("labels length must equal n")
+    for v in range(iv.n):
+        lab = labels[v] if labels is not None else str(v)
+        fh.write(f"{lab} {_STATUS_TO_CHAR[int(iv.status[v])]}\n")
 
 
 # -- the statistics, per snapshot ---------------------------------------------------

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
 from math import factorial, log
 from pathlib import Path
 
@@ -761,6 +764,68 @@ def test_large_k_bounds_are_returned_with_an_exact_c_k(tmp_path, capsys):
     # below k = 1016, c_k prints as the float it fits
     assert results[2]["c_k"] == float(cascade_count_cycle(1015))
     assert f'"c_k": {float(cascade_count_cycle(1015))!r},' in stdout
+
+
+def test_a_nan_bracket_is_a_vacuous_bound(tmp_path, capsys):
+    # 1/alpha overflows, so the sqrt term and c_k h_eta are both inf: the
+    # bracket is inf - inf, which says nothing, so the bound is alpha + 1
+    entry = {"type": "star-null", "n": 383, "k": 365, "eta": 1e6, "alpha": 5e-324, "c_k": 3.37e299, "nt_min": 0.5}
+    cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": [entry]})
+    code, stdout, _ = run(capsys, "risk", "--config", cfg)
+    assert code == 0
+    result = json.loads(stdout)["results"][0]
+    assert (result["value"], result["vacuous"]) == (5e-324 + 1.0, True)
+
+
+def _six_digits(count: int) -> str:
+    """count's 6 significant digits, rounded half to even, and its exponent, as
+    %.6g prints a float, by exact integer arithmetic."""
+    e = len(str(count // 10**4000)) + 4000 - 1
+    q = round(Fraction(count, 10 ** (e - 5)))
+    if q == 10**6:
+        q, e = q // 10, e + 1
+    return f"{q // 10**5}.{q % 10**5:05d}".rstrip("0").rstrip(".") + f"e+{e}"
+
+
+def test_a_count_past_the_str_limit_prints_its_leading_digits(tmp_path, capsys):
+    # (k-1) 2^(k-1) at k = 15,000 has 4,519 digits, past str()'s 4,300
+    entries = [{"type": "star-null", "n": 20000, "k": 15000, "eta": 10}, {"type": "cascade-cycle", "k": 15000}]
+    cfg = write_config(tmp_path, "r.json", {"schema": 1, "kind": "bounds", "entries": entries})
+    code, stdout, _ = run(capsys, "risk", "--config", cfg)
+    assert code == 0
+    results = json.loads(stdout)["results"]
+    want = _six_digits(cascade_count_cycle(15000))
+    assert want.startswith("2.11333e+45")
+    assert results[0]["c_k"] == results[1]["value"] == want
+    assert results[0]["vacuous"] is True
+    # the limit is exact: one digit fewer prints every digit; the rounding is half to even
+    assert json.loads(cli._dumps([10**4300 - 1, 10**4300, 1234565 * 10**4400, 1234575 * 10**4400])) == [
+        10**4300 - 1, "1e+4300", "1.23456e+4406", "1.23458e+4406"
+    ]
+    assert _six_digits(1234565 * 10**4400 + 1) == cli._dumps(1234565 * 10**4400 + 1).strip('"') == "1.23457e+4406"
+
+
+def test_cli_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs every CLI process about 16 ms and 1.8 MB to import;
+    # np.unique on integers imports it
+    script = """
+import sys
+from netspread.cli import main
+snap = sys.argv[1]
+codes = [main(["simulate", "--graph", "torus:6x6", "--eta", "5", "--k", "8", "--c", "4", "--seed", "1",
+               "--out", snap])]
+for stat, extra in (("W", []), ("R", []), ("T", []), ("C", ["--mode", "censor-fixed"])):
+    codes.append(main(["test", "--null-graph", "empty:36", "--alt-graph", "torus:6x6", "--statistic", stat,
+                       "--infection", snap, "--B", "50", "--seed", "2", "--json", *extra]))
+codes.append(main(["check-aut", "star:10", "two-block:10:1:0:1"]))
+print(codes, "numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "snap.txt")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,35 @@ def test_distance_matrix_matches_networkx(g):
 
 
 @st.composite
+def small_graphs(draw):
+    """Graphs on 1..60 vertices, sparse enough to split into several
+    components, isolated vertices included, the vertex numbers of each
+    component scattered by a shuffle."""
+    n = draw(st.integers(1, 60))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=draw(st.sampled_from([n // 2, n, 2 * n]))))
+    return build_graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=300)
+@given(small_graphs())
+@example(build_graph(1, []))
+@example(path_graph(60))
+@example(build_graph(6, [(4, 5), (3, 4), (2, 3), (1, 2)]))
+@example(build_graph(7, [(0, 6), (6, 1), (1, 5), (5, 2), (2, 4)]))
+def test_component_labels_equal_networkx_components(g):
+    # each vertex is named by the smallest vertex of its component
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    want = np.empty(g.n, dtype=np.int64)
+    for comp in nx.connected_components(ref):
+        want[list(comp)] = min(comp)
+    assert g._components.tolist() == want.tolist()
+    assert is_connected(g) == nx.is_connected(ref)
+
+
+@st.composite
 def covered_graphs(draw):
     """Graphs on 2..140 vertices of minimum degree 1 or more and mixed
     degrees: a random cover by cycles and single edges, chords, and an

@@ -708,3 +708,39 @@ def test_statistic_spec_validation():
         StatisticSpec(kind="orbit_count")
     with pytest.raises(ValueError):
         StatisticSpec(kind="nonsense", graph=cycle_graph(4))
+
+
+class _CountingNumpy:
+    """numpy, with its searchsorted calls counted: _steiner_batch's BFS calls
+    it once per level, and nothing else there calls it."""
+
+    def __init__(self):
+        self.levels = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def searchsorted(self, *args, **kwargs):
+        self.levels += 1
+        return np.searchsorted(*args, **kwargs)
+
+
+def test_split_terminals_are_refused_before_any_bfs(monkeypatch):
+    # two 4-cycles; one row per chunk, and only the last row's terminals
+    # span both cycles: the block is refused with the message the
+    # post-Boruvka count gave, and no chunk runs a BFS level
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    block = np.zeros((5, 8), dtype=bool)
+    for row, terminals in enumerate([[0, 2], [4, 5, 7], [1], [], [3, 6]]):
+        block[row, terminals] = True
+    counting = _CountingNumpy()
+    monkeypatch.setattr(stats_mod, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(stats_mod, "np", counting)
+    with pytest.raises(DisconnectedTerminalsError, match=r"^infected vertices do not lie in one connected component$"):
+        stats_mod._steiner_batch(g, block)
+    assert counting.levels == 0
+    # the same block without its split row runs a BFS in each chunk
+    assert stats_mod._steiner_batch(g, block[:-1]).tolist() == [2, 2, 0, 0]
+    assert counting.levels > 0
+    with pytest.raises(DisconnectedTerminalsError):
+        steiner_weight(g, InfectionVector(block[-1].astype(np.int8)))
